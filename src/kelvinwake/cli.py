@@ -32,6 +32,9 @@ EXIT_OK = 0
 EXIT_TOLERANCE = 1
 EXIT_USAGE = 2
 
+#: Most worker threads `field` starts.
+MAX_THREADS = 64
+
 _BOX = "0 < x <= 3, 0 < rho <= 1, |alpha| <= pi/2"
 
 
@@ -114,13 +117,15 @@ def _parse_range(spec, name):
 def _thread_count(args):
     raw = getattr(args, "threads", None) or os.environ.get("KELVIN_THREADS", "1")
     if raw == "auto":
-        return os.cpu_count() or 1
+        return min(os.cpu_count() or 1, MAX_THREADS)
     try:
         n = int(raw)
     except ValueError:
         raise DomainError(f"--threads must be a positive integer or 'auto', got {raw!r}")
     if n < 1:
         raise DomainError("--threads must be >= 1")
+    if n > MAX_THREADS:
+        raise DomainError(f"--threads must be at most {MAX_THREADS}, got {n}")
     return n
 
 
@@ -378,8 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha-pi-range", default=None, dest="alpha_pi_range",
                    help="alpha grid in units of pi")
     p.add_argument("--threads", default=None,
-                   help="worker threads (integer or 'auto'; default "
-                        "$KELVIN_THREADS or 1)")
+                   help=f"worker threads (integer up to {MAX_THREADS} or "
+                        "'auto'; default $KELVIN_THREADS or 1)")
     _add_common(p)
     p.set_defaults(func=cmd_field)
 

@@ -430,9 +430,12 @@ def ck_recurrence(n: int, x: float) -> CoefficientTable:
 def ck_table(n: int, x: float, alpha: float) -> CoefficientTable:
     """Coefficient table via the cheapest trustworthy route.
 
-    alpha = 0 uses the recurrence, falling back to quadrature for any entry
-    flagged for cancellation; alpha > 0 always integrates.  The table keeps
-    RECURRENCE provenance only when every entry came from the recurrence.
+    alpha = 0 uses the recurrence (not cached), falling back to quadrature
+    for any entry flagged for cancellation; alpha > 0 always integrates.
+    Quadrature entries are lookups into oracle_Ck's cached table of
+    C_0 .. C_30 at (x, alpha), which is computed whole on its first use,
+    so the values do not depend on n.  The table keeps RECURRENCE
+    provenance only when every entry came from the recurrence.
     """
     if not isinstance(n, int) or not 1 <= n <= CK_MAX:
         raise DomainError(f"n must be an integer in [1, {CK_MAX}]")
@@ -518,8 +521,9 @@ def paris_F(pt: EvalPoint, policy: TruncationPolicy = DEFAULT_POLICY) -> MethodR
     ck = ck_table(n, pt.x, pt.alpha_abs)
     asym = asymptotic_sum(pt, ck)
     sad = saddle_term(pt)
-    value = (-math.pi * math.exp(-0.5 * pt.rho) * s1
-             + math.pi * math.exp(0.5 * pt.rho) * asym + sad)
+    struve_part = math.pi * math.exp(-0.5 * pt.rho) * s1
+    asym_part = math.pi * math.exp(0.5 * pt.rho) * asym
+    value = -struve_part + asym_part + sad
     atoms = _asymptotic_terms(pt, ck)
     # the saddle estimate's own defect is O(1/M) of its AMPLITUDE; using
     # |sad| would understate it badly near zeros of the sine factor
@@ -528,8 +532,11 @@ def paris_F(pt: EvalPoint, policy: TruncationPolicy = DEFAULT_POLICY) -> MethodR
     else:
         amp = math.sqrt(math.pi / pt.M) * math.exp(
             -(pt.M - 0.5 * pt.rho) * math.cos(pt.alpha_abs))
+    # the rounding error of the three-part sum is absolute: a few ulps of
+    # its parts, however much of them cancels in the value
     est = (math.pi * math.exp(0.5 * pt.rho) * abs(atoms[-1])
-           + 2.0 * amp / pt.M + 1e-15 * abs(value))
+           + 2.0 * amp / pt.M + 1e-15 * abs(value)
+           + 4.0 * 2.0 ** -52 * (abs(struve_part) + abs(asym_part) + abs(sad)))
     return MethodResult(value, Method.PARIS, terms_used=terms, n_used=n,
                         saddle_term=sad, internal_error_estimate=est,
                         components=Components(s1, asym, sad))

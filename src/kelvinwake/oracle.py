@@ -22,6 +22,13 @@ variable (QUADPACK's oscillatory rule with nonlinear phase substitution).
 
 Endpoint square-root singularities of the branch-cut integrals are removed
 by the substitution tau = p sin(theta) before any rule sees them.
+
+The coefficients C_k(x, alpha) of the asymptotic 1/M series are computed
+as a whole table, C_0 .. C_30, in one vectorised adaptive Gauss-Kronrod
+pass per (x, |alpha|): both integral forms of every k are evaluated as
+numpy arrays on one shared mesh.  The table is cached under
+(x, alpha, rel_tol); oracle_Ck looks single coefficients up in it, and
+oracle_Ck.cache_clear() empties it.
 """
 
 from __future__ import annotations
@@ -29,8 +36,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
+import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
 from .errors import AccuracyError, DomainError, InternalConsistencyError
@@ -120,8 +128,7 @@ class QuadResult:
     truncation_point: float
 
 
-def _run_quad(f, a, b, abs_tol, rel_tol, points=None, limit=MAX_SUBDIVISIONS,
-              relax=20.0):
+def _run_quad(f, a, b, abs_tol, rel_tol, limit=MAX_SUBDIVISIONS, relax=20.0):
     """quad wrapper: QUADPACK may flag roundoff while already at ~1e-14;
     only escalate to AccuracyError when the reported estimate is genuinely
     worse than `relax` times the request.  The estimate itself is always
@@ -129,7 +136,7 @@ def _run_quad(f, a, b, abs_tol, rel_tol, points=None, limit=MAX_SUBDIVISIONS,
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
         out = quad(f, a, b, epsabs=abs_tol, epsrel=rel_tol, limit=limit,
-                   points=points, full_output=1)
+                   full_output=1)
     value, err, info = out[0], out[1], out[2]
     neval = int(info.get("neval", 0)) if isinstance(info, dict) else 0
     if len(out) > 3 and err > relax * max(abs_tol, rel_tol * abs(value)):
@@ -345,99 +352,219 @@ def oracle_I2(pt: EvalPoint) -> QuadResult:
 # coefficient integrals
 
 
-def _gamma_envelope_tail(power, chi):
-    """log of int_chi^inf w^(power-1) e^-w dw, or -inf when utterly negligible."""
-    if chi > 690.0:
-        return -math.inf
-    if power <= 0:
-        return -chi - math.log(chi)
-    g = upper_inc_gamma(float(power), chi)
-    return math.log(g.value) if g.value > 0 else -math.inf
+# In the scaled variable w = x c xi = c t both forms of C_k become moments
+#
+#     int_0^inf w^2k e^-w g(w) dw
+#
+# of one function g written two ways (below), so one adaptive mesh on
+# [0, W] serves every k and both forms.  The envelope of the k-th moment is
+# int_0^inf w^2k e^-w dw = (2k)!, independent of x and alpha.
+
+#: Largest coefficient index of the quadrature table.
+CK_INDEX_MAX = 30
+
+#: Panel budget of one C_k table (21 nodes per panel).
+MAX_CK_PANELS = 1000
+
+# 21-point Gauss-Kronrod rule on [-1, 1] (QUADPACK dqk21); the embedded
+# 10-point Gauss rule uses every other node.
+_GK21_NODES = np.array([
+    -0.995657163025808080735527280689003, -0.973906528517171720077964012084452,
+    -0.930157491355708226001207180059508, -0.865063366688984510732096688423493,
+    -0.780817726586416897063717578345042, -0.679409568299024406234327365114874,
+    -0.562757134668604683339000099272694, -0.433395394129247190799265943165784,
+    -0.294392862701460198131126603103866, -0.148874338981631210884826001129720,
+    0.0,
+    0.148874338981631210884826001129720, 0.294392862701460198131126603103866,
+    0.433395394129247190799265943165784, 0.562757134668604683339000099272694,
+    0.679409568299024406234327365114874, 0.780817726586416897063717578345042,
+    0.865063366688984510732096688423493, 0.930157491355708226001207180059508,
+    0.973906528517171720077964012084452, 0.995657163025808080735527280689003])
+_GK21_KRONROD = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+    0.147739104901338491374841515972068, 0.142775938577060080797094273138717,
+    0.134709217311473325928054001771707, 0.123491976262065851077958109831074,
+    0.109387158802297641899210590325805, 0.093125454583697605535065465083366,
+    0.075039674810919952767043140916190, 0.054755896574351996031381300244580,
+    0.032558162307964727478818972459390, 0.011694638867371874278064396062192])
+_GK21_GAUSS = np.zeros(21)
+_GK21_GAUSS[1::2] = [
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338, 0.295524224714752870173892994651338,
+    0.269266719309996355091226921569469, 0.219086362515982043995534934228163,
+    0.149451349150580593145776339657697, 0.066671344308688137593568809893332]
+
+#: QUADPACK's rounding floor: 50 machine epsilons of the integral of |f|.
+_ROUNDING = 50.0 * 2.0 ** -52
+
+_CK_K = np.arange(CK_INDEX_MAX + 1)
+_CK_POWERS = 2.0 * _CK_K
+_CK_ENVELOPE = np.array([float(math.factorial(2 * k)) for k in _CK_K])
+
+#: The scaled range is cut at w = W; int_W^inf w^60 e^-w dw < 1e-17 * 60!.
+_CK_CUT = 154.0
+# envelope tails beyond the cut: |g| <= 1 in the xi-form and |g| <= c/w in
+# the t-form, so the tails are Gamma(2k+1, W) and c Gamma(2k, W)
+_CK_TAIL_XI = np.array([upper_inc_gamma(2.0 * k + 1.0, _CK_CUT).value for k in _CK_K])
+_CK_TAIL_T = np.array([upper_inc_gamma(2.0 * k, _CK_CUT).value for k in _CK_K])
 
 
-def _envelope_cutoff(power, lam, tail_eps=1e-17):
-    """U with int_U^inf t^power e^(-lam t) dt <= tail_eps * full integral."""
-    U = (power + 45.0) / lam
-    full = math.lgamma(power + 1) - (power + 1) * math.log(lam)
-    for _ in range(60):
-        logtail = _gamma_envelope_tail(power + 1, lam * U) - (power + 1) * math.log(lam)
-        if logtail - full <= math.log(tail_eps):
-            return U
-        U *= 1.2
-    return U
+def _ck_mesh(lam):
+    """Initial panels of [0, W]: doubling from lam = x c (where the factor
+    1/sqrt(1 + (w/lam)^2) turns over) up to 4, then of width 6."""
+    pts = [0.0]
+    edge = lam
+    while edge < 4.0:
+        pts.append(edge)
+        edge *= 2.0
+    pts.extend(np.linspace(4.0, _CK_CUT, 26))
+    pts = np.array(pts)
+    return pts[:-1], pts[1:]
 
 
-def _ck_xi_form(k, x, c, s, rel_tol):
-    """(2/pi) x^{2k} int_0^inf xi^{2k} e^{-xc xi} cos(sx sqrt(1+xi^2))/sqrt(1+xi^2) dxi."""
-    lam = x * c
-    peak = 2.0 * k / lam if k > 0 else 0.0
-    U = _envelope_cutoff(2 * k + 1, lam)
+def _ck_gk21(a, b, x, c, s):
+    """GK21 on the panels [a, b] for the moments of both forms of g.
 
-    def f(xi):
-        root = math.sqrt(1.0 + xi * xi)
-        return xi ** (2 * k) * math.exp(-lam * xi) * math.cos(s * x * root) / root
-
-    pts = [peak] if 0.0 < peak < U else None
-    # the oscillatory factor may cancel several orders of magnitude, so the
-    # achievable absolute error is set by the envelope integral, not |value|
-    env = math.exp(math.lgamma(2 * k + 1) - (2 * k + 1) * math.log(lam))
-    value, err, neval = _run_quad(f, 0.0, U, 1e-15 * env, rel_tol, points=pts)
-    scale = (2.0 / math.pi) * x ** (2 * k)
-    # envelope tail: |cos/sqrt| <= 1
-    logtail = _gamma_envelope_tail(2 * k + 1, lam * U) - (2 * k + 1) * math.log(lam)
-    tail = scale * math.exp(logtail) if logtail > -700.0 else 0.0
-    return scale * value, scale * err + tail, neval, U
-
-
-def _ck_t_form(k, x, c, s, rel_tol):
-    """(2/pi) int_0^inf t^{2k} e^{-ct} cos(s sqrt(x^2+t^2))/sqrt(x^2+t^2) dt."""
-    peak = 2.0 * k / c if k > 0 else 0.0
-    U = _envelope_cutoff(2 * k + 1, c)
-
-    def f(t):
-        root = math.sqrt(x * x + t * t)
-        return t ** (2 * k) * math.exp(-c * t) * math.cos(s * root) / root
-
-    pts = [p for p in (x, peak) if 0.0 < p < U] or None
-    env = math.exp(math.lgamma(2 * k + 1) - (2 * k + 1) * math.log(c)) / max(x, 1.0)
-    value, err, neval = _run_quad(f, 0.0, U, 1e-15 * env, rel_tol, points=pts)
-    scale = 2.0 / math.pi
-    if k >= 1:
-        logtail = _gamma_envelope_tail(2 * k, c * U) - 2 * k * math.log(c)
-    else:
-        logtail = -c * U - math.log(c * U)
-    tail = scale * math.exp(logtail) if logtail > -700.0 else 0.0
-    return scale * value, scale * err + tail, neval, U
+    Returns (value, error, floor), each shaped (2, K, panels): form 0 is
+    the xi-form g = cos(s x r)/r with r = sqrt(1 + (w/(x c))^2), form 1 the
+    t-form g = cos(s R)/R with R = sqrt(x^2 + (w/c)^2).  error is QUADPACK's
+    Kronrod-Gauss estimate, floor its rounding floor.
+    """
+    h = 0.5 * (b - a)
+    w = (0.5 * (a + b))[:, None] + h[:, None] * _GK21_NODES
+    r = np.sqrt(1.0 + (w / (x * c)) ** 2)
+    R = np.sqrt(x * x + (w / c) ** 2)
+    g = np.stack([np.cos(s * x * r) / r, np.cos(s * R) / R])
+    f = (w ** _CK_POWERS[:, None, None] * np.exp(-w))[None] * g[:, None]
+    resk = f @ _GK21_KRONROD
+    diff = np.abs(resk - f @ _GK21_GAUSS) * h
+    resasc = np.abs(f - 0.5 * resk[..., None]) @ _GK21_KRONROD * h
+    with np.errstate(divide="ignore", invalid="ignore"):
+        err = np.where(resasc > 0.0,
+                       resasc * np.minimum(1.0, (200.0 * diff / resasc) ** 1.5),
+                       diff)
+    return resk * h, err, _ROUNDING * (np.abs(f) @ _GK21_KRONROD) * h
 
 
-@lru_cache(maxsize=65536)
+def _ck_moments(x, c, s, rel_tol):
+    """All moments of both forms on one adaptive mesh.
+
+    A (form, k) pair is open while its summed error exceeds its tolerance:
+    absolute 1e-15 times its envelope ((2k)! for the xi-form, (2k)!/max(x, 1)
+    for the t-form) or relative rel_tol.  Panels whose Kronrod-Gauss error
+    is already below their rounding floor, or below an ulp of the
+    tolerance, cannot gain from bisection; what they leave of an open
+    pair's tolerance is shared equally among the other panels, and each
+    pass bisects every panel above its share for some open pair.  Returns
+    (value, error, tolerance, nodes), the first three shaped (2, K).
+    """
+    abs_tol = 1e-15 * _CK_ENVELOPE * np.array([[1.0], [1.0 / max(x, 1.0)]])
+    a = b = np.empty(0)
+    val = err = floor = np.empty((2, CK_INDEX_MAX + 1, 0))
+    na, nb = _ck_mesh(x * c)
+    nodes = 0
+    while True:
+        if len(a) + len(na) > MAX_CK_PANELS:
+            raise AccuracyError(
+                f"C_k quadrature at (x, c) = ({x}, {c}) needs more than "
+                f"{MAX_CK_PANELS} panels")
+        nval, nerr, nfloor = _ck_gk21(na, nb, x, c, s)
+        nodes += 21 * len(na)
+        a, b = np.concatenate([a, na]), np.concatenate([b, nb])
+        val = np.concatenate([val, nval], axis=-1)
+        err = np.concatenate([err, nerr], axis=-1)
+        floor = np.concatenate([floor, nfloor], axis=-1)
+        e = np.maximum(err, floor)
+        tol = np.maximum(abs_tol, rel_tol * np.abs(val.sum(axis=-1)))
+        refinable = err > np.maximum(floor, 2.0 ** -52 * tol[..., None])
+        budget = (np.maximum(tol - np.where(refinable, 0.0, e).sum(axis=-1), 0.0)
+                  / np.maximum(refinable.sum(axis=-1), 1))
+        split = (refinable & (e.sum(axis=-1) > tol)[..., None]
+                 & (e > budget[..., None])).any(axis=(0, 1))
+        if not split.any():
+            return val.sum(axis=-1), e.sum(axis=-1), tol, nodes
+        mid = 0.5 * (a[split] + b[split])
+        na, nb = np.concatenate([a[split], mid]), np.concatenate([mid, b[split]])
+        keep = ~split
+        a, b = a[keep], b[keep]
+        val, err, floor = val[..., keep], err[..., keep], floor[..., keep]
+
+
+@lru_cache(maxsize=2048)
+def _ck_table(x: float, alpha: float, rel_tol: float) -> tuple:
+    """C_0 .. C_30 at (x, alpha): one QuadResult per k, or for a k that
+    failed its checks a callable making the exception to raise."""
+    c = math.cos(0.5 * alpha)
+    s = math.sin(0.5 * alpha)
+    moments, errors, tol, nodes = _ck_moments(x, c, s, rel_tol)
+    # C_k = (2/pi) x^2k / (x c)^(2k+1) * xi-moment = (2/pi) c^-(2k+1) * t-moment;
+    # x^2k / (x c)^(2k+1) is formed as c^-2k / (x c), which stays finite
+    # however small x is
+    cpow = c ** -_CK_POWERS
+    scale = (2.0 / math.pi) * np.array([cpow / (x * c), cpow / c])
+    v_xi, v_t = (scale * moments).tolist()
+    e_xi, e_t = (scale * (errors + np.array([_CK_TAIL_XI, c * _CK_TAIL_T]))).tolist()
+    # as in _run_quad: where rounding stops refinement, up to 20 times the
+    # tolerance is accepted
+    stalled = (errors > 20.0 * tol).any(axis=0).tolist()
+    table = []
+    for k in range(CK_INDEX_MAX + 1):
+        gap = abs(v_xi[k] - v_t[k])
+        if stalled[k]:
+            table.append(partial(
+                AccuracyError, f"C_{k}({x}, {alpha}): quadrature stalled",
+                value=v_xi[k], error_estimate=e_xi[k]))
+        # the forms must agree to 1e-10 relative; only when oscillatory
+        # cancellation leaves both unable to certify that level do we defer
+        # to their own (still tiny) error estimates
+        elif (gap > 1e-10 * max(abs(v_xi[k]), abs(v_t[k]), 1e-300)
+              and gap > 30.0 * (e_xi[k] + e_t[k])):
+            table.append(partial(
+                InternalConsistencyError,
+                f"C_{k}({x}, {alpha}): xi-form {v_xi[k]!r} and t-form "
+                f"{v_t[k]!r} disagree beyond 1e-10 relative"))
+        else:
+            table.append(QuadResult(v_xi[k], e_xi[k] + gap, 2 * nodes,
+                                    _CK_CUT / (x * c)))
+    return tuple(table)
+
+
 def oracle_Ck(k: int, x: float, alpha: float, rel_tol: float = 5e-14) -> QuadResult:
     """Coefficient C_k(x, alpha) of the asymptotic 1/M series, by quadrature.
 
     Both equivalent integral forms (the xi-form and its t = x*xi
     substitution) are evaluated and must agree to 1e-10 relative; their
-    systematic agreement is the internal consistency check on the
-    truncation and the rule itself.  Results are cached (pure function).
+    agreement is the internal consistency check on the rule.  The whole
+    table C_0 .. C_30 for (x, alpha, rel_tol) is computed at once, by one
+    adaptive Gauss-Kronrod pass shared by every k and both forms, and
+    cached under that key; every k is a lookup into it, so a value never
+    depends on which k was asked for first.  Each k keeps its own
+    tolerance, error estimate (including the envelope tail beyond the cut)
+    and consistency check.  QuadResult.evaluations counts the integrand
+    evaluations of the whole table (both forms at every node of every panel
+    the mesh held); it is the same for every k.  cache_info() and
+    cache_clear() act on the table cache.
     """
-    if not isinstance(k, int) or k < 0 or k > 30:
-        raise DomainError(f"k must be an integer in [0, 30], got {k!r}")
+    if not isinstance(k, int) or k < 0 or k > CK_INDEX_MAX:
+        raise DomainError(f"k must be an integer in [0, {CK_INDEX_MAX}], got {k!r}")
     if not 0.0 <= alpha <= _HALF_PI + 4e-16:
         raise DomainError(f"alpha must lie in [0, pi/2], got {alpha}")
-    if x <= 0:
-        raise DomainError(f"x must be positive, got {x}")
-    c = math.cos(0.5 * alpha)
-    s = math.sin(0.5 * alpha)
-    v_xi, e_xi, n_xi, U = _ck_xi_form(k, x, c, s, rel_tol)
-    v_t, e_t, n_t, _ = _ck_t_form(k, x, c, s, rel_tol)
-    scale = max(abs(v_xi), abs(v_t), 1e-300)
-    # the forms must agree to 1e-10 relative; only when oscillatory
-    # cancellation leaves both rules unable to certify that level do we
-    # defer to their own (still tiny) reported uncertainties
-    if abs(v_xi - v_t) > 1e-10 * scale and abs(v_xi - v_t) > 30.0 * (e_xi + e_t):
-        raise InternalConsistencyError(
-            f"C_{k}({x}, {alpha}): xi-form {v_xi!r} and t-form {v_t!r} "
-            f"disagree beyond 1e-10 relative")
-    return QuadResult(v_xi, e_xi + abs(v_xi - v_t), n_xi + n_t, U)
+    if not (x > 0 and math.isfinite(x)):
+        raise DomainError(f"x must be positive and finite, got {x}")
+    entry = _ck_table(float(x), float(alpha), float(rel_tol))[k]
+    if not isinstance(entry, QuadResult):
+        raise entry()
+    return entry
+
+
+oracle_Ck.cache_info = _ck_table.cache_info
+oracle_Ck.cache_clear = _ck_table.cache_clear
 
 
 # ---------------------------------------------------------------------------

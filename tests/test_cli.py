@@ -187,6 +187,20 @@ def test_field_thread_count_from_environment(tmp_path, capsys, monkeypatch):
     assert ref.read_bytes() == env.read_bytes()
 
 
+def test_field_thread_count_is_capped(capsys, monkeypatch):
+    import kelvinwake.cli as cli
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
+    code, _, err = run(capsys, "field", "--x-range", "0.5:0.6:2",
+                       "--rho-range", "0.01:0.01:1", "--alpha-pi-range", "0:0.1:2",
+                       "--threads", str(10 ** 9))
+    assert code == 2
+    assert f"at most {cli.MAX_THREADS}" in err
+
+
 def test_field_requires_alpha_range(capsys):
     code, _, err = run(capsys, "field", "--x-range", "0.4:1:2",
                        "--rho-range", "0.01:0.02:2")

@@ -303,6 +303,33 @@ class TestParis:
         with pytest.warns(RuntimeWarning):
             paris_F(EvalPoint(0.4, 0.02, 0.0), TruncationPolicy(n=1))
 
+    def test_estimate_covers_rounding_of_the_three_part_sum(self):
+        # M = 75: the Struve and asymptotic parts are each about 1.5 while F
+        # is 0.44, so the sum rounds at a few ulps of the parts, not of F.
+        # Reference: the Bessel product series in mpmath at 60 digits (its
+        # terms peak near e^M / M ~ 1e31, leaving about 28 correct digits)
+        mp = pytest.importorskip("mpmath")
+        pt = EvalPoint(0.75, 0.001873817422860383, 0.3 * math.pi)
+        with mp.workdps(60):
+            x, z, alpha = mp.mpf(pt.x), mp.mpf(pt.rho) / 2, mp.mpf(pt.alpha)
+            k_prev, k_cur = mp.besselk(0, z), mp.besselk(1, z)
+            want = k_prev * mp.besselj(0, x)
+            m = 1
+            while True:
+                term = 2 * (-1) ** m * mp.cos(m * alpha) * k_cur * mp.besselj(2 * m, x)
+                want += term
+                if m > pt.M + 10 and abs(term) < mp.mpf(10) ** -40:
+                    break
+                k_prev, k_cur = k_cur, k_prev + (2 * m / z) * k_cur
+                m += 1
+        r = paris_F(pt)
+        c = r.components
+        parts = (abs(math.pi * math.exp(-0.5 * pt.rho) * c.struve_sum)
+                 + abs(math.pi * math.exp(0.5 * pt.rho) * c.asymptotic_sum)
+                 + abs(c.saddle))
+        assert r.internal_error_estimate >= 4.0 * 2.0 ** -52 * parts
+        assert abs(r.value - float(want)) <= r.internal_error_estimate
+
     @pytest.mark.parametrize("row", TABLE1_ROWS,
                              ids=lambda r: f"a{r.alpha_over_pi}-M{r.M}")
     def test_oracle_agreement_within_reference_envelope(self, row):

@@ -6,8 +6,8 @@ import math
 
 import pytest
 
-from kelvinwake import specfun
-from kelvinwake.errors import DomainError
+from kelvinwake import oracle, specfun
+from kelvinwake.errors import AccuracyError, DomainError, InternalConsistencyError
 from kelvinwake.oracle import (
     EvalPoint,
     integrate_adaptive,
@@ -195,6 +195,80 @@ class TestOracleCk:
         got = c_b - c_a
         want = (2.0 / math.pi) * math.log(10.0)
         assert abs(got / want - 1.0) <= 0.10
+
+    @pytest.mark.parametrize("x", [0.05, 1.0, 2.9])
+    @pytest.mark.parametrize("alpha_over_pi", [0.2, 0.5])
+    @pytest.mark.parametrize("k", [0, 7, 29, 30])
+    def test_oblique_against_mpmath(self, k, x, alpha_over_pi):
+        # the t-form at 20 digits by mpmath's tanh-sinh rule, split where
+        # the integrand turns over near t = x and along the moment bump
+        mp = pytest.importorskip("mpmath")
+        alpha = alpha_over_pi * math.pi
+        with mp.workdps(20):
+            X, A = mp.mpf(x), mp.mpf(alpha)
+            c, s = mp.cos(A / 2), mp.sin(A / 2)
+
+            def f(t):
+                root = mp.sqrt(X * X + t * t)
+                return t ** (2 * k) * mp.exp(-c * t) * mp.cos(s * root) / root
+
+            cuts = [mp.mpf(0), X / 4, X, 4 * X] + [
+                mp.mpf(w) / c for w in (16, 40, 80, 130)] + [mp.inf]
+            want = 2 / mp.pi * mp.quad(f, sorted(cuts))
+        c = math.cos(0.5 * alpha)
+        envelope = (2.0 / math.pi) * math.factorial(2 * k) / (x * c ** (2 * k + 1))
+        got = oracle_Ck(k, x, alpha).value
+        assert abs(got - float(want)) <= 1e-14 * envelope
+
+    def test_value_independent_of_request_order(self):
+        x, alpha = 0.83, 0.37 * math.pi
+        oracle_Ck.cache_clear()
+        last_first = [oracle_Ck(k, x, alpha).value for k in range(30, -1, -1)][::-1]
+        oracle_Ck.cache_clear()
+        first_first = [oracle_Ck(k, x, alpha).value for k in range(31)]
+        oracle_Ck.cache_clear()
+        again = [oracle_Ck(k, x, alpha).value for k in range(31)]
+        assert last_first == first_first == again
+
+    def test_cache_clear_empties_the_table_cache(self):
+        oracle_Ck(3, 0.91, 0.2)
+        assert oracle_Ck.cache_info().currsize > 0
+        oracle_Ck.cache_clear()
+        assert oracle_Ck.cache_info().currsize == 0
+
+    def test_top_coefficient_finite_at_small_x(self):
+        r = oracle_Ck(30, 1e-3, 0.0)
+        assert math.isfinite(r.value) and math.isfinite(r.abs_error_estimate)
+
+    def test_one_table_serves_every_k(self):
+        oracle_Ck.cache_clear()
+        results = [oracle_Ck(k, 1.7, 0.4) for k in range(31)]
+        info = oracle_Ck.cache_info()
+        assert (info.misses, info.hits) == (1, 30)
+        assert len({r.evaluations for r in results}) == 1
+
+    def test_panel_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(oracle, "MAX_CK_PANELS", 20)
+        oracle_Ck.cache_clear()
+        with pytest.raises(AccuracyError, match="panels"):
+            oracle_Ck(0, 1.3, 0.6)
+        assert oracle_Ck.cache_info().currsize == 0
+
+    def test_form_disagreement_raises(self, monkeypatch):
+        gk21 = oracle._ck_gk21
+
+        def skewed(*args):
+            value, err, floor = gk21(*args)
+            value[1] *= 1.0 + 1e-8     # perturb the t-form only
+            return value, err, floor
+
+        monkeypatch.setattr(oracle, "_ck_gk21", skewed)
+        oracle_Ck.cache_clear()
+        try:
+            with pytest.raises(InternalConsistencyError, match="C_4"):
+                oracle_Ck(4, 1.1, 0.5)
+        finally:
+            oracle_Ck.cache_clear()
 
     def test_validation(self):
         with pytest.raises(DomainError):
