@@ -10,33 +10,15 @@ brute-force quadrature oracle, the convergent Bessel product series, the
 truncated I-Y series with saddle estimate, and the three-part large-M
 expansion (Struve sum + asymptotic series + saddle term), together with
 machine-verified remainder and tail bounds.
+
+The names below are the ones the command line, the README and the
+acceptance suite use; everything else stays importable from its submodule
+(kelvinwake.expansions, kelvinwake.oracle, kelvinwake.specfun, ...).
 """
 
-from .bounds import (
-    BoundReport,
-    remainder_bound,
-    tail_bound,
-    tail_bound_components,
-    tail_bound_regime,
-    verify_inc_gamma_bound,
-    verify_remainder,
-)
-from .errors import (
-    AccuracyError,
-    BoundViolationError,
-    DomainError,
-    InternalConsistencyError,
-    KelvinWakeError,
-    OrderOverflowError,
-    RangeOverflowError,
-    RegimeError,
-)
+from .bounds import remainder_bound, verify_inc_gamma_bound, verify_remainder
+from .errors import AccuracyError, DomainError, KelvinWakeError, RegimeError
 from .expansions import (
-    CoefficientTable,
-    Components,
-    Method,
-    MethodResult,
-    Provenance,
     TruncationPolicy,
     asymptotic_sum,
     bessho_F,
@@ -45,57 +27,31 @@ from .expansions import (
     ck_table,
     curly_F_residual,
     paris_F,
-    saddle_term,
     struve_double_sum,
-    struve_sum_alpha0,
     ursell_F,
 )
 from .oracle import (
     EvalPoint,
     QuadResult,
-    integrate_adaptive,
     oracle_Ck,
     oracle_F,
     oracle_I1_alpha,
-    oracle_I1_alpha0,
     oracle_I2,
     oracle_moment_identity,
 )
-from .specfun import (
-    SpecFunResult,
-    bessel_i,
-    bessel_j,
-    bessel_k,
-    bessel_y,
-    kummer_1f1,
-    struve_h_scaled,
-    struve_k_scaled,
-    upper_inc_gamma,
-)
-from .table1 import KNOWN_REFERENCE_DEFECTS, TABLE1_ROWS, ReferenceRow
+from .specfun import bessel_i, bessel_j, bessel_k, bessel_y, kummer_1f1
+from .table1 import KNOWN_REFERENCE_DEFECTS, TABLE1_ROWS
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AccuracyError",
-    "BoundReport",
-    "BoundViolationError",
-    "CoefficientTable",
-    "Components",
     "DomainError",
     "EvalPoint",
-    "InternalConsistencyError",
     "KNOWN_REFERENCE_DEFECTS",
     "KelvinWakeError",
-    "Method",
-    "MethodResult",
-    "OrderOverflowError",
-    "Provenance",
     "QuadResult",
-    "RangeOverflowError",
-    "ReferenceRow",
     "RegimeError",
-    "SpecFunResult",
     "TABLE1_ROWS",
     "TruncationPolicy",
     "asymptotic_sum",
@@ -108,25 +64,15 @@ __all__ = [
     "ck_symbolic_coefficients",
     "ck_table",
     "curly_F_residual",
-    "integrate_adaptive",
     "kummer_1f1",
     "oracle_Ck",
     "oracle_F",
     "oracle_I1_alpha",
-    "oracle_I1_alpha0",
     "oracle_I2",
     "oracle_moment_identity",
     "paris_F",
     "remainder_bound",
-    "saddle_term",
     "struve_double_sum",
-    "struve_h_scaled",
-    "struve_k_scaled",
-    "struve_sum_alpha0",
-    "tail_bound",
-    "tail_bound_components",
-    "tail_bound_regime",
-    "upper_inc_gamma",
     "ursell_F",
     "verify_inc_gamma_bound",
     "verify_remainder",

@@ -141,7 +141,7 @@ def _method_record(pt, method, policy, abs_tol):
             rec.update(value=q.value, error_estimate=q.abs_error_estimate,
                        terms_used=q.evaluations)
         elif method == "bessho":
-            r = expansions.bessho_F(pt, policy)
+            r = expansions.bessho_F(pt)
             rec.update(value=r.value, error_estimate=r.internal_error_estimate,
                        terms_used=r.terms_used)
         elif method == "ursell":

@@ -16,8 +16,9 @@ Three methods are provided, all sharing the EvalPoint geometry:
                sum, an asymptotic series in 1/M with coefficients C_k, and
                an exponentially small saddle-point term.
 
-The C_k coefficient engines (exact recurrence at alpha = 0, quadrature
-otherwise) and the residual that the error table reports live here too.
+The C_k coefficient tables (lookups into the quadrature oracle's cached
+table at every alpha; the exact alpha = 0 recurrence is kept as a
+reference) and the residual that the error table reports live here too.
 """
 
 from __future__ import annotations
@@ -36,6 +37,15 @@ from .specfun import _k01_dd, _struve_h_scaled_dd, _y01_dd, struve_k_scaled
 #: Largest supported asymptotic truncation (coefficient engines cap here).
 CK_MAX = 30
 
+#: Stopping threshold of the convergent sums, relative to the running sum.
+SERIES_REL_TOL = 1e-16
+
+#: Hard cap on the terms of each convergent sum.
+MAX_TERMS = 500
+
+#: |alpha| (radians) below which the saddle term takes its midplane form.
+SADDLE_ALPHA_SWITCH = 0.02
+
 
 class Method(enum.Enum):
     BESSHO = "bessho"
@@ -43,32 +53,21 @@ class Method(enum.Enum):
     PARIS = "paris"
 
 
-class Provenance(enum.Enum):
-    RECURRENCE = "recurrence"
-    QUADRATURE = "quadrature"
-
-
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """Truncation control for the series methods.
+    """Truncation of the asymptotic series.
 
     n: asymptotic-series truncation index (number of retained C_k terms),
        or None for AUTO.  AUTO resolves to max(1, floor(M c^2) - 1), the
        optimal-truncation heuristic under the constraint n < M c^2, capped
        at CK_MAX.
-    series_rel_tol: stopping threshold for the convergent sums.
-    max_terms: hard cap on convergent-series terms.
     """
 
     n: Optional[int] = None
-    series_rel_tol: float = 1e-16
-    max_terms: int = 500
 
     def __post_init__(self):
         if self.n is not None and (not isinstance(self.n, int) or self.n < 1):
             raise DomainError(f"n must be a positive integer or None, got {self.n!r}")
-        if self.max_terms < 1:
-            raise DomainError("max_terms must be positive")
 
     def resolve_n(self, pt: EvalPoint) -> int:
         """Resolve the truncation index for pt, enforcing n < M c^2 for AUTO."""
@@ -86,8 +85,6 @@ class TruncationPolicy:
                     f"M c^2 = {mc2:.3f} <= 1 leaves no valid truncation; "
                     "use bessho_F in this regime")
             n = max(1, min(math.floor(mc2) - 1, CK_MAX))
-        if self.max_terms < n:
-            raise DomainError(f"max_terms = {self.max_terms} < resolved n = {n}")
         return n
 
 
@@ -118,24 +115,11 @@ class MethodResult:
 
 @dataclass(frozen=True)
 class CoefficientTable:
-    """C_k values for k = 0 .. n-1 at fixed (x, alpha) with provenance.
-
-    cancellation_flags[k] marks recurrence entries that lost more than six
-    decimal digits to cancellation (those are recomputed by quadrature in
-    ck_table).  RECURRENCE provenance only exists at alpha = 0.
-    """
+    """C_k values for k = 0 .. n-1 at fixed (x, alpha)."""
 
     alpha: float
     x: float
     values: tuple
-    provenance: Provenance
-    cancellation_flags: tuple
-
-    def __post_init__(self):
-        if self.provenance is Provenance.RECURRENCE and self.alpha != 0.0:
-            raise DomainError("recurrence coefficients only exist at alpha = 0")
-        if len(self.values) != len(self.cancellation_flags):
-            raise DomainError("values and cancellation_flags lengths differ")
 
     def __len__(self):
         return len(self.values)
@@ -158,7 +142,7 @@ def _jhat_dd(m, w):
         i += 1
 
 
-def bessho_F(pt: EvalPoint, policy: TruncationPolicy = DEFAULT_POLICY) -> MethodResult:
+def bessho_F(pt: EvalPoint) -> MethodResult:
     """Convergent Bessel product series for F.
 
     Terms are products K_m(rho/2) J_2m(x) evaluated as scaled pairs
@@ -166,7 +150,7 @@ def bessho_F(pt: EvalPoint, policy: TruncationPolicy = DEFAULT_POLICY) -> Method
     with kappa advanced by the K recurrence.  This keeps every intermediate
     in range for any M and concentrates the cancellation in the final sum,
     which is accumulated in double-double.  Stops after three consecutive
-    terms below series_rel_tol relative (single small terms are routinely
+    terms below SERIES_REL_TOL relative (single small terms are routinely
     accidental: cos(m alpha) has zeros).
     """
     w = dd.two_prod(0.5 * pt.x, 0.5 * pt.x)
@@ -181,7 +165,7 @@ def bessho_F(pt: EvalPoint, policy: TruncationPolicy = DEFAULT_POLICY) -> Method
     last = abs(total[0])
     small = 0
     m = 1
-    while m <= policy.max_terms:
+    while m <= MAX_TERMS:
         if m == 1:
             kap = kap_cur
         else:
@@ -200,7 +184,7 @@ def bessho_F(pt: EvalPoint, policy: TruncationPolicy = DEFAULT_POLICY) -> Method
         peak = max(peak, abs(total[0]))
         abs_sum += abs(term[0])
         last = abs(term[0])
-        if last <= policy.series_rel_tol * abs(total[0]):
+        if last <= SERIES_REL_TOL * abs(total[0]):
             small += 1
             if small >= 3:
                 break
@@ -209,10 +193,10 @@ def bessho_F(pt: EvalPoint, policy: TruncationPolicy = DEFAULT_POLICY) -> Method
         m += 1
     else:
         raise AccuracyError(
-            f"Bessel product series not converged in {policy.max_terms} terms "
+            f"Bessel product series not converged in {MAX_TERMS} terms "
             f"(M = {pt.M:.3g}; convergence needs ~2.7 M terms)",
             value=dd.to_float(total), error_estimate=last,
-            terms_used=policy.max_terms)
+            terms_used=MAX_TERMS)
 
     value = dd.to_float(total)
     if peak > 1e12 * max(abs(value), 5e-324):
@@ -234,6 +218,8 @@ def ursell_F(pt: EvalPoint) -> MethodResult:
 
     good to O(e^-M).  The products are formed from scaled pairs so that
     neither factor leaves double range for any M reachable in the box.
+    The estimate adds to those two the saddle estimate's O(1/M) defect and
+    the rounding of the sum, a few ulps of its terms.
     """
     if pt.M <= 1.0:
         raise DomainError(f"ursell_F needs M > 1, got M = {pt.M:.3g}")
@@ -266,11 +252,11 @@ def ursell_F(pt: EvalPoint) -> MethodResult:
         terms.append(2.0 * math.cos(m * alpha) * fac * bessel_i_sigma(m) * yh[2 * m])
     series = math.fsum(terms)
 
-    sad = (math.sqrt(math.pi / pt.M)
-           * math.exp(-(pt.M - 0.5 * rho) * math.cos(alpha))
-           * math.sin((pt.M + 0.5 * rho) * math.sin(alpha) + 0.5 * alpha))
+    amp = _saddle_amplitude(pt)
+    sad = amp * math.sin((pt.M + 0.5 * rho) * math.sin(alpha) + 0.5 * alpha)
     value = -math.pi * series + sad
-    est = math.exp(-pt.M) + math.pi * abs(terms[-1])
+    est = (math.exp(-pt.M) + math.pi * abs(terms[-1]) + 2.0 * amp / pt.M
+           + 4.0 * 2.0 ** -52 * (math.pi * math.fsum(map(abs, terms)) + abs(sad)))
     return MethodResult(value, Method.URSELL, terms_used=mmax + 1, n_used=mmax,
                         saddle_term=sad, internal_error_estimate=est)
 
@@ -279,7 +265,7 @@ def ursell_F(pt: EvalPoint) -> MethodResult:
 # convergent scaled-Struve sums
 
 
-def _struve_series(x, rho, s, c, policy):
+def _struve_series(x, rho, s, c):
     """sum_r (rho^r/r!) sum_m ((-1)^m (m+1/2)_r / m!) (xs/2)^{2m} Hscal_{m+r}(xc).
 
     Returns (value, terms_used).  At s = 0 only m = 0 survives and this is
@@ -301,7 +287,7 @@ def _struve_series(x, rho, s, c, policy):
     rcoef = 1.0         # rho^r / r!
     poch_base = 1.0     # (1/2)_r
     small_r = 0
-    for r in range(policy.max_terms):
+    for r in range(MAX_TERMS):
         if r > 0:
             rcoef *= rho / r
             poch_base *= r - 0.5
@@ -309,7 +295,7 @@ def _struve_series(x, rho, s, c, policy):
         poch = poch_base            # (m+1/2)_r
         mcoef = 1.0                 # y^m / m!
         small_m = 0
-        for m in range(policy.max_terms):
+        for m in range(MAX_TERMS):
             if m > 0:
                 mcoef *= y / m
                 poch *= (m - 0.5 + r) / (m - 0.5)
@@ -323,40 +309,33 @@ def _struve_series(x, rho, s, c, policy):
             else:
                 comp += (t - total_new) + total
             total = total_new
-            if abs(t) <= policy.series_rel_tol * abs(total) + 1e-305:
+            if abs(t) <= SERIES_REL_TOL * abs(total) + 1e-305:
                 small_m += 1
                 if small_m >= 3:
                     break
             else:
                 small_m = 0
         else:
-            raise AccuracyError("inner Struve sum exhausted max_terms",
+            raise AccuracyError("inner Struve sum exhausted MAX_TERMS",
                                 value=total + comp, terms_used=terms)
-        if abs(block) <= policy.series_rel_tol * abs(total) + 1e-305:
+        if abs(block) <= SERIES_REL_TOL * abs(total) + 1e-305:
             small_r += 1
             if small_r >= 3:
                 return total + comp, terms
         else:
             small_r = 0
-    raise AccuracyError("outer Struve sum exhausted max_terms",
+    raise AccuracyError("outer Struve sum exhausted MAX_TERMS",
                         value=total + comp, terms_used=terms)
 
 
-def struve_sum_alpha0(pt: EvalPoint, policy: TruncationPolicy = DEFAULT_POLICY) -> float:
-    """The midplane Struve sum  sum_r ((1/2)_r / r!) rho^r Hscal_r(x).
+def struve_double_sum(pt: EvalPoint) -> float:
+    """The full convergent double Struve sum S1.
 
-    I1 at alpha = 0 equals (pi e^-rho / 2) times this value.
+    At alpha = 0 the (xs/2)^2m factor kills every m >= 1 and it is the
+    midplane sum  sum_r ((1/2)_r / r!) rho^r Hscal_r(x);  I1 equals
+    (pi e^-rho / 2) times this value.
     """
-    if pt.alpha != 0.0:
-        raise DomainError("struve_sum_alpha0 requires alpha = 0")
-    value, _ = _struve_series(pt.x, pt.rho, 0.0, 1.0, policy)
-    return value
-
-
-def struve_double_sum(pt: EvalPoint, policy: TruncationPolicy = DEFAULT_POLICY) -> float:
-    """The full convergent double Struve sum; reduces term-by-term to
-    struve_sum_alpha0 at alpha = 0 (the (xs/2)^2m factor kills m >= 1)."""
-    value, _ = _struve_series(pt.x, pt.rho, pt.s, pt.c, policy)
+    value, _ = _struve_series(pt.x, pt.rho, pt.s, pt.c)
     return value
 
 
@@ -392,8 +371,8 @@ def ck_recurrence(n: int, x: float) -> CoefficientTable:
 
         C_m = 2^m (1/2)_m Kscal_m(x) - sum_{r<m} binom(m, r) x^(2(m-r)) C_r.
 
-    Exact binomials, double-double accumulation; entries losing more than
-    six decimal digits to the subtraction are flagged.
+    Exact binomials, double-double accumulation.  An independent reference
+    for the quadrature table that ck_table reads; no evaluation uses it.
     """
     if not isinstance(n, int) or not 1 <= n <= CK_MAX:
         raise DomainError(f"n must be an integer in [1, {CK_MAX}]")
@@ -401,61 +380,33 @@ def ck_recurrence(n: int, x: float) -> CoefficientTable:
         raise DomainError("ck_recurrence requires x > 0")
     x2 = dd.two_prod(x, x)
     xpow = [dd.ONE]                       # x^(2j)
-    kvals = []
     cvals = []
-    flags = []
     dfact = 1
     for m in range(n):
         if m > 0:
             dfact *= 2 * m - 1
             xpow.append(dd.mul(xpow[-1], x2))
-        kv = struve_k_scaled(m, x)
-        kvals.append(kv)
-        lead = dd.mul(dd.from_int(dfact), (kv.value, 0.0))
+        lead = dd.mul(dd.from_int(dfact), (struve_k_scaled(m, x).value, 0.0))
         acc = lead
-        biggest = abs(lead[0])
         for r in range(m):
-            t = dd.mul_d(dd.mul(xpow[m - r], cvals[r]), float(math.comb(m, r)))
-            biggest = max(biggest, abs(t[0]))
-            acc = dd.sub(acc, t)
+            acc = dd.sub(acc, dd.mul_d(dd.mul(xpow[m - r], cvals[r]),
+                                       float(math.comb(m, r))))
         cvals.append(acc)
-        lost = biggest / max(abs(acc[0]), 5e-324)
-        flags.append(lost > 1e6)
     return CoefficientTable(alpha=0.0, x=float(x),
-                            values=tuple(dd.to_float(v) for v in cvals),
-                            provenance=Provenance.RECURRENCE,
-                            cancellation_flags=tuple(flags))
+                            values=tuple(dd.to_float(v) for v in cvals))
 
 
 def ck_table(n: int, x: float, alpha: float) -> CoefficientTable:
-    """Coefficient table via the cheapest trustworthy route.
+    """C_0 .. C_{n-1} at (x, alpha), alpha in [0, pi/2].
 
-    alpha = 0 uses the recurrence (not cached), falling back to quadrature
-    for any entry flagged for cancellation; alpha > 0 always integrates.
-    Quadrature entries are lookups into oracle_Ck's cached table of
-    C_0 .. C_30 at (x, alpha), which is computed whole on its first use,
-    so the values do not depend on n.  The table keeps RECURRENCE
-    provenance only when every entry came from the recurrence.
+    Lookups into oracle_Ck's cached table of C_0 .. C_30 at (x, alpha),
+    which is computed whole on its first use, so the values do not depend
+    on n.
     """
     if not isinstance(n, int) or not 1 <= n <= CK_MAX:
         raise DomainError(f"n must be an integer in [1, {CK_MAX}]")
-    if not 0.0 <= alpha <= 0.5 * math.pi + 4e-16:
-        raise DomainError(f"alpha must lie in [0, pi/2], got {alpha}")
-    if alpha == 0.0:
-        tab = ck_recurrence(n, x)
-        if not any(tab.cancellation_flags):
-            return tab
-        values = list(tab.values)
-        for k, flagged in enumerate(tab.cancellation_flags):
-            if flagged:
-                values[k] = oracle_Ck(k, x, 0.0).value
-        return CoefficientTable(alpha=0.0, x=float(x), values=tuple(values),
-                                provenance=Provenance.QUADRATURE,
-                                cancellation_flags=tab.cancellation_flags)
     values = tuple(oracle_Ck(k, float(x), float(alpha)).value for k in range(n))
-    return CoefficientTable(alpha=float(alpha), x=float(x), values=values,
-                            provenance=Provenance.QUADRATURE,
-                            cancellation_flags=(False,) * n)
+    return CoefficientTable(alpha=float(alpha), x=float(x), values=values)
 
 
 def _asymptotic_terms(pt: EvalPoint, ck: CoefficientTable):
@@ -484,10 +435,17 @@ def asymptotic_sum(pt: EvalPoint, ck: CoefficientTable) -> float:
 # saddle estimate and the combined evaluator
 
 
-def saddle_term(pt: EvalPoint, alpha_switch: float = 0.02) -> float:
+def _saddle_amplitude(pt: EvalPoint) -> float:
+    """sqrt(pi/M) e^{-(M - rho/2) cos alpha}, the size of the oscillatory
+    saddle estimate; that estimate's own defect is O(1/M) of it."""
+    return math.sqrt(math.pi / pt.M) * math.exp(
+        -(pt.M - 0.5 * pt.rho) * math.cos(pt.alpha_abs))
+
+
+def saddle_term(pt: EvalPoint) -> float:
     """Closed-form saddle-point contribution to F.
 
-    For |alpha| below alpha_switch (radians) the midplane estimate
+    For |alpha| below SADDLE_ALPHA_SWITCH (radians) the midplane estimate
     e^-M / (M (1+p^2)^(3/2)) applies; otherwise the oscillatory estimate
     sqrt(pi/M) e^{-(M - rho/2) cos alpha} sin((M + rho/2) sin alpha
     + alpha/2).  The two are not continuous across the switch: the
@@ -497,11 +455,22 @@ def saddle_term(pt: EvalPoint, alpha_switch: float = 0.02) -> float:
     if pt.M <= 1.0:
         raise DomainError(f"saddle_term needs M > 1, got M = {pt.M:.3g}")
     a = pt.alpha_abs
-    if a < alpha_switch:
+    if a < SADDLE_ALPHA_SWITCH:
         return math.exp(-pt.M) / (pt.M * (1.0 + pt.p * pt.p) ** 1.5)
-    return (math.sqrt(math.pi / pt.M)
-            * math.exp(-(pt.M - 0.5 * pt.rho) * math.cos(a))
-            * math.sin((pt.M + 0.5 * pt.rho) * math.sin(a) + 0.5 * a))
+    return _saddle_amplitude(pt) * math.sin((pt.M + 0.5 * pt.rho) * math.sin(a) + 0.5 * a)
+
+
+def _large_parts(pt: EvalPoint, n: int):
+    """The two large parts of the expansion, pi e^(-rho/2) S1 and
+    pi e^(rho/2) sum_{k<n} M^-k/(2^2k k!) C_k, followed by S1, the
+    asymptotic sum, the number of Struve terms and the last asymptotic
+    term."""
+    s1, terms = _struve_series(pt.x, pt.rho, pt.s, pt.c)
+    ck = ck_table(n, pt.x, pt.alpha_abs)
+    asym = asymptotic_sum(pt, ck)
+    return (math.pi * math.exp(-0.5 * pt.rho) * s1,
+            math.pi * math.exp(0.5 * pt.rho) * asym,
+            s1, asym, terms, _asymptotic_terms(pt, ck)[-1])
 
 
 def paris_F(pt: EvalPoint, policy: TruncationPolicy = DEFAULT_POLICY) -> MethodResult:
@@ -517,24 +486,15 @@ def paris_F(pt: EvalPoint, policy: TruncationPolicy = DEFAULT_POLICY) -> MethodR
         warnings.warn(f"paris_F called at M = {pt.M:.3g} < 4; accuracy degrades "
                       "as M shrinks", RuntimeWarning, stacklevel=2)
     n = policy.resolve_n(pt)
-    s1, terms = _struve_series(pt.x, pt.rho, pt.s, pt.c, policy)
-    ck = ck_table(n, pt.x, pt.alpha_abs)
-    asym = asymptotic_sum(pt, ck)
+    struve_part, asym_part, s1, asym, terms, last = _large_parts(pt, n)
     sad = saddle_term(pt)
-    struve_part = math.pi * math.exp(-0.5 * pt.rho) * s1
-    asym_part = math.pi * math.exp(0.5 * pt.rho) * asym
     value = -struve_part + asym_part + sad
-    atoms = _asymptotic_terms(pt, ck)
     # the saddle estimate's own defect is O(1/M) of its AMPLITUDE; using
     # |sad| would understate it badly near zeros of the sine factor
-    if pt.alpha_abs < 0.02:
-        amp = abs(sad)
-    else:
-        amp = math.sqrt(math.pi / pt.M) * math.exp(
-            -(pt.M - 0.5 * pt.rho) * math.cos(pt.alpha_abs))
+    amp = abs(sad) if pt.alpha_abs < SADDLE_ALPHA_SWITCH else _saddle_amplitude(pt)
     # the rounding error of the three-part sum is absolute: a few ulps of
     # its parts, however much of them cancels in the value
-    est = (math.pi * math.exp(0.5 * pt.rho) * abs(atoms[-1])
+    est = (math.pi * math.exp(0.5 * pt.rho) * abs(last)
            + 2.0 * amp / pt.M + 1e-15 * abs(value)
            + 4.0 * 2.0 ** -52 * (abs(struve_part) + abs(asym_part) + abs(sad)))
     return MethodResult(value, Method.PARIS, terms_used=terms, n_used=n,
@@ -553,8 +513,5 @@ def curly_F_residual(pt: EvalPoint, n: int, oracle_abs_tol: float = 1e-12) -> fl
     defect; the reference error table reports its magnitude.
     """
     f_val = oracle_F(pt, abs_tol=oracle_abs_tol).value
-    s1, _ = _struve_series(pt.x, pt.rho, pt.s, pt.c, DEFAULT_POLICY)
-    ck = ck_table(n, pt.x, pt.alpha_abs)
-    asym = asymptotic_sum(pt, ck)
-    return (f_val + math.pi * math.exp(-0.5 * pt.rho) * s1
-            - math.pi * math.exp(0.5 * pt.rho) * asym)
+    struve_part, asym_part = _large_parts(pt, n)[:2]
+    return f_val + struve_part - asym_part

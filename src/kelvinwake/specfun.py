@@ -114,15 +114,24 @@ def _log_half_plus_gamma(x):
     return dd.add_d(dd.EULER_GAMMA, math.log(0.5 * x))
 
 
-def _y01_dd(x):
-    """(Y0, Y1) in double-double.  Ascending series, DLMF 10.8.1 layout."""
+def _log_series(x, sign):
+    """The ascending series shared by (Y0, Y1) and (K0, K1), DLMF 10.8.1
+    and 10.31.2 layout, in double-double.  With q = (x/2)^2 and H_k the
+    harmonic numbers,
+
+        s0 = sum_{k>=1} sign^(k+1) H_k q^k / (k!)^2
+        s1 = sum_{k>=0} sign^k (H_k + H_{k+1}) q^k / (k!(k+1)!).
+
+    Returns (f0, f1, ln(x/2) + gamma, s0, s1, terms used), where f0, f1 are
+    J0, J1 for sign=-1 and I0, I1 for sign=+1.
+    """
     q = dd.two_prod(0.5 * x, 0.5 * x)
-    j0, _, t0 = _ascending_series(0, x, -1)
-    j1, _, t1 = _ascending_series(1, x, -1)
+    f0, _, t0 = _ascending_series(0, x, sign)
+    f1, _, t1 = _ascending_series(1, x, sign)
     lg = _log_half_plus_gamma(x)
 
-    s0 = dd.ZERO          # sum_{k>=1} (-1)^{k+1} H_k q^k / (k!)^2
-    s1 = dd.ONE           # sum_{k>=0} (-1)^k (H_k + H_{k+1}) q^k / (k!(k+1)!), k=0 term = 1
+    s0 = dd.ZERO
+    s1 = dd.ONE           # the k = 0 term of s1 is 1
     h = dd.ZERO
     t = dd.ONE
     u = dd.ONE
@@ -134,50 +143,35 @@ def _y01_dd(x):
         hsum = dd.add(dd.mul_d(h, 2.0), dd.div_d(dd.ONE, float(k + 1)))  # H_k + H_{k+1}
         term0 = dd.mul(t, h)
         term1 = dd.mul(u, hsum)
-        if k % 2 == 0:
-            term0 = dd.neg(term0)
-        if k % 2 == 1:
-            term1 = dd.neg(term1)
+        if sign < 0:
+            if k % 2 == 0:
+                term0 = dd.neg(term0)
+            else:
+                term1 = dd.neg(term1)
         s0 = dd.add(s0, term0)
         s1 = dd.add(s1, term1)
         if abs(term0[0]) + abs(term1[0]) <= 1e-21 * (abs(s0[0]) + abs(s1[0]) + 1e-30):
             break
         k += 1
+    return f0, f1, lg, s0, s1, t0 + t1 + k
+
+
+def _y01_dd(x):
+    """(Y0, Y1) in double-double.  Ascending series, DLMF 10.8.1 layout."""
+    j0, j1, lg, s0, s1, terms = _log_series(x, -1)
     y0 = dd.mul(_TWO_OVER_PI, dd.add(dd.mul(lg, j0), s0))
     y1 = dd.sub(dd.mul(_TWO_OVER_PI, dd.sub(dd.mul(lg, j1), dd.div_d(dd.ONE, x))),
                 dd.mul(dd.div(dd.from_float(0.5 * x), dd.PI), s1))
-    return y0, y1, t0 + t1 + k
+    return y0, y1, terms
 
 
 def _k01_dd(x):
     """(K0, K1) in double-double.  Ascending series, DLMF 10.31.2 layout."""
-    q = dd.two_prod(0.5 * x, 0.5 * x)
-    i0, _, t0 = _ascending_series(0, x, +1)
-    i1, _, t1 = _ascending_series(1, x, +1)
-    lg = _log_half_plus_gamma(x)
-
-    s0 = dd.ZERO          # sum_{k>=1} H_k q^k / (k!)^2
-    s1 = dd.ONE           # sum_{k>=0} (H_k + H_{k+1}) q^k / (k!(k+1)!)
-    h = dd.ZERO
-    t = dd.ONE
-    u = dd.ONE
-    k = 1
-    while k < _SERIES_MAX:
-        t = dd.div_d(dd.mul(t, q), float(k * k))
-        u = dd.div_d(dd.mul(u, q), float(k * (k + 1)))
-        h = dd.add(h, dd.div_d(dd.ONE, float(k)))
-        hsum = dd.add(dd.mul_d(h, 2.0), dd.div_d(dd.ONE, float(k + 1)))
-        term0 = dd.mul(t, h)
-        term1 = dd.mul(u, hsum)
-        s0 = dd.add(s0, term0)
-        s1 = dd.add(s1, term1)
-        if term0[0] + term1[0] <= 1e-21 * (s0[0] + s1[0]):
-            break
-        k += 1
+    i0, i1, lg, s0, s1, terms = _log_series(x, +1)
     k0 = dd.add(dd.neg(dd.mul(lg, i0)), s0)
     k1 = dd.add(dd.div_d(dd.ONE, x),
                 dd.sub(dd.mul(lg, i1), dd.mul(dd.from_float(0.25 * x), s1)))
-    return k0, k1, t0 + t1 + k
+    return k0, k1, terms
 
 
 def _bessel_y_dd(order, x):

@@ -95,11 +95,13 @@ def test_coeffs_header_and_midplane_matches_recurrence(capsys):
     lines = out.strip().split("\n")
     assert lines[0] == "x,C0,C1,C2"
     from kelvinwake.expansions import ck_recurrence
+    from kelvinwake.oracle import oracle_Ck
 
     first = lines[1].split(",")
     tab = ck_recurrence(3, 0.5)
     for k in range(3):
-        assert float(first[k + 1]) == tab.values[k]
+        assert float(first[k + 1]) == oracle_Ck(k, 0.5, 0.0).value
+        assert abs(float(first[k + 1]) - tab.values[k]) <= 1e-14 * abs(tab.values[k])
 
 
 def test_coeffs_default_matches_quadrature(capsys):
