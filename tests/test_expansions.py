@@ -205,6 +205,15 @@ class TestCoefficients:
             q = oracle_Ck(k, x, 0.0).value
             assert abs(tab.values[k] - q) <= 1e-9 * abs(q)
 
+    def test_no_cancellation_flags_in_box(self):
+        # the recurrence loses no digits to cancellation in the box: every
+        # entry it gives agrees with the quadrature table to rounding
+        for x in (0.4, 1.0, 2.0, 3.0):
+            rec = ck_recurrence(8, x)
+            tab = ck_table(8, x, 0.0)
+            for k in range(8):
+                assert abs(rec.values[k] - tab.values[k]) <= 1e-14 * abs(tab.values[k])
+
     def test_table_alpha0_equals_recurrence(self):
         # the quadrature table stands in for the recurrence at alpha = 0:
         # every coefficient the expansion can use, across the x range
