@@ -9,6 +9,15 @@ Subcommands:
   field   -- evaluate F over an (x, rho, alpha) grid with method auto-selection
   bounds  -- evaluate and verify the remainder/tail/gamma bounds
 
+field evaluates its grid one x column at a time.  Each exact
+(x, rho, |alpha|) is evaluated once: F is even in alpha, so a row whose
+|alpha| equals, as a double, that of an earlier row of its (x, rho) repeats
+that row's result with its own alpha.  The points of a column share their
+kernel values: J_2m(x), Hscal_j(x cos(alpha/2)) and K_0,1(rho/2).  Every row equals `eval --method <its method>` at that point
+bit for bit.  --threads runs columns on worker threads, one column per
+task; output is identical for any count.  A range count, or a field grid,
+of more than MAX_GRID_POINTS points is a usage error.
+
 Output formats: csv (deterministic, 17 significant digits, LF endings),
 json (meta + rows), pretty (aligned table).  Exit codes: 0 success,
 1 tolerance or bound failure, 2 usage error.
@@ -34,6 +43,9 @@ EXIT_USAGE = 2
 
 #: Most worker threads `field` starts.
 MAX_THREADS = 64
+
+#: Most points a start:stop:count range, or a whole field grid, may have.
+MAX_GRID_POINTS = 10 ** 6
 
 _BOX = "0 < x <= 3, 0 < rho <= 1, |alpha| <= pi/2"
 
@@ -99,6 +111,7 @@ def _parse_policy(args):
 
 
 def _parse_range(spec, name):
+    """(start, stop, count) of a start:stop:count range, count checked."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise DomainError(f"--{name} must look like start:stop:count, got {spec!r}")
@@ -108,6 +121,13 @@ def _parse_range(spec, name):
         raise DomainError(f"--{name}: cannot parse {spec!r}")
     if cnt < 1:
         raise DomainError(f"--{name}: count must be >= 1")
+    if cnt > MAX_GRID_POINTS:
+        raise DomainError(f"--{name}: count must be at most {MAX_GRID_POINTS}, got {cnt}")
+    return a, b, cnt
+
+
+def _grid(a, b, cnt):
+    """The count points from start to stop, as a list."""
     if cnt == 1:
         return [a]
     step = (b - a) / (cnt - 1)
@@ -129,8 +149,9 @@ def _thread_count(args):
     return n
 
 
-def _method_record(pt, method, policy, abs_tol):
-    """One evaluation record; failures are reported in the status field."""
+def _method_record(pt, method, policy, abs_tol, memo=None):
+    """One evaluation record; failures are reported in the status field.
+    memo is handed to bessho_F and paris_F (see expansions._KernelMemo)."""
     rec = {"method": method, "x": pt.x, "rho": pt.rho, "alpha": pt.alpha,
            "M": pt.M, "value": math.nan, "error_estimate": math.nan,
            "n_used": 0, "terms_used": 0, "saddle": 0.0,
@@ -141,7 +162,7 @@ def _method_record(pt, method, policy, abs_tol):
             rec.update(value=q.value, error_estimate=q.abs_error_estimate,
                        terms_used=q.evaluations)
         elif method == "bessho":
-            r = expansions.bessho_F(pt)
+            r = expansions.bessho_F(pt, memo=memo)
             rec.update(value=r.value, error_estimate=r.internal_error_estimate,
                        terms_used=r.terms_used)
         elif method == "ursell":
@@ -150,7 +171,7 @@ def _method_record(pt, method, policy, abs_tol):
                        terms_used=r.terms_used, n_used=r.n_used,
                        saddle=r.saddle_term)
         elif method == "paris":
-            r = expansions.paris_F(pt, policy)
+            r = expansions.paris_F(pt, policy, memo=memo)
             rec.update(value=r.value, error_estimate=r.internal_error_estimate,
                        terms_used=r.terms_used, n_used=r.n_used,
                        saddle=r.saddle_term,
@@ -228,7 +249,7 @@ def cmd_coeffs(args) -> int:
     if not 0.0 <= alpha <= 0.5 * math.pi:
         raise DomainError("coeffs requires 0 <= alpha <= pi/2")
     n = int(args.n) if args.n not in (None, "auto") else 4
-    xs = _parse_range(args.x_range, "x-range")
+    xs = _grid(*_parse_range(args.x_range, "x-range"))
     header = ["x"] + [f"C{k}" for k in range(n)]
     rows = []
     for x in xs:
@@ -247,32 +268,52 @@ _FIELD_HEADER = ["x", "rho", "alpha", "M", "method", "value", "error_estimate",
                  "n_used", "terms_used", "status"]
 
 
-def _field_point(task):
-    x, rho, alpha = task
-    pt = EvalPoint(x, rho, alpha)
+def _field_point(pt, memo):
     mc2 = pt.M * pt.c * pt.c
     method = "paris" if (pt.M >= 6.0 and mc2 > 1.0) else "bessho"
-    rec = _method_record(pt, method, TruncationPolicy(), 1e-12)
+    rec = _method_record(pt, method, TruncationPolicy(), 1e-12, memo)
     return {h: rec[h] for h in _FIELD_HEADER}
 
 
+def _field_column(x, rhos, alphas):
+    """The rows of one x column, rho-major.  Each exact |alpha| is evaluated
+    once per rho, and all points share one memo of kernel values."""
+    memo = expansions._KernelMemo()
+    rows = []
+    for rho in rhos:
+        done = {}
+        for alpha in alphas:
+            row = done.get(abs(alpha))
+            if row is None:
+                row = done[abs(alpha)] = _field_point(EvalPoint(x, rho, alpha), memo)
+            rows.append(dict(row, alpha=alpha))
+    return rows
+
+
 def cmd_field(args) -> int:
-    xs = _parse_range(args.x_range, "x-range")
-    rhos = _parse_range(args.rho_range, "rho-range")
-    alphas = (_parse_range(args.alpha_range, "alpha-range")
-              if args.alpha_range else
-              [a * math.pi for a in _parse_range(args.alpha_pi_range, "alpha-pi-range")])
+    specs = [_parse_range(args.x_range, "x-range"),
+             _parse_range(args.rho_range, "rho-range"),
+             _parse_range(args.alpha_range, "alpha-range") if args.alpha_range
+             else _parse_range(args.alpha_pi_range, "alpha-pi-range")]
+    points = math.prod(cnt for _, _, cnt in specs)
+    if points > MAX_GRID_POINTS:
+        raise DomainError(f"the field grid has {points} points; at most "
+                          f"{MAX_GRID_POINTS} are allowed")
+    xs, rhos, alphas = (_grid(*spec) for spec in specs)
+    if not args.alpha_range:
+        alphas = [a * math.pi for a in alphas]
     for x in (xs[0], xs[-1]):
         for rho in (rhos[0], rhos[-1]):
             for alpha in (alphas[0], alphas[-1]):
                 _check_box(x, rho, alpha)
-    tasks = [(x, rho, alpha) for x in xs for rho in rhos for alpha in alphas]
     threads = _thread_count(args)
-    if threads == 1:
-        rows = [_field_point(t) for t in tasks]
+    workers = min(threads, len(xs))
+    if workers == 1:
+        columns = [_field_column(x, rhos, alphas) for x in xs]
     else:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            rows = list(ex.map(_field_point, tasks))
+        with ThreadPoolExecutor(max_workers=workers) as ex:
+            columns = list(ex.map(lambda x: _field_column(x, rhos, alphas), xs))
+    rows = [row for column in columns for row in column]
     meta = {"command": "field", "x_range": args.x_range,
             "rho_range": args.rho_range,
             "alpha_range": args.alpha_range or args.alpha_pi_range,
@@ -384,7 +425,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="alpha grid in units of pi")
     p.add_argument("--threads", default=None,
                    help=f"worker threads (integer up to {MAX_THREADS} or "
-                        "'auto'; default $KELVIN_THREADS or 1)")
+                        "'auto'; default $KELVIN_THREADS or 1); a worker "
+                        "takes one x column at a time, and the output is "
+                        "identical for any count")
     _add_common(p)
     p.set_defaults(func=cmd_field)
 

@@ -125,6 +125,39 @@ class CoefficientTable:
         return len(self.values)
 
 
+class _KernelMemo:
+    """Kernel values shared by the points of one `field` column.
+
+    Holds jhat_m keyed by (m, w), the lazily grown list of Hscal_j(xc)
+    keyed by the exact xc, and (K0, K1)(z) keyed by z.  Each entry is a pure
+    function of its key, so a result is bit-identical with or without a
+    shared memo.  It is not locked: give every thread its own.
+    """
+
+    def __init__(self):
+        self._jhat = {}
+        self._hvals = {}
+        self._k01 = {}
+
+    def jhat(self, m, w):
+        key = (m, w)
+        v = self._jhat.get(key)
+        if v is None:
+            v = self._jhat[key] = _jhat_dd(m, w)
+        return v
+
+    def hvals(self, xc):
+        """The list of Hscal_j(xc), j = 0, 1, ..., that _struve_series
+        extends in place."""
+        return self._hvals.setdefault(xc, [])
+
+    def k01(self, z):
+        v = self._k01.get(z)
+        if v is None:
+            v = self._k01[z] = _k01_dd(z)
+        return v
+
+
 # ---------------------------------------------------------------------------
 # Bessel product series
 
@@ -142,7 +175,7 @@ def _jhat_dd(m, w):
         i += 1
 
 
-def bessho_F(pt: EvalPoint) -> MethodResult:
+def bessho_F(pt: EvalPoint, *, memo: Optional[_KernelMemo] = None) -> MethodResult:
     """Convergent Bessel product series for F.
 
     Terms are products K_m(rho/2) J_2m(x) evaluated as scaled pairs
@@ -151,15 +184,18 @@ def bessho_F(pt: EvalPoint) -> MethodResult:
     in range for any M and concentrates the cancellation in the final sum,
     which is accumulated in double-double.  Stops after three consecutive
     terms below SERIES_REL_TOL relative (single small terms are routinely
-    accidental: cos(m alpha) has zeros).
+    accidental: cos(m alpha) has zeros).  memo shares kernel values
+    between calls (see _KernelMemo); by default every call starts afresh.
     """
+    if memo is None:
+        memo = _KernelMemo()
     w = dd.two_prod(0.5 * pt.x, 0.5 * pt.x)
     m_dd = dd.div_d(dd.two_prod(pt.x, pt.x), 4.0 * pt.rho)
-    k0, k1, _ = _k01_dd(0.5 * pt.rho)
+    k0, k1, _ = memo.k01(0.5 * pt.rho)
     kap_prev = k0                                  # kappa_0
     kap_cur = dd.div_d(dd.mul(k1, w), 2.0)         # kappa_1
 
-    total = dd.mul(kap_prev, _jhat_dd(0, w))
+    total = dd.mul(kap_prev, memo.jhat(0, w))
     peak = abs(total[0])
     abs_sum = abs(total[0])
     last = abs(total[0])
@@ -178,7 +214,7 @@ def bessho_F(pt: EvalPoint) -> MethodResult:
             raise AccuracyError("Bessel product terms overflow double range",
                                 value=dd.to_float(total), terms_used=m)
         sign = -1.0 if m % 2 else 1.0
-        term = dd.mul_d(dd.mul(kap, _jhat_dd(m, w)),
+        term = dd.mul_d(dd.mul(kap, memo.jhat(m, w)),
                         2.0 * sign * math.cos(m * pt.alpha_abs))
         total = dd.add(total, term)
         peak = max(peak, abs(total[0]))
@@ -265,15 +301,16 @@ def ursell_F(pt: EvalPoint) -> MethodResult:
 # convergent scaled-Struve sums
 
 
-def _struve_series(x, rho, s, c):
+def _struve_series(x, rho, s, c, memo):
     """sum_r (rho^r/r!) sum_m ((-1)^m (m+1/2)_r / m!) (xs/2)^{2m} Hscal_{m+r}(xc).
 
     Returns (value, terms_used).  At s = 0 only m = 0 survives and this is
-    the single sum over r.
+    the single sum over r.  The Hscal values come from, and are added to,
+    memo's list for xc.
     """
     xc = x * c
     y = (0.5 * x * s) ** 2
-    hvals = []
+    hvals = memo.hvals(xc)
 
     def hscal(j):
         while len(hvals) <= j:
@@ -335,7 +372,7 @@ def struve_double_sum(pt: EvalPoint) -> float:
     midplane sum  sum_r ((1/2)_r / r!) rho^r Hscal_r(x);  I1 equals
     (pi e^-rho / 2) times this value.
     """
-    value, _ = _struve_series(pt.x, pt.rho, pt.s, pt.c)
+    value, _ = _struve_series(pt.x, pt.rho, pt.s, pt.c, _KernelMemo())
     return value
 
 
@@ -460,12 +497,12 @@ def saddle_term(pt: EvalPoint) -> float:
     return _saddle_amplitude(pt) * math.sin((pt.M + 0.5 * pt.rho) * math.sin(a) + 0.5 * a)
 
 
-def _large_parts(pt: EvalPoint, n: int):
+def _large_parts(pt: EvalPoint, n: int, memo: _KernelMemo):
     """The two large parts of the expansion, pi e^(-rho/2) S1 and
     pi e^(rho/2) sum_{k<n} M^-k/(2^2k k!) C_k, followed by S1, the
     asymptotic sum, the number of Struve terms and the last asymptotic
     term."""
-    s1, terms = _struve_series(pt.x, pt.rho, pt.s, pt.c)
+    s1, terms = _struve_series(pt.x, pt.rho, pt.s, pt.c, memo)
     ck = ck_table(n, pt.x, pt.alpha_abs)
     asym = asymptotic_sum(pt, ck)
     return (math.pi * math.exp(-0.5 * pt.rho) * s1,
@@ -473,20 +510,24 @@ def _large_parts(pt: EvalPoint, n: int):
             s1, asym, terms, _asymptotic_terms(pt, ck)[-1])
 
 
-def paris_F(pt: EvalPoint, policy: TruncationPolicy = DEFAULT_POLICY) -> MethodResult:
+def paris_F(pt: EvalPoint, policy: TruncationPolicy = DEFAULT_POLICY, *,
+            memo: Optional[_KernelMemo] = None) -> MethodResult:
     """Three-part large-M evaluation of F:
 
         -pi e^(-rho/2) S1 + pi e^(rho/2) sum_{k<n} M^-k/(2^2k k!) C_k + saddle
 
     with S1 the convergent double Struve sum.  The stored components
     reproduce the value exactly in double arithmetic.  Soft regime: M >= 4
-    (a warning is issued below).
+    (a warning is issued below).  memo shares the Struve values between
+    calls (see _KernelMemo); by default every call starts afresh.
     """
     if pt.M < 4.0:
         warnings.warn(f"paris_F called at M = {pt.M:.3g} < 4; accuracy degrades "
                       "as M shrinks", RuntimeWarning, stacklevel=2)
     n = policy.resolve_n(pt)
-    struve_part, asym_part, s1, asym, terms, last = _large_parts(pt, n)
+    if memo is None:
+        memo = _KernelMemo()
+    struve_part, asym_part, s1, asym, terms, last = _large_parts(pt, n, memo)
     sad = saddle_term(pt)
     value = -struve_part + asym_part + sad
     # the saddle estimate's own defect is O(1/M) of its AMPLITUDE; using
@@ -513,5 +554,5 @@ def curly_F_residual(pt: EvalPoint, n: int, oracle_abs_tol: float = 1e-12) -> fl
     defect; the reference error table reports its magnitude.
     """
     f_val = oracle_F(pt, abs_tol=oracle_abs_tol).value
-    struve_part, asym_part = _large_parts(pt, n)[:2]
+    struve_part, asym_part = _large_parts(pt, n, _KernelMemo())[:2]
     return f_val + struve_part - asym_part

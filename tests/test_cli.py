@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from kelvinwake.cli import main
+from kelvinwake.cli import MAX_GRID_POINTS, main
 from kelvinwake.oracle import EvalPoint, oracle_F
 
 
@@ -145,16 +145,31 @@ def test_field_smoke_and_method_switch(capsys):
 
 
 def test_field_matches_eval_pointwise(capsys):
-    code, out, _ = run(capsys, "field", "--x-range", "0.8:0.8:1",
-                       "--rho-range", "0.02:0.02:1",
-                       "--alpha-pi-range", "0.2:0.2:1", "--format", "json")
+    # M from 0.8 to 36: the x = 0.4 column is all bessho, x = 1.2 all paris
+    # and x = 0.8 has both, each over two rho values; the linspace alphas
+    # hold 0, +-pi/2 and +-alpha pairs whose |alpha| differ in the last bit,
+    # so the grid has rows that repeat their pair's result and rows that
+    # do not
+    from kelvinwake.expansions import bessho_F, paris_F
+
+    pt = EvalPoint(0.4, 0.005, 0.3 * math.pi)
+    alone = (bessho_F(pt), paris_F(pt))
+    code, out, _ = run(capsys, "field", "--x-range", "0.4:1.2:3",
+                       "--rho-range", "0.01:0.05:2",
+                       "--alpha-pi-range=-0.5:0.5:11", "--format", "json")
     assert code == 0
-    row = json.loads(out)["rows"][0]
-    code2, out2, _ = run(capsys, "eval", "--x", "0.8", "--rho", "0.02",
-                         "--alpha-pi", "0.2", "--method", "paris",
-                         "--format", "json")
-    assert code2 == 0
-    assert row["value"] == json.loads(out2)["rows"][0]["value"]
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 66
+    assert {r["method"] for r in rows} == {"bessho", "paris"}
+    assert 6 < len({abs(r["alpha"]) for r in rows}) < 11
+    keys = ("value", "error_estimate", "n_used", "terms_used", "method", "status")
+    for row in rows:
+        _, out1, _ = run(capsys, "eval", "--x", repr(row["x"]),
+                         "--rho", repr(row["rho"]), f"--alpha={row['alpha']!r}",
+                         "--method", row["method"], "--format", "json")
+        ref = json.loads(out1)["rows"][0]
+        assert {k: row[k] for k in keys} == {k: ref[k] for k in keys}, row
+    assert (bessho_F(pt), paris_F(pt)) == alone
 
 
 def test_field_determinism_across_threads(tmp_path, capsys):
@@ -201,6 +216,49 @@ def test_field_thread_count_is_capped(capsys, monkeypatch):
                        "--threads", str(10 ** 9))
     assert code == 2
     assert f"at most {cli.MAX_THREADS}" in err
+
+
+def test_field_workers_are_capped_by_columns(capsys, monkeypatch):
+    import kelvinwake.cli as cli
+
+    started = []
+
+    class RecordingPool(cli.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
+    for xs in ("0.5:0.6:2", "0.5:0.5:1"):
+        code, _, _ = run(capsys, "field", "--x-range", xs,
+                         "--rho-range", "0.01:0.01:1",
+                         "--alpha-pi-range", "0:0.1:2", "--threads", "8")
+        assert code == 0
+    assert started == [2]
+
+
+@pytest.mark.parametrize("argv", [
+    ["field", "--x-range", f"0.5:1:{MAX_GRID_POINTS + 1}",
+     "--rho-range", "0.01:0.01:1", "--alpha-pi-range", "0:0:1"],
+    ["field", "--x-range", "0.5:1:2", "--rho-range", "0.01:0.01:1",
+     "--alpha-range", f"0:1:{MAX_GRID_POINTS + 1}"],
+    # every range within the cap, the grid twice over it
+    ["field", "--x-range", f"0.5:1:{MAX_GRID_POINTS}",
+     "--rho-range", "0.01:0.01:1", "--alpha-pi-range", "0:0.1:2"],
+    ["coeffs", "--x-range", f"0.5:1:{MAX_GRID_POINTS + 1}"],
+])
+def test_grid_size_is_capped(capsys, monkeypatch, argv):
+    import kelvinwake.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a grid was built or a point evaluated")
+
+    for attr in ("_grid", "_field_column", "_field_point", "_method_record"):
+        monkeypatch.setattr(cli, attr, no_work)
+    monkeypatch.setattr(cli.expansions, "ck_table", no_work)
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert f"at most {MAX_GRID_POINTS}" in err
 
 
 def test_field_requires_alpha_range(capsys):
