@@ -12,9 +12,14 @@ Subcommands:
 field evaluates its grid one x column at a time.  Each exact
 (x, rho, |alpha|) is evaluated once: F is even in alpha, so a row whose
 |alpha| equals, as a double, that of an earlier row of its (x, rho) repeats
-that row's result with its own alpha.  The points of a column share their
-kernel values: J_2m(x), Hscal_j(x cos(alpha/2)) and K_0,1(rho/2).  Every row equals `eval --method <its method>` at that point
-bit for bit.  --threads runs columns on worker threads, one column per
+that row's result with its own alpha.  Before the columns, Hscal_j(x c),
+c = cos(alpha/2), is computed in one array pass for orders up to
+expansions.HSCAL_BLOCK_ORDER at every point the route rule sends to
+paris_F.  The points of a column share their kernel values: J_2m(x), the
+Hscal_j(x c) lists (which start from that pass), and for bessho_F one
+ladder of K_m(rho/2) J_2m(x) products per (x, rho), which each |alpha|
+weights with its own cos(m alpha).  Every row equals
+`eval --method <its method>` at that point bit for bit.  --threads runs columns on worker threads, one column per
 task; output is identical for any count.  A range count, or a field grid,
 of more than MAX_GRID_POINTS points is a usage error.
 
@@ -268,17 +273,22 @@ _FIELD_HEADER = ["x", "rho", "alpha", "M", "method", "value", "error_estimate",
                  "n_used", "terms_used", "status"]
 
 
-def _field_point(pt, memo):
+def _field_method(pt):
+    """The route field takes at pt."""
     mc2 = pt.M * pt.c * pt.c
-    method = "paris" if (pt.M >= 6.0 and mc2 > 1.0) else "bessho"
-    rec = _method_record(pt, method, TruncationPolicy(), 1e-12, memo)
+    return "paris" if (pt.M >= 6.0 and mc2 > 1.0) else "bessho"
+
+
+def _field_point(pt, memo):
+    rec = _method_record(pt, _field_method(pt), TruncationPolicy(), 1e-12, memo)
     return {h: rec[h] for h in _FIELD_HEADER}
 
 
-def _field_column(x, rhos, alphas):
+def _field_column(x, rhos, alphas, hscal):
     """The rows of one x column, rho-major.  Each exact |alpha| is evaluated
-    once per rho, and all points share one memo of kernel values."""
-    memo = expansions._KernelMemo()
+    once per rho, and all points share one memo of kernel values, whose
+    Hscal lists start from hscal (see expansions.hscal_block)."""
+    memo = expansions._KernelMemo(hscal)
     rows = []
     for rho in rhos:
         done = {}
@@ -307,12 +317,17 @@ def cmd_field(args) -> int:
             for alpha in (alphas[0], alphas[-1]):
                 _check_box(x, rho, alpha)
     threads = _thread_count(args)
+    # Hscal_j(x c) at every point the rule sends to paris_F, in one pass
+    abs_alphas = {abs(a) for a in alphas}
+    pts = (EvalPoint(x, rho, a) for x in xs for rho in rhos for a in abs_alphas)
+    hscal = expansions.hscal_block(pt.x * pt.c for pt in pts
+                                   if _field_method(pt) == "paris")
     workers = min(threads, len(xs))
     if workers == 1:
-        columns = [_field_column(x, rhos, alphas) for x in xs]
+        columns = [_field_column(x, rhos, alphas, hscal) for x in xs]
     else:
         with ThreadPoolExecutor(max_workers=workers) as ex:
-            columns = list(ex.map(lambda x: _field_column(x, rhos, alphas), xs))
+            columns = list(ex.map(lambda x: _field_column(x, rhos, alphas, hscal), xs))
     rows = [row for column in columns for row in column]
     meta = {"command": "field", "x_range": args.x_range,
             "rho_range": args.rho_range,

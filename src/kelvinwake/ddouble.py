@@ -3,7 +3,10 @@
 A value is carried as an unevaluated sum hi + lo of two doubles, with
 |lo| <= 0.5 ulp(hi), giving roughly 32 significant digits.  Only the
 operations the series kernels need are provided; everything works on plain
-tuples to keep the inner loops cheap.
+tuples to keep the inner loops cheap.  Every operation but from_float and
+from_int also works elementwise on pairs of float64 numpy arrays, with the
+same rounding as on floats (numpy's +, -, * and / are the IEEE ones), so an
+array pass gives the scalar kernels' values bit for bit.
 
 Python 3.10 has no math.fma, so products are split Dekker-style.
 """

@@ -31,8 +31,9 @@ from typing import Optional
 
 from . import ddouble as dd
 from .errors import AccuracyError, DomainError, RegimeError
-from .oracle import EvalPoint, oracle_Ck, oracle_F
-from .specfun import _k01_dd, _struve_h_scaled_dd, _y01_dd, struve_k_scaled
+from .oracle import EvalPoint, oracle_Ck_values, oracle_F
+from .specfun import (_k01_dd, _struve_h_scaled_block, _struve_h_scaled_dd,
+                      _y01_dd, struve_k_scaled)
 
 #: Largest supported asymptotic truncation (coefficient engines cap here).
 CK_MAX = 30
@@ -128,16 +129,18 @@ class CoefficientTable:
 class _KernelMemo:
     """Kernel values shared by the points of one `field` column.
 
-    Holds jhat_m keyed by (m, w), the lazily grown list of Hscal_j(xc)
-    keyed by the exact xc, and (K0, K1)(z) keyed by z.  Each entry is a pure
-    function of its key, so a result is bit-identical with or without a
-    shared memo.  It is not locked: give every thread its own.
+    Holds jhat_m keyed by (m, w), the Bessel product ladder of each (x, rho)
+    and the lazily grown list of Hscal_j(xc) keyed by the exact xc, which
+    starts from `hscal` (see hscal_block) where that has xc.  Each entry is
+    a pure function of its key, so a result is bit-identical with or
+    without a shared memo.  It is not locked: give every thread its own.
     """
 
-    def __init__(self):
+    def __init__(self, hscal=None):
         self._jhat = {}
+        self._ladders = {}
         self._hvals = {}
-        self._k01 = {}
+        self._hscal = hscal or {}
 
     def jhat(self, m, w):
         key = (m, w)
@@ -146,16 +149,42 @@ class _KernelMemo:
             v = self._jhat[key] = _jhat_dd(m, w)
         return v
 
+    def products(self, x, rho):
+        """The products of _bessel_products(x, rho), each computed once:
+        replayed from the ladder, which grows as an iterator needs more.
+        Iterators of one memo must not be interleaved."""
+        ladder = self._ladders.get((x, rho))
+        if ladder is None:
+            ladder = self._ladders[(x, rho)] = ([], _bessel_products(x, rho, self.jhat))
+        done, source = ladder
+        yield from done
+        for p in source:
+            done.append(p)
+            yield p
+
     def hvals(self, xc):
         """The list of Hscal_j(xc), j = 0, 1, ..., that _struve_series
         extends in place."""
-        return self._hvals.setdefault(xc, [])
-
-    def k01(self, z):
-        v = self._k01.get(z)
+        v = self._hvals.get(xc)
         if v is None:
-            v = self._k01[z] = _k01_dd(z)
+            v = self._hvals[xc] = list(self._hscal.get(xc, ()))
         return v
+
+
+#: Orders 0 .. HSCAL_BLOCK_ORDER are computed by hscal_block; higher ones,
+#: rarely needed in the box, by the scalar kernel as they are asked for.
+HSCAL_BLOCK_ORDER = 20
+
+
+def hscal_block(xcs):
+    """{xc: [Hscal_0(xc), ..., Hscal_HSCAL_BLOCK_ORDER(xc)]} for the
+    distinct xc of xcs, computed in one array pass, for _KernelMemo.  The
+    values equal the scalar kernel's bit for bit.  For a single xc the array
+    pass costs more than the scalar series, so that is left to them."""
+    xcs = sorted(set(xcs))
+    if len(xcs) < 2:
+        return {}
+    return dict(zip(xcs, _struve_h_scaled_block(xcs, HSCAL_BLOCK_ORDER)))
 
 
 # ---------------------------------------------------------------------------
@@ -175,33 +204,19 @@ def _jhat_dd(m, w):
         i += 1
 
 
-def bessho_F(pt: EvalPoint, *, memo: Optional[_KernelMemo] = None) -> MethodResult:
-    """Convergent Bessel product series for F.
-
-    Terms are products K_m(rho/2) J_2m(x) evaluated as scaled pairs
-    kappa_m = K_m (x/2)^{2m} / (2m)!  and  jhat_m = J_2m (2m)! (x/2)^{-2m},
-    with kappa advanced by the K recurrence.  This keeps every intermediate
-    in range for any M and concentrates the cancellation in the final sum,
-    which is accumulated in double-double.  Stops after three consecutive
-    terms below SERIES_REL_TOL relative (single small terms are routinely
-    accidental: cos(m alpha) has zeros).  memo shares kernel values
-    between calls (see _KernelMemo); by default every call starts afresh.
-    """
-    if memo is None:
-        memo = _KernelMemo()
-    w = dd.two_prod(0.5 * pt.x, 0.5 * pt.x)
-    m_dd = dd.div_d(dd.two_prod(pt.x, pt.x), 4.0 * pt.rho)
-    k0, k1, _ = memo.k01(0.5 * pt.rho)
+def _bessel_products(x, rho, jhat):
+    """kappa_m(rho/2) jhat_m(x) as double-doubles for m = 0, 1, ..., MAX_TERMS,
+    where kappa_m = K_m(rho/2) (x/2)^{2m} / (2m)! is advanced by the K
+    recurrence; None in place of the first product whose kappa_m overflows,
+    which ends the ladder.  None of it depends on alpha.  jhat(m, w) gives
+    jhat_m with w = (x/2)^2."""
+    w = dd.two_prod(0.5 * x, 0.5 * x)
+    m_dd = dd.div_d(dd.two_prod(x, x), 4.0 * rho)
+    k0, k1, _ = _k01_dd(0.5 * rho)
     kap_prev = k0                                  # kappa_0
     kap_cur = dd.div_d(dd.mul(k1, w), 2.0)         # kappa_1
-
-    total = dd.mul(kap_prev, memo.jhat(0, w))
-    peak = abs(total[0])
-    abs_sum = abs(total[0])
-    last = abs(total[0])
-    small = 0
-    m = 1
-    while m <= MAX_TERMS:
+    yield dd.mul(kap_prev, jhat(0, w))
+    for m in range(1, MAX_TERMS + 1):
         if m == 1:
             kap = kap_cur
         else:
@@ -211,11 +226,41 @@ def bessho_F(pt: EvalPoint, *, memo: Optional[_KernelMemo] = None) -> MethodResu
             kap = dd.add(dd.mul(kap_cur, a), dd.mul(kap_prev, b))
             kap_prev, kap_cur = kap_cur, kap
         if not math.isfinite(kap[0]):
+            yield None
+            return
+        yield dd.mul(kap, jhat(m, w))
+
+
+def bessho_F(pt: EvalPoint, *, memo: Optional[_KernelMemo] = None) -> MethodResult:
+    """Convergent Bessel product series for F.
+
+    Terms are products K_m(rho/2) J_2m(x) evaluated as scaled pairs
+    kappa_m = K_m (x/2)^{2m} / (2m)!  and  jhat_m = J_2m (2m)! (x/2)^{-2m}
+    (_bessel_products).  This keeps every intermediate in range for any M
+    and concentrates the cancellation in the final sum, which is
+    accumulated in double-double.  Stops after three consecutive terms
+    below SERIES_REL_TOL relative (single small terms are routinely
+    accidental: cos(m alpha) has zeros).  memo shares the products between
+    calls at the same (x, rho) (see _KernelMemo); by default every call
+    computes them afresh.
+    """
+    if memo is None:
+        products = _bessel_products(pt.x, pt.rho, _jhat_dd)
+    else:
+        products = memo.products(pt.x, pt.rho)
+    total = next(products)
+    peak = abs(total[0])
+    abs_sum = abs(total[0])
+    last = abs(total[0])
+    small = 0
+    m = 0
+    for prod in products:
+        m += 1
+        if prod is None:
             raise AccuracyError("Bessel product terms overflow double range",
                                 value=dd.to_float(total), terms_used=m)
         sign = -1.0 if m % 2 else 1.0
-        term = dd.mul_d(dd.mul(kap, memo.jhat(m, w)),
-                        2.0 * sign * math.cos(m * pt.alpha_abs))
+        term = dd.mul_d(prod, 2.0 * sign * math.cos(m * pt.alpha_abs))
         total = dd.add(total, term)
         peak = max(peak, abs(total[0]))
         abs_sum += abs(term[0])
@@ -226,7 +271,6 @@ def bessho_F(pt: EvalPoint, *, memo: Optional[_KernelMemo] = None) -> MethodResu
                 break
         else:
             small = 0
-        m += 1
     else:
         raise AccuracyError(
             f"Bessel product series not converged in {MAX_TERMS} terms "
@@ -436,14 +480,14 @@ def ck_recurrence(n: int, x: float) -> CoefficientTable:
 def ck_table(n: int, x: float, alpha: float) -> CoefficientTable:
     """C_0 .. C_{n-1} at (x, alpha), alpha in [0, pi/2].
 
-    Lookups into oracle_Ck's cached table of C_0 .. C_30 at (x, alpha),
+    One lookup into oracle_Ck's cached table of C_0 .. C_30 at (x, alpha),
     which is computed whole on its first use, so the values do not depend
     on n.
     """
     if not isinstance(n, int) or not 1 <= n <= CK_MAX:
         raise DomainError(f"n must be an integer in [1, {CK_MAX}]")
-    values = tuple(oracle_Ck(k, float(x), float(alpha)).value for k in range(n))
-    return CoefficientTable(alpha=float(alpha), x=float(x), values=values)
+    x, alpha = float(x), float(alpha)
+    return CoefficientTable(alpha=alpha, x=x, values=oracle_Ck_values(n, x, alpha))
 
 
 def _asymptotic_terms(pt: EvalPoint, ck: CoefficientTable):

@@ -26,6 +26,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import ddouble as dd
 from .errors import AccuracyError, DomainError, OrderOverflowError, RangeOverflowError
 
@@ -254,6 +256,50 @@ def _struve_h_scaled_dd(order, x):
         s = dd.add(s, t)
         k += 1
     raise AccuracyError("scaled Struve series did not converge", value=dd.to_float(s))
+
+
+def _struve_h_scaled_block(xs, order_max):
+    """Hscal_0 .. Hscal_order_max at every x of xs (all > 0), rounded to
+    double, in one array pass.
+
+    The steps of _struve_h_scaled_dd run elementwise on float64 arrays, one
+    element per (order, x), and every element stops where the scalar series
+    stops, so each value equals dd.to_float of the scalar kernel bit for
+    bit.  Returns one list per x, ending before the first order whose series
+    did not converge (the scalar kernel raises there).
+    """
+    xs = np.asarray(xs, dtype=float)
+    width = len(xs)
+    # Gamma(3/2) Gamma(order + 3/2) of every order, by the scalar chain
+    g = dd.mul(dd.mul_d(dd.SQRT_PI, 0.5), dd.mul_d(dd.SQRT_PI, 0.5))
+    gammas = []
+    for j in range(order_max + 1):
+        gammas.append(g)
+        g = dd.mul_d(g, 1.5 + j)
+    ghi, glo = np.repeat(np.array(gammas), width, axis=0).T
+    order = np.repeat(np.arange(order_max + 1), width)
+    h = np.tile(0.5 * xs, order_max + 1)
+    q = dd.two_prod(h, h)
+    t = dd.div((h, np.zeros_like(h)), (ghi, glo))
+    s = t
+    live = np.arange(len(h))            # elements whose series still runs
+    out = np.full(len(h), np.nan)
+    for k in range(_SERIES_MAX):
+        t = dd.neg(dd.div_d(dd.mul(t, q), (k + 1.5) * (k + order + 1.5)))
+        done = np.abs(t[0]) <= 1e-17 * np.abs(s[0]) + 1e-305
+        if done.any():
+            out[live[done]] = s[0][done] + s[1][done]
+            run = ~done
+            live, order = live[run], order[run]
+            q, t, s = ((a[0][run], a[1][run]) for a in (q, t, s))
+            if not len(live):
+                break
+        s = dd.add(s, t)
+    rows = []
+    for column in out.reshape(order_max + 1, width).T.tolist():
+        bad = [j for j, v in enumerate(column) if math.isnan(v)]
+        rows.append(column[:bad[0]] if bad else column)
+    return rows
 
 
 def struve_h_scaled(order: int, x: float, order_cap: int = ORDER_CAP) -> SpecFunResult:

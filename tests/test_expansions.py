@@ -8,7 +8,8 @@ import warnings
 import pytest
 
 from kelvinwake import expansions, specfun
-from kelvinwake.errors import AccuracyError, DomainError, RegimeError
+from kelvinwake.errors import (AccuracyError, DomainError, InternalConsistencyError,
+                               RegimeError)
 from kelvinwake.expansions import (
     CK_MAX,
     Method,
@@ -95,6 +96,70 @@ class TestBessho:
         assert r.components is None
         assert r.saddle_term == 0.0
         assert r.internal_error_estimate > 0
+
+
+def _outcome(f, pt, **kwargs):
+    """f's result fields, or its exception's type, value and terms_used."""
+    try:
+        r = f(pt, **kwargs)
+    except AccuracyError as exc:
+        return ("raised", repr(exc.value), exc.terms_used, repr(exc.error_estimate))
+    return ("ok", r.value, r.internal_error_estimate, r.terms_used, r.n_used,
+            r.components)
+
+
+class TestKernelMemo:
+    ALPHAS = [f * math.pi for f in (0.0, 0.1, -0.1, 0.25, 0.37, 0.5, -0.5, 0.03)]
+
+    @pytest.mark.parametrize("x,rho", [
+        (0.4, 0.005),                  # M = 8
+        (1.0, 0.02),                   # M = 12.5
+        (0.3, 0.9),                    # M = 0.025
+        (1.25, 0.012328467394420659),  # M = 31.7: the cancellation refusal
+        (1.0, 0.0078),                 # M = 32
+        (3.0, 0.0005),                 # M = 4500: the terms overflow
+    ])
+    def test_shared_bessho_ladder_equals_fresh_calls(self, x, rho):
+        memo = expansions._KernelMemo()
+        for alpha in self.ALPHAS:
+            pt = EvalPoint(x, rho, alpha)
+            assert _outcome(bessho_F, pt, memo=memo) == _outcome(bessho_F, pt)
+
+    def test_one_memo_over_several_columns(self):
+        memo = expansions._KernelMemo()
+        for alpha in self.ALPHAS:
+            for x, rho in [(0.4, 0.005), (0.4, 0.02), (1.0, 0.005), (1.0, 0.02)]:
+                pt = EvalPoint(x, rho, alpha)
+                assert _outcome(bessho_F, pt, memo=memo) == _outcome(bessho_F, pt)
+
+    def test_refusals_come_out_with_a_shared_ladder(self):
+        memo = expansions._KernelMemo()
+        outcomes = [_outcome(bessho_F, EvalPoint(1.0, 0.0078, a), memo=memo)
+                    for a in self.ALPHAS]
+        assert any(o[0] == "raised" for o in outcomes)
+        with pytest.raises(AccuracyError, match="overflow"):
+            bessho_F(EvalPoint(3.0, 0.0005, 0.3), memo=memo)
+
+    def test_max_terms_with_a_shared_ladder(self, monkeypatch):
+        monkeypatch.setattr(expansions, "MAX_TERMS", 5)
+        memo = expansions._KernelMemo()
+        for alpha in self.ALPHAS:
+            pt = EvalPoint(0.4, 0.005, alpha)
+            got = _outcome(bessho_F, pt, memo=memo)
+            assert got == _outcome(bessho_F, pt)
+            assert got[:1] + got[2:3] == ("raised", 5)
+
+    def test_paris_with_hscal_block_equals_fresh_calls(self):
+        pts = [EvalPoint(x, rho, a) for x in (1.5, 2.75) for rho in (0.01, 0.03)
+               for a in self.ALPHAS]
+        hscal = expansions.hscal_block(p.x * p.c for p in pts)
+        assert len(hscal) == len({p.x * p.c for p in pts})
+        memo = expansions._KernelMemo(hscal)
+        for pt in pts:
+            assert _outcome(paris_F, pt, memo=memo) == _outcome(paris_F, pt)
+
+    def test_hscal_block_leaves_one_argument_to_the_scalar_kernel(self):
+        assert expansions.hscal_block([0.9, 0.9]) == {}
 
 
 class TestUrsell:
@@ -235,6 +300,33 @@ class TestCoefficients:
             ck_recurrence(31, 1.0)
         with pytest.raises(DomainError):
             ck_table(0, 1.0, 0.0)
+        with pytest.raises(DomainError, match="alpha"):
+            ck_table(3, 1.0, -0.1)
+        with pytest.raises(DomainError, match="x must be"):
+            ck_table(3, -1.0, 0.1)
+
+    def test_table_raises_the_first_failing_coefficient(self, monkeypatch):
+        from kelvinwake import oracle
+
+        gk21 = oracle._ck_gk21
+
+        def skewed(*args):
+            value, err, floor = gk21(*args)
+            value[1, 4:] *= 1.0 + 1e-8     # the t-form of C_4 and above
+            return value, err, floor
+
+        monkeypatch.setattr(oracle, "_ck_gk21", skewed)
+        oracle_Ck.cache_clear()
+        try:
+            got = ck_table(4, 1.1, 0.5).values
+            assert got == tuple(oracle_Ck(k, 1.1, 0.5).value for k in range(4))
+            with pytest.raises(InternalConsistencyError, match="C_4") as exc:
+                ck_table(9, 1.1, 0.5)
+            with pytest.raises(InternalConsistencyError) as want:
+                oracle_Ck(4, 1.1, 0.5)
+            assert str(exc.value) == str(want.value)
+        finally:
+            oracle_Ck.cache_clear()
 
 
 class TestAsymptoticSum:

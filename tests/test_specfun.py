@@ -292,3 +292,20 @@ def test_large_order_bessel_asymptotics(x, rho):
     k = sf.bessel_k(m, rho / 2).value
     k_asym = math.sqrt(math.pi / (2 * m)) * (math.e * rho / (4 * m)) ** -m
     assert abs(k / k_asym - 1.0) <= 0.10
+
+
+class TestStruveBlock:
+    def test_block_equals_scalar_kernel_bit_for_bit(self):
+        import random
+
+        rng = random.Random(11)
+        xs = [1e-8, 1e-3, 3.0] + [rng.uniform(0.0, 3.0) or 1.5 for _ in range(24)]
+        rows = sf._struve_h_scaled_block(xs, 40)
+        assert len(rows) == len(xs)
+        for x, row in zip(xs, rows):
+            assert len(row) == 41
+            for j, v in enumerate(row):
+                assert v == sf.dd.to_float(sf._struve_h_scaled_dd(j, x)[0]), (x, j)
+
+    def test_block_of_one_argument(self):
+        assert relerr(sf._struve_h_scaled_block([0.7], 3)[0][3], HSCAL3_AT_07) <= 1e-13
