@@ -47,6 +47,10 @@ MAX_TERMS = 500
 #: |alpha| (radians) below which the saddle term takes its midplane form.
 SADDLE_ALPHA_SWITCH = 0.02
 
+#: M sin^2 alpha above which paris_F's saddle defect bound falls off as
+#: SADDLE_DEFECT_SCALE / (M sin^2 alpha) of the saddle amplitude.
+SADDLE_DEFECT_SCALE = 2.0
+
 
 class Method(enum.Enum):
     BESSHO = "bessho"
@@ -541,6 +545,25 @@ def saddle_term(pt: EvalPoint) -> float:
     return _saddle_amplitude(pt) * math.sin((pt.M + 0.5 * pt.rho) * math.sin(a) + 0.5 * a)
 
 
+def _saddle_defect(pt: EvalPoint, sad: float) -> float:
+    """Bound on the error of saddle_term's value sad as F's saddle part.
+
+    Near the midplane neither form of saddle_term is uniform: the error
+    reaches 0.74 of the amplitude sqrt(pi/M) e^{-(M - rho/2) cos alpha}
+    where M sin^2 alpha is small, and falls off like 1/(M sin^2 alpha) once
+    that exceeds about 3 (measured against the Bessel product reference at
+    the 13928 paris pool and field-sweep points of the benchmark).  So the
+    bound is amp min(1, SADDLE_DEFECT_SCALE / (M sin^2 alpha)), and never
+    below the O(1/M) defect of the amplitude (of |sad| in the midplane
+    form): using |sad| alone would understate it near the sine's zeros.
+    """
+    amp = _saddle_amplitude(pt)
+    o1m = 2.0 * (abs(sad) if pt.alpha_abs < SADDLE_ALPHA_SWITCH else amp) / pt.M
+    ms2 = pt.M * math.sin(pt.alpha_abs) ** 2
+    return max(o1m, amp if ms2 <= SADDLE_DEFECT_SCALE
+               else amp * SADDLE_DEFECT_SCALE / ms2)
+
+
 def _large_parts(pt: EvalPoint, n: int, memo: _KernelMemo):
     """The two large parts of the expansion, pi e^(-rho/2) S1 and
     pi e^(rho/2) sum_{k<n} M^-k/(2^2k k!) C_k, followed by S1, the
@@ -574,13 +597,10 @@ def paris_F(pt: EvalPoint, policy: TruncationPolicy = DEFAULT_POLICY, *,
     struve_part, asym_part, s1, asym, terms, last = _large_parts(pt, n, memo)
     sad = saddle_term(pt)
     value = -struve_part + asym_part + sad
-    # the saddle estimate's own defect is O(1/M) of its AMPLITUDE; using
-    # |sad| would understate it badly near zeros of the sine factor
-    amp = abs(sad) if pt.alpha_abs < SADDLE_ALPHA_SWITCH else _saddle_amplitude(pt)
     # the rounding error of the three-part sum is absolute: a few ulps of
     # its parts, however much of them cancels in the value
     est = (math.pi * math.exp(0.5 * pt.rho) * abs(last)
-           + 2.0 * amp / pt.M + 1e-15 * abs(value)
+           + _saddle_defect(pt, sad) + 1e-15 * abs(value)
            + 4.0 * 2.0 ** -52 * (abs(struve_part) + abs(asym_part) + abs(sad)))
     return MethodResult(value, Method.PARIS, terms_used=terms, n_used=n,
                         saddle_term=sad, internal_error_estimate=est,

@@ -108,6 +108,25 @@ def _outcome(f, pt, **kwargs):
             r.components)
 
 
+def _mp_bessel_product(pt, dps):
+    """F at pt by the Bessel product series in mpmath at dps digits; its
+    terms peak near e^M / M, so about dps - M / ln 10 digits are right."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(dps):
+        x, z, alpha = mp.mpf(pt.x), mp.mpf(pt.rho) / 2, mp.mpf(pt.alpha)
+        k_prev, k_cur = mp.besselk(0, z), mp.besselk(1, z)
+        want = k_prev * mp.besselj(0, x)
+        m = 1
+        while True:
+            term = 2 * (-1) ** m * mp.cos(m * alpha) * k_cur * mp.besselj(2 * m, x)
+            want += term
+            if m > pt.M + 10 and abs(term) < mp.mpf(10) ** -40:
+                break
+            k_prev, k_cur = k_cur, k_prev + (2 * m / z) * k_cur
+            m += 1
+    return want
+
+
 class TestKernelMemo:
     ALPHAS = [f * math.pi for f in (0.0, 0.1, -0.1, 0.25, 0.37, 0.5, -0.5, 0.03)]
 
@@ -402,20 +421,8 @@ class TestParis:
         # is 0.44, so the sum rounds at a few ulps of the parts, not of F.
         # Reference: the Bessel product series in mpmath at 60 digits (its
         # terms peak near e^M / M ~ 1e31, leaving about 28 correct digits)
-        mp = pytest.importorskip("mpmath")
         pt = EvalPoint(0.75, 0.001873817422860383, 0.3 * math.pi)
-        with mp.workdps(60):
-            x, z, alpha = mp.mpf(pt.x), mp.mpf(pt.rho) / 2, mp.mpf(pt.alpha)
-            k_prev, k_cur = mp.besselk(0, z), mp.besselk(1, z)
-            want = k_prev * mp.besselj(0, x)
-            m = 1
-            while True:
-                term = 2 * (-1) ** m * mp.cos(m * alpha) * k_cur * mp.besselj(2 * m, x)
-                want += term
-                if m > pt.M + 10 and abs(term) < mp.mpf(10) ** -40:
-                    break
-                k_prev, k_cur = k_cur, k_prev + (2 * m / z) * k_cur
-                m += 1
+        want = _mp_bessel_product(pt, 60)
         r = paris_F(pt)
         c = r.components
         parts = (abs(math.pi * math.exp(-0.5 * pt.rho) * c.struve_sum)
@@ -423,6 +430,20 @@ class TestParis:
                  + abs(c.saddle))
         assert r.internal_error_estimate >= 4.0 * 2.0 ** -52 * parts
         assert abs(r.value - float(want)) <= r.internal_error_estimate
+
+    @pytest.mark.parametrize("x,M,frac,err", [
+        (2.75, 14.7, 0.04, 1.6e-7),    # the old estimate was 3.5e-8
+        (3.0, 7.90, 0.0, 2.4e-4),      # the old estimate was 2.2e-4
+    ])
+    def test_estimate_covers_the_saddle_defect(self, x, M, frac, err):
+        # where M sin^2 alpha is small the saddle form is off by a sizeable
+        # part of its amplitude, not by O(1/M) of it
+        pt = EvalPoint(x, x * x / (4.0 * M), frac * math.pi)
+        r = paris_F(pt)
+        actual = abs(r.value - float(_mp_bessel_product(pt, 40)))
+        assert actual == pytest.approx(err, rel=0.05)
+        assert actual <= r.internal_error_estimate
+        assert r.internal_error_estimate <= 20.0 * actual
 
     @pytest.mark.parametrize("row", TABLE1_ROWS,
                              ids=lambda r: f"a{r.alpha_over_pi}-M{r.M}")
