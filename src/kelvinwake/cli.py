@@ -19,9 +19,10 @@ paris_F.  The points of a column share their kernel values: J_2m(x), the
 Hscal_j(x c) lists (which start from that pass), and for bessho_F one
 ladder of K_m(rho/2) J_2m(x) products per (x, rho), which each |alpha|
 weights with its own cos(m alpha).  Every row equals
-`eval --method <its method>` at that point bit for bit.  --threads runs columns on worker threads, one column per
-task; output is identical for any count.  A range count, or a field grid,
-of more than MAX_GRID_POINTS points is a usage error.
+`eval --method <its method>` at that point bit for bit.  --threads runs
+columns on worker threads, one column per task; output is identical for
+any count.  A range count, or a field grid, of more than MAX_GRID_POINTS
+points is a usage error.
 
 Output formats: csv (deterministic, 17 significant digits, LF endings),
 json (meta + rows), pretty (aligned table).  Exit codes: 0 success,

@@ -31,7 +31,9 @@ from typing import Optional
 
 from . import ddouble as dd
 from .errors import AccuracyError, DomainError, RegimeError
-from .oracle import EvalPoint, oracle_Ck_values, oracle_F
+# oracle_Ck is not called here; bench/tracing.py wraps it on this module,
+# so the name stays importable from it
+from .oracle import EvalPoint, oracle_Ck, oracle_Ck_values, oracle_F  # noqa: F401
 from .specfun import (_k01_dd, _struve_h_scaled_block, _struve_h_scaled_dd,
                       _y01_dd, struve_k_scaled)
 
