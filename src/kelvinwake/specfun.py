@@ -23,6 +23,7 @@ All functions are pure and safe for concurrent use.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -295,11 +296,8 @@ def _struve_h_scaled_block(xs, order_max):
             if not len(live):
                 break
         s = dd.add(s, t)
-    rows = []
-    for column in out.reshape(order_max + 1, width).T.tolist():
-        bad = [j for j, v in enumerate(column) if math.isnan(v)]
-        rows.append(column[:bad[0]] if bad else column)
-    return rows
+    return [list(itertools.takewhile(lambda v: not math.isnan(v), column))
+            for column in out.reshape(order_max + 1, width).T.tolist()]
 
 
 def struve_h_scaled(order: int, x: float, order_cap: int = ORDER_CAP) -> SpecFunResult:

@@ -50,6 +50,11 @@ def test_constants_self_consistent():
     assert abs(dd.to_float(prod) - 2.0) < 1e-30
 
 
+def xi(x, i):
+    """Element i of an array double-double, as a scalar one."""
+    return (float(x[0][i]), float(x[1][i]))
+
+
 def test_array_operations_equal_scalar_ones_elementwise():
     import numpy as np
 
@@ -75,8 +80,3 @@ def test_array_operations_equal_scalar_ones_elementwise():
         for i in range(n):
             want = scalar(i)
             assert (float(got[0][i]), float(got[1][i])) == want, (name, i)
-
-
-def xi(x, i):
-    """Element i of an array double-double, as a scalar one."""
-    return (float(x[0][i]), float(x[1][i]))
