@@ -31,9 +31,7 @@ from typing import Optional
 
 from . import ddouble as dd
 from .errors import AccuracyError, DomainError, RegimeError
-# oracle_Ck is not called here; bench/tracing.py wraps it on this module,
-# so the name stays importable from it
-from .oracle import EvalPoint, oracle_Ck, oracle_Ck_values, oracle_F  # noqa: F401
+from .oracle import EvalPoint, oracle_Ck, oracle_F
 from .specfun import (_k01_dd, _struve_h_scaled_block, _struve_h_scaled_dd,
                       _y01_dd, struve_k_scaled)
 
@@ -486,14 +484,14 @@ def ck_recurrence(n: int, x: float) -> CoefficientTable:
 def ck_table(n: int, x: float, alpha: float) -> CoefficientTable:
     """C_0 .. C_{n-1} at (x, alpha), alpha in [0, pi/2].
 
-    One lookup into oracle_Ck's cached table of C_0 .. C_30 at (x, alpha),
+    Lookups into oracle_Ck's cached table of C_0 .. C_30 at (x, alpha),
     which is computed whole on its first use, so the values do not depend
     on n.
     """
     if not isinstance(n, int) or not 1 <= n <= CK_MAX:
         raise DomainError(f"n must be an integer in [1, {CK_MAX}]")
-    x, alpha = float(x), float(alpha)
-    return CoefficientTable(alpha=alpha, x=x, values=oracle_Ck_values(n, x, alpha))
+    values = tuple(oracle_Ck(k, float(x), float(alpha)).value for k in range(n))
+    return CoefficientTable(alpha=float(alpha), x=float(x), values=values)
 
 
 def _asymptotic_terms(pt: EvalPoint, ck: CoefficientTable):

@@ -27,9 +27,8 @@ The coefficients C_k(x, alpha) of the asymptotic 1/M series are computed
 as a whole table, C_0 .. C_30, in one vectorised adaptive Gauss-Kronrod
 pass per (x, |alpha|): both integral forms of every k are evaluated as
 numpy arrays on one shared mesh.  The table is cached under
-(x, alpha, rel_tol); oracle_Ck looks single coefficients up in it,
-oracle_Ck_values the first n at once, and oracle_Ck.cache_clear() empties
-it.
+(x, alpha, rel_tol); oracle_Ck looks single coefficients up in it, and
+oracle_Ck.cache_clear() empties it.
 """
 
 from __future__ import annotations
@@ -554,31 +553,14 @@ def oracle_Ck(k: int, x: float, alpha: float, rel_tol: float = 5e-14) -> QuadRes
     """
     if not isinstance(k, int) or k < 0 or k > CK_INDEX_MAX:
         raise DomainError(f"k must be an integer in [0, {CK_INDEX_MAX}], got {k!r}")
-    entry = _checked_ck_table(x, alpha, rel_tol)[k]
-    if not isinstance(entry, QuadResult):
-        raise entry()
-    return entry
-
-
-def oracle_Ck_values(n: int, x: float, alpha: float, rel_tol: float = 5e-14) -> tuple:
-    """C_0 .. C_{n-1} at (x, alpha), the values oracle_Ck returns, read
-    from the cached table in one lookup.  Raises what oracle_Ck raises for
-    the first k that fails its checks."""
-    if not isinstance(n, int) or n < 1 or n > CK_INDEX_MAX + 1:
-        raise DomainError(f"n must be an integer in [1, {CK_INDEX_MAX + 1}], got {n!r}")
-    entries = _checked_ck_table(x, alpha, rel_tol)[:n]
-    for entry in entries:
-        if not isinstance(entry, QuadResult):
-            raise entry()
-    return tuple(entry.value for entry in entries)
-
-
-def _checked_ck_table(x, alpha, rel_tol):
     if not 0.0 <= alpha <= _HALF_PI + 4e-16:
         raise DomainError(f"alpha must lie in [0, pi/2], got {alpha}")
     if not (x > 0 and math.isfinite(x)):
         raise DomainError(f"x must be positive and finite, got {x}")
-    return _ck_table(float(x), float(alpha), float(rel_tol))
+    entry = _ck_table(float(x), float(alpha), float(rel_tol))[k]
+    if not isinstance(entry, QuadResult):
+        raise entry()
+    return entry
 
 
 oracle_Ck.cache_info = _ck_table.cache_info

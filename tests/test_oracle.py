@@ -278,14 +278,6 @@ class TestOracleCk:
         with pytest.raises(DomainError):
             oracle_Ck(0, 1.0, -0.1)
 
-    def test_values_are_the_lookups_of_oracle_ck(self):
-        got = oracle.oracle_Ck_values(12, 0.83, 0.9)
-        assert got == tuple(oracle_Ck(k, 0.83, 0.9).value for k in range(12))
-        assert len(oracle.oracle_Ck_values(31, 0.83, 0.9)) == 31
-        for n in (0, 32, 2.0):
-            with pytest.raises(DomainError):
-                oracle.oracle_Ck_values(n, 0.83, 0.9)
-
 
 class TestMomentIdentity:
     def test_closed_form_case(self):
