@@ -11,14 +11,14 @@ Subcommands:
 
 field evaluates its grid one x column at a time.  Each exact
 (x, rho, |alpha|) is evaluated once: F is even in alpha, so a row whose
-|alpha| equals, as a double, that of an earlier row of its (x, rho) repeats
-that row's result with its own alpha.  Before the columns, Hscal_j(x c),
-c = cos(alpha/2), is computed in one array pass for orders up to
-expansions.HSCAL_BLOCK_ORDER at every point the route rule sends to
-paris_F.  The points of a column share their kernel values: J_2m(x), the
-Hscal_j(x c) lists (which start from that pass), and for bessho_F one
-ladder of K_m(rho/2) J_2m(x) products per (x, rho), which each |alpha|
-weights with its own cos(m alpha).  Every row equals
+|alpha| equals, as a double, that of an earlier row of its (x, rho)
+repeats that row's result with its own alpha.  Each column first computes
+Hscal_j(x c), c = cos(alpha/2), in one array pass for orders up to
+expansions.HSCAL_BLOCK_ORDER at every point of the column that the route
+rule sends to paris_F.  The points of a column share their kernel values:
+J_2m(x), the Hscal_j(x c) lists (which start from that pass), and for
+bessho_F one ladder of K_m(rho/2) J_2m(x) products per (x, rho), which
+each |alpha| weights with its own cos(m alpha).  Every row equals
 `eval --method <its method>` at that point bit for bit.  --threads runs
 columns on worker threads, one column per task; output is identical for
 any count.  A range count, or a field grid, of more than MAX_GRID_POINTS
@@ -285,18 +285,24 @@ def _field_point(pt, memo):
     return {h: rec[h] for h in _FIELD_HEADER}
 
 
-def _field_column(x, rhos, alphas, hscal):
+def _field_column(x, rhos, alphas):
     """The rows of one x column, rho-major.  Each exact |alpha| is evaluated
     once per rho, and all points share one memo of kernel values, whose
-    Hscal lists start from hscal (see expansions.hscal_block)."""
-    memo = expansions._KernelMemo(hscal)
+    Hscal lists start from one array pass over the column's paris points
+    (see expansions.hscal_block)."""
+    pts = {}
+    for rho in rhos:
+        for alpha in alphas:
+            pts.setdefault((rho, abs(alpha)), EvalPoint(x, rho, alpha))
+    memo = expansions._KernelMemo(expansions.hscal_block(
+        pt.x * pt.c for pt in pts.values() if _field_method(pt) == "paris"))
     rows = []
     for rho in rhos:
         done = {}
         for alpha in alphas:
             row = done.get(abs(alpha))
             if row is None:
-                row = done[abs(alpha)] = _field_point(EvalPoint(x, rho, alpha), memo)
+                row = done[abs(alpha)] = _field_point(pts[rho, abs(alpha)], memo)
             rows.append(dict(row, alpha=alpha))
     return rows
 
@@ -318,17 +324,12 @@ def cmd_field(args) -> int:
             for alpha in (alphas[0], alphas[-1]):
                 _check_box(x, rho, alpha)
     threads = _thread_count(args)
-    # Hscal_j(x c) at every point the rule sends to paris_F, in one pass
-    abs_alphas = {abs(a) for a in alphas}
-    pts = (EvalPoint(x, rho, a) for x in xs for rho in rhos for a in abs_alphas)
-    hscal = expansions.hscal_block(pt.x * pt.c for pt in pts
-                                   if _field_method(pt) == "paris")
     workers = min(threads, len(xs))
     if workers == 1:
-        columns = [_field_column(x, rhos, alphas, hscal) for x in xs]
+        columns = [_field_column(x, rhos, alphas) for x in xs]
     else:
         with ThreadPoolExecutor(max_workers=workers) as ex:
-            columns = list(ex.map(lambda x: _field_column(x, rhos, alphas, hscal), xs))
+            columns = list(ex.map(lambda x: _field_column(x, rhos, alphas), xs))
     rows = [row for column in columns for row in column]
     meta = {"command": "field", "x_range": args.x_range,
             "rho_range": args.rho_range,

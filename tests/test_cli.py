@@ -237,6 +237,33 @@ def test_field_workers_are_capped_by_columns(capsys, monkeypatch):
     assert started == [2]
 
 
+def test_field_hscal_block_per_column(capsys, monkeypatch):
+    # each column's array pass takes only that column's paris x c, so its
+    # arrays grow with one column, not with the grid
+    import kelvinwake.cli as cli
+
+    block = cli.expansions.hscal_block
+    calls = []
+
+    def recording(xcs):
+        calls.append(sorted(set(xcs)))
+        return block(calls[-1])
+
+    monkeypatch.setattr(cli.expansions, "hscal_block", recording)
+    code, out, _ = run(capsys, "field", "--x-range", "0.4:2.8:3",
+                       "--rho-range", "0.001:0.05:2",
+                       "--alpha-pi-range=-0.5:0.5:5", "--format", "json")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert len(calls) == 3
+    for x, xcs in zip((0.4, 1.6, 2.8), calls):
+        pts = [EvalPoint(r["x"], r["rho"], r["alpha"]) for r in rows
+               if r["x"] == x and r["method"] == "paris"]
+        want = {pt.x * pt.c for pt in pts}
+        assert xcs == sorted(want)
+    assert all(calls)
+
+
 @pytest.mark.parametrize("argv", [
     ["field", "--x-range", f"0.5:1:{MAX_GRID_POINTS + 1}",
      "--rho-range", "0.01:0.01:1", "--alpha-pi-range", "0:0:1"],

@@ -177,8 +177,13 @@ class TestKernelMemo:
         for pt in pts:
             assert _outcome(paris_F, pt, memo=memo) == _outcome(paris_F, pt)
 
-    def test_hscal_block_leaves_one_argument_to_the_scalar_kernel(self):
-        assert expansions.hscal_block([0.9, 0.9]) == {}
+    def test_hscal_block_chunks_give_the_same_block(self, monkeypatch):
+        xcs = [0.9, 0.2, 2.5, 0.9, 1e-3, 3.0, 1.7]
+        whole = expansions.hscal_block(xcs)
+        assert len(whole) == 6
+        monkeypatch.setattr(expansions, "HSCAL_BLOCK_CHUNK", 4)
+        assert expansions.hscal_block(xcs) == whole
+        assert expansions.hscal_block([]) == {}
 
 
 class TestUrsell:
