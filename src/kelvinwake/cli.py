@@ -12,17 +12,19 @@ Subcommands:
 field evaluates its grid one x column at a time.  Each exact
 (x, rho, |alpha|) is evaluated once: F is even in alpha, so a row whose
 |alpha| equals, as a double, that of an earlier row of its (x, rho)
-repeats that row's result with its own alpha.  Each column first computes
+repeats that row's result with its own alpha.  Columns are taken in
+groups of at most expansions.HSCAL_BLOCK_CHUNK (rho, |alpha|) points
+(a whole call on the benchmark's sweep), and each group first computes
 Hscal_j(x c), c = cos(alpha/2), in one array pass for orders up to
-expansions.HSCAL_BLOCK_ORDER at every point of the column that the route
-rule sends to paris_F.  The points of a column share their kernel values:
-J_2m(x), the Hscal_j(x c) lists (which start from that pass), and for
-bessho_F one ladder of K_m(rho/2) J_2m(x) products per (x, rho), which
-each |alpha| weights with its own cos(m alpha).  Every row equals
+expansions.HSCAL_BLOCK_ORDER at every point that the route rule sends to
+paris_F.  The points of a column share their kernel values: J_2m(x), the
+Hscal_j(x c) lists (which start from that pass), and for bessho_F one
+ladder of K_m(rho/2) J_2m(x) products per (x, rho), which each |alpha|
+weights with its own cos(m alpha).  Every row equals
 `eval --method <its method>` at that point bit for bit.  --threads runs
-columns on worker threads, one column per task; output is identical for
-any count.  A range count, or a field grid, of more than MAX_GRID_POINTS
-points is a usage error.
+the columns of a group on worker threads, one column per task; output is
+identical for any count.  A range count, or a field grid, of more than
+MAX_GRID_POINTS points is a usage error.
 
 Output formats: csv (deterministic, 17 significant digits, LF endings),
 json (meta + rows), pretty (aligned table).  Exit codes: 0 success,
@@ -32,6 +34,7 @@ json (meta + rows), pretty (aligned table).  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -285,17 +288,21 @@ def _field_point(pt, memo):
     return {h: rec[h] for h in _FIELD_HEADER}
 
 
-def _field_column(x, rhos, alphas):
-    """The rows of one x column, rho-major.  Each exact |alpha| is evaluated
-    once per rho, and all points share one memo of kernel values, whose
-    Hscal lists start from one array pass over the column's paris points
-    (see expansions.hscal_block)."""
+def _column_points(x, rhos, alphas):
+    """{(rho, |alpha|): the EvalPoint at its first alpha} of one x column."""
     pts = {}
     for rho in rhos:
         for alpha in alphas:
             pts.setdefault((rho, abs(alpha)), EvalPoint(x, rho, alpha))
-    memo = expansions._KernelMemo(expansions.hscal_block(
-        pt.x * pt.c for pt in pts.values() if _field_method(pt) == "paris"))
+    return pts
+
+
+def _field_column(pts, rhos, alphas, hscal):
+    """The rows of one x column, rho-major, from its _column_points.  Each
+    exact |alpha| is evaluated once per rho, and all points share one memo
+    of kernel values, whose Hscal lists start from hscal (see
+    expansions.hscal_block)."""
+    memo = expansions._KernelMemo(hscal)
     rows = []
     for rho in rhos:
         done = {}
@@ -325,12 +332,27 @@ def cmd_field(args) -> int:
                 _check_box(x, rho, alpha)
     threads = _thread_count(args)
     workers = min(threads, len(xs))
-    if workers == 1:
-        columns = [_field_column(x, rhos, alphas) for x in xs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            columns = list(ex.map(lambda x: _field_column(x, rhos, alphas), xs))
-    rows = [row for column in columns for row in column]
+    # one Hscal array pass per group of columns of at most HSCAL_BLOCK_CHUNK
+    # (rho, |alpha|) points in all, which bounds the pass and its result on
+    # any grid; a pass per column would take the benchmark's field sweep 72
+    # passes instead of 6 (76 against 18 ms a sweep on a 2-core VM)
+    per_group = max(1, expansions.HSCAL_BLOCK_CHUNK
+                    // (len(rhos) * len({abs(a) for a in alphas})))
+    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
+    rows = []
+    try:
+        for i in range(0, len(xs), per_group):
+            columns = [_column_points(x, rhos, alphas) for x in xs[i:i + per_group]]
+            hscal = expansions.hscal_block(
+                pt.x * pt.c for pts in columns for pt in pts.values()
+                if _field_method(pt) == "paris")
+            column = functools.partial(_field_column, rhos=rhos, alphas=alphas,
+                                       hscal=hscal)
+            for done in (pool.map(column, columns) if pool else map(column, columns)):
+                rows.extend(done)
+    finally:
+        if pool:
+            pool.shutdown()
     meta = {"command": "field", "x_range": args.x_range,
             "rho_range": args.rho_range,
             "alpha_range": args.alpha_range or args.alpha_pi_range,

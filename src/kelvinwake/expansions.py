@@ -180,8 +180,9 @@ class _KernelMemo:
 #: sweep the highest order asked for at an x c is 9 to 18, 13 in the median.
 HSCAL_BLOCK_ORDER = 20
 
-#: Most x c one array pass of hscal_block takes, so that its arrays stay
-#: near 10 MB for any grid.
+#: Most x c one array pass of hscal_block takes, and most (rho, |alpha|)
+#: points of the columns `field` gives one pass, so that its arrays and
+#: its result stay near 10 MB for any grid.
 HSCAL_BLOCK_CHUNK = 4096
 
 

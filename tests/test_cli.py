@@ -237,9 +237,13 @@ def test_field_workers_are_capped_by_columns(capsys, monkeypatch):
     assert started == [2]
 
 
-def test_field_hscal_block_per_column(capsys, monkeypatch):
-    # each column's array pass takes only that column's paris x c, so its
-    # arrays grow with one column, not with the grid
+@pytest.mark.parametrize("chunk,groups", [(4096, [[0.4, 1.6, 2.8]]),
+                                          (12, [[0.4, 1.6], [2.8]]),
+                                          (5, [[0.4], [1.6], [2.8]])])
+def test_field_hscal_block_per_group_of_columns(capsys, monkeypatch, chunk, groups):
+    # one array pass per group of columns of at most HSCAL_BLOCK_CHUNK
+    # (rho, |alpha|) points, over exactly that group's paris x c, so the
+    # pass grows with a group, not with the grid
     import kelvinwake.cli as cli
 
     block = cli.expansions.hscal_block
@@ -250,17 +254,19 @@ def test_field_hscal_block_per_column(capsys, monkeypatch):
         return block(calls[-1])
 
     monkeypatch.setattr(cli.expansions, "hscal_block", recording)
+    monkeypatch.setattr(cli.expansions, "HSCAL_BLOCK_CHUNK", chunk)
     code, out, _ = run(capsys, "field", "--x-range", "0.4:2.8:3",
                        "--rho-range", "0.001:0.05:2",
-                       "--alpha-pi-range=-0.5:0.5:5", "--format", "json")
+                       "--alpha-pi-range=-0.5:0.5:5", "--format", "json",
+                       "--threads", "2")
     assert code == 0
     rows = json.loads(out)["rows"]
-    assert len(calls) == 3
-    for x, xcs in zip((0.4, 1.6, 2.8), calls):
+    want = []
+    for group in groups:
         pts = [EvalPoint(r["x"], r["rho"], r["alpha"]) for r in rows
-               if r["x"] == x and r["method"] == "paris"]
-        want = {pt.x * pt.c for pt in pts}
-        assert xcs == sorted(want)
+               if r["x"] in group and r["method"] == "paris"]
+        want.append(sorted({pt.x * pt.c for pt in pts}))
+    assert calls == want
     assert all(calls)
 
 
