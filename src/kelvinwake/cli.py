@@ -346,10 +346,10 @@ def cmd_field(args) -> int:
             hscal = expansions.hscal_block(
                 pt.x * pt.c for pts in columns for pt in pts.values()
                 if _field_method(pt) == "paris")
-            column = functools.partial(_field_column, rhos=rhos, alphas=alphas,
-                                       hscal=hscal)
-            for done in (pool.map(column, columns) if pool else map(column, columns)):
-                rows.extend(done)
+            evaluate = functools.partial(_field_column, rhos=rhos, alphas=alphas,
+                                         hscal=hscal)
+            for column in (pool.map(evaluate, columns) if pool else map(evaluate, columns)):
+                rows.extend(column)
     finally:
         if pool:
             pool.shutdown()
