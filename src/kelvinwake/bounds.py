@@ -28,6 +28,9 @@ from .errors import BoundViolationError, DomainError
 from .oracle import EvalPoint, _run_quad, oracle_Ck, oracle_I2
 from .specfun import upper_inc_gamma
 
+#: The smallest positive double, the floor of the tail bounds.
+_TINY = 5e-324
+
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -60,12 +63,14 @@ def tail_bound_components(n: int, pt: EvalPoint):
     """(simple bound, finite-n bound) for the truncated-range tail.
 
     The simple form 2 e^(-M u0 c) requires n < M u0 c and is inf outside
-    that regime; the finite-n geometric form is always valid.
+    that regime; the finite-n geometric form is always valid.  Both are
+    positive, so where one underflows (M u0 c above about 745, or 372 for
+    the finite-n form) it is returned as the smallest positive double.
     """
     if not isinstance(n, int) or n < 1:
         raise DomainError(f"n must be a positive integer, got {n!r}")
     m_u0_c = pt.M * pt.u0 * pt.c
-    simple = 2.0 * math.exp(-m_u0_c) if n < m_u0_c else math.inf
+    simple = max(2.0 * math.exp(-m_u0_c), _TINY) if n < m_u0_c else math.inf
     q = pt.M * pt.u0 * pt.u0
     # geometric sum sum_{k<n} q^k in logs to survive large n * log q
     if q == 1.0:
@@ -75,7 +80,7 @@ def tail_bound_components(n: int, pt: EvalPoint):
     else:
         log_geo = n * math.log(q) + math.log1p(-q ** -n) - math.log(q - 1.0)
     log_finite = math.log(2.0) - 2.0 * m_u0_c + log_geo
-    finite = math.exp(log_finite) if log_finite < 709.0 else math.inf
+    finite = max(math.exp(log_finite), _TINY) if log_finite < 709.0 else math.inf
     return simple, finite
 
 

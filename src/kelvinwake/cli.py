@@ -14,21 +14,25 @@ field evaluates its grid one x column at a time.  Each exact
 |alpha| equals, as a double, that of an earlier row of its (x, rho)
 repeats that row's result with its own alpha.  Columns are taken in
 groups of at most expansions.HSCAL_BLOCK_CHUNK (rho, |alpha|) points
-(a whole call on the benchmark's sweep), and each group first computes
-Hscal_j(x c), c = cos(alpha/2), in one array pass for orders up to
-expansions.HSCAL_BLOCK_ORDER at every point that the route rule sends to
-paris_F.  The points of a column share their kernel values: J_2m(x), the
-Hscal_j(x c) lists (which start from that pass), and for bessho_F one
-ladder of K_m(rho/2) J_2m(x) products per (x, rho), which each |alpha|
-weights with its own cos(m alpha).  Every row equals
-`eval --method <its method>` at that point bit for bit.  --threads runs
-the columns of a group on worker threads, one column per task; output is
-identical for any count.  A range count, or a field grid, of more than
-MAX_GRID_POINTS points is a usage error.
+(a whole call on the benchmark's sweep).  Before its rows, each group
+runs numpy array passes of at most that many points: the Struve double
+sum S1 at every point that the route rule sends to paris_F
+(expansions.struve_block, over an Hscal_j(x c) pass of orders up to
+expansions.HSCAL_BLOCK_ORDER), and the Bessel product sum at every point
+sent to bessho_F (expansions.bessho_block: one K_m(rho/2) J_2m(x) ladder
+per (x, rho), which each |alpha| weights with its own cos(m alpha)).
+Each pass takes the scalar code's steps elementwise, so every row, its
+estimate, terms and any refusal included, equals
+`eval --method <its method>` at that point bit for bit; paris_F and
+bessho_F still run once per row and read their sums from the group's
+expansions._KernelMemo.  --threads runs the columns of a group on worker
+threads, one column per task; output is identical for any count.  A range
+count, or a field grid, of more than MAX_GRID_POINTS points is a usage
+error.
 
 Output formats: csv (deterministic, 17 significant digits, LF endings),
-json (meta + rows), pretty (aligned table).  Exit codes: 0 success,
-1 tolerance or bound failure, 2 usage error.
+json (meta + rows on one line, keys sorted), pretty (aligned table).
+Exit codes: 0 success, 1 tolerance or bound failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -77,7 +81,7 @@ def _write_output(header, rows, cfg, meta):
             return None if isinstance(v, float) and math.isnan(v) else v
         payload = {"meta": meta,
                    "rows": [{k: clean(v) for k, v in row.items()} for row in rows]}
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = json.dumps(payload, sort_keys=True) + "\n"
     else:
         widths = [max(len(h), *(len(_fmt(r.get(h, ""))) for r in rows)) if rows
                   else len(h) for h in header]
@@ -297,12 +301,10 @@ def _column_points(x, rhos, alphas):
     return pts
 
 
-def _field_column(pts, rhos, alphas, hscal):
+def _field_column(pts, rhos, alphas, memo):
     """The rows of one x column, rho-major, from its _column_points.  Each
-    exact |alpha| is evaluated once per rho, and all points share one memo
-    of kernel values, whose Hscal lists start from hscal (see
-    expansions.hscal_block)."""
-    memo = expansions._KernelMemo(hscal)
+    exact |alpha| is evaluated once per rho, with the sums of its group's
+    array passes (see expansions._KernelMemo)."""
     rows = []
     for rho in rhos:
         done = {}
@@ -332,10 +334,10 @@ def cmd_field(args) -> int:
                 _check_box(x, rho, alpha)
     threads = _thread_count(args)
     workers = min(threads, len(xs))
-    # one Hscal array pass per group of columns of at most HSCAL_BLOCK_CHUNK
-    # (rho, |alpha|) points in all, which bounds the pass and its result on
+    # the array passes run per group of columns of at most HSCAL_BLOCK_CHUNK
+    # (rho, |alpha|) points in all, which bounds them and their results on
     # any grid; a pass per column would take the benchmark's field sweep 72
-    # passes instead of 6 (76 against 18 ms a sweep on a 2-core VM)
+    # Hscal passes instead of 6 (76 against 18 ms a sweep on a 2-core VM)
     per_group = max(1, expansions.HSCAL_BLOCK_CHUNK
                     // (len(rhos) * len({abs(a) for a in alphas})))
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
@@ -343,11 +345,14 @@ def cmd_field(args) -> int:
     try:
         for i in range(0, len(xs), per_group):
             columns = [_column_points(x, rhos, alphas) for x in xs[i:i + per_group]]
-            hscal = expansions.hscal_block(
-                pt.x * pt.c for pts in columns for pt in pts.values()
-                if _field_method(pt) == "paris")
+            routed = {"paris": [], "bessho": []}
+            for pts in columns:
+                for pt in pts.values():
+                    routed[_field_method(pt)].append(pt)
+            memo = expansions._KernelMemo(expansions.struve_block(routed["paris"]),
+                                          expansions.bessho_block(routed["bessho"]))
             evaluate = functools.partial(_field_column, rhos=rhos, alphas=alphas,
-                                         hscal=hscal)
+                                         memo=memo)
             for column in (pool.map(evaluate, columns) if pool else map(evaluate, columns)):
                 rows.extend(column)
     finally:

@@ -19,6 +19,11 @@ Three methods are provided, all sharing the EvalPoint geometry:
 The C_k coefficient tables (lookups into the quadrature oracle's cached
 table at every alpha; the exact alpha = 0 recurrence is kept as a
 reference) and the residual that the error table reports live here too.
+
+For a group of points, struve_block and bessho_block compute the two
+convergent sums in numpy array passes, bit for bit with the scalar loops
+that single calls run; `field` hands their results to paris_F and
+bessho_F through a _KernelMemo.
 """
 
 from __future__ import annotations
@@ -28,6 +33,8 @@ import math
 import warnings
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 from . import ddouble as dd
 from .errors import AccuracyError, DomainError, RegimeError
@@ -131,48 +138,21 @@ class CoefficientTable:
 
 
 class _KernelMemo:
-    """Kernel values shared by the points of one `field` column.
-
-    Holds jhat_m keyed by (m, w), the Bessel product ladder of each (x, rho)
-    and the lazily grown list of Hscal_j(xc) keyed by the exact xc, which
-    starts from `hscal` (see hscal_block) where that has xc.  Each entry is
-    a pure function of its key, so a result is bit-identical with or
-    without a shared memo.  It is not locked: give every thread its own.
+    """The convergent sums of the points of one `field` group, computed
+    by its array passes (struve_block, bessho_block) and keyed by
+    (x, rho, |alpha|): paris_F reads its Struve sum S1 from `struve`,
+    bessho_F its Bessel product sum from `bessho`.  Every entry is the
+    scalar loop's outcome bit for bit, refusals included.  Nothing writes
+    to it after it is built, so the threads of a group share it.
     """
 
-    def __init__(self, hscal=None):
-        self._jhat = {}
-        self._ladders = {}
-        self._hvals = {}
-        self._hscal = hscal or {}
+    def __init__(self, struve=None, bessho=None):
+        self.struve = struve or {}
+        self.bessho = bessho or {}
 
-    def jhat(self, m, w):
-        key = (m, w)
-        v = self._jhat.get(key)
-        if v is None:
-            v = self._jhat[key] = _jhat_dd(m, w)
-        return v
 
-    def products(self, x, rho):
-        """The products of _bessel_products(x, rho), each computed once:
-        replayed from the ladder, which grows as an iterator needs more.
-        Iterators of one memo must not be interleaved."""
-        ladder = self._ladders.get((x, rho))
-        if ladder is None:
-            ladder = self._ladders[(x, rho)] = ([], _bessel_products(x, rho, self.jhat))
-        done, source = ladder
-        yield from done
-        for p in source:
-            done.append(p)
-            yield p
-
-    def hvals(self, xc):
-        """The list of Hscal_j(xc), j = 0, 1, ..., that _struve_series
-        extends in place."""
-        v = self._hvals.get(xc)
-        if v is None:
-            v = self._hvals[xc] = list(self._hscal.get(xc, ()))
-        return v
+def _key(pt: EvalPoint):
+    return pt.x, pt.rho, pt.alpha_abs
 
 
 #: Orders 0 .. HSCAL_BLOCK_ORDER are computed by hscal_block; higher ones
@@ -180,23 +160,43 @@ class _KernelMemo:
 #: sweep the highest order asked for at an x c is 9 to 18, 13 in the median.
 HSCAL_BLOCK_ORDER = 20
 
-#: Most x c one array pass of hscal_block takes, and most (rho, |alpha|)
-#: points of the columns `field` gives one pass, so that its arrays and
-#: its result stay near 10 MB for any grid.
+#: Most x c one array pass of hscal_block takes, and most points one array
+#: pass of struve_block or bessho_block takes; also the most
+#: (rho, |alpha|) points of the columns `field` gives one group, so that
+#: the arrays and the results of a group stay near 10 MB for any grid.
 HSCAL_BLOCK_CHUNK = 4096
 
 
 def hscal_block(xcs):
     """{xc: [Hscal_0(xc), ..., Hscal_HSCAL_BLOCK_ORDER(xc)]} for the
     distinct xc of xcs, computed in array passes of up to HSCAL_BLOCK_CHUNK
-    of them, for _KernelMemo.  The values equal the scalar kernel's bit for
-    bit."""
+    of them.  The values equal the scalar kernel's bit for bit."""
     xcs = sorted(set(xcs))
     block = {}
     for i in range(0, len(xcs), HSCAL_BLOCK_CHUNK):
         chunk = xcs[i:i + HSCAL_BLOCK_CHUNK]
         block.update(zip(chunk, _struve_h_scaled_block(chunk, HSCAL_BLOCK_ORDER)))
     return block
+
+
+def _by_chunk(pts, one_pass):
+    """{key: outcome} of the distinct (x, rho, |alpha|) of pts, from
+    one_pass over chunks of up to HSCAL_BLOCK_CHUNK of them."""
+    pts = list({_key(pt): pt for pt in pts}.values())
+    out = {}
+    for i in range(0, len(pts), HSCAL_BLOCK_CHUNK):
+        chunk = pts[i:i + HSCAL_BLOCK_CHUNK]
+        out.update(zip(map(_key, chunk), one_pass(chunk)))
+    return out
+
+
+def _run_length(small, carried):
+    """Length of the run of True ending at each column of the boolean
+    array small, counting `carried` (0, 1 or 2) True before its first
+    column, capped at 3."""
+    ext = np.column_stack([carried >= 2, carried >= 1, small])
+    two = ext[:, 1:-1] & ext[:, 2:]
+    return np.where(two & ext[:, :-2], 3, np.where(two, 2, small.astype(int)))
 
 
 # ---------------------------------------------------------------------------
@@ -216,18 +216,38 @@ def _jhat_dd(m, w):
         i += 1
 
 
-def _bessel_products(x, rho, jhat):
+def _jhat_block(w, m):
+    """_jhat_dd(m, w) at every element of the integer array m and the
+    double-double array w, in one array pass; each element stops where the
+    scalar series stops, so the values equal the scalar ones bit for bit."""
+    hi, lo = np.empty(len(m)), np.empty(len(m))
+    t = s = (np.ones(len(m)), np.zeros(len(m)))
+    live = np.arange(len(m))
+    i = 0
+    while len(live):
+        t = dd.neg(dd.div_d(dd.mul(t, w), ((i + 1) * (2 * m + i + 1)).astype(float)))
+        done = np.abs(t[0]) <= 1e-21 * np.abs(s[0]) + 1e-305
+        if done.any():
+            hi[live[done]], lo[live[done]] = s[0][done], s[1][done]
+            run = ~done
+            live, m = live[run], m[run]
+            w, t, s = ((a[0][run], a[1][run]) for a in (w, t, s))
+        s = dd.add(s, t)
+        i += 1
+    return hi, lo
+
+
+def _bessel_products(x, rho):
     """kappa_m(rho/2) jhat_m(x) as double-doubles for m = 0, 1, ..., MAX_TERMS,
     where kappa_m = K_m(rho/2) (x/2)^{2m} / (2m)! is advanced by the K
     recurrence; None in place of the first product whose kappa_m overflows,
-    which ends the ladder.  None of it depends on alpha.  jhat(m, w) gives
-    jhat_m with w = (x/2)^2."""
+    which ends the ladder.  None of it depends on alpha."""
     w = dd.two_prod(0.5 * x, 0.5 * x)
     m_dd = dd.div_d(dd.two_prod(x, x), 4.0 * rho)
     k0, k1, _ = _k01_dd(0.5 * rho)
     kap_prev = k0                                  # kappa_0
     kap_cur = dd.div_d(dd.mul(k1, w), 2.0)         # kappa_1
-    yield dd.mul(kap_prev, jhat(0, w))
+    yield dd.mul(kap_prev, _jhat_dd(0, w))
     for m in range(1, MAX_TERMS + 1):
         if m == 1:
             kap = kap_cur
@@ -240,7 +260,162 @@ def _bessel_products(x, rho, jhat):
         if not math.isfinite(kap[0]):
             yield None
             return
-        yield dd.mul(kap, jhat(m, w))
+        yield dd.mul(kap, _jhat_dd(m, w))
+
+
+def _bessho_sum(alpha, products):
+    """The Bessel product series at |alpha| = alpha, summed in double-double
+    from the products of _bessel_products until its stopping rule.
+
+    Returns (total, peak, abs_sum, last, m, stop): peak is the largest
+    |partial sum|, abs_sum the sum of |terms|, last the last |term|, m the
+    index of the last product read, and stop None, "overflow" (product m
+    overflowed and was not summed) or "max_terms".  The sum stops after
+    three consecutive terms below SERIES_REL_TOL relative (single small
+    terms are routinely accidental: cos(m alpha) has zeros).
+    """
+    total = next(products)
+    peak = abs_sum = last = abs(total[0])
+    small = 0
+    m = 0
+    for prod in products:
+        m += 1
+        if prod is None:
+            return total, peak, abs_sum, last, m, "overflow"
+        sign = -1.0 if m % 2 else 1.0
+        term = dd.mul_d(prod, 2.0 * sign * math.cos(m * alpha))
+        total = dd.add(total, term)
+        peak = max(peak, abs(total[0]))
+        abs_sum += abs(term[0])
+        last = abs(term[0])
+        if last <= SERIES_REL_TOL * abs(total[0]):
+            small += 1
+            if small >= 3:
+                return total, peak, abs_sum, last, m, None
+        else:
+            small = 0
+    return total, peak, abs_sum, last, m, "max_terms"
+
+
+#: Indices m that bessho_block takes in one window: the ladders advance
+#: this many m at a time, and every point sums them in one go.  The rows
+#: of the benchmark's field sweep read 11 to 42 products.
+BESSHO_WINDOW = 24
+
+
+def bessho_block(pts):
+    """{(x, rho, |alpha|): _bessho_sum's outcome} for the distinct points
+    of pts, in array passes of up to HSCAL_BLOCK_CHUNK of them.
+
+    The kappa_m ladder of every (x, rho), jhat_m(x), and the terms and
+    partial sums of every point run elementwise on float64 arrays,
+    BESSHO_WINDOW indices m at a time.  Each element takes the scalar
+    steps in their order, cos(m |alpha|) comes from math.cos and K0, K1
+    from _k01_dd as in the scalar path, so every outcome equals
+    _bessho_sum's at that point bit for bit, refusals included.
+    """
+    return _by_chunk(pts, _bessho_pass)
+
+
+def _bessho_pass(pts):
+    pairs = sorted({(pt.x, pt.rho) for pt in pts})
+    xs = sorted({x for x, _ in pairs})
+    alphas = sorted({pt.alpha_abs for pt in pts})
+    pair_of = {p: i for i, p in enumerate(pairs)}
+    alpha_of = {a: i for i, a in enumerate(alphas)}
+    x_of = {x: i for i, x in enumerate(xs)}
+    # per distinct x its w = (x/2)^2; per (x, rho) pair its ladder
+    xw = dd.two_prod(0.5 * np.array(xs), 0.5 * np.array(xs))
+    xp = np.array([x_of[x] for x, _ in pairs])          # pair -> x
+    px = np.array([x for x, _ in pairs])
+    k01 = {rho: _k01_dd(0.5 * rho)[:2] for rho in {rho for _, rho in pairs}}
+    k0, k1 = ((np.array([k01[rho][j][0] for _, rho in pairs]),
+               np.array([k01[rho][j][1] for _, rho in pairs])) for j in (0, 1))
+    w = (xw[0][xp], xw[1][xp])
+    m_dd = dd.div_d(dd.two_prod(px, px), 4.0 * np.array([rho for _, rho in pairs]))
+    ww = dd.mul(w, w)
+    kap_prev = k0
+    kap_cur = dd.div_d(dd.mul(k1, w), 2.0)
+    j0 = _jhat_block(xw, np.zeros(len(xs), dtype=int))
+    first = dd.mul(kap_prev, (j0[0][xp], j0[1][xp]))
+
+    pr = np.array([pair_of[pt.x, pt.rho] for pt in pts])   # point -> pair
+    ar = np.array([alpha_of[pt.alpha_abs] for pt in pts])  # point -> alpha
+    idx = np.arange(len(pts))
+    total = (first[0][pr], first[1][pr])
+    peak = abs_sum = last = np.abs(total[0])
+    small = np.zeros(len(pts), dtype=int)
+    out = [None] * len(pts)
+    m0 = 1
+    with np.errstate(all="ignore"):    # past an overflow, as in the scalar code
+        while len(idx):
+            ms = np.arange(m0, min(m0 + BESSHO_WINDOW, MAX_TERMS + 1))
+            width = len(ms)
+            # the ladders over the window (at m = 1 kappa_1 is kap_cur itself)
+            a = dd.div_d(dd.mul_d((m_dd[0][:, None], m_dd[1][:, None]), 4.0 * (ms - 1)),
+                         ((2 * ms) * (2 * ms - 1)).astype(float))
+            b = dd.div_d((ww[0][:, None], ww[1][:, None]),
+                         ((2 * ms) * (2 * ms - 1) * (2 * ms - 2) * (2 * ms - 3)).astype(float))
+            kap = np.empty((2, len(xp), width))
+            for k, m in enumerate(ms.tolist()):
+                if m > 1:
+                    nxt = dd.add(dd.mul(kap_cur, (a[0][:, k], a[1][:, k])),
+                                 dd.mul(kap_prev, (b[0][:, k], b[1][:, k])))
+                    kap_prev, kap_cur = kap_cur, nxt
+                kap[0][:, k], kap[1][:, k] = kap_cur
+            finite = np.isfinite(kap[0])
+            ovf = np.where(finite.all(axis=1), width, (~finite).argmax(axis=1))
+            # jhat_m of every x a ladder still uses, then the products
+            xl = np.unique(xp)
+            jh = _jhat_block((np.repeat(xw[0][xl], width), np.repeat(xw[1][xl], width)),
+                             np.tile(ms, len(xl)))
+            at = np.searchsorted(xl, xp)
+            prod = dd.mul((kap[0], kap[1]), (jh[0].reshape(-1, width)[at],
+                                             jh[1].reshape(-1, width)[at]))
+            # every point's terms and partial sums; column 0 is the carried sum
+            coef = np.array([[2.0 * (-1.0 if m % 2 else 1.0) * math.cos(m * alpha)
+                              for m in ms.tolist()] for alpha in alphas])
+            term = dd.mul_d((prod[0][pr], prod[1][pr]), coef[ar])
+            tot = np.empty((2, len(idx), width + 1))
+            tot[0][:, 0], tot[1][:, 0] = total
+            for k in range(width):
+                tot[0][:, k + 1], tot[1][:, k + 1] = dd.add(
+                    (tot[0][:, k], tot[1][:, k]), (term[0][:, k], term[1][:, k]))
+            aterm = np.abs(term[0])
+            atot = np.abs(tot[0][:, 1:])
+            run = _run_length(aterm <= SERIES_REL_TOL * atot, small)
+            row_ovf = ovf[pr]
+            stop = (run >= 3) & (np.arange(width) < row_ovf[:, None])
+            stopped = stop.any(axis=1)
+            overflowed = ~stopped & (row_ovf < width)
+            exhausted = ~stopped & ~overflowed & (ms[-1] == MAX_TERMS)
+            end = np.where(stopped, stop.argmax(axis=1) + 1,
+                           np.where(overflowed, row_ovf, width))
+            rows = np.arange(len(idx))
+            total = (tot[0][rows, end], tot[1][rows, end])
+            peak = np.fmax.accumulate(np.column_stack([peak, atot]), axis=1)[rows, end]
+            abs_sum = np.add.accumulate(np.column_stack([abs_sum, aterm]), axis=1)[rows, end]
+            last = np.column_stack([last, aterm])[rows, end]
+            m_end = m0 - 1 + end + overflowed
+            finished = stopped | overflowed | exhausted
+            for i in np.flatnonzero(finished).tolist():
+                out[idx[i]] = ((float(total[0][i]), float(total[1][i])),
+                               float(peak[i]), float(abs_sum[i]), float(last[i]),
+                               int(m_end[i]), None if stopped[i] else
+                               "overflow" if overflowed[i] else "max_terms")
+            keep = ~finished
+            small = run[:, -1][keep]
+            idx, pr, ar, peak, abs_sum, last = (v[keep] for v in
+                                                (idx, pr, ar, peak, abs_sum, last))
+            total = (total[0][keep], total[1][keep])
+            # keep the ladders that a point still reads
+            used = np.unique(pr)
+            pr = np.searchsorted(used, pr)
+            xp = xp[used]
+            kap_prev, kap_cur, m_dd, ww = ((v[0][used], v[1][used])
+                                           for v in (kap_prev, kap_cur, m_dd, ww))
+            m0 += width
+    return out
 
 
 def bessho_F(pt: EvalPoint, *, memo: Optional[_KernelMemo] = None) -> MethodResult:
@@ -250,46 +425,23 @@ def bessho_F(pt: EvalPoint, *, memo: Optional[_KernelMemo] = None) -> MethodResu
     kappa_m = K_m (x/2)^{2m} / (2m)!  and  jhat_m = J_2m (2m)! (x/2)^{-2m}
     (_bessel_products).  This keeps every intermediate in range for any M
     and concentrates the cancellation in the final sum, which is
-    accumulated in double-double.  Stops after three consecutive terms
-    below SERIES_REL_TOL relative (single small terms are routinely
-    accidental: cos(m alpha) has zeros).  memo shares the products between
-    calls at the same (x, rho) (see _KernelMemo); by default every call
-    computes them afresh.
+    accumulated in double-double (_bessho_sum).  memo holds the sum as
+    bessho_block computed it for a group of points (see _KernelMemo); by
+    default it is computed here.
     """
     if memo is None:
-        products = _bessel_products(pt.x, pt.rho, _jhat_dd)
+        summed = _bessho_sum(pt.alpha_abs, _bessel_products(pt.x, pt.rho))
     else:
-        products = memo.products(pt.x, pt.rho)
-    total = next(products)
-    peak = abs(total[0])
-    abs_sum = abs(total[0])
-    last = abs(total[0])
-    small = 0
-    m = 0
-    for prod in products:
-        m += 1
-        if prod is None:
-            raise AccuracyError("Bessel product terms overflow double range",
-                                value=dd.to_float(total), terms_used=m)
-        sign = -1.0 if m % 2 else 1.0
-        term = dd.mul_d(prod, 2.0 * sign * math.cos(m * pt.alpha_abs))
-        total = dd.add(total, term)
-        peak = max(peak, abs(total[0]))
-        abs_sum += abs(term[0])
-        last = abs(term[0])
-        if last <= SERIES_REL_TOL * abs(total[0]):
-            small += 1
-            if small >= 3:
-                break
-        else:
-            small = 0
-    else:
+        summed = memo.bessho[_key(pt)]
+    total, peak, abs_sum, last, m, stop = summed
+    if stop == "overflow":
+        raise AccuracyError("Bessel product terms overflow double range",
+                            value=dd.to_float(total), terms_used=m)
+    if stop == "max_terms":
         raise AccuracyError(
-            f"Bessel product series not converged in {MAX_TERMS} terms "
+            f"Bessel product series not converged in {m} terms "
             f"(M = {pt.M:.3g}; convergence needs ~2.7 M terms)",
-            value=dd.to_float(total), error_estimate=last,
-            terms_used=MAX_TERMS)
-
+            value=dd.to_float(total), error_estimate=last, terms_used=m)
     value = dd.to_float(total)
     if peak > 1e12 * max(abs(value), 5e-324):
         raise AccuracyError(
@@ -357,16 +509,17 @@ def ursell_F(pt: EvalPoint) -> MethodResult:
 # convergent scaled-Struve sums
 
 
-def _struve_series(x, rho, s, c, memo):
+def _struve_series(x, rho, s, c):
     """sum_r (rho^r/r!) sum_m ((-1)^m (m+1/2)_r / m!) (xs/2)^{2m} Hscal_{m+r}(xc).
 
-    Returns (value, terms_used).  At s = 0 only m = 0 survives and this is
-    the single sum over r.  The Hscal values come from, and are added to,
-    memo's list for xc.
+    Returns (value, terms_used, exhausted): exhausted is None, or "inner"
+    or "outer", the loop that ran out of MAX_TERMS (value is then the
+    partial sum).  At s = 0 only m = 0 survives and this is the single sum
+    over r.
     """
     xc = x * c
     y = (0.5 * x * s) ** 2
-    hvals = memo.hvals(xc)
+    hvals = []
 
     def hscal(j):
         while len(hvals) <= j:
@@ -409,16 +562,136 @@ def _struve_series(x, rho, s, c, memo):
             else:
                 small_m = 0
         else:
-            raise AccuracyError("inner Struve sum exhausted MAX_TERMS",
-                                value=total + comp, terms_used=terms)
+            return total + comp, terms, "inner"
         if abs(block) <= SERIES_REL_TOL * abs(total) + 1e-305:
             small_r += 1
             if small_r >= 3:
-                return total + comp, terms
+                return total + comp, terms, None
         else:
             small_r = 0
-    raise AccuracyError("outer Struve sum exhausted MAX_TERMS",
-                        value=total + comp, terms_used=terms)
+    return total + comp, terms, "outer"
+
+
+def _struve_value(outcome):
+    """(S1, terms_used) of a _struve_series outcome; AccuracyError where
+    the sum ran out of MAX_TERMS."""
+    value, terms, exhausted = outcome
+    if exhausted:
+        raise AccuracyError(f"{exhausted} Struve sum exhausted MAX_TERMS",
+                            value=value, terms_used=terms)
+    return value, terms
+
+
+#: Inner terms m that struve_block takes in one window.  Every inner sum
+#: of the benchmark's field sweep ends within 15 terms.
+STRUVE_WINDOW = 16
+
+
+def struve_block(pts):
+    """{(x, rho, |alpha|): _struve_series's outcome} for the distinct
+    points of pts, in array passes of up to HSCAL_BLOCK_CHUNK of them.
+
+    Every point is one element of float64 arrays that runs the scalar
+    steps: its inner sum over m takes STRUVE_WINDOW terms at a time, whose
+    coefficients, partial sums and Neumaier compensation come from
+    running products and sums (numpy's accumulate, which adds and
+    multiplies in order), and it stops where the scalar loops stop.  The
+    Hscal values come from one hscal_block of all of pts, orders above it
+    from the scalar kernel, so every outcome equals _struve_series's bit
+    for bit.
+    """
+    pts = list(pts)
+    hscal = hscal_block(pt.x * pt.c for pt in pts)
+    return _by_chunk(pts, lambda chunk: _struve_pass(chunk, hscal))
+
+
+def _struve_pass(pts, hscal):
+    xcs = sorted({pt.x * pt.c for pt in pts})
+    row_of = {xc: i for i, xc in enumerate(xcs)}
+    xi = np.array([row_of[pt.x * pt.c] for pt in pts])
+    y = np.array([(0.5 * pt.x * pt.s) ** 2 for pt in pts])
+    rho = np.array([pt.rho for pt in pts])
+    n = len(pts)
+    idx = np.arange(n)
+    r, m0, terms, small_m, small_r = (np.zeros(n, dtype=int) for _ in range(5))
+    rcoef, poch_base, mcoef, poch = (np.ones(n) for _ in range(4))
+    block, total, comp = (np.zeros(n) for _ in range(3))
+    out = [None] * n
+
+    def tabulate():
+        avail = np.array([len(hscal[xc]) for xc in xcs])
+        table = np.full((len(xcs), avail.max()), np.nan)
+        for i, xc in enumerate(xcs):
+            table[i, :avail[i]] = hscal[xc]
+        return avail, table
+
+    avail, table = tabulate()
+    k = np.arange(STRUVE_WINDOW)
+    with np.errstate(all="ignore"):    # columns past a point's stop are not used
+        while len(idx):
+            # orders beyond the block come from the scalar kernel, as in
+            # _struve_series
+            need = r + m0
+            short = need >= avail[xi]
+            if short.any():
+                for i, j in zip(xi[short].tolist(), need[short].tolist()):
+                    hvals = hscal[xcs[i]]
+                    while len(hvals) <= j:
+                        v, _, _ = _struve_h_scaled_dd(len(hvals), xcs[i])
+                        hvals.append(dd.to_float(v))
+                avail, table = tabulate()
+            m = m0[:, None] + k
+            j = r[:, None] + m
+            usable = (j < avail[xi][:, None]) & (m < MAX_TERMS)
+            h = table[xi[:, None], np.minimum(j, table.shape[1] - 1)]
+            f = np.empty(m.shape)
+            f[:, 0], f[:, 1:] = mcoef, y[:, None] / m[:, 1:]
+            mc = np.multiply.accumulate(f, axis=1)
+            f[:, 0], f[:, 1:] = poch, (m[:, 1:] - 0.5 + r[:, None]) / (m[:, 1:] - 0.5)
+            po = np.multiply.accumulate(f, axis=1)
+            t = rcoef[:, None] * np.where(m & 1, -mc, mc) * po * h
+            tot = np.add.accumulate(np.column_stack([total, t]), axis=1)
+            prev, cur = tot[:, :-1], tot[:, 1:]
+            fix = np.where(np.abs(prev) >= np.abs(t), (prev - cur) + t, (t - cur) + prev)
+            cmp = np.add.accumulate(np.column_stack([comp, fix]), axis=1)
+            blk = np.add.accumulate(np.column_stack([block, t]), axis=1)
+            run = _run_length(np.abs(t) <= SERIES_REL_TOL * np.abs(cur) + 1e-305, small_m)
+            stop = (run >= 3) & usable
+            broke = stop.any(axis=1)
+            end = np.where(broke, stop.argmax(axis=1), usable.sum(axis=1) - 1)
+            rows = np.arange(len(idx))
+            total, comp, block = cur[rows, end], cmp[rows, end + 1], blk[rows, end + 1]
+            terms = terms + end + 1
+            small_r = np.where(
+                broke, np.where(np.abs(block) <= SERIES_REL_TOL * np.abs(total) + 1e-305,
+                                small_r + 1, 0), small_r)
+            done = broke & (small_r >= 3)
+            inner = ~broke & (m0 + end + 1 >= MAX_TERMS)
+            outer = broke & ~done & (r == MAX_TERMS - 1)
+            finished = done | inner | outer
+            value = total + comp
+            for i in np.flatnonzero(finished).tolist():
+                out[idx[i]] = (float(value[i]), int(terms[i]),
+                               None if done[i] else "inner" if inner[i] else "outer")
+            # where the inner sum broke the next r starts, elsewhere it goes on
+            new_r = broke & ~finished
+            r1 = r + 1
+            m1 = m0 + end + 1
+            rcoef = np.where(new_r, rcoef * (rho / r1), rcoef)
+            poch_base = np.where(new_r, poch_base * (r1 - 0.5), poch_base)
+            mcoef = np.where(new_r, 1.0, mc[rows, end] * (y / m1))
+            poch = np.where(new_r, poch_base,
+                            po[rows, end] * ((m1 - 0.5 + r) / (m1 - 0.5)))
+            block = np.where(new_r, 0.0, block)
+            small_m = np.where(new_r, 0, run[rows, end])
+            m0 = np.where(new_r, 0, m1)
+            r = np.where(new_r, r1, r)
+            keep = ~finished
+            idx, xi, y, rho, r, m0, terms, small_m, small_r = (
+                v[keep] for v in (idx, xi, y, rho, r, m0, terms, small_m, small_r))
+            rcoef, poch_base, mcoef, poch, block, total, comp = (
+                v[keep] for v in (rcoef, poch_base, mcoef, poch, block, total, comp))
+    return out
 
 
 def struve_double_sum(pt: EvalPoint) -> float:
@@ -428,7 +701,7 @@ def struve_double_sum(pt: EvalPoint) -> float:
     midplane sum  sum_r ((1/2)_r / r!) rho^r Hscal_r(x);  I1 equals
     (pi e^-rho / 2) times this value.
     """
-    value, _ = _struve_series(pt.x, pt.rho, pt.s, pt.c, _KernelMemo())
+    value, _ = _struve_value(_struve_series(pt.x, pt.rho, pt.s, pt.c))
     return value
 
 
@@ -504,10 +777,11 @@ def ck_table(n: int, x: float, alpha: float) -> CoefficientTable:
 
 def _asymptotic_terms(pt: EvalPoint, ck: CoefficientTable):
     fac = 1.0
+    four_m = 4.0 * pt.M
     out = []
     for k, c in enumerate(ck.values):
         out.append(fac * c)
-        fac /= 4.0 * pt.M * (k + 1)
+        fac /= four_m * (k + 1)
     return out
 
 
@@ -572,12 +846,16 @@ def _saddle_defect(pt: EvalPoint, sad: float) -> float:
                else amp * SADDLE_DEFECT_SCALE / ms2)
 
 
-def _large_parts(pt: EvalPoint, n: int, memo: _KernelMemo):
+def _large_parts(pt: EvalPoint, n: int, memo: Optional[_KernelMemo] = None):
     """The two large parts of the expansion, pi e^(-rho/2) S1 and
     pi e^(rho/2) sum_{k<n} M^-k/(2^2k k!) C_k, followed by S1, the
     asymptotic sum, the number of Struve terms and the last asymptotic
-    term."""
-    s1, terms = _struve_series(pt.x, pt.rho, pt.s, pt.c, memo)
+    term.  S1 is read from memo where given (see _KernelMemo)."""
+    if memo is None:
+        summed = _struve_series(pt.x, pt.rho, pt.s, pt.c)
+    else:
+        summed = memo.struve[_key(pt)]
+    s1, terms = _struve_value(summed)
     ck = ck_table(n, pt.x, pt.alpha_abs)
     asym = asymptotic_sum(pt, ck)
     return (math.pi * math.exp(-0.5 * pt.rho) * s1,
@@ -593,15 +871,14 @@ def paris_F(pt: EvalPoint, policy: TruncationPolicy = DEFAULT_POLICY, *,
 
     with S1 the convergent double Struve sum.  The stored components
     reproduce the value exactly in double arithmetic.  Soft regime: M >= 4
-    (a warning is issued below).  memo shares the Struve values between
-    calls (see _KernelMemo); by default every call starts afresh.
+    (a warning is issued below).  memo holds S1 as struve_block computed
+    it for a group of points (see _KernelMemo); by default it is computed
+    here.
     """
     if pt.M < 4.0:
         warnings.warn(f"paris_F called at M = {pt.M:.3g} < 4; accuracy degrades "
                       "as M shrinks", RuntimeWarning, stacklevel=2)
     n = policy.resolve_n(pt)
-    if memo is None:
-        memo = _KernelMemo()
     struve_part, asym_part, s1, asym, terms, last = _large_parts(pt, n, memo)
     sad = saddle_term(pt)
     value = -struve_part + asym_part + sad
@@ -626,5 +903,5 @@ def curly_F_residual(pt: EvalPoint, n: int, oracle_abs_tol: float = 1e-12) -> fl
     defect; the reference error table reports its magnitude.
     """
     f_val = oracle_F(pt, abs_tol=oracle_abs_tol).value
-    struve_part, asym_part = _large_parts(pt, n, _KernelMemo())[:2]
+    struve_part, asym_part = _large_parts(pt, n)[:2]
     return f_val + struve_part - asym_part

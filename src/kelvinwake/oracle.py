@@ -26,9 +26,14 @@ by the substitution tau = p sin(theta) before any rule sees them.
 The coefficients C_k(x, alpha) of the asymptotic 1/M series are computed
 as a whole table, C_0 .. C_30, in one vectorised adaptive Gauss-Kronrod
 pass per (x, |alpha|): both integral forms of every k are evaluated as
-numpy arrays on one shared mesh.  The table is cached under
-(x, alpha, rel_tol); oracle_Ck looks single coefficients up in it, and
-oracle_Ck.cache_clear() empties it.
+numpy arrays on one shared mesh.  Every initial mesh ends in the same 25
+panels of width 6 on [4, 154]; their nodes w and moment weights
+w^2k e^-w are a module constant, computed once at import by the same
+expression, so a table's first pass forms only its panels below 4, about
+log2(4 / (x c)) + 1 of them.
+The constant is no result cache: it does not depend on x or alpha.  The
+table is cached under (x, alpha, rel_tol); oracle_Ck looks single
+coefficients up in it, and oracle_Ck.cache_clear() empties it.
 """
 
 from __future__ import annotations
@@ -415,41 +420,56 @@ _CK_TAIL_XI = np.array([upper_inc_gamma(2.0 * k + 1.0, _CK_CUT).value for k in _
 _CK_TAIL_T = np.array([upper_inc_gamma(2.0 * k, _CK_CUT).value for k in _CK_K])
 
 
-def _ck_mesh(lam):
-    """Initial panels of [0, W]: doubling from lam = x c (where the factor
-    1/sqrt(1 + (w/lam)^2) turns over) up to 4, then of width 6."""
+def _ck_nodes(a, b):
+    """GK21 half-widths, nodes w and moment weights w^2k e^-w on the panels
+    [a, b]: (h, w, weights), weights shaped (K, panels, 21)."""
+    h = 0.5 * (b - a)
+    w = (0.5 * (a + b))[:, None] + h[:, None] * _GK21_NODES
+    return h, w, w ** _CK_POWERS[:, None, None] * np.exp(-w)
+
+
+#: Every initial mesh ends in the 25 panels of width 6 on [4, W]; their
+#: nodes and weights are the same for every table.
+_CK_FAR_EDGES = np.linspace(4.0, _CK_CUT, 26)
+_CK_FAR = _ck_nodes(_CK_FAR_EDGES[:-1], _CK_FAR_EDGES[1:])
+for _part in _CK_FAR:
+    _part.flags.writeable = False
+
+
+def _ck_near_edges(lam):
+    """Edges of the initial panels below 4: doubling from lam = x c (where
+    the factor 1/sqrt(1 + (w/lam)^2) turns over) up to 4."""
     pts = [0.0]
     edge = lam
     while edge < 4.0:
         pts.append(edge)
         edge *= 2.0
-    pts.extend(np.linspace(4.0, _CK_CUT, 26))
-    pts = np.array(pts)
-    return pts[:-1], pts[1:]
+    pts.append(4.0)
+    return np.array(pts)
 
 
-def _ck_gk21(a, b, x, c, s):
-    """GK21 on the panels [a, b] for the moments of both forms of g.
+def _ck_gk21(h, w, weights, x, c, s):
+    """GK21 on panels given by _ck_nodes, for the moments of both forms of g.
 
     Returns (value, error, floor), each shaped (2, K, panels): form 0 is
     the xi-form g = cos(s x r)/r with r = sqrt(1 + (w/(x c))^2), form 1 the
     t-form g = cos(s R)/R with R = sqrt(x^2 + (w/c)^2).  error is QUADPACK's
     Kronrod-Gauss estimate, floor its rounding floor.
     """
-    h = 0.5 * (b - a)
-    w = (0.5 * (a + b))[:, None] + h[:, None] * _GK21_NODES
     r = np.sqrt(1.0 + (w / (x * c)) ** 2)
     R = np.sqrt(x * x + (w / c) ** 2)
     g = np.stack([np.cos(s * x * r) / r, np.cos(s * R) / R])
-    f = (w ** _CK_POWERS[:, None, None] * np.exp(-w))[None] * g[:, None]
+    f = weights[None] * g[:, None]
     resk = f @ _GK21_KRONROD
     diff = np.abs(resk - f @ _GK21_GAUSS) * h
-    resasc = np.abs(f - 0.5 * resk[..., None]) @ _GK21_KRONROD * h
+    # |f - resk/2| and then |f|, in one scratch buffer
+    buf = np.subtract(f, 0.5 * resk[..., None])
+    resasc = np.abs(buf, out=buf) @ _GK21_KRONROD * h
     with np.errstate(divide="ignore", invalid="ignore"):
         err = np.where(resasc > 0.0,
                        resasc * np.minimum(1.0, (200.0 * diff / resasc) ** 1.5),
                        diff)
-    return resk * h, err, _ROUNDING * (np.abs(f) @ _GK21_KRONROD) * h
+    return resk * h, err, _ROUNDING * (np.abs(f, out=buf) @ _GK21_KRONROD) * h
 
 
 def _ck_moments(x, c, s, rel_tol):
@@ -467,14 +487,23 @@ def _ck_moments(x, c, s, rel_tol):
     abs_tol = 1e-15 * _CK_ENVELOPE * np.array([[1.0], [1.0 / max(x, 1.0)]])
     a = b = np.empty(0)
     val = err = floor = np.empty((2, CK_INDEX_MAX + 1, 0))
-    na, nb = _ck_mesh(x * c)
+    near = _ck_near_edges(x * c)
+    na = np.concatenate([near[:-1], _CK_FAR_EDGES[:-1]])
+    nb = np.concatenate([near[1:], _CK_FAR_EDGES[1:]])
     nodes = 0
     while True:
         if len(a) + len(na) > MAX_CK_PANELS:
             raise AccuracyError(
                 f"C_k quadrature at (x, c) = ({x}, {c}) needs more than "
                 f"{MAX_CK_PANELS} panels")
-        nval, nerr, nfloor = _ck_gk21(na, nb, x, c, s)
+        if nodes:
+            grid = _ck_nodes(na, nb)
+        else:
+            # the first pass: only the panels below 4 need their nodes
+            h, w, weights = _ck_nodes(near[:-1], near[1:])
+            grid = (np.concatenate([h, _CK_FAR[0]]), np.concatenate([w, _CK_FAR[1]]),
+                    np.concatenate([weights, _CK_FAR[2]], axis=1))
+        nval, nerr, nfloor = _ck_gk21(*grid, x, c, s)
         nodes += 21 * len(na)
         a, b = np.concatenate([a, na]), np.concatenate([b, nb])
         val = np.concatenate([val, nval], axis=-1)

@@ -75,6 +75,15 @@ class TestTailBound:
         for n in range(1, 14):
             assert tail_bound(n, pt_m125) > 0
 
+    def test_underflow_leaves_the_smallest_positive_double(self):
+        # M u0 c = 400: 2 e^-800 underflows; at 3000 so does 2 e^-3000
+        for rho, n in [(1 / 1600, 1), (1 / 12000, 1), (1 / 12000, 40)]:
+            pt = EvalPoint(1.0, rho, 0.0)
+            simple, finite = tail_bound_components(n, pt)
+            assert finite == 5e-324
+            assert simple == max(2.0 * math.exp(-pt.M), 5e-324)
+            assert tail_bound(n, pt) == 5e-324
+
 
 class TestVerifyRemainder:
     def test_midplane_n3(self, pt_m8):
@@ -87,6 +96,12 @@ class TestVerifyRemainder:
         pt = EvalPoint(1.0, 0.02, 0.2 * math.pi)
         rep = verify_remainder(pt, 5)
         assert abs(rep.measured_rn) < rep.rn_bound
+
+    def test_passes_where_the_tail_bound_underflows(self):
+        # M = 400: the finite-n bound 2 e^-800 is below the double range
+        rep = verify_remainder(EvalPoint(1.0, 1 / 1600, 0.0), 1)
+        assert rep.tail_bound > 0.0
+        assert abs(rep.measured_tail) < rep.tail_bound
 
     def test_degenerate_n1(self, pt_m125):
         rep = verify_remainder(pt_m125, 1)

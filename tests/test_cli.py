@@ -270,6 +270,31 @@ def test_field_hscal_block_per_group_of_columns(capsys, monkeypatch, chunk, grou
     assert all(calls)
 
 
+@pytest.mark.parametrize("chunk,threads", [(4096, "1"), (12, "2"), (5, "2")])
+def test_field_group_passes_equal_fresh_calls(capsys, monkeypatch, chunk, threads):
+    # all-bessho (x = 0.4), mixed (x = 1.6) and all-paris (x = 2.8)
+    # columns, in one group or several, on one thread or two: every row
+    # has the fields of a fresh scalar evaluation, bit for bit
+    import kelvinwake.cli as cli
+
+    monkeypatch.setattr(cli.expansions, "HSCAL_BLOCK_CHUNK", chunk)
+    code, out, _ = run(capsys, "field", "--x-range", "0.4:2.8:3",
+                       "--rho-range", "0.01:0.2:2",
+                       "--alpha-pi-range=-0.5:0.5:5", "--format", "csv",
+                       "--threads", threads)
+    assert code == 0
+    lines = out.strip().split("\n")
+    assert len(lines) == 1 + 3 * 2 * 5
+    methods = {}
+    for line in lines[1:]:
+        row = dict(zip(cli._FIELD_HEADER, line.split(",")))
+        pt = EvalPoint(float(row["x"]), float(row["rho"]), float(row["alpha"]))
+        fresh = cli._method_record(pt, row["method"], cli.TruncationPolicy(), 1e-12)
+        assert row == {h: cli._fmt(fresh[h]) for h in cli._FIELD_HEADER}
+        methods.setdefault(pt.x, set()).add(row["method"])
+    assert methods == {0.4: {"bessho"}, 1.6: {"bessho", "paris"}, 2.8: {"paris"}}
+
+
 @pytest.mark.parametrize("argv", [
     ["field", "--x-range", f"0.5:1:{MAX_GRID_POINTS + 1}",
      "--rho-range", "0.01:0.01:1", "--alpha-pi-range", "0:0:1"],

@@ -103,9 +103,33 @@ def _outcome(f, pt, **kwargs):
     try:
         r = f(pt, **kwargs)
     except AccuracyError as exc:
-        return ("raised", repr(exc.value), exc.terms_used, repr(exc.error_estimate))
+        return ("raised", repr(exc.value), exc.terms_used, repr(exc.error_estimate),
+                type(exc).__name__, str(exc))
     return ("ok", r.value, r.internal_error_estimate, r.terms_used, r.n_used,
             r.components)
+
+
+def _group_memo(pts):
+    """The memo `field` builds for a group: each point's sum from the
+    array pass of its route, bessho below M = 6, paris above."""
+    return expansions._KernelMemo(
+        expansions.struve_block(p for p in pts if p.M >= 6.0),
+        expansions.bessho_block(p for p in pts if p.M < 6.0))
+
+
+def _check_group(pts, routes=("bessho", "paris")):
+    """Every point's outcome with its group's memo equals a fresh call's
+    bit for bit; returns the outcomes."""
+    memo = _group_memo(pts)
+    got = []
+    for pt in pts:
+        f = paris_F if pt.M >= 6.0 else bessho_F
+        if f.__name__.split("_")[0] not in routes:
+            continue
+        o = _outcome(f, pt, memo=memo)
+        assert o == _outcome(f, pt), pt
+        got.append(o)
+    return got
 
 
 def _mp_bessel_product(pt, dps):
@@ -128,6 +152,8 @@ def _mp_bessel_product(pt, dps):
 
 
 class TestKernelMemo:
+    """The array passes of a `field` group against fresh scalar calls."""
+
     ALPHAS = [f * math.pi for f in (0.0, 0.1, -0.1, 0.25, 0.37, 0.5, -0.5, 0.03)]
 
     @pytest.mark.parametrize("x,rho", [
@@ -139,43 +165,82 @@ class TestKernelMemo:
         (3.0, 0.0005),                 # M = 4500: the terms overflow
     ])
     def test_shared_bessho_ladder_equals_fresh_calls(self, x, rho):
-        memo = expansions._KernelMemo()
-        for alpha in self.ALPHAS:
-            pt = EvalPoint(x, rho, alpha)
+        pts = [EvalPoint(x, rho, a) for a in self.ALPHAS]
+        memo = expansions._KernelMemo(bessho=expansions.bessho_block(pts))
+        for pt in pts:
             assert _outcome(bessho_F, pt, memo=memo) == _outcome(bessho_F, pt)
 
     def test_one_memo_over_several_columns(self):
-        memo = expansions._KernelMemo()
-        for alpha in self.ALPHAS:
-            for x, rho in [(0.4, 0.005), (0.4, 0.02), (1.0, 0.005), (1.0, 0.02)]:
-                pt = EvalPoint(x, rho, alpha)
-                assert _outcome(bessho_F, pt, memo=memo) == _outcome(bessho_F, pt)
+        # all-bessho (x = 0.4), mixed (x = 1) and all-paris (x = 2.75)
+        # columns
+        pts = [EvalPoint(x, rho, a) for x in (0.4, 1.0, 2.75)
+               for rho in (0.01, 0.05, 0.15) for a in self.ALPHAS]
+        got = _check_group(pts)
+        assert {o[0] for o in got} == {"ok"}
+        assert [sorted({p.M >= 6.0 for p in pts if p.x == x}) for x in (0.4, 1.0, 2.75)] \
+            == [[False], [False, True], [True]]
 
     def test_refusals_come_out_with_a_shared_ladder(self):
-        memo = expansions._KernelMemo()
-        outcomes = [_outcome(bessho_F, EvalPoint(1.0, 0.0078, a), memo=memo)
-                    for a in self.ALPHAS]
-        assert any(o[0] == "raised" for o in outcomes)
-        with pytest.raises(AccuracyError, match="overflow"):
-            bessho_F(EvalPoint(3.0, 0.0005, 0.3), memo=memo)
+        pts = [EvalPoint(x, rho, a) for x, rho in [(1.0, 0.0078), (3.0, 0.0005)]
+               for a in self.ALPHAS]
+        memo = expansions._KernelMemo(bessho=expansions.bessho_block(pts))
+        outcomes = [_outcome(bessho_F, pt, memo=memo) for pt in pts]
+        assert outcomes == [_outcome(bessho_F, pt) for pt in pts]
+        assert any("cancellation" in o[-1] for o in outcomes[:8])
+        assert all("overflow" in o[-1] for o in outcomes[8:])
 
     def test_max_terms_with_a_shared_ladder(self, monkeypatch):
-        monkeypatch.setattr(expansions, "MAX_TERMS", 5)
-        memo = expansions._KernelMemo()
-        for alpha in self.ALPHAS:
-            pt = EvalPoint(0.4, 0.005, alpha)
-            got = _outcome(bessho_F, pt, memo=memo)
-            assert got == _outcome(bessho_F, pt)
-            assert got[:1] + got[2:3] == ("raised", 5)
+        # both series run out of MAX_TERMS: the Bessel product series and
+        # the Struve sums' inner and outer loops
+        pts = [EvalPoint(x, rho, a) for x in (0.4, 1.5, 2.75)
+               for rho in (0.005, 0.05) for a in self.ALPHAS]
+        for max_terms, refusals in [(2, {"Bessel", "inner"}),
+                                    (5, {"Bessel", "inner", "outer"}),
+                                    (10, {"Bessel", "inner", "outer"})]:
+            monkeypatch.setattr(expansions, "MAX_TERMS", max_terms)
+            raised = [o for o in _check_group(pts) if o[0] == "raised"]
+            assert {o[-1].split()[0] for o in raised} == refusals
+            assert all(o[2] == max_terms for o in raised if o[-1].startswith("Bessel"))
 
     def test_paris_with_hscal_block_equals_fresh_calls(self):
         pts = [EvalPoint(x, rho, a) for x in (1.5, 2.75) for rho in (0.01, 0.03)
                for a in self.ALPHAS]
         hscal = expansions.hscal_block(p.x * p.c for p in pts)
         assert len(hscal) == len({p.x * p.c for p in pts})
-        memo = expansions._KernelMemo(hscal)
+        memo = expansions._KernelMemo(struve=expansions.struve_block(pts))
         for pt in pts:
             assert _outcome(paris_F, pt, memo=memo) == _outcome(paris_F, pt)
+
+    @pytest.mark.parametrize("order", [0, 3, 9])
+    def test_struve_orders_above_the_hscal_block(self, monkeypatch, order):
+        # the sums need orders up to about 20 at these points; the orders
+        # hscal_block leaves out come from the scalar kernel
+        monkeypatch.setattr(expansions, "HSCAL_BLOCK_ORDER", order)
+        pts = [EvalPoint(x, rho, a) for x in (0.8, 3.0) for rho in (0.001, 0.02)
+               for a in self.ALPHAS]
+        assert max(len(v) for v in expansions.hscal_block(
+            p.x * p.c for p in pts).values()) == order + 1
+        _check_group(pts, routes=("paris",))
+
+    @pytest.mark.parametrize("window", [1, 3])
+    def test_window_sizes_give_the_same_sums(self, monkeypatch, window):
+        # a sum that runs past its window carries on in the next one
+        monkeypatch.setattr(expansions, "STRUVE_WINDOW", window)
+        monkeypatch.setattr(expansions, "BESSHO_WINDOW", window)
+        pts = [EvalPoint(x, rho, a) for x in (0.4, 1.0, 2.0)
+               for rho in (0.0078, 0.05) for a in self.ALPHAS[:5]]
+        _check_group(pts)
+
+    def test_passes_in_chunks_give_the_same_sums(self, monkeypatch):
+        pts = [EvalPoint(x, rho, a) for x in (0.4, 1.0, 2.0)
+               for rho in (0.005, 0.05) for a in self.ALPHAS]
+        whole = _group_memo(pts)
+        monkeypatch.setattr(expansions, "HSCAL_BLOCK_CHUNK", 5)
+        parts = _group_memo(pts)
+        assert parts.struve == whole.struve and parts.bessho == whole.bessho
+        assert len(whole.struve) + len(whole.bessho) == len({(p.x, p.rho, p.alpha_abs)
+                                                           for p in pts})
+        assert expansions.struve_block([]) == {} == expansions.bessho_block([])
 
     def test_hscal_block_chunks_give_the_same_block(self, monkeypatch):
         xcs = [0.9, 0.2, 2.5, 0.9, 1e-3, 3.0, 1.7]

@@ -4,6 +4,7 @@ integral to its branch-cut, imaginary-axis and saddle parts."""
 
 import math
 
+import numpy as np
 import pytest
 
 from kelvinwake import oracle, specfun
@@ -269,6 +270,38 @@ class TestOracleCk:
                 oracle_Ck(4, 1.1, 0.5)
         finally:
             oracle_Ck.cache_clear()
+
+    @pytest.mark.parametrize("x,alpha", [(1.1, 0.5), (0.01, 1.5), (3.0, 0.0)])
+    def test_first_pass_nodes_equal_the_inline_mesh(self, monkeypatch, x, alpha):
+        # the constant block of the panels on [4, W] and the panels below 4
+        # together give the nodes and weights of the whole initial mesh,
+        # formed inline, bit for bit
+        lam = x * math.cos(0.5 * alpha)
+        edges = [0.0]
+        while lam < 4.0:
+            edges.append(lam)
+            lam *= 2.0
+        edges = np.array(edges + list(np.linspace(4.0, oracle._CK_CUT, 26)))
+        a, b = edges[:-1], edges[1:]
+        h = 0.5 * (b - a)
+        w = (0.5 * (a + b))[:, None] + h[:, None] * oracle._GK21_NODES
+        want = (h, w, w ** oracle._CK_POWERS[:, None, None] * np.exp(-w))
+        seen = []
+        gk21 = oracle._ck_gk21
+
+        def recording(*args):
+            seen.append(args[:3])
+            return gk21(*args)
+
+        monkeypatch.setattr(oracle, "_ck_gk21", recording)
+        oracle_Ck.cache_clear()
+        try:
+            oracle_Ck(0, x, alpha)
+        finally:
+            oracle_Ck.cache_clear()
+        for got, ref in zip(seen[0], want):
+            assert got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
 
     def test_validation(self):
         with pytest.raises(DomainError):
