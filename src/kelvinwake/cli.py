@@ -481,9 +481,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of main, built on its first call: parse_args leaves the
+    parser as it found it, so in-process callers need not rebuild it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.command == "field" and not (args.alpha_range or args.alpha_pi_range):
         print("error: field needs --alpha-range or --alpha-pi-range",
               file=sys.stderr)

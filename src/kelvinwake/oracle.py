@@ -7,7 +7,11 @@ The wake integral
 
 and every intermediate integral the expansions approximate are evaluated
 here by adaptive Gauss-Kronrod quadrature, so the series machinery can be
-checked against something that knows nothing about series.
+checked against something that knows nothing about series.  F and the C_k
+tables run QUADPACK's 21-point rule (dqk21) in numpy: each pass of the
+adaptive loop evaluates every open panel's nodes as one array and keeps
+QUADPACK's error estimate and rounding floor per panel; the other
+integrals call scipy's QUADPACK.
 
 The integrand of F is the real part of a single complex exponential
 combined with its conjugate, which works out to the real, even function
@@ -19,6 +23,12 @@ The infinite u-range is truncated where the Gaussian-type envelope
 guarantees the tail is negligible; close to |alpha| = pi/2 the envelope
 dies and the tail is instead integrated as a Fourier integral in the phase
 variable (QUADPACK's oscillatory rule with nonlinear phase substitution).
+The finite part [0, U] (the integrand is even) starts from panels that
+each span at most 2 pi of the phase.  Its error estimate is QUADPACK's plus
+a bound on the rounding of the integrand, counted from the roundings of the
+envelope's exponent, the phases and the nodes: where the phase reaches 1e4
+and beyond (|alpha| near pi/2 at large M) a few ulps of it outweigh
+QUADPACK's floor of 50 ulps of the integral of |f|.
 
 Endpoint square-root singularities of the branch-cut integrals are removed
 by the substitution tau = p sin(theta) before any rule sees them.
@@ -190,6 +200,140 @@ def integrate_adaptive(f, a: float, b: float, abs_tol: float = 1e-12,
 
 
 # ---------------------------------------------------------------------------
+# Gauss-Kronrod array passes
+
+
+# 21-point Gauss-Kronrod rule on [-1, 1] (QUADPACK dqk21); the embedded
+# 10-point Gauss rule uses every other node.
+_GK21_NODES = np.array([
+    -0.995657163025808080735527280689003, -0.973906528517171720077964012084452,
+    -0.930157491355708226001207180059508, -0.865063366688984510732096688423493,
+    -0.780817726586416897063717578345042, -0.679409568299024406234327365114874,
+    -0.562757134668604683339000099272694, -0.433395394129247190799265943165784,
+    -0.294392862701460198131126603103866, -0.148874338981631210884826001129720,
+    0.0,
+    0.148874338981631210884826001129720, 0.294392862701460198131126603103866,
+    0.433395394129247190799265943165784, 0.562757134668604683339000099272694,
+    0.679409568299024406234327365114874, 0.780817726586416897063717578345042,
+    0.865063366688984510732096688423493, 0.930157491355708226001207180059508,
+    0.973906528517171720077964012084452, 0.995657163025808080735527280689003])
+_GK21_KRONROD = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+    0.147739104901338491374841515972068, 0.142775938577060080797094273138717,
+    0.134709217311473325928054001771707, 0.123491976262065851077958109831074,
+    0.109387158802297641899210590325805, 0.093125454583697605535065465083366,
+    0.075039674810919952767043140916190, 0.054755896574351996031381300244580,
+    0.032558162307964727478818972459390, 0.011694638867371874278064396062192])
+_GK21_GAUSS = np.zeros(21)
+_GK21_GAUSS[1::2] = [
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338, 0.295524224714752870173892994651338,
+    0.269266719309996355091226921569469, 0.219086362515982043995534934228163,
+    0.149451349150580593145776339657697, 0.066671344308688137593568809893332]
+
+#: QUADPACK's rounding floor: 50 machine epsilons of the integral of |f|.
+_ROUNDING = 50.0 * 2.0 ** -52
+
+
+def _gk21_rule(f, h):
+    """QUADPACK's dqk21 on many panels at once.
+
+    f holds the integrand at the 21 nodes of each panel (last axis), h the
+    panels' half-widths.  Returns (value, error, floor), each shaped like
+    f without its last axis: the Kronrod value, QUADPACK's error estimate
+    from |Kronrod - Gauss| scaled by resasc, and its rounding floor.
+    """
+    resk = f @ _GK21_KRONROD
+    diff = np.abs(resk - f @ _GK21_GAUSS) * h
+    # |f - resk/2| and then |f|, in one scratch buffer
+    buf = np.subtract(f, 0.5 * resk[..., None])
+    resasc = np.abs(buf, out=buf) @ _GK21_KRONROD * h
+    with np.errstate(divide="ignore", invalid="ignore"):
+        err = np.where(resasc > 0.0,
+                       resasc * np.minimum(1.0, (200.0 * diff / resasc) ** 1.5),
+                       diff)
+    return resk * h, err, _ROUNDING * (np.abs(f, out=buf) @ _GK21_KRONROD) * h
+
+
+#: Panels evaluated as one array; a larger pass goes in blocks of this
+#: many, so a pass at the MAX_SUBDIVISIONS budget holds about 10 MB.
+_PANEL_BLOCK = 4096
+
+
+def _gk21_panels(integrand, a, b):
+    """_gk21_rule on the panels [a, b] of an integrand of _gk21_adaptive:
+    (value, error, floor, rounding bound), one of each per panel."""
+    h = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    u = mid[:, None] + h[:, None] * _GK21_NODES
+    f, bound = integrand(u, (2.0 ** -52 * (np.abs(mid) + h))[:, None])
+    return (*_gk21_rule(f, h), bound @ _GK21_KRONROD * h)
+
+
+def _gk21_adaptive(integrand, edges, abs_tol, rel_tol):
+    """Adaptive GK21 quadrature of one integrand from the panels between
+    consecutive edges, every open panel of a pass evaluated as one array.
+
+    integrand(u, du) takes the nodes u, shaped (panels, 21), and a bound du
+    on their rounding, shaped (panels, 1); it returns the integrand at u
+    and a bound on the rounding error of those values, both shaped like u.
+
+    Each panel keeps QUADPACK's Kronrod-Gauss error and rounding floor.
+    The sum is done once its error is within max(abs_tol, rel_tol |value|).
+    Otherwise the tolerance is shared as in _ck_moments: panels whose error
+    is below their floor, or below an ulp of the tolerance, cannot gain from
+    bisection; what they leave of the tolerance is shared equally among the
+    other panels, and a pass bisects every panel above its share.  The rounding
+    bound plays no part in refinement; its integral is added to the
+    reported error.
+
+    Returns (value, error, evaluations, problem).  problem is None, or why
+    the error cannot be trusted to the tolerance: the MAX_SUBDIVISIONS
+    panel budget ran out, or refinement stopped above 20 times the
+    tolerance (as _run_quad accepts).
+    """
+    over_budget = f"quadrature needs more than {MAX_SUBDIVISIONS} panels"
+    if len(edges) - 1 > MAX_SUBDIVISIONS:
+        return math.nan, math.inf, 0, over_budget
+    lo = hi = val = err = floor = noise = np.empty(0)
+    na, nb = edges[:-1], edges[1:]
+    evaluations = 0
+    while True:
+        blocks = [_gk21_panels(integrand, na[i:i + _PANEL_BLOCK], nb[i:i + _PANEL_BLOCK])
+                  for i in range(0, len(na), _PANEL_BLOCK)]
+        evaluations += 21 * len(na)
+        lo, hi = np.concatenate([lo, na]), np.concatenate([hi, nb])
+        # each block gives (values, errors, floors, rounding bounds)
+        val, err, floor, noise = (np.concatenate([kept, *new]) for kept, new
+                                  in zip((val, err, floor, noise), zip(*blocks)))
+        e = np.maximum(err, floor)
+        value, total = val.sum(), e.sum()
+        tol = max(abs_tol, rel_tol * abs(value))
+        refinable = err > np.maximum(floor, 2.0 ** -52 * tol)
+        if total <= tol or not refinable.any():
+            problem = None if total <= 20.0 * tol else (
+                f"quadrature stalled: error {total:.3e} against a tolerance "
+                f"of {tol:.3e}")
+            return float(value), float(total + noise.sum()), evaluations, problem
+        budget = max(tol - e[~refinable].sum(), 0.0) / refinable.sum()
+        split = refinable & (e > budget)
+        # a split panel's two halves replace it
+        if len(lo) + split.sum() > MAX_SUBDIVISIONS:
+            return float(value), float(total + noise.sum()), evaluations, over_budget
+        mid = 0.5 * (lo[split] + hi[split])
+        na, nb = np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]])
+        keep = ~split
+        lo, hi = lo[keep], hi[keep]
+        val, err, floor, noise = val[keep], err[keep], floor[keep], noise[keep]
+
+
+# ---------------------------------------------------------------------------
 # the defining integral
 
 
@@ -198,6 +342,52 @@ def _phase_oscillations(x, rho, alpha, U):
     k2 = 0.5 * rho * math.sin(alpha)
     total = k2 * math.sinh(2.0 * U) + x * math.cosh(U)
     return total / (2.0 * math.pi)
+
+
+def _wake_integrand(x, k1, k2):
+    """The integrand exp(-k1 cosh 2u) cos(k2 sinh 2u) cos(x cosh u) of F
+    as an integrand of _gk21_adaptive.
+
+    Its rounding bound counts, in units of 4 * 2^-52 as in paris_F, one
+    each for the envelope's exponent E = k1 cosh 2u, the phases
+    A = k2 sinh 2u and B = x cosh u (the roundings of k1, k2, the
+    hyperbolic functions and the products) and the exp, cos and products
+    themselves, all times the envelope e^-E: a cos moves by as much as its
+    argument.  A node's own rounding du moves the phases by du times their
+    slope 2 k1 sinh 2u + 2 k2 cosh 2u + x sinh u.  Where the phase runs
+    to 1e4 and beyond, near |alpha| = pi/2 at large M, this is the
+    estimate's largest part.
+    """
+    def f(u, du):
+        c2u = np.cosh(2.0 * u)
+        s2u = np.sinh(2.0 * u)
+        cu = np.cosh(u)
+        env = np.exp(-k1 * c2u)
+        phase_a = k2 * s2u
+        phase_b = x * cu
+        value = env * np.cos(phase_a) * np.cos(phase_b)
+        slope = 2.0 * abs(k1) * s2u + 2.0 * k2 * c2u + x * np.sinh(u)
+        bound = env * (4.0 * 2.0 ** -52 * (1.0 + abs(k1) * c2u + phase_a + phase_b)
+                       + du * slope)
+        return value, bound
+    return f
+
+
+#: Largest total phase an initial panel of oracle_F spans.
+_WAKE_PANEL_PHASE = 2.0 * math.pi
+
+
+def _wake_edges(x, k1, k2, U):
+    """Edges of the initial panels on [0, U]: each spans at most
+    _WAKE_PANEL_PHASE of k1 cosh 2u + k2 sinh 2u + x cosh u, the envelope's
+    exponent and both phases together, so no panel starts out so wide that
+    its Kronrod and Gauss sums agree by chance."""
+    u = np.linspace(0.0, U, 257)
+    total = k1 * np.cosh(2.0 * u) + k2 * np.sinh(2.0 * u) + x * np.cosh(u)
+    count = math.ceil((total[-1] - total[0]) / _WAKE_PANEL_PHASE)
+    edges = np.interp(np.linspace(total[0], total[-1], count + 1), total, u)
+    edges[0], edges[-1] = 0.0, U
+    return edges
 
 
 def _invert_phase(v, k2, sg, x, lo):
@@ -232,12 +422,11 @@ def _oscillatory_F(pt: EvalPoint, abs_tol: float):
     def h(u):
         return 0.5 * math.exp(-k1 * math.cosh(2.0 * u))
 
-    def core(u):
-        A = k2 * math.sinh(2.0 * u)
-        B = x * math.cosh(u)
-        return h(u) * (math.cos(A + B) + math.cos(A - B))
-
-    value, err, neval = _run_quad(core, -U, U, 0.25 * abs_tol, 1e-13)
+    # the core h(u) (cos(A + B) + cos(A - B)) = 2 h(u) cos A cos B is even:
+    # twice [0, U]
+    half, err, neval, problem = _gk21_adaptive(
+        _wake_integrand(x, k1, k2), _wake_edges(x, k1, k2, U), 0.125 * abs_tol, 1e-13)
+    value, err = 2.0 * half, 2.0 * err
 
     for sg in (1.0, -1.0):
         phi_u = k2 * math.sinh(2.0 * U) + sg * x * math.cosh(U)
@@ -257,6 +446,8 @@ def _oscillatory_F(pt: EvalPoint, abs_tol: float):
         err += 2.0 * terr
         info = out[2] if len(out) > 2 and isinstance(out[2], dict) else {}
         neval += int(info.get("neval", 0))
+    if problem:
+        raise AccuracyError(problem, value=value, error_estimate=err)
     return QuadResult(value, err, neval, U)
 
 
@@ -268,6 +459,14 @@ def oracle_F(pt: EvalPoint, abs_tol: float = 1e-12) -> QuadResult:
     bound is folded into the reported error estimate.  Within 1e-6 of
     |alpha| = pi/2 (or whenever the envelope would demand an impractical
     oscillation count) the Fourier-tail path takes over.
+
+    The even integrand is integrated over [0, U] by _gk21_adaptive.  The
+    error estimate adds QUADPACK's per-panel estimate, the rounding bound
+    of _wake_integrand and any tail; the rounding bound can exceed a tight
+    abs_tol near |alpha| = pi/2 at large M (about 1e-10 at M = 1000),
+    where the phases reach 1e4.  Raises AccuracyError, carrying the best
+    value and its estimate, when the MAX_SUBDIVISIONS panel budget runs out
+    or the quadrature stalls above 20 times the tolerance.
     """
     if abs_tol < 1e-14:
         raise DomainError("oracle_F supports abs_tol >= 1e-14")
@@ -285,16 +484,15 @@ def oracle_F(pt: EvalPoint, abs_tol: float = 1e-12) -> QuadResult:
 
     k1 = 0.5 * rho * cos_a
     k2 = 0.5 * rho * math.sin(alpha)
-
-    def f(u):
-        c2u = math.cosh(2.0 * u)
-        return (math.exp(-k1 * c2u) * math.cos(k2 * math.sinh(2.0 * u))
-                * math.cos(x * math.cosh(u)))
-
-    value, err, neval = _run_quad(f, -U, U, 0.5 * abs_tol, 1e-13)
+    # the integrand is even: twice [0, U]
+    half, err, neval, problem = _gk21_adaptive(
+        _wake_integrand(x, k1, k2), _wake_edges(x, k1, k2, U), 0.25 * abs_tol, 1e-13)
     aW = k1 * 0.5 * math.exp(2.0 * U)   # ~ k1 cosh(2U)
     tail_bound = 2.0 * math.exp(-aW) / aW
-    return QuadResult(value, err + tail_bound, neval, U)
+    value, err = 2.0 * half, 2.0 * err + tail_bound
+    if problem:
+        raise AccuracyError(problem, value=value, error_estimate=err)
+    return QuadResult(value, err, neval, U)
 
 
 # ---------------------------------------------------------------------------
@@ -371,43 +569,6 @@ CK_INDEX_MAX = 30
 #: Panel budget of one C_k table (21 nodes per panel).
 MAX_CK_PANELS = 1000
 
-# 21-point Gauss-Kronrod rule on [-1, 1] (QUADPACK dqk21); the embedded
-# 10-point Gauss rule uses every other node.
-_GK21_NODES = np.array([
-    -0.995657163025808080735527280689003, -0.973906528517171720077964012084452,
-    -0.930157491355708226001207180059508, -0.865063366688984510732096688423493,
-    -0.780817726586416897063717578345042, -0.679409568299024406234327365114874,
-    -0.562757134668604683339000099272694, -0.433395394129247190799265943165784,
-    -0.294392862701460198131126603103866, -0.148874338981631210884826001129720,
-    0.0,
-    0.148874338981631210884826001129720, 0.294392862701460198131126603103866,
-    0.433395394129247190799265943165784, 0.562757134668604683339000099272694,
-    0.679409568299024406234327365114874, 0.780817726586416897063717578345042,
-    0.865063366688984510732096688423493, 0.930157491355708226001207180059508,
-    0.973906528517171720077964012084452, 0.995657163025808080735527280689003])
-_GK21_KRONROD = np.array([
-    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
-    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
-    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
-    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
-    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
-    0.149445554002916905664936468389821,
-    0.147739104901338491374841515972068, 0.142775938577060080797094273138717,
-    0.134709217311473325928054001771707, 0.123491976262065851077958109831074,
-    0.109387158802297641899210590325805, 0.093125454583697605535065465083366,
-    0.075039674810919952767043140916190, 0.054755896574351996031381300244580,
-    0.032558162307964727478818972459390, 0.011694638867371874278064396062192])
-_GK21_GAUSS = np.zeros(21)
-_GK21_GAUSS[1::2] = [
-    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
-    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
-    0.295524224714752870173892994651338, 0.295524224714752870173892994651338,
-    0.269266719309996355091226921569469, 0.219086362515982043995534934228163,
-    0.149451349150580593145776339657697, 0.066671344308688137593568809893332]
-
-#: QUADPACK's rounding floor: 50 machine epsilons of the integral of |f|.
-_ROUNDING = 50.0 * 2.0 ** -52
-
 _CK_K = np.arange(CK_INDEX_MAX + 1)
 _CK_POWERS = 2.0 * _CK_K
 _CK_ENVELOPE = np.array([float(math.factorial(2 * k)) for k in _CK_K])
@@ -459,17 +620,7 @@ def _ck_gk21(h, w, weights, x, c, s):
     r = np.sqrt(1.0 + (w / (x * c)) ** 2)
     R = np.sqrt(x * x + (w / c) ** 2)
     g = np.stack([np.cos(s * x * r) / r, np.cos(s * R) / R])
-    f = weights[None] * g[:, None]
-    resk = f @ _GK21_KRONROD
-    diff = np.abs(resk - f @ _GK21_GAUSS) * h
-    # |f - resk/2| and then |f|, in one scratch buffer
-    buf = np.subtract(f, 0.5 * resk[..., None])
-    resasc = np.abs(buf, out=buf) @ _GK21_KRONROD * h
-    with np.errstate(divide="ignore", invalid="ignore"):
-        err = np.where(resasc > 0.0,
-                       resasc * np.minimum(1.0, (200.0 * diff / resasc) ** 1.5),
-                       diff)
-    return resk * h, err, _ROUNDING * (np.abs(f, out=buf) @ _GK21_KRONROD) * h
+    return _gk21_rule(weights[None] * g[:, None], h)
 
 
 def _ck_moments(x, c, s, rel_tol):

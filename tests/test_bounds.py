@@ -103,6 +103,16 @@ class TestVerifyRemainder:
         assert rep.tail_bound > 0.0
         assert abs(rep.measured_tail) < rep.tail_bound
 
+    @pytest.mark.parametrize("rho,frac", [
+        (1 / 200, 0.2), (1 / 32, 0.45), (1 / 120, 0.45), (1 / 1600, 0.2)])
+    def test_tail_measured_to_a_fraction_of_the_bounds(self, rho, frac):
+        # a tail asked for to 1e-305 stalled QUADPACK on its own rounding at
+        # these points (M = 50, 8, 30 and 400, n = 30 and 8)
+        n = 8 if rho == 1 / 1600 else 30
+        rep = verify_remainder(EvalPoint(1.0, rho, frac * math.pi), n)
+        assert abs(rep.measured_rn) < rep.rn_bound
+        assert abs(rep.measured_tail) < rep.tail_bound
+
     def test_degenerate_n1(self, pt_m125):
         rep = verify_remainder(pt_m125, 1)
         assert rep.rn_bound == pytest.approx(1.0 / 12.5, rel=1e-12)

@@ -46,6 +46,31 @@ def test_compare_alias(capsys):
     assert len(json.loads(out)["rows"]) == 4
 
 
+def test_reused_parser_equals_fresh_parsers(capsys):
+    # main builds its parser once: alternating subcommands must not carry
+    # anything from one call to the next (compare defaults the method to
+    # "all", eval to "paris")
+    import kelvinwake.cli as cli
+
+    point = ["--x", "0.5", "--rho", "0.01", "--alpha-pi", "0.25", "--format", "json"]
+    calls = [
+        ["compare", *point],
+        ["eval", *point],
+        ["coeffs", "--n", "2", "--alpha-pi", "0.1", "--x-range", "0.5:1:2"],
+        ["field", "--x-range", "0.5:1:2", "--rho-range", "0.01:0.02:2",
+         "--alpha-pi-range", "0:0.5:2", "--format", "csv"],
+        ["eval", *point, "--method", "bessho"],
+    ]
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    parser = cli._parser()
+    reused = [run(capsys, *argv) for argv in calls + calls[::-1]]
+    assert cli._parser() is parser
+    assert reused == fresh + fresh[::-1]
+
+
 def test_alpha_validation_exits_2(capsys):
     code, _, err = run(capsys, "eval", "--x", "0.4", "--rho", "0.005",
                        "--alpha", "2.0")

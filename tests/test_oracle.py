@@ -3,6 +3,7 @@ EvalPoint, and the exact decomposition identities that connect the wake
 integral to its branch-cut, imaginary-axis and saddle parts."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -93,6 +94,19 @@ class TestEvalPoint:
             EvalPoint(math.nan, 0.01, 0.0)
 
 
+def _near_half_pi_points():
+    """Six seeded draws: x in [0.2, 3], log10 M in [-1.3, 1.5] and alpha
+    at +-pi/2 (even draws) or with |alpha| / pi in [0.49, 0.5)."""
+    rng = random.Random(2026)
+    pts = []
+    for i in range(6):
+        x = rng.uniform(0.2, 3.0)
+        M = 10.0 ** rng.uniform(-1.3, 1.5)
+        alpha = 0.5 * math.pi if i % 2 == 0 else rng.uniform(0.49, 0.5) * math.pi
+        pts.append((x, x * x / (4.0 * M), alpha if rng.random() < 0.5 else -alpha))
+    return pts
+
+
 class TestOracleF:
     def test_tolerance_floor(self, pt_m8):
         with pytest.raises(DomainError):
@@ -124,6 +138,97 @@ class TestOracleF:
             got = oracle_F(pt, abs_tol=1e-12)
             ref = bessho_F(pt)
             assert abs(got.value - ref.value) <= 1e-9
+
+    @pytest.mark.parametrize("x,rho,alpha", _near_half_pi_points() + [
+        # estimate 1.9e-13 against an error of 2.35e-13 with a floor of
+        # one ulp of the phases
+        (0.22781442319369094, 0.11273240057488171, -1.5524557923653826),
+        # 5.0e-10 and 1.3e-11 from the reference with estimates of about
+        # 5e-13 when the core was integrated by QAGS
+        (0.27094578808647374, 0.2683677242334037, 1.5502350885554999),
+        (0.3007461145101703, 0.0035502373152201065, -1.5438143838267466),
+        # M = 14.3: from one initial panel rather than panels of 2 pi of
+        # phase, 3.0e-11 from the reference with an estimate of 1.1e-12
+        (0.2377375910226187, 0.0009876714904896776, -1.5644247249063796),
+    ])
+    def test_estimate_covers_error_near_half_pi(self, x, rho, alpha):
+        from test_expansions import _mp_bessel_product
+
+        pt = EvalPoint(x, rho, alpha)
+        got = oracle_F(pt)
+        want = _mp_bessel_product(pt, 60)
+        assert abs(got.value - float(want)) <= got.abs_error_estimate
+
+    def test_estimate_counts_the_rounding_of_the_phases(self):
+        # at pi/2 and M = 1000 the phase k2 sinh 2u reaches 2e4 within the
+        # core, so its ulps are worth about 1e-10 of F
+        pt = EvalPoint(1.0, 0.00025, 0.5 * math.pi)
+        got = oracle_F(pt)
+        assert 2e-11 < got.abs_error_estimate < 1e-9
+
+    def test_tight_tolerance_ends_within_the_panel_budget(self):
+        # F = -0.22220307416678721580... by the Bessel product series in
+        # mpmath at 480 digits.  The requested 1e-13 is below the rounding
+        # of the phases there: the pass either returns an estimate that
+        # covers its error or runs into MAX_SUBDIVISIONS and says so
+        want = -0.22220307416678722
+        pt = EvalPoint(1.0, 0.00025, 0.5 * math.pi)
+        try:
+            got = oracle_F(pt, abs_tol=1e-13)
+            value, estimate = got.value, got.abs_error_estimate
+        except AccuracyError as exc:
+            assert "panels" in str(exc)
+            value, estimate = exc.value, exc.error_estimate
+        assert abs(value - want) <= estimate
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.499 * math.pi, 0.5 * math.pi])
+    def test_panel_budget_raises_with_best_value(self, monkeypatch, alpha):
+        # a budget of just the initial panels: the first bisection exceeds it
+        pt = EvalPoint(1.0, 0.02, alpha)
+        passes = []
+        panels = oracle._gk21_panels
+
+        def recording(integrand, a, b):
+            passes.append(len(a))
+            return panels(integrand, a, b)
+
+        monkeypatch.setattr(oracle, "_gk21_panels", recording)
+        want = oracle_F(pt).value
+        assert len(passes) > 1
+        monkeypatch.setattr(oracle, "MAX_SUBDIVISIONS", passes[0])
+        with pytest.raises(AccuracyError, match=f"more than {passes[0]} panels") as exc:
+            oracle_F(pt)
+        assert abs(exc.value.value - want) <= exc.value.error_estimate
+        monkeypatch.setattr(oracle, "MAX_SUBDIVISIONS", passes[0] - 1)
+        with pytest.raises(AccuracyError, match="panels"):
+            oracle_F(pt)
+
+
+class TestArrayPass:
+    """oracle._gk21_adaptive against QAGS (integrate_adaptive)."""
+
+    @pytest.mark.parametrize("f,g,a,b", [
+        (np.exp, math.exp, 0.0, 5.0),
+        (lambda u: 1.0 / (1.0 + u * u), lambda t: 1.0 / (1.0 + t * t), -3.0, 3.0),
+        (lambda u: np.exp(-u) * np.cos(20.0 * u),
+         lambda t: math.exp(-t) * math.cos(20.0 * t), 0.0, 4.0),
+        (lambda u: np.sqrt(1.0 + u), lambda t: math.sqrt(1.0 + t), 0.0, 10.0),
+    ])
+    def test_agrees_with_integrate_adaptive(self, f, g, a, b):
+        got, est, evaluations, problem = oracle._gk21_adaptive(
+            lambda u, du: (f(u), np.zeros_like(u)), np.array([a, b]), 1e-13, 1e-13)
+        ref = integrate_adaptive(g, a, b, abs_tol=1e-13, rel_tol=1e-13)
+        assert problem is None and evaluations % 21 == 0
+        assert abs(got - ref.value) <= est + ref.abs_error_estimate
+
+    def test_panel_budget(self, monkeypatch):
+        monkeypatch.setattr(oracle, "MAX_SUBDIVISIONS", 3)
+        value, est, evaluations, problem = oracle._gk21_adaptive(
+            lambda u, du: (np.cos(300.0 * u), np.zeros_like(u)),
+            np.array([0.0, 1.0]), 1e-13, 1e-13)
+        assert problem == "quadrature needs more than 3 panels"
+        assert evaluations == 21 * 3 and math.isfinite(value)
+        assert abs(value - math.sin(300.0) / 300.0) <= est
 
 
 @pytest.mark.parametrize("x,rho", [(0.4, 0.005), (1.0, 0.02)])
