@@ -25,10 +25,10 @@ Each pass takes the scalar code's steps elementwise, so every row, its
 estimate, terms and any refusal included, equals
 `eval --method <its method>` at that point bit for bit; paris_F and
 bessho_F still run once per row and read their sums from the group's
-expansions._KernelMemo.  --threads runs the columns of a group on worker
-threads, one column per task; output is identical for any count.  A range
-count, or a field grid, of more than MAX_GRID_POINTS points is a usage
-error.
+expansions._KernelMemo.  Everything runs on the calling thread: --threads
+is validated (at most MAX_THREADS) and echoed in the JSON meta, and has no
+other effect.  A range count, or a field grid, of more than MAX_GRID_POINTS
+points is a usage error.
 
 Output formats: csv (deterministic, 17 significant digits, LF endings),
 json (meta + rows on one line, keys sorted), pretty (aligned table).
@@ -43,7 +43,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__, bounds, expansions, table1
 from .errors import AccuracyError, DomainError, KelvinWakeError
@@ -54,7 +53,7 @@ EXIT_OK = 0
 EXIT_TOLERANCE = 1
 EXIT_USAGE = 2
 
-#: Most worker threads `field` starts.
+#: Largest --threads value `field` accepts.
 MAX_THREADS = 64
 
 #: Most points a start:stop:count range, or a whole field grid, may have.
@@ -148,7 +147,8 @@ def _grid(a, b, cnt):
 
 
 def _thread_count(args):
-    raw = getattr(args, "threads", None) or os.environ.get("KELVIN_THREADS", "1")
+    """The validated --threads value of field, which it only echoes."""
+    raw = args.threads or "1"
     if raw == "auto":
         return min(os.cpu_count() or 1, MAX_THREADS)
     try:
@@ -333,31 +333,23 @@ def cmd_field(args) -> int:
             for alpha in (alphas[0], alphas[-1]):
                 _check_box(x, rho, alpha)
     threads = _thread_count(args)
-    workers = min(threads, len(xs))
     # the array passes run per group of columns of at most HSCAL_BLOCK_CHUNK
     # (rho, |alpha|) points in all, which bounds them and their results on
     # any grid; a pass per column would take the benchmark's field sweep 72
     # Hscal passes instead of 6 (76 against 18 ms a sweep on a 2-core VM)
     per_group = max(1, expansions.HSCAL_BLOCK_CHUNK
                     // (len(rhos) * len({abs(a) for a in alphas})))
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     rows = []
-    try:
-        for i in range(0, len(xs), per_group):
-            columns = [_column_points(x, rhos, alphas) for x in xs[i:i + per_group]]
-            routed = {"paris": [], "bessho": []}
-            for pts in columns:
-                for pt in pts.values():
-                    routed[_field_method(pt)].append(pt)
-            memo = expansions._KernelMemo(expansions.struve_block(routed["paris"]),
-                                          expansions.bessho_block(routed["bessho"]))
-            evaluate = functools.partial(_field_column, rhos=rhos, alphas=alphas,
-                                         memo=memo)
-            for column in (pool.map(evaluate, columns) if pool else map(evaluate, columns)):
-                rows.extend(column)
-    finally:
-        if pool:
-            pool.shutdown()
+    for i in range(0, len(xs), per_group):
+        columns = [_column_points(x, rhos, alphas) for x in xs[i:i + per_group]]
+        routed = {"paris": [], "bessho": []}
+        for pts in columns:
+            for pt in pts.values():
+                routed[_field_method(pt)].append(pt)
+        memo = expansions._KernelMemo(expansions.struve_block(routed["paris"]),
+                                      expansions.bessho_block(routed["bessho"]))
+        for pts in columns:
+            rows.extend(_field_column(pts, rhos, alphas, memo))
     meta = {"command": "field", "x_range": args.x_range,
             "rho_range": args.rho_range,
             "alpha_range": args.alpha_range or args.alpha_pi_range,
@@ -468,10 +460,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha-pi-range", default=None, dest="alpha_pi_range",
                    help="alpha grid in units of pi")
     p.add_argument("--threads", default=None,
-                   help=f"worker threads (integer up to {MAX_THREADS} or "
-                        "'auto'; default $KELVIN_THREADS or 1); a worker "
-                        "takes one x column at a time, and the output is "
-                        "identical for any count")
+                   help=f"accepted for compatibility and has no effect: an "
+                        f"integer up to {MAX_THREADS} or 'auto' (default 1), "
+                        "echoed in the JSON meta; field runs on one thread")
     _add_common(p)
     p.set_defaults(func=cmd_field)
 

@@ -143,7 +143,7 @@ class _KernelMemo:
     (x, rho, |alpha|): paris_F reads its Struve sum S1 from `struve`,
     bessho_F its Bessel product sum from `bessho`.  Every entry is the
     scalar loop's outcome bit for bit, refusals included.  Nothing writes
-    to it after it is built, so the threads of a group share it.
+    to it after it is built.
     """
 
     def __init__(self, struve=None, bessho=None):

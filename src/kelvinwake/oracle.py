@@ -8,10 +8,13 @@ The wake integral
 and every intermediate integral the expansions approximate are evaluated
 here by adaptive Gauss-Kronrod quadrature, so the series machinery can be
 checked against something that knows nothing about series.  F and the C_k
-tables run QUADPACK's 21-point rule (dqk21) in numpy: each pass of the
-adaptive loop evaluates every open panel's nodes as one array and keeps
-QUADPACK's error estimate and rounding floor per panel; the other
-integrals call scipy's QUADPACK.
+tables share one adaptive loop, _gk21_adaptive, over QUADPACK's 21-point
+rule (dqk21) in numpy: each pass evaluates every open panel's nodes as one
+array and keeps QUADPACK's error estimate and rounding floor per panel.
+The loop integrates one function (F) or a stack of them on one shared mesh
+(the moments of a C_k table), with one tolerance, bisection rule and panel
+budget; each caller keeps its own stall rule.  The other integrals call
+scipy's QUADPACK.
 
 The integrand of F is the real part of a single complex exponential
 combined with its conjugate, which works out to the real, even function
@@ -34,15 +37,14 @@ Endpoint square-root singularities of the branch-cut integrals are removed
 by the substitution tau = p sin(theta) before any rule sees them.
 
 The coefficients C_k(x, alpha) of the asymptotic 1/M series are computed
-as a whole table, C_0 .. C_30, in one vectorised adaptive Gauss-Kronrod
-pass per (x, |alpha|): both integral forms of every k are evaluated as
-numpy arrays on one shared mesh.  Every initial mesh ends in the same 25
-panels of width 6 on [4, 154]; their nodes w and moment weights
-w^2k e^-w are a module constant, computed once at import by the same
-expression, so a table's first pass forms only its panels below 4, about
-log2(4 / (x c)) + 1 of them.
-The constant is no result cache: it does not depend on x or alpha.  The
-table is cached under (x, alpha, rel_tol); oracle_Ck looks single
+as a whole table, C_0 .. C_30, in one run of the adaptive loop per
+(x, |alpha|): both integral forms of every k are a stack of 62 moments on
+one shared mesh.  Every initial mesh ends in the same 25 panels of width 6
+on [4, 154]; their nodes w and moment weights w^2k e^-w are a module
+constant, computed once at import by the same expression, so a table's
+first pass forms only its panels below 4, about log2(4 / (x c)) + 1 of
+them.  The constant is no result cache: it does not depend on x or alpha.
+The table is cached under (x, alpha, rel_tol); oracle_Ck looks single
 coefficients up in it, and oracle_Ck.cache_clear() empties it.
 """
 
@@ -165,12 +167,11 @@ def integrate_adaptive(f, a: float, b: float, abs_tol: float = 1e-12,
                        max_evaluations: int = 1_000_000) -> QuadResult:
     """Adaptive quadrature of f over the finite interval [a, b].
 
-    Integrable inverse-square-root endpoint singularities must be declared
-    via singularity = 'sqrt-lower' | 'sqrt-upper' | 'sqrt-both'; the
-    corresponding sine substitution restores smoothness before the nested
-    Gauss-Kronrod rule runs.  Raises AccuracyError (carrying the best
-    estimate) once the evaluation budget is exhausted (21 evaluations per
-    panel).
+    An integrable inverse-square-root singularity at b must be declared
+    via singularity = 'sqrt-upper'; the substitution t = a + (b - a)
+    sin(theta) restores smoothness before the nested Gauss-Kronrod rule
+    runs.  Raises AccuracyError (carrying the best estimate) once the
+    evaluation budget is exhausted (21 evaluations per panel).
     """
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise DomainError(f"need finite a < b, got [{a}, {b}]")
@@ -182,15 +183,6 @@ def integrate_adaptive(f, a: float, b: float, abs_tol: float = 1e-12,
     elif singularity == "sqrt-upper":
         def g(theta, _f=f):
             return _f(a + w * math.sin(theta)) * w * math.cos(theta)
-        lo, hi = 0.0, _HALF_PI
-    elif singularity == "sqrt-lower":
-        def g(theta, _f=f):
-            return _f(b - w * math.sin(theta)) * w * math.cos(theta)
-        lo, hi = 0.0, _HALF_PI
-    elif singularity == "sqrt-both":
-        def g(theta, _f=f):
-            st = math.sin(theta)
-            return _f(a + w * st * st) * 2.0 * w * st * math.cos(theta)
         lo, hi = 0.0, _HALF_PI
     else:
         raise DomainError(f"unknown singularity declaration {singularity!r}")
@@ -267,8 +259,17 @@ _PANEL_BLOCK = 4096
 
 
 def _gk21_panels(integrand, a, b):
-    """_gk21_rule on the panels [a, b] of an integrand of _gk21_adaptive:
-    (value, error, floor, rounding bound), one of each per panel."""
+    """_gk21_rule on the panels [a, b], in blocks of at most _PANEL_BLOCK
+    panels: (value, error, floor, rounding bound), one of each per panel.
+
+    integrand(u, du) takes the nodes u, shaped (panels, 21), and a bound du
+    on their rounding, shaped (panels, 1); it returns the integrand at u
+    and a bound on the rounding error of those values, both shaped like u.
+    """
+    if len(a) > _PANEL_BLOCK:
+        blocks = [_gk21_panels(integrand, a[i:i + _PANEL_BLOCK], b[i:i + _PANEL_BLOCK])
+                  for i in range(0, len(a), _PANEL_BLOCK)]
+        return tuple(np.concatenate(part) for part in zip(*blocks))
     h = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     u = mid[:, None] + h[:, None] * _GK21_NODES
@@ -276,61 +277,72 @@ def _gk21_panels(integrand, a, b):
     return (*_gk21_rule(f, h), bound @ _GK21_KRONROD * h)
 
 
-def _gk21_adaptive(integrand, edges, abs_tol, rel_tol):
-    """Adaptive GK21 quadrature of one integrand from the panels between
-    consecutive edges, every open panel of a pass evaluated as one array.
+def _gk21_adaptive(rule, a, b, abs_tol, rel_tol, max_panels):
+    """Adaptive GK21 quadrature from the panels [a, b], every open panel of
+    a pass evaluated as one array.
 
-    integrand(u, du) takes the nodes u, shaped (panels, 21), and a bound du
-    on their rounding, shaped (panels, 1); it returns the integrand at u
-    and a bound on the rounding error of those values, both shaped like u.
+    rule(a, b) returns (value, error, floor, noise) on the panels [a, b],
+    each shaped (..., panels): one integrand, or a stack of integrands on
+    one shared mesh, one per leading index.  Per panel, value and error
+    are QUADPACK's Kronrod sum and Kronrod-Gauss estimate, floor its
+    rounding floor (see _gk21_rule) and noise a bound on the rounding of
+    the integrand's values.
 
-    Each panel keeps QUADPACK's Kronrod-Gauss error and rounding floor.
-    The sum is done once its error is within max(abs_tol, rel_tol |value|).
-    Otherwise the tolerance is shared as in _ck_moments: panels whose error
-    is below their floor, or below an ulp of the tolerance, cannot gain from
-    bisection; what they leave of the tolerance is shared equally among the
-    other panels, and a pass bisects every panel above its share.  The rounding
-    bound plays no part in refinement; its integral is added to the
-    reported error.
+    A component is open while its summed max(error, floor) exceeds its
+    tolerance max(abs_tol, rel_tol |value|); abs_tol may be an array of the
+    leading shape.  Panels whose error is below their floor, or below an
+    ulp of the tolerance, cannot gain from bisection; what they leave of an
+    open component's tolerance is shared equally among its other panels,
+    and a pass bisects every panel above its share for some open component.
+    noise plays no part in refinement.
 
-    Returns (value, error, evaluations, problem).  problem is None, or why
-    the error cannot be trusted to the tolerance: the MAX_SUBDIVISIONS
-    panel budget ran out, or refinement stopped above 20 times the
-    tolerance (as _run_quad accepts).
+    Returns (value, error, noise, tol, evaluations, complete): the first
+    three summed over the panels (error sums max(error, floor)) and tol the
+    last tolerance, each shaped like the leading axes.  complete is False
+    when the next pass would hold more than max_panels panels; the sums are
+    then the last pass's, or NaN and inf if even the initial panels are too
+    many.
     """
-    over_budget = f"quadrature needs more than {MAX_SUBDIVISIONS} panels"
-    if len(edges) - 1 > MAX_SUBDIVISIONS:
-        return math.nan, math.inf, 0, over_budget
-    lo = hi = val = err = floor = noise = np.empty(0)
-    na, nb = edges[:-1], edges[1:]
-    evaluations = 0
+    if len(a) > max_panels:
+        return math.nan, math.inf, 0.0, math.nan, 0, False
+    lo, hi, parts = a, b, rule(a, b)
+    evaluations = 21 * len(a)
+    # one integrand's sums are scalars; a stack's take a panel axis again to
+    # broadcast against its panels
+    stacked = parts[0].ndim > 1
+
+    def column(t):
+        return t[..., None] if stacked else t
+
     while True:
-        blocks = [_gk21_panels(integrand, na[i:i + _PANEL_BLOCK], nb[i:i + _PANEL_BLOCK])
-                  for i in range(0, len(na), _PANEL_BLOCK)]
-        evaluations += 21 * len(na)
-        lo, hi = np.concatenate([lo, na]), np.concatenate([hi, nb])
-        # each block gives (values, errors, floors, rounding bounds)
-        val, err, floor, noise = (np.concatenate([kept, *new]) for kept, new
-                                  in zip((val, err, floor, noise), zip(*blocks)))
+        val, err, floor, noise = parts
         e = np.maximum(err, floor)
-        value, total = val.sum(), e.sum()
-        tol = max(abs_tol, rel_tol * abs(value))
-        refinable = err > np.maximum(floor, 2.0 ** -52 * tol)
-        if total <= tol or not refinable.any():
-            problem = None if total <= 20.0 * tol else (
-                f"quadrature stalled: error {total:.3e} against a tolerance "
-                f"of {tol:.3e}")
-            return float(value), float(total + noise.sum()), evaluations, problem
-        budget = max(tol - e[~refinable].sum(), 0.0) / refinable.sum()
-        split = refinable & (e > budget)
+        value, total = val.sum(axis=-1), e.sum(axis=-1)
+        tol = np.maximum(abs_tol, rel_tol * abs(value))
+        unfinished = total > tol
+        count = 0
+        if unfinished.any():
+            refinable = err > np.maximum(floor, 2.0 ** -52 * column(tol))
+            share = (np.maximum(tol - np.where(refinable, 0.0, e).sum(axis=-1), 0.0)
+                     / np.maximum(refinable.sum(axis=-1), 1))
+            split = refinable & (e > column(share)) & column(unfinished)
+            if stacked:
+                split = split.any(axis=tuple(range(split.ndim - 1)))
+            count = np.count_nonzero(split)
         # a split panel's two halves replace it
-        if len(lo) + split.sum() > MAX_SUBDIVISIONS:
-            return float(value), float(total + noise.sum()), evaluations, over_budget
-        mid = 0.5 * (lo[split] + hi[split])
-        na, nb = np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]])
+        if not count or len(lo) + count > max_panels:
+            return value, total, noise.sum(axis=-1), tol, evaluations, not count
+        left, right = lo[split], hi[split]
+        mid = 0.5 * (left + right)
+        a, b = np.concatenate([left, mid]), np.concatenate([mid, right])
+        new = rule(a, b)
+        evaluations += 21 * len(a)
         keep = ~split
-        lo, hi = lo[keep], hi[keep]
-        val, err, floor, noise = val[keep], err[keep], floor[keep], noise[keep]
+        lo, hi = np.concatenate([lo[keep], a]), np.concatenate([hi[keep], b])
+        if stacked:
+            keep = (..., keep)
+        parts = [np.concatenate([old[keep], part], axis=-1)
+                 for old, part in zip(parts, new)]
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +358,7 @@ def _phase_oscillations(x, rho, alpha, U):
 
 def _wake_integrand(x, k1, k2):
     """The integrand exp(-k1 cosh 2u) cos(k2 sinh 2u) cos(x cosh u) of F
-    as an integrand of _gk21_adaptive.
+    as an integrand of _gk21_panels.
 
     Its rounding bound counts, in units of 4 * 2^-52 as in paris_F, one
     each for the envelope's exponent E = k1 cosh 2u, the phases
@@ -390,6 +402,27 @@ def _wake_edges(x, k1, k2, U):
     return edges
 
 
+def _wake_core(x, k1, k2, U, abs_tol):
+    """The integral of F's integrand over [0, U] by _gk21_adaptive, to
+    max(abs_tol, 1e-13 |value|): (value, error, evaluations, problem).
+
+    error adds the rounding bound of _wake_integrand to QUADPACK's.
+    problem is None, or why the error cannot be trusted to the tolerance:
+    the MAX_SUBDIVISIONS panel budget ran out, or refinement stopped above
+    20 times the tolerance (as _run_quad accepts).
+    """
+    edges = _wake_edges(x, k1, k2, U)
+    value, error, noise, tol, evaluations, complete = _gk21_adaptive(
+        partial(_gk21_panels, _wake_integrand(x, k1, k2)), edges[:-1], edges[1:],
+        abs_tol, 1e-13, MAX_SUBDIVISIONS)
+    problem = None
+    if not complete:
+        problem = f"quadrature needs more than {MAX_SUBDIVISIONS} panels"
+    elif error > 20.0 * tol:
+        problem = f"quadrature stalled: error {error:.3e} against a tolerance of {tol:.3e}"
+    return float(value), float(error + noise), evaluations, problem
+
+
 def _invert_phase(v, k2, sg, x, lo):
     """Solve k2 sinh 2u + sg x cosh u = v for u >= lo (phase is monotone there)."""
     u = max(lo, 0.5 * math.asinh(max(v, 1.0) / k2)) if k2 > 0 else lo
@@ -424,8 +457,7 @@ def _oscillatory_F(pt: EvalPoint, abs_tol: float):
 
     # the core h(u) (cos(A + B) + cos(A - B)) = 2 h(u) cos A cos B is even:
     # twice [0, U]
-    half, err, neval, problem = _gk21_adaptive(
-        _wake_integrand(x, k1, k2), _wake_edges(x, k1, k2, U), 0.125 * abs_tol, 1e-13)
+    half, err, neval, problem = _wake_core(x, k1, k2, U, 0.125 * abs_tol)
     value, err = 2.0 * half, 2.0 * err
 
     for sg in (1.0, -1.0):
@@ -485,8 +517,7 @@ def oracle_F(pt: EvalPoint, abs_tol: float = 1e-12) -> QuadResult:
     k1 = 0.5 * rho * cos_a
     k2 = 0.5 * rho * math.sin(alpha)
     # the integrand is even: twice [0, U]
-    half, err, neval, problem = _gk21_adaptive(
-        _wake_integrand(x, k1, k2), _wake_edges(x, k1, k2, U), 0.25 * abs_tol, 1e-13)
+    half, err, neval, problem = _wake_core(x, k1, k2, U, 0.25 * abs_tol)
     aW = k1 * 0.5 * math.exp(2.0 * U)   # ~ k1 cosh(2U)
     tail_bound = 2.0 * math.exp(-aW) / aW
     value, err = 2.0 * half, 2.0 * err + tail_bound
@@ -497,23 +528,6 @@ def oracle_F(pt: EvalPoint, abs_tol: float = 1e-12) -> QuadResult:
 
 # ---------------------------------------------------------------------------
 # branch-cut and imaginary-axis integrals
-
-
-def oracle_I1_alpha0(pt: EvalPoint) -> QuadResult:
-    """Branch-cut integral at alpha = 0:
-
-        I1 = int_0^p exp(-M tau^2) sin(2 M tau) / sqrt(p^2 - tau^2) dtau.
-    """
-    if pt.alpha != 0.0:
-        raise DomainError("oracle_I1_alpha0 requires alpha = 0")
-    M, p = pt.M, pt.p
-
-    def f(tau):
-        return math.exp(-M * tau * tau) * math.sin(2.0 * M * tau) / math.sqrt(
-            (p - tau) * (p + tau))
-
-    return integrate_adaptive(f, 0.0, p, abs_tol=1e-15, rel_tol=5e-14,
-                              singularity="sqrt-upper")
 
 
 def oracle_I1_alpha(pt: EvalPoint) -> QuadResult:
@@ -623,57 +637,24 @@ def _ck_gk21(h, w, weights, x, c, s):
     return _gk21_rule(weights[None] * g[:, None], h)
 
 
-def _ck_moments(x, c, s, rel_tol):
-    """All moments of both forms on one adaptive mesh.
+def _ck_rule(x, c, s):
+    """The panel rule of one C_k table for _gk21_adaptive: _ck_gk21 on the
+    panels [a, b], with no rounding bound.  The first pass's panels end in
+    the 25 panels on [4, W], whose nodes and weights come from _CK_FAR."""
+    first = True
 
-    A (form, k) pair is open while its summed error exceeds its tolerance:
-    absolute 1e-15 times its envelope ((2k)! for the xi-form, (2k)!/max(x, 1)
-    for the t-form) or relative rel_tol.  Panels whose Kronrod-Gauss error
-    is already below their rounding floor, or below an ulp of the
-    tolerance, cannot gain from bisection; what they leave of an open
-    pair's tolerance is shared equally among the other panels, and each
-    pass bisects every panel above its share for some open pair.  Returns
-    (value, error, tolerance, nodes), the first three shaped (2, K).
-    """
-    abs_tol = 1e-15 * _CK_ENVELOPE * np.array([[1.0], [1.0 / max(x, 1.0)]])
-    a = b = np.empty(0)
-    val = err = floor = np.empty((2, CK_INDEX_MAX + 1, 0))
-    near = _ck_near_edges(x * c)
-    na = np.concatenate([near[:-1], _CK_FAR_EDGES[:-1]])
-    nb = np.concatenate([near[1:], _CK_FAR_EDGES[1:]])
-    nodes = 0
-    while True:
-        if len(a) + len(na) > MAX_CK_PANELS:
-            raise AccuracyError(
-                f"C_k quadrature at (x, c) = ({x}, {c}) needs more than "
-                f"{MAX_CK_PANELS} panels")
-        if nodes:
-            grid = _ck_nodes(na, nb)
-        else:
-            # the first pass: only the panels below 4 need their nodes
-            h, w, weights = _ck_nodes(near[:-1], near[1:])
+    def rule(a, b):
+        nonlocal first
+        if first:
+            first = False
+            near = len(a) - len(_CK_FAR[0])
+            h, w, weights = _ck_nodes(a[:near], b[:near])
             grid = (np.concatenate([h, _CK_FAR[0]]), np.concatenate([w, _CK_FAR[1]]),
                     np.concatenate([weights, _CK_FAR[2]], axis=1))
-        nval, nerr, nfloor = _ck_gk21(*grid, x, c, s)
-        nodes += 21 * len(na)
-        a, b = np.concatenate([a, na]), np.concatenate([b, nb])
-        val = np.concatenate([val, nval], axis=-1)
-        err = np.concatenate([err, nerr], axis=-1)
-        floor = np.concatenate([floor, nfloor], axis=-1)
-        e = np.maximum(err, floor)
-        tol = np.maximum(abs_tol, rel_tol * np.abs(val.sum(axis=-1)))
-        refinable = err > np.maximum(floor, 2.0 ** -52 * tol[..., None])
-        budget = (np.maximum(tol - np.where(refinable, 0.0, e).sum(axis=-1), 0.0)
-                  / np.maximum(refinable.sum(axis=-1), 1))
-        split = (refinable & (e.sum(axis=-1) > tol)[..., None]
-                 & (e > budget[..., None])).any(axis=(0, 1))
-        if not split.any():
-            return val.sum(axis=-1), e.sum(axis=-1), tol, nodes
-        mid = 0.5 * (a[split] + b[split])
-        na, nb = np.concatenate([a[split], mid]), np.concatenate([mid, b[split]])
-        keep = ~split
-        a, b = a[keep], b[keep]
-        val, err, floor = val[..., keep], err[..., keep], floor[..., keep]
+        else:
+            grid = _ck_nodes(a, b)
+        return (*_ck_gk21(*grid, x, c, s), np.zeros(len(a)))
+    return rule
 
 
 @lru_cache(maxsize=2048)
@@ -682,7 +663,17 @@ def _ck_table(x: float, alpha: float, rel_tol: float) -> tuple:
     failed its checks a callable making the exception to raise."""
     c = math.cos(0.5 * alpha)
     s = math.sin(0.5 * alpha)
-    moments, errors, tol, nodes = _ck_moments(x, c, s, rel_tol)
+    # all moments of both forms on one adaptive mesh; a (form, k) pair has
+    # the absolute tolerance 1e-15 times its envelope, (2k)! for the
+    # xi-form and (2k)!/max(x, 1) for the t-form
+    near = _ck_near_edges(x * c)
+    abs_tol = 1e-15 * _CK_ENVELOPE * np.array([[1.0], [1.0 / max(x, 1.0)]])
+    moments, errors, _, tol, nodes, complete = _gk21_adaptive(
+        _ck_rule(x, c, s), np.concatenate([near[:-1], _CK_FAR_EDGES[:-1]]),
+        np.concatenate([near[1:], _CK_FAR_EDGES[1:]]), abs_tol, rel_tol, MAX_CK_PANELS)
+    if not complete:
+        raise AccuracyError(f"C_k quadrature at (x, c) = ({x}, {c}) needs more than "
+                            f"{MAX_CK_PANELS} panels")
     # C_k = (2/pi) x^2k / (x c)^(2k+1) * xi-moment = (2/pi) c^-(2k+1) * t-moment;
     # x^2k / (x c)^(2k+1) is formed as c^-2k / (x c), which stays finite
     # however small x is
@@ -722,7 +713,7 @@ def oracle_Ck(k: int, x: float, alpha: float, rel_tol: float = 5e-14) -> QuadRes
     substitution) are evaluated and must agree to 1e-10 relative; their
     agreement is the internal consistency check on the rule.  The whole
     table C_0 .. C_30 for (x, alpha, rel_tol) is computed at once, by one
-    adaptive Gauss-Kronrod pass shared by every k and both forms, and
+    adaptive Gauss-Kronrod run shared by every k and both forms, and
     cached under that key; every k is a lookup into it, so a value never
     depends on which k was asked for first.  Each k keeps its own
     tolerance, error estimate (including the envelope tail beyond the cut)

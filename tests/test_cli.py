@@ -217,49 +217,21 @@ def test_field_alpha_range_in_radians(capsys):
     assert [r["alpha"] for r in rows] == [0.0, 1.2]
 
 
-def test_field_thread_count_from_environment(tmp_path, capsys, monkeypatch):
-    args = ["field", "--x-range", "0.5:0.6:2", "--rho-range", "0.01:0.01:1",
-            "--alpha-pi-range", "0:0.1:2", "--format", "csv"]
-    ref = tmp_path / "ref.csv"
-    env = tmp_path / "env.csv"
-    assert main(args + ["--threads", "1", "--out", str(ref)]) == 0
-    monkeypatch.setenv("KELVIN_THREADS", "4")
-    assert main(args + ["--out", str(env)]) == 0
-    capsys.readouterr()
-    assert ref.read_bytes() == env.read_bytes()
-
-
-def test_field_thread_count_is_capped(capsys, monkeypatch):
+def test_field_thread_count_is_capped(capsys):
+    # --threads starts nothing, but a count above MAX_THREADS is still a
+    # usage error, and one within it changes nothing in the output
     import kelvinwake.cli as cli
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a thread pool was started")
-
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
-    code, _, err = run(capsys, "field", "--x-range", "0.5:0.6:2",
-                       "--rho-range", "0.01:0.01:1", "--alpha-pi-range", "0:0.1:2",
-                       "--threads", str(10 ** 9))
-    assert code == 2
+    args = ("field", "--x-range", "0.5:0.6:2", "--rho-range", "0.01:0.01:1",
+            "--alpha-pi-range", "0:0.1:2", "--format", "csv")
+    code, out, err = run(capsys, *args, "--threads", str(10 ** 9))
+    assert code == 2 and out == ""
     assert f"at most {cli.MAX_THREADS}" in err
-
-
-def test_field_workers_are_capped_by_columns(capsys, monkeypatch):
-    import kelvinwake.cli as cli
-
-    started = []
-
-    class RecordingPool(cli.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            started.append(max_workers)
-            super().__init__(max_workers)
-
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
-    for xs in ("0.5:0.6:2", "0.5:0.5:1"):
-        code, _, _ = run(capsys, "field", "--x-range", xs,
-                         "--rho-range", "0.01:0.01:1",
-                         "--alpha-pi-range", "0:0.1:2", "--threads", "8")
-        assert code == 0
-    assert started == [2]
+    for bad in ("0", "two"):
+        assert run(capsys, *args, "--threads", bad)[0] == 2
+    code, out, _ = run(capsys, *args, "--threads", str(cli.MAX_THREADS))
+    assert code == 0
+    assert out == run(capsys, *args)[1]
 
 
 @pytest.mark.parametrize("chunk,groups", [(4096, [[0.4, 1.6, 2.8]]),
