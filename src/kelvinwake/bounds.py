@@ -14,8 +14,8 @@ consumes:
 
 This module evaluates the bounds (in log space, so truncations up to
 n = 80 stay finite) and verifies them against defects measured with the
-quadrature oracle, raising BoundViolationError whenever a measurement
-exceeds its bound.
+quadrature oracle (oracle_I2, oracle_Ck and oracle_I2_tails), raising
+BoundViolationError whenever a measurement exceeds its bound.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import BoundViolationError, DomainError
-from .oracle import EvalPoint, _run_quad, oracle_Ck, oracle_I2
+from .oracle import EvalPoint, oracle_Ck, oracle_I2, oracle_I2_tails
 from .specfun import upper_inc_gamma
 
 #: The smallest positive double, the floor of the tail bounds.
@@ -96,65 +96,30 @@ def tail_bound_regime(n: int, pt: EvalPoint) -> str:
     return "simple" if simple <= finite else "finite-n"
 
 
-def _tail_integral(k: int, pt: EvalPoint, log_tol: float) -> float:
-    """(rho^k / k!) int_{xi0}^inf xi^2k e^-xc xi cos(sx sqrt(1+xi^2))/sqrt(1+xi^2) dxi,
-    to within the smaller of exp(log_tol) and 1e-12 of the integral's
-    envelope, or to 5e-14 relative."""
-    x, rho, c, s, xi0 = pt.x, pt.rho, pt.c, pt.s, pt.xi0
-    lam = x * c
-
-    def f(xi):
-        root = math.sqrt(1.0 + xi * xi)
-        return xi ** (2 * k) * math.exp(-lam * xi) * math.cos(s * x * root) / root
-
-    # extend U until the envelope integral beyond it is utterly negligible
-    U = xi0 + (2 * k + 60.0) / lam
-    logw = math.log(rho) * k - math.lgamma(k + 1)
-    for _ in range(60):
-        if lam * U > 690.0:
-            break
-        g = upper_inc_gamma(2 * k + 1.0, lam * U)
-        if g.value <= 0.0:
-            break
-        if logw + math.log(g.value) - (2 * k + 1) * math.log(lam) < -55.0:
-            break
-        U *= 1.2
-    # the quadrature sees the integral before its weight rho^k / k!; it
-    # need not go below 1e-12 of (U - xi0) times the peak of xi^2k e^-lam xi,
-    # the most |f| can integrate to (QUADPACK's rounding floor is 50 ulps of
-    # the integral of |f|)
-    peak = min(max(2 * k / lam, xi0), U)
-    log_env = math.log(U - xi0) + 2 * k * math.log(peak) - lam * peak
-    quad_tol = math.exp(min(log_tol - logw, log_env + math.log(1e-12), 700.0))
-    value, _err, _n = _run_quad(f, xi0, U, quad_tol, 5e-14)
-    return math.exp(logw) * value
-
-
 def verify_remainder(pt: EvalPoint, n: int) -> BoundReport:
     """Measure the exact n-term defect of I2 and check it against the bounds.
 
     The finite sum of full-range integrals is (pi/2) sum_{k<n} M^-k/(4^k k!)
     C_k with C_k taken from the quadrature oracle (no series code involved),
-    the truncated-range tail is restored by direct quadrature, and the
-    leftover is exactly the Lagrange remainder the envelope controls.
-    The tail is measured to a thousandth of the smaller bound (or more
-    finely), so the quadrature moves neither check by more than that.
-    Raises BoundViolationError unless both strict inequalities hold.
+    the truncated-range tail is restored by quadrature of its n moments in
+    one adaptive run (oracle_I2_tails), and the leftover is exactly the
+    Lagrange remainder the envelope controls.  Each tail moment is measured
+    to a thousandth of the smaller bound over n (or more finely), so the
+    quadrature moves neither check by more than that.  Raises
+    BoundViolationError unless both strict inequalities hold, and
+    AccuracyError when a quadrature cannot reach its tolerance.
     """
     if not isinstance(n, int) or n < 1:
         raise DomainError(f"n must be a positive integer, got {n!r}")
     rn_b = remainder_bound(n, pt.M)
     tail_b = tail_bound(n, pt)
-    log_tol = math.log(1e-3 / n) + math.log(max(min(rn_b, tail_b), _TINY))
     i2 = oracle_I2(pt).value
     full_terms = []
-    tail_terms = []
     fac = math.pi / 2.0
     for k in range(n):
         full_terms.append(fac * oracle_Ck(k, pt.x, pt.alpha_abs).value)
         fac /= 4.0 * pt.M * (k + 1)
-        tail_terms.append(_tail_integral(k, pt, log_tol))
-    measured_tail = math.fsum(tail_terms)
+    measured_tail = math.fsum(oracle_I2_tails(pt, n, 1e-3 / n * min(rn_b, tail_b)))
     measured_rn = i2 - (math.fsum(full_terms) - measured_tail)
     report = BoundReport(point=pt, n=n, rn_bound=rn_b, tail_bound=tail_b,
                          inc_gamma_margin=None, measured_rn=measured_rn,

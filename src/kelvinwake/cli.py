@@ -368,7 +368,7 @@ _BOUNDS_HEADER = ["kind", "alpha_over_pi", "x", "rho", "M", "n", "rn_bound",
 
 def cmd_bounds(args) -> int:
     rows = []
-    violations = 0
+    failures = 0
     for row in table1.TABLE1_ROWS:
         pt = row.point()
         rec = {"kind": "remainder", "alpha_over_pi": row.alpha_over_pi,
@@ -381,8 +381,8 @@ def cmd_bounds(args) -> int:
         except KelvinWakeError as exc:
             rec.update(ok=0, rn_bound="", measured_rn="", tail_bound="",
                        measured_tail="")
-            print(f"bound violation: {exc}", file=sys.stderr)
-            violations += 1
+            print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+            failures += 1
         rows.append(rec)
     grid = [(a, chi) for chi in [1.0 + 49.0 * i / 49.0 for i in range(50)]
             for a in [chi * j / 49.0 for j in range(50)]]
@@ -394,11 +394,11 @@ def cmd_bounds(args) -> int:
                      "inc_gamma_margin": rep.inc_gamma_margin, "ok": 1})
     except KelvinWakeError as exc:
         rows.append({"kind": "inc_gamma", "ok": 0})
-        print(f"bound violation: {exc}", file=sys.stderr)
-        violations += 1
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        failures += 1
     meta = {"command": "bounds", "version": __version__}
     _write_output(_BOUNDS_HEADER, rows, args, meta)
-    return EXIT_TOLERANCE if violations else EXIT_OK
+    return EXIT_TOLERANCE if failures else EXIT_OK
 
 
 def _add_common(p):

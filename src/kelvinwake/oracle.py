@@ -7,14 +7,15 @@ The wake integral
 
 and every intermediate integral the expansions approximate are evaluated
 here by adaptive Gauss-Kronrod quadrature, so the series machinery can be
-checked against something that knows nothing about series.  F and the C_k
-tables share one adaptive loop, _gk21_adaptive, over QUADPACK's 21-point
-rule (dqk21) in numpy: each pass evaluates every open panel's nodes as one
-array and keeps QUADPACK's error estimate and rounding floor per panel.
-The loop integrates one function (F) or a stack of them on one shared mesh
-(the moments of a C_k table), with one tolerance, bisection rule and panel
-budget; each caller keeps its own stall rule.  The other integrals call
-scipy's QUADPACK.
+checked against something that knows nothing about series.  Every
+finite-range integral runs on one adaptive loop, _gk21_adaptive, over
+QUADPACK's 21-point rule (dqk21) in numpy: each pass evaluates every open
+panel's nodes as one array and keeps QUADPACK's error estimate and
+rounding floor per panel.  The loop integrates one function (F, I1, I2)
+or a stack of them on one shared mesh (the moments of a C_k table, the
+tail moments of I2), with one tolerance, bisection rule and panel budget.
+_integrate adds the panel budget and stall rule that all but the C_k
+table share.  scipy's QUADPACK is left only for F's Fourier tails.
 
 The integrand of F is the real part of a single complex exponential
 combined with its conjugate, which works out to the real, even function
@@ -33,8 +34,9 @@ envelope's exponent, the phases and the nodes: where the phase reaches 1e4
 and beyond (|alpha| near pi/2 at large M) a few ulps of it outweigh
 QUADPACK's floor of 50 ulps of the integral of |f|.
 
-Endpoint square-root singularities of the branch-cut integrals are removed
-by the substitution tau = p sin(theta) before any rule sees them.
+Endpoint singularities are removed by a change of variable before any rule
+sees them: tau = p sin(theta) in the branch-cut integral, a power of
+p^2 - tau^2 in the moment identity.
 
 The coefficients C_k(x, alpha) of the asymptotic 1/M series are computed
 as a whole table, C_0 .. C_30, in one run of the adaptive loop per
@@ -59,7 +61,7 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
 from .errors import AccuracyError, DomainError, InternalConsistencyError
-from .specfun import upper_inc_gamma
+from .specfun import kummer_1f1, upper_inc_gamma
 
 #: Subdivision budget: at most ~1e6 integrand evaluations per integral
 #: (21-point Gauss-Kronrod panels).
@@ -145,52 +147,6 @@ class QuadResult:
     truncation_point: float
 
 
-def _run_quad(f, a, b, abs_tol, rel_tol, limit=MAX_SUBDIVISIONS, relax=20.0):
-    """quad wrapper: QUADPACK may flag roundoff while already at ~1e-14;
-    only escalate to AccuracyError when the reported estimate is genuinely
-    worse than `relax` times the request.  The estimate itself is always
-    passed through unmodified."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        out = quad(f, a, b, epsabs=abs_tol, epsrel=rel_tol, limit=limit,
-                   full_output=1)
-    value, err, info = out[0], out[1], out[2]
-    neval = int(info.get("neval", 0)) if isinstance(info, dict) else 0
-    if len(out) > 3 and err > relax * max(abs_tol, rel_tol * abs(value)):
-        raise AccuracyError(f"quadrature stalled: {out[3]}", value=value,
-                            error_estimate=err)
-    return value, err, neval
-
-
-def integrate_adaptive(f, a: float, b: float, abs_tol: float = 1e-12,
-                       rel_tol: float = 1e-12, singularity: str | None = None,
-                       max_evaluations: int = 1_000_000) -> QuadResult:
-    """Adaptive quadrature of f over the finite interval [a, b].
-
-    An integrable inverse-square-root singularity at b must be declared
-    via singularity = 'sqrt-upper'; the substitution t = a + (b - a)
-    sin(theta) restores smoothness before the nested Gauss-Kronrod rule
-    runs.  Raises AccuracyError (carrying the best estimate) once the
-    evaluation budget is exhausted (21 evaluations per panel).
-    """
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
-        raise DomainError(f"need finite a < b, got [{a}, {b}]")
-    if max_evaluations < 21:
-        raise DomainError("max_evaluations must allow at least one panel")
-    w = b - a
-    if singularity is None:
-        g, lo, hi = f, a, b
-    elif singularity == "sqrt-upper":
-        def g(theta, _f=f):
-            return _f(a + w * math.sin(theta)) * w * math.cos(theta)
-        lo, hi = 0.0, _HALF_PI
-    else:
-        raise DomainError(f"unknown singularity declaration {singularity!r}")
-    value, err, neval = _run_quad(g, lo, hi, abs_tol, rel_tol,
-                                  limit=max(max_evaluations // 21, 1))
-    return QuadResult(value, err, neval, b)
-
-
 # ---------------------------------------------------------------------------
 # Gauss-Kronrod array passes
 
@@ -269,7 +225,7 @@ def _gk21_panels(integrand, a, b):
     if len(a) > _PANEL_BLOCK:
         blocks = [_gk21_panels(integrand, a[i:i + _PANEL_BLOCK], b[i:i + _PANEL_BLOCK])
                   for i in range(0, len(a), _PANEL_BLOCK)]
-        return tuple(np.concatenate(part) for part in zip(*blocks))
+        return tuple(np.concatenate(part, axis=-1) for part in zip(*blocks))
     h = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     u = mid[:, None] + h[:, None] * _GK21_NODES
@@ -349,13 +305,6 @@ def _gk21_adaptive(rule, a, b, abs_tol, rel_tol, max_panels):
 # the defining integral
 
 
-def _phase_oscillations(x, rho, alpha, U):
-    """Rough count of integrand oscillations on [0, U]."""
-    k2 = 0.5 * rho * math.sin(alpha)
-    total = k2 * math.sinh(2.0 * U) + x * math.cosh(U)
-    return total / (2.0 * math.pi)
-
-
 def _wake_integrand(x, k1, k2):
     """The integrand exp(-k1 cosh 2u) cos(k2 sinh 2u) cos(x cosh u) of F
     as an integrand of _gk21_panels.
@@ -402,25 +351,34 @@ def _wake_edges(x, k1, k2, U):
     return edges
 
 
-def _wake_core(x, k1, k2, U, abs_tol):
-    """The integral of F's integrand over [0, U] by _gk21_adaptive, to
-    max(abs_tol, 1e-13 |value|): (value, error, evaluations, problem).
-
-    error adds the rounding bound of _wake_integrand to QUADPACK's.
-    problem is None, or why the error cannot be trusted to the tolerance:
-    the MAX_SUBDIVISIONS panel budget ran out, or refinement stopped above
-    20 times the tolerance (as _run_quad accepts).
+def _integrate(integrand, edges, abs_tol, rel_tol):
+    """_gk21_adaptive from the panels between edges, for an integrand of
+    _gk21_panels, or a stack of them if its values carry a leading axis
+    (abs_tol may then be an array): (value, error, evaluations, problem),
+    value and error as floats or lists.  error adds the integrand's rounding
+    bound.  problem is None, or why the error cannot be trusted: the
+    MAX_SUBDIVISIONS panel budget ran out, or some integrand stalled above
+    20 times its tolerance; the caller raises it with its best value.
     """
-    edges = _wake_edges(x, k1, k2, U)
+    if not (math.isfinite(edges[0]) and math.isfinite(edges[-1]) and edges[0] < edges[-1]):
+        raise DomainError(f"need finite a < b, got [{edges[0]}, {edges[-1]}]")
     value, error, noise, tol, evaluations, complete = _gk21_adaptive(
-        partial(_gk21_panels, _wake_integrand(x, k1, k2)), edges[:-1], edges[1:],
-        abs_tol, 1e-13, MAX_SUBDIVISIONS)
+        partial(_gk21_panels, integrand), edges[:-1], edges[1:], abs_tol, rel_tol,
+        MAX_SUBDIVISIONS)
     problem = None
+    stalled = error > 20.0 * tol
     if not complete:
         problem = f"quadrature needs more than {MAX_SUBDIVISIONS} panels"
-    elif error > 20.0 * tol:
-        problem = f"quadrature stalled: error {error:.3e} against a tolerance of {tol:.3e}"
-    return float(value), float(error + noise), evaluations, problem
+    elif np.count_nonzero(stalled):
+        i = np.argmax(stalled)
+        e, t = np.ravel(error)[i], np.ravel(tol)[i]
+        problem = f"quadrature stalled: error {e:.3e} against a tolerance of {t:.3e}"
+    return np.asarray(value).tolist(), np.asarray(error + noise).tolist(), evaluations, problem
+
+
+def _plain(f):
+    """The numpy function f as an integrand with no rounding bound of its own."""
+    return lambda u, du: (f(u), np.zeros_like(u))
 
 
 def _invert_phase(v, k2, sg, x, lo):
@@ -457,7 +415,8 @@ def _oscillatory_F(pt: EvalPoint, abs_tol: float):
 
     # the core h(u) (cos(A + B) + cos(A - B)) = 2 h(u) cos A cos B is even:
     # twice [0, U]
-    half, err, neval, problem = _wake_core(x, k1, k2, U, 0.125 * abs_tol)
+    half, err, neval, problem = _integrate(
+        _wake_integrand(x, k1, k2), _wake_edges(x, k1, k2, U), 0.125 * abs_tol, 1e-13)
     value, err = 2.0 * half, 2.0 * err
 
     for sg in (1.0, -1.0):
@@ -511,13 +470,14 @@ def oracle_F(pt: EvalPoint, abs_tol: float = 1e-12) -> QuadResult:
 
     arg = 2.0 * target / (rho * cos_a)
     U = 0.5 * math.acosh(max(arg, 2.0))
-    if _phase_oscillations(x, rho, alpha, U) > 20_000:
-        return _oscillatory_F(pt, abs_tol)
-
     k1 = 0.5 * rho * cos_a
     k2 = 0.5 * rho * math.sin(alpha)
+    # past 20000 oscillations on [0, U] the Fourier-tail path takes over
+    if (k2 * math.sinh(2.0 * U) + x * math.cosh(U)) / (2.0 * math.pi) > 20_000:
+        return _oscillatory_F(pt, abs_tol)
     # the integrand is even: twice [0, U]
-    half, err, neval, problem = _wake_core(x, k1, k2, U, 0.25 * abs_tol)
+    half, err, neval, problem = _integrate(
+        _wake_integrand(x, k1, k2), _wake_edges(x, k1, k2, U), 0.25 * abs_tol, 1e-13)
     aW = k1 * 0.5 * math.exp(2.0 * U)   # ~ k1 cosh(2U)
     tail_bound = 2.0 * math.exp(-aW) / aW
     value, err = 2.0 * half, 2.0 * err + tail_bound
@@ -534,35 +494,112 @@ def oracle_I1_alpha(pt: EvalPoint) -> QuadResult:
     """Branch-cut integral for 0 <= alpha <= pi/2:
 
         I1 = int_0^p exp(-M tau^2) sin(2 M c tau)
-             cos(2 M s sqrt(p^2 - tau^2)) / sqrt(p^2 - tau^2) dtau.
+             cos(2 M s sqrt(p^2 - tau^2)) / sqrt(p^2 - tau^2) dtau
+           = int_0^(pi/2) exp(-rho sin^2 t) sin(x c sin t) cos(x s cos t) dt,
+
+    by tau = p sin(t), whose Jacobian p cos(t) cancels the root.
     """
-    M, p, c, s = pt.M, pt.p, pt.c, pt.s
+    x, rho, c, s = pt.x, pt.rho, pt.c, pt.s
 
-    def f(tau):
-        root = math.sqrt((p - tau) * (p + tau))
-        return (math.exp(-M * tau * tau) * math.sin(2.0 * M * c * tau)
-                * math.cos(2.0 * M * s * root) / root)
+    def f(t):
+        sin_t = np.sin(t)
+        return np.exp(-rho * sin_t * sin_t) * np.sin(x * c * sin_t) * np.cos(x * s * np.cos(t))
 
-    return integrate_adaptive(f, 0.0, p, abs_tol=1e-15, rel_tol=5e-14,
-                              singularity="sqrt-upper")
+    # each initial panel spans at most 2 pi of the phases and the exponent
+    count = min(math.ceil((x * (c + s) + rho) / _WAKE_PANEL_PHASE), MAX_SUBDIVISIONS + 1)
+    value, err, neval, problem = _integrate(
+        _plain(f), np.linspace(0.0, _HALF_PI, count + 1), 1e-15, 5e-14)
+    if problem:
+        raise AccuracyError(problem, value=value, error_estimate=err)
+    return QuadResult(value, err, neval, pt.p)
+
+
+def _doubling_edges(first, end):
+    """Edges 0, first, 2 first, 4 first, ... and end."""
+    pts = [0.0]
+    edge = first
+    while edge < end:
+        pts.append(edge)
+        edge *= 2.0
+    pts.append(end)
+    return np.array(pts)
 
 
 def oracle_I2(pt: EvalPoint) -> QuadResult:
     """Laplace-type integral along the imaginary axis:
 
         I2 = int_0^xi0 exp(rho xi^2 - x c xi)
-             cos(s x sqrt(1 + xi^2)) / sqrt(1 + xi^2) dxi.
+             cos(s x sqrt(1 + xi^2)) / sqrt(1 + xi^2) dxi,
+
+    on panels that double in width from the decay length 1 / (x c).
     """
     x, rho, c, s, xi0 = pt.x, pt.rho, pt.c, pt.s, pt.xi0
     if xi0 <= 0:
         raise DomainError(f"xi0 = {xi0} is not positive at this point")
 
     def f(xi):
-        root = math.sqrt(1.0 + xi * xi)
-        return math.exp(rho * xi * xi - x * c * xi) * math.cos(s * x * root) / root
+        root = np.sqrt(1.0 + xi * xi)
+        return np.exp(rho * xi * xi - x * c * xi) * np.cos(s * x * root) / root
 
-    value, err, neval = _run_quad(f, 0.0, xi0, 1e-16, 5e-14)
+    value, err, neval, problem = _integrate(
+        _plain(f), _doubling_edges(1.0 / (x * c), xi0), 1e-16, 5e-14)
+    if problem:
+        raise AccuracyError(problem, value=value, error_estimate=err)
     return QuadResult(value, err, neval, xi0)
+
+
+def _tail_cut(k, lam, xi0, log_w):
+    """Where the envelope integral of the k-th tail moment (log weight
+    log_w) falls below e^-55, or lam U passes 690."""
+    U = xi0 + (2 * k + 60.0) / lam
+    for _ in range(60):
+        if lam * U > 690.0:
+            break
+        g = upper_inc_gamma(2 * k + 1.0, lam * U)
+        if g.value <= 0.0:
+            break
+        if log_w + math.log(g.value) - (2 * k + 1) * math.log(lam) < -55.0:
+            break
+        U *= 1.2
+    return U
+
+
+def oracle_I2_tails(pt: EvalPoint, n: int, abs_tol: float) -> list:
+    """The tail moments of I2 for k < n, as a list:
+
+        T_k = (rho^k / k!) int_xi0^U xi^2k exp(-x c xi)
+              cos(s x sqrt(1 + xi^2)) / sqrt(1 + xi^2) dxi.
+
+    All n are one stack on one mesh, cut at the largest U of the k.  Each
+    T_k is measured to the smaller of abs_tol and 1e-12 of its envelope,
+    (U - xi0) times the peak of its weight (QUADPACK's rounding floor is 50
+    ulps of the integral of |f|), or to 5e-14 relative.  The quadrature
+    sees each moment over the peak of its weight, so nothing overflows.
+    """
+    x, rho, c, s, xi0 = pt.x, pt.rho, pt.c, pt.s, pt.xi0
+    if not (isinstance(n, int) and n >= 1 and xi0 > 0):
+        raise DomainError(f"need an integer n >= 1 and xi0 > 0, got {n!r} and {xi0}")
+    lam = x * c
+    k = np.arange(n)
+    log_w = k * math.log(rho) - np.array([math.lgamma(j + 1.0) for j in range(n)])
+    U = max(_tail_cut(j, lam, xi0, log_w[j]) for j in range(n))
+    peak = np.clip(2.0 * k / lam, xi0, U)
+    log_peak = 2.0 * k * np.log(peak) - lam * peak
+    log_tol = np.minimum(math.log(max(abs_tol, 5e-324)) - log_w - log_peak,
+                         math.log(1e-12 * (U - xi0)))
+    power, shift = 2.0 * k[:, None, None], log_peak[:, None, None]
+
+    def f(xi):
+        root = np.sqrt(1.0 + xi * xi)
+        return np.exp(power * np.log(xi) - lam * xi - shift) * np.cos(s * x * root) / root
+
+    value, err, _, problem = _integrate(
+        _plain(f), xi0 + _doubling_edges(1.0 / lam, U - xi0), np.exp(log_tol), 5e-14)
+    scale = np.exp(log_w + log_peak)
+    value, err = (scale * value).tolist(), (scale * err).tolist()
+    if problem:
+        raise AccuracyError(problem, value=value, error_estimate=err)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -611,18 +648,6 @@ for _part in _CK_FAR:
     _part.flags.writeable = False
 
 
-def _ck_near_edges(lam):
-    """Edges of the initial panels below 4: doubling from lam = x c (where
-    the factor 1/sqrt(1 + (w/lam)^2) turns over) up to 4."""
-    pts = [0.0]
-    edge = lam
-    while edge < 4.0:
-        pts.append(edge)
-        edge *= 2.0
-    pts.append(4.0)
-    return np.array(pts)
-
-
 def _ck_gk21(h, w, weights, x, c, s):
     """GK21 on panels given by _ck_nodes, for the moments of both forms of g.
 
@@ -666,7 +691,9 @@ def _ck_table(x: float, alpha: float, rel_tol: float) -> tuple:
     # all moments of both forms on one adaptive mesh; a (form, k) pair has
     # the absolute tolerance 1e-15 times its envelope, (2k)! for the
     # xi-form and (2k)!/max(x, 1) for the t-form
-    near = _ck_near_edges(x * c)
+    # below 4 the panels double from x c, where the factor
+    # 1/sqrt(1 + (w/(x c))^2) turns over
+    near = _doubling_edges(x * c, 4.0)
     abs_tol = 1e-15 * _CK_ENVELOPE * np.array([[1.0], [1.0 / max(x, 1.0)]])
     moments, errors, _, tol, nodes, complete = _gk21_adaptive(
         _ck_rule(x, c, s), np.concatenate([near[:-1], _CK_FAR_EDGES[:-1]]),
@@ -681,7 +708,7 @@ def _ck_table(x: float, alpha: float, rel_tol: float) -> tuple:
     scale = (2.0 / math.pi) * np.array([cpow / (x * c), cpow / c])
     v_xi, v_t = (scale * moments).tolist()
     e_xi, e_t = (scale * (errors + np.array([_CK_TAIL_XI, c * _CK_TAIL_T]))).tolist()
-    # as in _run_quad: where rounding stops refinement, up to 20 times the
+    # as in _integrate: where rounding stops refinement, up to 20 times the
     # tolerance is accepted
     stalled = (errors > 20.0 * tol).any(axis=0).tolist()
     table = []
@@ -753,21 +780,25 @@ def oracle_moment_identity(k: int, mu: float, M: float, p: float):
     """
     if not isinstance(k, int) or k < 0 or k > 20:
         raise DomainError("k must be an integer in [0, 20]")
-    if mu <= 0 or M <= 0 or p <= 0:
-        raise DomainError("mu, M, p must all be positive")
-    from .specfun import kummer_1f1
-
+    if not all(0.0 < v < math.inf for v in (mu, M, p)):
+        raise DomainError("mu, M, p must all be positive and finite")
     rho = M * p * p
 
-    # tau = p sin(theta) turns the weight into sin^{2k+1} cos^{2mu-1}
-    def f(theta):
-        st = math.sin(theta)
-        ct = math.cos(theta)
-        return (math.exp(-rho * st * st) * st ** (2 * k + 1)
-                * ct ** (2.0 * mu - 1.0))
+    # p^2 - tau^2 = p^2 t^q with q = ceil(2 mu) / mu >= 2 turns the weight
+    # tau (p^2 - tau^2)^(mu - 1) dtau into (q / 2) p^(2 mu) t^(ceil(2 mu) - 1) dt:
+    # the integrand on [0, 1] is bounded and twice differentiable for every mu
+    power = math.ceil(2.0 * mu)
+    q = power / mu
 
-    value, _err, _n = _run_quad(f, 0.0, _HALF_PI, 1e-16, 5e-15)
-    lhs = p ** (2 * k + 2 * mu) * value
+    def f(t):
+        v = 1.0 - t ** q
+        return np.exp(-rho * v) * v ** k * t ** (power - 1)
+
+    value, err, _, problem = _integrate(_plain(f), np.array([0.0, 1.0]), 0.0, 5e-15)
+    scale = 0.5 * q * p ** (2 * k + 2 * mu)
+    if problem:
+        raise AccuracyError(problem, value=scale * value, error_estimate=scale * err)
+    lhs = scale * value
 
     pref = (math.exp(math.lgamma(k + 1) + math.lgamma(mu) - math.lgamma(k + mu + 1))
             / 2.0)

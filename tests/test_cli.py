@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from kelvinwake.cli import MAX_GRID_POINTS, main
+from kelvinwake.cli import EXIT_TOLERANCE, MAX_GRID_POINTS, main
 from kelvinwake.oracle import EvalPoint, oracle_F
 
 
@@ -336,6 +336,23 @@ def test_bounds_all_certified(capsys):
     assert len(lines) == 14           # 12 remainder rows + gamma row + header
     for ln in lines[1:]:
         assert ln.split(",")[-1] == "1"
+
+
+def test_bounds_labels_a_stalled_quadrature_by_its_type(capsys, monkeypatch):
+    # an AccuracyError from the tail quadrature is not a violated bound
+    from kelvinwake import bounds
+    from kelvinwake.errors import AccuracyError
+
+    def stalled(pt, n):
+        raise AccuracyError("quadrature stalled: error 1e-10 against a tolerance of 1e-20")
+
+    monkeypatch.setattr(bounds, "verify_remainder", stalled)
+    code, out, err = run(capsys, "bounds", "--format", "csv")
+    assert code == EXIT_TOLERANCE
+    assert "bound violation" not in err
+    assert err.count("AccuracyError: quadrature stalled") == 12
+    lines = out.strip().split("\n")
+    assert [ln.split(",")[-1] for ln in lines[1:]] == ["0"] * 12 + ["1"]
 
 
 def test_csv_output_is_17_digit(capsys):
