@@ -101,13 +101,12 @@ def verify_remainder(pt: EvalPoint, n: int) -> BoundReport:
 
     The finite sum of full-range integrals is (pi/2) sum_{k<n} M^-k/(4^k k!)
     C_k with C_k taken from the quadrature oracle (no series code involved),
-    the truncated-range tail is restored by quadrature of its n moments in
-    one adaptive run (oracle_I2_tails), and the leftover is exactly the
-    Lagrange remainder the envelope controls.  Each tail moment is measured
-    to a thousandth of the smaller bound over n (or more finely), so the
-    quadrature moves neither check by more than that.  Raises
-    BoundViolationError unless both strict inequalities hold, and
-    AccuracyError when a quadrature cannot reach its tolerance.
+    the truncated-range tail is restored by one quadrature of its n moments
+    (oracle_I2_tails), and the leftover is exactly the Lagrange remainder
+    the envelope controls.  Each moment is measured to a thousandth of the
+    smaller bound over n (or more finely), so the quadrature moves neither
+    check by more than that.  Raises BoundViolationError unless both strict
+    inequalities hold, AccuracyError if a quadrature misses its tolerance.
     """
     if not isinstance(n, int) or n < 1:
         raise DomainError(f"n must be a positive integer, got {n!r}")

@@ -10,12 +10,10 @@ here by adaptive Gauss-Kronrod quadrature, so the series machinery can be
 checked against something that knows nothing about series.  Every
 finite-range integral runs on one adaptive loop, _gk21_adaptive, over
 QUADPACK's 21-point rule (dqk21) in numpy: each pass evaluates every open
-panel's nodes as one array and keeps QUADPACK's error estimate and
-rounding floor per panel.  The loop integrates one function (F, I1, I2)
-or a stack of them on one shared mesh (the moments of a C_k table, the
-tail moments of I2), with one tolerance, bisection rule and panel budget.
-_integrate adds the panel budget and stall rule that all but the C_k
-table share.  scipy's QUADPACK is left only for F's Fourier tails.
+panel's nodes as one array, for one integrand or a stack of them on one
+shared mesh, and keeps QUADPACK's error estimate and rounding floor per
+panel.  _integrate adds the panel budget and stall rule that all but the
+C_k table share.  scipy's QUADPACK is left only for F's Fourier tails.
 
 The integrand of F is the real part of a single complex exponential
 combined with its conjugate, which works out to the real, even function
@@ -305,6 +303,13 @@ def _gk21_adaptive(rule, a, b, abs_tol, rel_tol, max_panels):
 # the defining integral
 
 
+def _phase_oscillations(x, rho, alpha, U):
+    """Rough count of integrand oscillations on [0, U]."""
+    k2 = 0.5 * rho * math.sin(alpha)
+    total = k2 * math.sinh(2.0 * U) + x * math.cosh(U)
+    return total / (2.0 * math.pi)
+
+
 def _wake_integrand(x, k1, k2):
     """The integrand exp(-k1 cosh 2u) cos(k2 sinh 2u) cos(x cosh u) of F
     as an integrand of _gk21_panels.
@@ -470,11 +475,11 @@ def oracle_F(pt: EvalPoint, abs_tol: float = 1e-12) -> QuadResult:
 
     arg = 2.0 * target / (rho * cos_a)
     U = 0.5 * math.acosh(max(arg, 2.0))
+    if _phase_oscillations(x, rho, alpha, U) > 20_000:
+        return _oscillatory_F(pt, abs_tol)
+
     k1 = 0.5 * rho * cos_a
     k2 = 0.5 * rho * math.sin(alpha)
-    # past 20000 oscillations on [0, U] the Fourier-tail path takes over
-    if (k2 * math.sinh(2.0 * U) + x * math.cosh(U)) / (2.0 * math.pi) > 20_000:
-        return _oscillatory_F(pt, abs_tol)
     # the integrand is even: twice [0, U]
     half, err, neval, problem = _integrate(
         _wake_integrand(x, k1, k2), _wake_edges(x, k1, k2, U), 0.25 * abs_tol, 1e-13)
@@ -572,9 +577,8 @@ def oracle_I2_tails(pt: EvalPoint, n: int, abs_tol: float) -> list:
 
     All n are one stack on one mesh, cut at the largest U of the k.  Each
     T_k is measured to the smaller of abs_tol and 1e-12 of its envelope,
-    (U - xi0) times the peak of its weight (QUADPACK's rounding floor is 50
-    ulps of the integral of |f|), or to 5e-14 relative.  The quadrature
-    sees each moment over the peak of its weight, so nothing overflows.
+    (U - xi0) times the peak of its weight, or to 5e-14 relative; the
+    quadrature sees it over that peak, so nothing overflows.
     """
     x, rho, c, s, xi0 = pt.x, pt.rho, pt.c, pt.s, pt.xi0
     if not (isinstance(n, int) and n >= 1 and xi0 > 0):

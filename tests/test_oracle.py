@@ -38,7 +38,7 @@ class TestIntegrateAdaptive:
     def test_exponential_tail(self):
         value, est, _, problem = self.integrate(np.exp, -40.0, 0.0)
         assert problem is None
-        assert abs(value - 1.0) <= 1e-15 + est
+        assert abs(value - 1.0) <= 1e-15
 
     def test_bad_interval(self):
         for a, b in [(1.0, 0.0), (0.0, 0.0), (0.0, math.inf), (math.nan, 1.0)]:
