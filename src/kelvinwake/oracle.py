@@ -8,12 +8,12 @@ The wake integral
 and every intermediate integral the expansions approximate are evaluated
 here by adaptive Gauss-Kronrod quadrature, so the series machinery can be
 checked against something that knows nothing about series.  Every
-finite-range integral runs on one adaptive loop, _gk21_adaptive, over
-QUADPACK's 21-point rule (dqk21) in numpy: each pass evaluates every open
-panel's nodes as one array, for one integrand or a stack of them on one
-shared mesh, and keeps QUADPACK's error estimate and rounding floor per
-panel.  _integrate adds the panel budget and stall rule that all but the
-C_k table share.  scipy's QUADPACK is left only for F's Fourier tails.
+integral runs on one adaptive loop, _gk21_adaptive, over QUADPACK's
+21-point rule (dqk21) in numpy: each pass evaluates every open panel's
+nodes as one array, for one integrand or a stack of them on one shared
+mesh, and keeps QUADPACK's error estimate and rounding floor per panel.
+_integrate adds the panel budget and stall rule that all but the C_k table
+share.
 
 The integrand of F is the real part of a single complex exponential
 combined with its conjugate, which works out to the real, even function
@@ -23,14 +23,14 @@ combined with its conjugate, which works out to the real, even function
 
 The infinite u-range is truncated where the Gaussian-type envelope
 guarantees the tail is negligible; close to |alpha| = pi/2 the envelope
-dies and the tail is instead integrated as a Fourier integral in the phase
-variable (QUADPACK's oscillatory rule with nonlinear phase substitution).
-The finite part [0, U] (the integrand is even) starts from panels that
-each span at most 2 pi of the phase.  Its error estimate is QUADPACK's plus
-a bound on the rounding of the integrand, counted from the roundings of the
-envelope's exponent, the phases and the nodes: where the phase reaches 1e4
-and beyond (|alpha| near pi/2 at large M) a few ulps of it outweigh
-QUADPACK's floor of 50 ulps of the integral of |f|.
+dies, and the tails, integrals of an entire function, are taken instead
+along a contour shifted up to Im u = pi/4, where they decay doubly
+exponentially.  The finite part [0, U] (the integrand is even) starts
+from panels that each span at most 2 pi of the phase.  Its error estimate
+is QUADPACK's plus a bound on the rounding of the integrand, counted from
+the roundings of the envelope's exponent, the phases and the nodes: where
+the phase reaches 1e4 and beyond (|alpha| near pi/2 at large M) a few ulps
+of it outweigh QUADPACK's floor of 50 ulps of the integral of |f|.
 
 Endpoint singularities are removed by a change of variable before any rule
 sees them: tau = p sin(theta) in the branch-cut integral, a power of
@@ -51,12 +51,10 @@ coefficients up in it, and oracle_Ck.cache_clear() empties it.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .errors import AccuracyError, DomainError, InternalConsistencyError
 from .specfun import kummer_1f1, upper_inc_gamma
@@ -386,26 +384,32 @@ def _plain(f):
     return lambda u, du: (f(u), np.zeros_like(u))
 
 
-def _invert_phase(v, k2, sg, x, lo):
-    """Solve k2 sinh 2u + sg x cosh u = v for u >= lo (phase is monotone there)."""
-    u = max(lo, 0.5 * math.asinh(max(v, 1.0) / k2)) if k2 > 0 else lo
-    for _ in range(100):
-        g = k2 * math.sinh(2.0 * u) + sg * x * math.cosh(u) - v
-        dg = 2.0 * k2 * math.cosh(2.0 * u) + sg * x * math.sinh(u)
-        step = g / dg
-        u = min(max(u - step, lo), 90.0)
-        if abs(step) <= 1e-15 * max(1.0, abs(u)):
-            return u
-    return u
+def _tail_integrand(x, k1, k2, start, turn):
+    """Re h(u) e^{i phi(u)} along u = start + e^{i turn} s (turn 0 or pi/2),
+    as an integrand of _gk21_panels in s, for sg = +1, -1 as a stack: with
+    E = -k1 cosh 2u + i phi, e^{Re E} cos(Im E + turn) / 2.  The rounding
+    bound is _wake_integrand's, (|k1| + k2) cosh(2 Re u) + x cosh(Re u)
+    bounding the exponent and the phases, and twice that their slope."""
+    step, sg = (1j if turn else 1.0), np.array([1.0, -1.0])[:, None, None]
+
+    def f(s, ds):
+        u = start + step * s
+        e = -k1 * np.cosh(2.0 * u) + 1j * (k2 * np.sinh(2.0 * u) + sg * x * np.cosh(u))
+        env = 0.5 * np.exp(e.real)
+        size = (abs(k1) + k2) * np.cosh(2.0 * u.real) + x * np.cosh(u.real)
+        return (env * np.cos(e.imag + turn),
+                env * (4.0 * 2.0 ** -52 * (2.0 + size) + ds * 2.0 * size))
+    return f
 
 
 def _oscillatory_F(pt: EvalPoint, abs_tol: float):
-    """F for |alpha| near pi/2: finite core + Fourier-integral tails.
+    """F for |alpha| near pi/2: finite core [0, U] + two Fourier tails.
 
-    Beyond the stationary point of the slow phase, each cosine component
-    cos(k2 sinh 2u +/- x cosh u) is rewritten with v = phase(u) so the tail
-    becomes int g(v) cos v dv, handled by the QUADPACK Fourier rule.
-    """
+    Beyond U the integrand is Re h (e^{i phi_+} + e^{i phi_-}), entire in u,
+    h = exp(-k1 cosh 2u) / 2, phi_sg = k2 sinh 2u + sg x cosh u.  Each tail
+    runs from U up to U + i pi/4, then along Im u = pi/4, where its modulus
+    is exp(-k2 cosh 2w - sg x sinh w / sqrt 2) / 2, until below e^-45 abs_tol;
+    U makes x sinh U <= k2 cosh 2U, so both legs decay for both signs."""
     x, rho, alpha = pt.x, pt.rho, pt.alpha_abs
     k1 = 0.5 * rho * math.cos(alpha)
     k2 = 0.5 * rho * math.sin(alpha)
@@ -415,33 +419,23 @@ def _oscillatory_F(pt: EvalPoint, abs_tol: float):
            or k2 * math.sinh(2.0 * U) - x * math.cosh(U) < max(2.0, x)):
         U += 0.25
 
-    def h(u):
-        return 0.5 * math.exp(-k1 * math.cosh(2.0 * u))
-
     # the core h(u) (cos(A + B) + cos(A - B)) = 2 h(u) cos A cos B is even:
     # twice [0, U]
     half, err, neval, problem = _integrate(
         _wake_integrand(x, k1, k2), _wake_edges(x, k1, k2, U), 0.125 * abs_tol, 1e-13)
     value, err = 2.0 * half, 2.0 * err
 
-    for sg in (1.0, -1.0):
-        phi_u = k2 * math.sinh(2.0 * U) + sg * x * math.cosh(U)
-
-        def g(v, _sg=sg):
-            u = _invert_phase(v, k2, _sg, x, U - 1.0)
-            dphi = 2.0 * k2 * math.cosh(2.0 * u) + _sg * x * math.sinh(u)
-            return h(u) / dphi
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", IntegrationWarning)
-            out = quad(g, phi_u, math.inf, weight="cos", wvar=1.0,
-                       epsabs=0.25 * abs_tol, limlst=400, limit=2000,
-                       full_output=1)
-        tail, terr = out[0], out[1]
-        value += 2.0 * tail
-        err += 2.0 * terr
-        info = out[2] if len(out) > 2 and isinstance(out[2], dict) else {}
-        neval += int(info.get("neval", 0))
+    # both legs decay over about 1 / (k2 cosh 2U) from their start; on the
+    # horizontal one the exponent is at least (1 - 1/sqrt 2) k2 cosh 2w
+    first, top = 1.0 / (k2 * math.cosh(2.0 * U)), 0.25 * math.pi
+    W = 0.5 * math.acosh(max((45.0 + math.log(0.5 / abs_tol)) / (0.29 * k2), 1.0))
+    for integrand, edges in [
+            (_tail_integrand(x, k1, k2, U, _HALF_PI), _doubling_edges(first, top)),
+            (_tail_integrand(x, k1, k2, 1j * top, 0.0),
+             U + _doubling_edges(first, max(W - U, 0.25)))]:
+        tails, terr, tneval, tproblem = _integrate(integrand, edges, abs_tol / 16.0, 1e-13)
+        value, err = value + 2.0 * sum(tails), err + 2.0 * sum(terr)
+        neval, problem = neval + tneval, problem or tproblem
     if problem:
         raise AccuracyError(problem, value=value, error_estimate=err)
     return QuadResult(value, err, neval, U)
@@ -575,10 +569,11 @@ def oracle_I2_tails(pt: EvalPoint, n: int, abs_tol: float) -> list:
         T_k = (rho^k / k!) int_xi0^U xi^2k exp(-x c xi)
               cos(s x sqrt(1 + xi^2)) / sqrt(1 + xi^2) dxi.
 
-    All n are one stack on one mesh, cut at the largest U of the k.  Each
-    T_k is measured to the smaller of abs_tol and 1e-12 of its envelope,
-    (U - xi0) times the peak of its weight, or to 5e-14 relative; the
-    quadrature sees it over that peak, so nothing overflows.
+    All n are one stack on one mesh, cut at the U of k = n - 1, the largest
+    for n < M u0^2, where the envelope tails grow with k.  Each T_k is
+    measured to the smaller of abs_tol and 1e-12 of its envelope, (U - xi0)
+    times the peak of its weight, or to 5e-14 relative; the quadrature sees
+    it over that peak, so nothing overflows.
     """
     x, rho, c, s, xi0 = pt.x, pt.rho, pt.c, pt.s, pt.xi0
     if not (isinstance(n, int) and n >= 1 and xi0 > 0):
@@ -586,7 +581,7 @@ def oracle_I2_tails(pt: EvalPoint, n: int, abs_tol: float) -> list:
     lam = x * c
     k = np.arange(n)
     log_w = k * math.log(rho) - np.array([math.lgamma(j + 1.0) for j in range(n)])
-    U = max(_tail_cut(j, lam, xi0, log_w[j]) for j in range(n))
+    U = _tail_cut(n - 1, lam, xi0, log_w[-1])
     peak = np.clip(2.0 * k / lam, xi0, U)
     log_peak = 2.0 * k * np.log(peak) - lam * peak
     log_tol = np.minimum(math.log(max(abs_tol, 5e-324)) - log_w - log_peak,

@@ -371,10 +371,12 @@ def kummer_1f1(a: float, b: float, z: float) -> SpecFunResult:
         return SpecFunResult(value, err, inner.terms_used)
     s = dd.ONE
     t = dd.ONE
+    size = 1.0
     k = 0
     small = 0
     while k < 1500:
         t = dd.div_d(dd.mul_d(t, (a + k) * z), (b + k) * (k + 1))
+        size += abs(t[0])
         if abs(t[0]) <= 1e-21 * abs(s[0]) + 1e-305:
             small += 1
             if small >= 3:
@@ -386,7 +388,10 @@ def kummer_1f1(a: float, b: float, z: float) -> SpecFunResult:
     else:
         raise AccuracyError("1F1 series did not converge", value=dd.to_float(s))
     value = dd.to_float(s)
-    return SpecFunResult(value, abs(t[0]) + 2.3e-16 * abs(value), k + 1)
+    # term i carries the roundings of i double ratios (a + j) z / ((b + j)(j + 1));
+    # 2^-52 (k + 2) of the sum of |terms| covers them where the sum cancels
+    err = abs(t[0]) + 2.3e-16 * abs(value) + 2.0 ** -52 * (k + 2) * size
+    return SpecFunResult(value, err, k + 1)
 
 
 def _upper_gamma_cf(a, chi):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from kelvinwake import oracle
 from kelvinwake.bounds import (
     remainder_bound,
     tail_bound,
@@ -112,6 +113,19 @@ class TestVerifyRemainder:
         rep = verify_remainder(EvalPoint(1.0, rho, frac * math.pi), n)
         assert abs(rep.measured_rn) < rep.rn_bound
         assert abs(rep.measured_tail) < rep.tail_bound
+
+    @pytest.mark.parametrize("M", [8.0, 30.0, 100.0, 400.0, 2000.0])
+    def test_last_moment_has_the_largest_tail_cut(self, M):
+        # oracle_I2_tails cuts all n moments where moment n - 1 is
+        # negligible; on the certification grid no other k needs more
+        for frac in (0.0, 0.2, 0.45):
+            pt = EvalPoint(1.0, 1.0 / (4.0 * M), frac * math.pi)
+            lam = pt.x * pt.c
+            for n in (1, 8, 30):
+                cuts = [oracle._tail_cut(k, lam, pt.xi0,
+                                         k * math.log(pt.rho) - math.lgamma(k + 1.0))
+                        for k in range(n)]
+                assert max(cuts) == cuts[-1], (M, frac, n)
 
     def test_degenerate_n1(self, pt_m125):
         rep = verify_remainder(pt_m125, 1)

@@ -361,3 +361,40 @@ def test_csv_output_is_17_digit(capsys):
     assert code == 0
     value_field = out.strip().split("\n")[1].split(",")[5]
     assert float(value_field) == oracle_F(EvalPoint(0.4, 0.005, 0.0)).value
+
+
+def test_runs_without_scipy():
+    # the package needs numpy alone: with scipy blocked from import, eval
+    # runs every route at |alpha| = pi/2 and M = 1000 (oracle_F's Fourier
+    # tails), field a small grid and verify_remainder one pair
+    import os
+    import subprocess
+    import sys
+    import textwrap
+
+    import kelvinwake
+
+    script = textwrap.dedent("""
+        import math, sys
+        sys.modules["scipy"] = None
+        from kelvinwake import cli
+        from kelvinwake.bounds import verify_remainder
+        from kelvinwake.oracle import EvalPoint
+        cli.main(["eval", "--x", "1", "--rho", "0.00025", "--alpha-pi", "0.5",
+                  "--method", "all", "--format", "json"])
+        assert cli.main(["field", "--x-range", "0.5:1:2", "--rho-range", "0.01:0.02:2",
+                         "--alpha-pi-range=-0.5:0.5:3", "--format", "json"]) == 0
+        verify_remainder(EvalPoint(1.0, 1 / 32, 0.2 * math.pi), 8)
+        assert not [m for m in sys.modules if m.startswith("scipy.")]
+    """)
+    src = os.path.dirname(os.path.dirname(kelvinwake.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr
+    rows = json.loads(proc.stdout.splitlines()[0])["rows"]
+    oracle = rows[-1]
+    assert oracle["method"] == "oracle" and oracle["status"] == "ok"
+    # -0.22220307416678722 by the Bessel product series in 480-digit mpmath
+    assert abs(oracle["value"] + 0.22220307416678722) <= oracle["error_estimate"]

@@ -168,6 +168,11 @@ class TestOracleF:
         # M = 14.3: from one initial panel rather than panels of 2 pi of
         # phase, 3.0e-11 from the reference with an estimate of 1.1e-12
         (0.2377375910226187, 0.0009876714904896776, -1.5644247249063796),
+        # the Fourier-tail path below pi/2 - 1e-6, for more than 20000
+        # oscillations of the envelope path
+        (0.09690709022087807, 0.08020389554167652, -1.570575555952955),
+        # at pi/2, where the U loop advances the cut
+        (0.059024830461159805, 0.03559978721721959, -0.5 * math.pi),
     ])
     def test_estimate_covers_error_near_half_pi(self, x, rho, alpha):
         from test_expansions import _mp_bessel_product

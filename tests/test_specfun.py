@@ -7,6 +7,7 @@ and K) and rounded to the nearest double.
 """
 
 import math
+import random
 
 import pytest
 
@@ -216,6 +217,27 @@ class TestKummer:
         lhs = sf.kummer_1f1(a, b, z).value
         rhs = math.exp(z) * sf.kummer_1f1(b - a, b, -z).value
         assert relerr(lhs, rhs) <= 1e-12
+
+    def test_estimate_covers_error_against_mpmath(self):
+        # seeded draws where the direct series cancels: b - a small and
+        # z < 0, and the moment identity's (k + 1, k + mu + 1, -rho).  With
+        # the rounding of the term ratios left out, (1, 1.01, -5) was off by
+        # 1.4e-15 against an estimate of 2.1e-18
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(1507)
+        cases = [(1.0, 1.01, -5.0)]
+        for i in range(120):
+            if i % 2:
+                a = rng.uniform(0.1, 20.0)
+                cases.append((a, a + rng.uniform(0.001, 0.5), rng.uniform(-50.0, 50.0)))
+            else:
+                a = rng.randrange(21) + 1.0
+                cases.append((a, a + rng.uniform(0.01, 3.0), -rng.uniform(0.0, 50.0)))
+        with mpmath.workdps(40):
+            for a, b, z in cases:
+                got = sf.kummer_1f1(a, b, z)
+                want = mpmath.hyp1f1(a, b, z)
+                assert abs(mpmath.mpf(got.value) - want) <= got.abs_error_estimate, (a, b, z)
 
 
 class TestUpperIncGamma:
