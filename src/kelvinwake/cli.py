@@ -9,26 +9,28 @@ Subcommands:
   field   -- evaluate F over an (x, rho, alpha) grid with method auto-selection
   bounds  -- evaluate and verify the remainder/tail/gamma bounds
 
-field evaluates its grid one x column at a time.  Each exact
-(x, rho, |alpha|) is evaluated once: F is even in alpha, so a row whose
-|alpha| equals, as a double, that of an earlier row of its (x, rho)
-repeats that row's result with its own alpha.  Columns are taken in
-groups of at most expansions.HSCAL_BLOCK_CHUNK (rho, |alpha|) points
-(a whole call on the benchmark's sweep).  Before its rows, each group
-runs numpy array passes of at most that many points: the Struve double
-sum S1 at every point that the route rule sends to paris_F
-(expansions.struve_block, over an Hscal_j(x c) pass of orders up to
-expansions.HSCAL_BLOCK_ORDER), and the Bessel product sum at every point
-sent to bessho_F (expansions.bessho_block: one K_m(rho/2) J_2m(x) ladder
-per (x, rho), which each |alpha| weights with its own cos(m alpha)).
-Each pass takes the scalar code's steps elementwise, so every row, its
-estimate, terms and any refusal included, equals
-`eval --method <its method>` at that point bit for bit; paris_F and
-bessho_F still run once per row and read their sums from the group's
-expansions._KernelMemo.  Everything runs on the calling thread: --threads
-is validated (at most MAX_THREADS) and echoed in the JSON meta, and has no
-other effect.  A range count, or a field grid, of more than MAX_GRID_POINTS
-points is a usage error.
+field evaluates its grid in groups of x columns of at most
+expansions.HSCAL_BLOCK_CHUNK (rho, |alpha|) points in all (a whole call on
+the benchmark's sweep), one loop per group:
+
+  1. gather the group's distinct (x, rho, |alpha|), each point at its first
+     alpha: F is even in alpha, so a row whose |alpha| equals, as a double,
+     that of an earlier row of its (x, rho) shares that row's point;
+  2. build one map of convergent sums for those points: the Struve double
+     sum S1 (expansions.struve_block) at every point that
+     expansions.field_route sends to paris_F, the Bessel product sum
+     (expansions.bessho_block) at every point it sends to bessho_F;
+  3. make one _method_record per distinct point, with that map as the
+     route's memo;
+  4. build every grid row from those records, each with its own alpha.
+
+The array passes of step 2 take the scalar code's steps elementwise, so
+every row, its estimate, terms and any refusal included, equals
+`eval --method <its method>` at that point bit for bit.  Everything runs
+on the calling thread: --threads is validated (at most MAX_THREADS) and
+echoed in the JSON meta, and has no other effect.  A range count, or a
+field grid, of more than MAX_GRID_POINTS points is a usage error; so is
+an --abs-tol outside [1e-14, inf) or an --n outside 1 .. CK_MAX.
 
 Output formats: csv (deterministic, 17 significant digits, LF endings),
 json (meta + rows on one line, keys sorted), pretty (aligned table).
@@ -47,7 +49,7 @@ import sys
 from . import __version__, bounds, expansions, table1
 from .errors import AccuracyError, DomainError, KelvinWakeError
 from .expansions import TruncationPolicy
-from .oracle import EvalPoint, oracle_F
+from .oracle import EvalPoint, check_abs_tol, oracle_F
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
@@ -113,13 +115,20 @@ def _resolve_alpha(args):
     return 0.0
 
 
-def _parse_policy(args):
-    if args.n is None or args.n == "auto":
-        return TruncationPolicy()
+def _parse_n(raw):
+    """--n as an integer in [1, CK_MAX], or None for 'auto' or no value:
+    the C_k tables hold CK_MAX coefficients, so no truncation or
+    coefficient count beyond it can be evaluated."""
+    if raw is None or raw == "auto":
+        return None
     try:
-        return TruncationPolicy(n=int(args.n))
+        n = int(raw)
     except ValueError:
-        raise DomainError(f"--n must be a positive integer or 'auto', got {args.n!r}")
+        n = 0
+    if not 1 <= n <= expansions.CK_MAX:
+        raise DomainError(f"--n must be an integer in [1, {expansions.CK_MAX}] "
+                          f"or 'auto', got {raw!r}")
+    return n
 
 
 def _parse_range(spec, name):
@@ -164,7 +173,8 @@ def _thread_count(args):
 
 def _method_record(pt, method, policy, abs_tol, memo=None):
     """One evaluation record; failures are reported in the status field.
-    memo is handed to bessho_F and paris_F (see expansions._KernelMemo)."""
+    memo is handed to bessho_F and paris_F: a mapping from
+    (x, rho, |alpha|) to the route's convergent sum, as `field` builds it."""
     rec = {"method": method, "x": pt.x, "rho": pt.rho, "alpha": pt.alpha,
            "M": pt.M, "value": math.nan, "error_estimate": math.nan,
            "n_used": 0, "terms_used": 0, "saddle": 0.0,
@@ -174,24 +184,20 @@ def _method_record(pt, method, policy, abs_tol, memo=None):
             q = oracle_F(pt, abs_tol=abs_tol)
             rec.update(value=q.value, error_estimate=q.abs_error_estimate,
                        terms_used=q.evaluations)
-        elif method == "bessho":
+            return rec
+        if method == "bessho":
             r = expansions.bessho_F(pt, memo=memo)
-            rec.update(value=r.value, error_estimate=r.internal_error_estimate,
-                       terms_used=r.terms_used)
         elif method == "ursell":
             r = expansions.ursell_F(pt)
-            rec.update(value=r.value, error_estimate=r.internal_error_estimate,
-                       terms_used=r.terms_used, n_used=r.n_used,
-                       saddle=r.saddle_term)
         elif method == "paris":
             r = expansions.paris_F(pt, policy, memo=memo)
-            rec.update(value=r.value, error_estimate=r.internal_error_estimate,
-                       terms_used=r.terms_used, n_used=r.n_used,
-                       saddle=r.saddle_term,
-                       struve_sum=r.components.struve_sum,
-                       asymptotic_sum=r.components.asymptotic_sum)
         else:
             raise DomainError(f"unknown method {method!r}")
+        rec.update(value=r.value, error_estimate=r.internal_error_estimate,
+                   terms_used=r.terms_used, n_used=r.n_used, saddle=r.saddle_term)
+        if r.components is not None:
+            rec.update(struve_sum=r.components.struve_sum,
+                       asymptotic_sum=r.components.asymptotic_sum)
     except AccuracyError as exc:
         rec.update(status=f"accuracy-not-reached: {exc}",
                    value=exc.value if exc.value is not None else math.nan,
@@ -212,7 +218,8 @@ def cmd_eval(args) -> int:
     alpha = _resolve_alpha(args)
     _check_box(args.x, args.rho, alpha)
     pt = EvalPoint(args.x, args.rho, alpha)
-    policy = _parse_policy(args)
+    policy = TruncationPolicy(n=_parse_n(args.n))
+    check_abs_tol(args.abs_tol)
     methods = (["bessho", "ursell", "paris", "oracle"]
                if args.method == "all" else [args.method])
     rows = [_method_record(pt, m, policy, args.abs_tol) for m in methods]
@@ -261,7 +268,7 @@ def cmd_coeffs(args) -> int:
         alpha = math.pi / 6.0
     if not 0.0 <= alpha <= 0.5 * math.pi:
         raise DomainError("coeffs requires 0 <= alpha <= pi/2")
-    n = int(args.n) if args.n not in (None, "auto") else 4
+    n = _parse_n(args.n) or 4
     xs = _grid(*_parse_range(args.x_range, "x-range"))
     header = ["x"] + [f"C{k}" for k in range(n)]
     rows = []
@@ -279,41 +286,6 @@ def cmd_coeffs(args) -> int:
 
 _FIELD_HEADER = ["x", "rho", "alpha", "M", "method", "value", "error_estimate",
                  "n_used", "terms_used", "status"]
-
-
-def _field_method(pt):
-    """The route field takes at pt."""
-    mc2 = pt.M * pt.c * pt.c
-    return "paris" if (pt.M >= 6.0 and mc2 > 1.0) else "bessho"
-
-
-def _field_point(pt, memo):
-    rec = _method_record(pt, _field_method(pt), TruncationPolicy(), 1e-12, memo)
-    return {h: rec[h] for h in _FIELD_HEADER}
-
-
-def _column_points(x, rhos, alphas):
-    """{(rho, |alpha|): the EvalPoint at its first alpha} of one x column."""
-    pts = {}
-    for rho in rhos:
-        for alpha in alphas:
-            pts.setdefault((rho, abs(alpha)), EvalPoint(x, rho, alpha))
-    return pts
-
-
-def _field_column(pts, rhos, alphas, memo):
-    """The rows of one x column, rho-major, from its _column_points.  Each
-    exact |alpha| is evaluated once per rho, with the sums of its group's
-    array passes (see expansions._KernelMemo)."""
-    rows = []
-    for rho in rhos:
-        done = {}
-        for alpha in alphas:
-            row = done.get(abs(alpha))
-            if row is None:
-                row = done[abs(alpha)] = _field_point(pts[rho, abs(alpha)], memo)
-            rows.append(dict(row, alpha=alpha))
-    return rows
 
 
 def cmd_field(args) -> int:
@@ -341,15 +313,21 @@ def cmd_field(args) -> int:
                     // (len(rhos) * len({abs(a) for a in alphas})))
     rows = []
     for i in range(0, len(xs), per_group):
-        columns = [_column_points(x, rhos, alphas) for x in xs[i:i + per_group]]
-        routed = {"paris": [], "bessho": []}
-        for pts in columns:
-            for pt in pts.values():
-                routed[_field_method(pt)].append(pt)
-        memo = expansions._KernelMemo(expansions.struve_block(routed["paris"]),
-                                      expansions.bessho_block(routed["bessho"]))
-        for pts in columns:
-            rows.extend(_field_column(pts, rhos, alphas, memo))
+        grid = [(x, rho, alpha) for x in xs[i:i + per_group]
+                for rho in rhos for alpha in alphas]
+        pts = {}
+        for x, rho, alpha in grid:
+            pts.setdefault((x, rho, abs(alpha)), EvalPoint(x, rho, alpha))
+        routes = {key: expansions.field_route(pt) for key, pt in pts.items()}
+        memo = {**expansions.struve_block(pt for key, pt in pts.items()
+                                          if routes[key] == "paris"),
+                **expansions.bessho_block(pt for key, pt in pts.items()
+                                          if routes[key] == "bessho")}
+        records = {key: _method_record(pt, routes[key], TruncationPolicy(), 1e-12, memo)
+                   for key, pt in pts.items()}
+        for x, rho, alpha in grid:
+            rec = records[x, rho, abs(alpha)]
+            rows.append({h: alpha if h == "alpha" else rec[h] for h in _FIELD_HEADER})
     meta = {"command": "field", "x_range": args.x_range,
             "rho_range": args.rho_range,
             "alpha_range": args.alpha_range or args.alpha_pi_range,
@@ -405,8 +383,11 @@ def _add_common(p):
     p.add_argument("--format", choices=["csv", "json", "pretty"],
                    default="pretty", help="output format")
     p.add_argument("--out", default=None, help="write output to this path")
+
+
+def _add_abs_tol(p):
     p.add_argument("--abs-tol", type=float, default=1e-12, dest="abs_tol",
-                   help="oracle absolute tolerance")
+                   help="oracle absolute tolerance, at least 1e-14")
 
 
 def _add_point(p):
@@ -417,7 +398,8 @@ def _add_point(p):
     p.add_argument("--alpha-pi", type=float, default=None, dest="alpha_pi",
                    help="polar angle in units of pi")
     p.add_argument("--n", default=None,
-                   help="asymptotic truncation (positive integer or 'auto')")
+                   help=f"asymptotic truncation (integer in [1, "
+                        f"{expansions.CK_MAX}] or 'auto')")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -432,19 +414,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", default="paris",
                    choices=["bessho", "ursell", "paris", "oracle", "all"])
     _add_common(p)
+    _add_abs_tol(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("compare", help="evaluate F by every method")
     _add_point(p)
     _add_common(p)
+    _add_abs_tol(p)
     p.set_defaults(func=cmd_eval, method="all")
 
     p = sub.add_parser("table1", help="reproduce the reference residual table")
     _add_common(p)
+    _add_abs_tol(p)
     p.set_defaults(func=cmd_table1)
 
     p = sub.add_parser("coeffs", help="emit C_k coefficient curves")
-    p.add_argument("--n", default=4, help="number of coefficients (k = 0..n-1)")
+    p.add_argument("--n", default=4, help=f"number of coefficients (k = 0..n-1), "
+                                          f"at most {expansions.CK_MAX}")
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--alpha-pi", type=float, default=None, dest="alpha_pi")
     p.add_argument("--x-range", default="0.05:2:40", dest="x_range",

@@ -20,10 +20,11 @@ The C_k coefficient tables (lookups into the quadrature oracle's cached
 table at every alpha; the exact alpha = 0 recurrence is kept as a
 reference) and the residual that the error table reports live here too.
 
-For a group of points, struve_block and bessho_block compute the two
-convergent sums in numpy array passes, bit for bit with the scalar loops
-that single calls run; `field` hands their results to paris_F and
-bessho_F through a _KernelMemo.
+field_route is the rule that picks a point's route in `field`.  For a
+group of points, struve_block and bessho_block compute the two convergent
+sums in numpy array passes, bit for bit with the scalar loops that single
+calls run; `field` hands their merged results to paris_F and bessho_F as
+their `memo`.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -137,18 +138,13 @@ class CoefficientTable:
         return len(self.values)
 
 
-class _KernelMemo:
-    """The convergent sums of the points of one `field` group, computed
-    by its array passes (struve_block, bessho_block) and keyed by
-    (x, rho, |alpha|): paris_F reads its Struve sum S1 from `struve`,
-    bessho_F its Bessel product sum from `bessho`.  Every entry is the
-    scalar loop's outcome bit for bit, refusals included.  Nothing writes
-    to it after it is built.
-    """
+def field_route(pt: EvalPoint) -> str:
+    """The route `field` takes at pt: "paris" from M = 6 up, "bessho" below.
 
-    def __init__(self, struve=None, bessho=None):
-        self.struve = struve or {}
-        self.bessho = bessho or {}
+    paris_F's AUTO truncation needs M c^2 > 1; c^2 >= 1/2 for |alpha| <= pi/2,
+    so M >= 6 already gives M c^2 >= 3.
+    """
+    return "paris" if pt.M >= 6.0 else "bessho"
 
 
 def _key(pt: EvalPoint):
@@ -418,21 +414,21 @@ def _bessho_pass(pts):
     return out
 
 
-def bessho_F(pt: EvalPoint, *, memo: Optional[_KernelMemo] = None) -> MethodResult:
+def bessho_F(pt: EvalPoint, *, memo: Optional[Mapping] = None) -> MethodResult:
     """Convergent Bessel product series for F.
 
     Terms are products K_m(rho/2) J_2m(x) evaluated as scaled pairs
     kappa_m = K_m (x/2)^{2m} / (2m)!  and  jhat_m = J_2m (2m)! (x/2)^{-2m}
     (_bessel_products).  This keeps every intermediate in range for any M
     and concentrates the cancellation in the final sum, which is
-    accumulated in double-double (_bessho_sum).  memo holds the sum as
-    bessho_block computed it for a group of points (see _KernelMemo); by
-    default it is computed here.
+    accumulated in double-double (_bessho_sum).  memo maps
+    (x, rho, |alpha|) to the sum as bessho_block computed it for a group
+    of points; by default it is computed here.
     """
     if memo is None:
         summed = _bessho_sum(pt.alpha_abs, _bessel_products(pt.x, pt.rho))
     else:
-        summed = memo.bessho[_key(pt)]
+        summed = memo[_key(pt)]
     total, peak, abs_sum, last, m, stop = summed
     if stop == "overflow":
         raise AccuracyError("Bessel product terms overflow double range",
@@ -846,15 +842,15 @@ def _saddle_defect(pt: EvalPoint, sad: float) -> float:
                else amp * SADDLE_DEFECT_SCALE / ms2)
 
 
-def _large_parts(pt: EvalPoint, n: int, memo: Optional[_KernelMemo] = None):
+def _large_parts(pt: EvalPoint, n: int, memo: Optional[Mapping] = None):
     """The two large parts of the expansion, pi e^(-rho/2) S1 and
     pi e^(rho/2) sum_{k<n} M^-k/(2^2k k!) C_k, followed by S1, the
     asymptotic sum, the number of Struve terms and the last asymptotic
-    term.  S1 is read from memo where given (see _KernelMemo)."""
+    term.  S1's outcome is read from memo where given (see paris_F)."""
     if memo is None:
         summed = _struve_series(pt.x, pt.rho, pt.s, pt.c)
     else:
-        summed = memo.struve[_key(pt)]
+        summed = memo[_key(pt)]
     s1, terms = _struve_value(summed)
     ck = ck_table(n, pt.x, pt.alpha_abs)
     asym = asymptotic_sum(pt, ck)
@@ -864,16 +860,16 @@ def _large_parts(pt: EvalPoint, n: int, memo: Optional[_KernelMemo] = None):
 
 
 def paris_F(pt: EvalPoint, policy: TruncationPolicy = DEFAULT_POLICY, *,
-            memo: Optional[_KernelMemo] = None) -> MethodResult:
+            memo: Optional[Mapping] = None) -> MethodResult:
     """Three-part large-M evaluation of F:
 
         -pi e^(-rho/2) S1 + pi e^(rho/2) sum_{k<n} M^-k/(2^2k k!) C_k + saddle
 
     with S1 the convergent double Struve sum.  The stored components
     reproduce the value exactly in double arithmetic.  Soft regime: M >= 4
-    (a warning is issued below).  memo holds S1 as struve_block computed
-    it for a group of points (see _KernelMemo); by default it is computed
-    here.
+    (a warning is issued below).  memo maps (x, rho, |alpha|) to S1's
+    outcome as struve_block computed it for a group of points; by default
+    it is computed here.
     """
     if pt.M < 4.0:
         warnings.warn(f"paris_F called at M = {pt.M:.3g} < 4; accuracy degrades "

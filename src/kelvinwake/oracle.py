@@ -44,7 +44,7 @@ on [4, 154]; their nodes w and moment weights w^2k e^-w are a module
 constant, computed once at import by the same expression, so a table's
 first pass forms only its panels below 4, about log2(4 / (x c)) + 1 of
 them.  The constant is no result cache: it does not depend on x or alpha.
-The table is cached under (x, alpha, rel_tol); oracle_Ck looks single
+The table is cached under (x, alpha); oracle_Ck looks single
 coefficients up in it, and oracle_Ck.cache_clear() empties it.
 """
 
@@ -441,8 +441,15 @@ def _oscillatory_F(pt: EvalPoint, abs_tol: float):
     return QuadResult(value, err, neval, U)
 
 
+def check_abs_tol(abs_tol: float) -> None:
+    """Raise DomainError unless 1e-14 <= abs_tol < inf, the tolerances
+    oracle_F supports (a NaN fails too)."""
+    if not 1e-14 <= abs_tol < math.inf:
+        raise DomainError(f"abs_tol must satisfy 1e-14 <= abs_tol < inf, got {abs_tol!r}")
+
+
 def oracle_F(pt: EvalPoint, abs_tol: float = 1e-12) -> QuadResult:
-    """The wake integral F at pt, to absolute tolerance abs_tol (>= 1e-14).
+    """The wake integral F at pt, to absolute tolerance abs_tol (finite, >= 1e-14).
 
     The two-sided u-range is truncated at U chosen from the envelope rule
     rho cos(alpha) cosh(2U) / 2 >= ln(1/abs_tol) + 5; the residual tail
@@ -458,8 +465,7 @@ def oracle_F(pt: EvalPoint, abs_tol: float = 1e-12) -> QuadResult:
     value and its estimate, when the MAX_SUBDIVISIONS panel budget runs out
     or the quadrature stalls above 20 times the tolerance.
     """
-    if abs_tol < 1e-14:
-        raise DomainError("oracle_F supports abs_tol >= 1e-14")
+    check_abs_tol(abs_tol)
     x, rho, alpha = pt.x, pt.rho, pt.alpha_abs
     cos_a = math.cos(alpha)
     target = math.log(1.0 / abs_tol) + 5.0
@@ -619,6 +625,10 @@ CK_INDEX_MAX = 30
 #: Panel budget of one C_k table (21 nodes per panel).
 MAX_CK_PANELS = 1000
 
+#: Relative tolerance of every C_k table, next to each moment's absolute
+#: tolerance of 1e-15 times its envelope.
+CK_REL_TOL = 5e-14
+
 _CK_K = np.arange(CK_INDEX_MAX + 1)
 _CK_POWERS = 2.0 * _CK_K
 _CK_ENVELOPE = np.array([float(math.factorial(2 * k)) for k in _CK_K])
@@ -682,7 +692,7 @@ def _ck_rule(x, c, s):
 
 
 @lru_cache(maxsize=2048)
-def _ck_table(x: float, alpha: float, rel_tol: float) -> tuple:
+def _ck_table(x: float, alpha: float) -> tuple:
     """C_0 .. C_30 at (x, alpha): one QuadResult per k, or for a k that
     failed its checks a callable making the exception to raise."""
     c = math.cos(0.5 * alpha)
@@ -696,7 +706,7 @@ def _ck_table(x: float, alpha: float, rel_tol: float) -> tuple:
     abs_tol = 1e-15 * _CK_ENVELOPE * np.array([[1.0], [1.0 / max(x, 1.0)]])
     moments, errors, _, tol, nodes, complete = _gk21_adaptive(
         _ck_rule(x, c, s), np.concatenate([near[:-1], _CK_FAR_EDGES[:-1]]),
-        np.concatenate([near[1:], _CK_FAR_EDGES[1:]]), abs_tol, rel_tol, MAX_CK_PANELS)
+        np.concatenate([near[1:], _CK_FAR_EDGES[1:]]), abs_tol, CK_REL_TOL, MAX_CK_PANELS)
     if not complete:
         raise AccuracyError(f"C_k quadrature at (x, c) = ({x}, {c}) needs more than "
                             f"{MAX_CK_PANELS} panels")
@@ -732,16 +742,16 @@ def _ck_table(x: float, alpha: float, rel_tol: float) -> tuple:
     return tuple(table)
 
 
-def oracle_Ck(k: int, x: float, alpha: float, rel_tol: float = 5e-14) -> QuadResult:
+def oracle_Ck(k: int, x: float, alpha: float) -> QuadResult:
     """Coefficient C_k(x, alpha) of the asymptotic 1/M series, by quadrature.
 
     Both equivalent integral forms (the xi-form and its t = x*xi
     substitution) are evaluated and must agree to 1e-10 relative; their
     agreement is the internal consistency check on the rule.  The whole
-    table C_0 .. C_30 for (x, alpha, rel_tol) is computed at once, by one
-    adaptive Gauss-Kronrod run shared by every k and both forms, and
-    cached under that key; every k is a lookup into it, so a value never
-    depends on which k was asked for first.  Each k keeps its own
+    table C_0 .. C_30 for (x, alpha) is computed at once, to CK_REL_TOL,
+    by one adaptive Gauss-Kronrod run shared by every k and both forms,
+    and cached under that key; every k is a lookup into it, so a value
+    never depends on which k was asked for first.  Each k keeps its own
     tolerance, error estimate (including the envelope tail beyond the cut)
     and consistency check.  QuadResult.evaluations counts the integrand
     evaluations of the whole table (both forms at every node of every panel
@@ -754,7 +764,7 @@ def oracle_Ck(k: int, x: float, alpha: float, rel_tol: float = 5e-14) -> QuadRes
         raise DomainError(f"alpha must lie in [0, pi/2], got {alpha}")
     if not (x > 0 and math.isfinite(x)):
         raise DomainError(f"x must be positive and finite, got {x}")
-    entry = _ck_table(float(x), float(alpha), float(rel_tol))[k]
+    entry = _ck_table(float(x), float(alpha))[k]
     if not isinstance(entry, QuadResult):
         raise entry()
     return entry

@@ -1,10 +1,14 @@
 """CLI behaviour: argument validation, output formats, exit codes and
 byte-level determinism."""
 
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kelvinwake.cli import EXIT_TOLERANCE, MAX_GRID_POINTS, main
 from kelvinwake.oracle import EvalPoint, oracle_F
@@ -82,6 +86,30 @@ def test_box_validation_exits_2(capsys):
     code, _, err = run(capsys, "eval", "--x", "4.0", "--rho", "0.005",
                        "--alpha", "0")
     assert code == 2
+
+
+_POINT = ("--x", "1.0", "--rho", "0.02", "--alpha", "0.3")
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", *_POINT, "--method", "oracle", "--abs-tol", "nan"],
+    ["eval", *_POINT, "--method", "oracle", "--abs-tol", "inf"],
+    ["eval", *_POINT, "--method", "oracle", "--abs-tol", "1e-15"],
+    ["compare", *_POINT, "--abs-tol", "nan"],
+    ["table1", "--abs-tol", "nan"],
+    ["table1", "--abs-tol", "inf"],
+    ["coeffs", "--n", "abc"],
+    ["coeffs", "--n", "31"],
+    ["eval", *_POINT, "--n", "40"],
+    ["eval", *_POINT, "--n", "0"],
+    ["eval", *_POINT, "--n", "2.5"],
+])
+def test_bad_tolerance_or_count_exits_2(capsys, argv):
+    # a NaN or infinite --abs-tol, or an --n that is not an integer in
+    # [1, CK_MAX], is a usage error with a one-line message
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_eval_json_meta(capsys):
@@ -292,6 +320,45 @@ def test_field_group_passes_equal_fresh_calls(capsys, monkeypatch, chunk, thread
     assert methods == {0.4: {"bessho"}, 1.6: {"bessho", "paris"}, 2.8: {"paris"}}
 
 
+_RANGE = st.tuples(st.floats(0.05, 3.0), st.floats(0.05, 3.0), st.integers(1, 3))
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(xs=_RANGE,
+       rhos=st.tuples(st.floats(-3.3, 0.0), st.floats(-3.3, 0.0), st.integers(1, 3)),
+       alpha_pi=st.floats(0.0, 0.5), alpha_count=st.integers(2, 5),
+       chunk=st.integers(1, 12))
+def test_field_rows_equal_fresh_records(xs, rhos, alpha_pi, alpha_count, chunk):
+    # small grids whose alphas run from -a to a, so they hold +-alpha pairs,
+    # taken in one group or several: every row is a fresh _method_record at
+    # its point by field_route's method, bit for bit, in grid order
+    import kelvinwake.cli as cli
+    from kelvinwake.expansions import field_route
+
+    x_range = f"{xs[0]!r}:{xs[1]!r}:{xs[2]}"
+    rho_range = f"{10 ** rhos[0]!r}:{10 ** rhos[1]!r}:{rhos[2]}"
+    alpha_range = f"{-alpha_pi!r}:{alpha_pi!r}:{alpha_count}"
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
+        mp.setattr(cli.expansions, "HSCAL_BLOCK_CHUNK", chunk)
+        code = main(["field", "--x-range", x_range, "--rho-range", rho_range,
+                     f"--alpha-pi-range={alpha_range}", "--format", "csv"])
+    lines = out.getvalue().strip().split("\n")
+    grid = [(x, rho, a * math.pi)
+            for x in cli._grid(*cli._parse_range(x_range, "x"))
+            for rho in cli._grid(*cli._parse_range(rho_range, "rho"))
+            for a in cli._grid(*cli._parse_range(alpha_range, "alpha"))]
+    assert len(lines) == 1 + len(grid)
+    failed = 0
+    for line, point in zip(lines[1:], grid):
+        row = dict(zip(cli._FIELD_HEADER, line.split(",")))
+        pt = EvalPoint(*point)
+        fresh = cli._method_record(pt, field_route(pt), cli.TruncationPolicy(), 1e-12)
+        assert row == {h: cli._fmt(fresh[h]) for h in cli._FIELD_HEADER}
+        failed += fresh["status"] != "ok"
+    assert code == (EXIT_TOLERANCE if failed else 0)
+
+
 @pytest.mark.parametrize("argv", [
     ["field", "--x-range", f"0.5:1:{MAX_GRID_POINTS + 1}",
      "--rho-range", "0.01:0.01:1", "--alpha-pi-range", "0:0:1"],
@@ -308,9 +375,10 @@ def test_grid_size_is_capped(capsys, monkeypatch, argv):
     def no_work(*args, **kwargs):
         raise AssertionError("a grid was built or a point evaluated")
 
-    for attr in ("_grid", "_field_column", "_field_point", "_method_record"):
+    for attr in ("_grid", "_method_record"):
         monkeypatch.setattr(cli, attr, no_work)
-    monkeypatch.setattr(cli.expansions, "ck_table", no_work)
+    for attr in ("struve_block", "bessho_block", "ck_table"):
+        monkeypatch.setattr(cli.expansions, attr, no_work)
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert f"at most {MAX_GRID_POINTS}" in err

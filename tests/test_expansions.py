@@ -20,6 +20,7 @@ from kelvinwake.expansions import (
     ck_symbolic_coefficients,
     ck_table,
     curly_F_residual,
+    field_route,
     paris_F,
     saddle_term,
     struve_double_sum,
@@ -110,10 +111,9 @@ def _outcome(f, pt, **kwargs):
 
 def _group_memo(pts):
     """The memo `field` builds for a group: each point's sum from the
-    array pass of its route, bessho below M = 6, paris above."""
-    return expansions._KernelMemo(
-        expansions.struve_block(p for p in pts if p.M >= 6.0),
-        expansions.bessho_block(p for p in pts if p.M < 6.0))
+    array pass of the route field_route gives it."""
+    return {**expansions.struve_block(p for p in pts if field_route(p) == "paris"),
+            **expansions.bessho_block(p for p in pts if field_route(p) == "bessho")}
 
 
 def _check_group(pts, routes=("bessho", "paris")):
@@ -122,9 +122,9 @@ def _check_group(pts, routes=("bessho", "paris")):
     memo = _group_memo(pts)
     got = []
     for pt in pts:
-        f = paris_F if pt.M >= 6.0 else bessho_F
-        if f.__name__.split("_")[0] not in routes:
+        if field_route(pt) not in routes:
             continue
+        f = paris_F if field_route(pt) == "paris" else bessho_F
         o = _outcome(f, pt, memo=memo)
         assert o == _outcome(f, pt), pt
         got.append(o)
@@ -151,7 +151,9 @@ def _mp_bessel_product(pt, dps):
 
 
 class TestKernelMemo:
-    """The array passes of a `field` group against fresh scalar calls."""
+    """The array passes of a `field` group, as the plain (x, rho, |alpha|)
+    mapping that paris_F and bessho_F take as memo, against fresh scalar
+    calls."""
 
     ALPHAS = [f * math.pi for f in (0.0, 0.1, -0.1, 0.25, 0.37, 0.5, -0.5, 0.03)]
 
@@ -165,9 +167,20 @@ class TestKernelMemo:
     ])
     def test_shared_bessho_ladder_equals_fresh_calls(self, x, rho):
         pts = [EvalPoint(x, rho, a) for a in self.ALPHAS]
-        memo = expansions._KernelMemo(bessho=expansions.bessho_block(pts))
+        memo = expansions.bessho_block(pts)
         for pt in pts:
             assert _outcome(bessho_F, pt, memo=memo) == _outcome(bessho_F, pt)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.25 * math.pi, -0.5 * math.pi,
+                                       0.5 * math.pi + 4e-16])
+    def test_route_switches_at_m_6(self, alpha):
+        # c^2 >= 1/2 in the box, so paris_F's AUTO truncation resolves from
+        # M = 6 on, at every alpha
+        x = 1.0
+        below, at = (EvalPoint(x, x * x / (4.0 * M), alpha) for M in (5.999, 6.0))
+        assert (field_route(below), field_route(at)) == ("bessho", "paris")
+        assert at.M * at.c ** 2 > 2.99
+        assert TruncationPolicy().resolve_n(at) >= 1
 
     def test_one_memo_over_several_columns(self):
         # all-bessho (x = 0.4), mixed (x = 1) and all-paris (x = 2.75)
@@ -176,13 +189,13 @@ class TestKernelMemo:
                for rho in (0.01, 0.05, 0.15) for a in self.ALPHAS]
         got = _check_group(pts)
         assert {o[0] for o in got} == {"ok"}
-        assert [sorted({p.M >= 6.0 for p in pts if p.x == x}) for x in (0.4, 1.0, 2.75)] \
-            == [[False], [False, True], [True]]
+        assert [sorted({field_route(p) for p in pts if p.x == x}) for x in (0.4, 1.0, 2.75)] \
+            == [["bessho"], ["bessho", "paris"], ["paris"]]
 
     def test_refusals_come_out_with_a_shared_ladder(self):
         pts = [EvalPoint(x, rho, a) for x, rho in [(1.0, 0.0078), (3.0, 0.0005)]
                for a in self.ALPHAS]
-        memo = expansions._KernelMemo(bessho=expansions.bessho_block(pts))
+        memo = expansions.bessho_block(pts)
         outcomes = [_outcome(bessho_F, pt, memo=memo) for pt in pts]
         assert outcomes == [_outcome(bessho_F, pt) for pt in pts]
         assert any("cancellation" in o[-1] for o in outcomes[:8])
@@ -206,7 +219,7 @@ class TestKernelMemo:
                for a in self.ALPHAS]
         hscal = expansions.hscal_block(p.x * p.c for p in pts)
         assert len(hscal) == len({p.x * p.c for p in pts})
-        memo = expansions._KernelMemo(struve=expansions.struve_block(pts))
+        memo = expansions.struve_block(pts)
         for pt in pts:
             assert _outcome(paris_F, pt, memo=memo) == _outcome(paris_F, pt)
 
@@ -236,9 +249,12 @@ class TestKernelMemo:
         whole = _group_memo(pts)
         monkeypatch.setattr(expansions, "HSCAL_BLOCK_CHUNK", 5)
         parts = _group_memo(pts)
-        assert parts.struve == whole.struve and parts.bessho == whole.bessho
-        assert len(whole.struve) + len(whole.bessho) == len({(p.x, p.rho, p.alpha_abs)
-                                                           for p in pts})
+        assert parts == whole
+        # the two passes' key sets never overlap, and together cover pts
+        paris = expansions.struve_block(p for p in pts if field_route(p) == "paris")
+        bessho = expansions.bessho_block(p for p in pts if field_route(p) == "bessho")
+        assert len(paris) + len(bessho) == len(whole)
+        assert set(whole) == {(p.x, p.rho, p.alpha_abs) for p in pts}
         assert expansions.struve_block([]) == {} == expansions.bessho_block([])
 
     def test_hscal_block_chunks_give_the_same_block(self, monkeypatch):

@@ -127,8 +127,9 @@ def _near_half_pi_points():
 
 class TestOracleF:
     def test_tolerance_floor(self, pt_m8):
-        with pytest.raises(DomainError):
-            oracle_F(pt_m8, abs_tol=1e-15)
+        for abs_tol in (1e-15, math.nan, math.inf, -1.0):
+            with pytest.raises(DomainError, match="abs_tol"):
+                oracle_F(pt_m8, abs_tol=abs_tol)
 
     @pytest.mark.parametrize("alpha", [0.1, 0.25 * math.pi, 0.4 * math.pi])
     def test_even_in_alpha(self, alpha):
