@@ -45,6 +45,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 from . import __version__, bounds, expansions, table1
 from .errors import AccuracyError, DomainError, KelvinWakeError
@@ -222,15 +223,24 @@ def cmd_eval(args) -> int:
     check_abs_tol(args.abs_tol)
     methods = (["bessho", "ursell", "paris", "oracle"]
                if args.method == "all" else [args.method])
-    rows = [_method_record(pt, m, policy, args.abs_tol) for m in methods]
+    # each method's warnings (paris_F below M = 4, an --n not below M c^2)
+    # and failure go to stderr as one line each
+    rows, notes = [], []
+    for m in methods:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rec = _method_record(pt, m, policy, args.abs_tol)
+        rows.append(rec)
+        notes += [f"{m}: warning: {w.message}" for w in caught]
+        if rec["status"] != "ok":
+            notes.append(f"{m}: {rec['status']}")
     meta = {"command": "eval", "x": args.x, "rho": args.rho, "alpha": alpha,
             "method": args.method, "abs_tol": args.abs_tol,
             "version": __version__}
     _write_output(_EVAL_HEADER, rows, args, meta)
-    failed = [r for r in rows if r["status"] != "ok"]
-    for r in failed:
-        print(f"{r['method']}: {r['status']}", file=sys.stderr)
-    return EXIT_TOLERANCE if failed else EXIT_OK
+    for line in notes:
+        print(line, file=sys.stderr)
+    return EXIT_TOLERANCE if any(r["status"] != "ok" for r in rows) else EXIT_OK
 
 
 _TABLE1_HEADER = ["alpha_over_pi", "M", "n", "abs_curly_F_computed",

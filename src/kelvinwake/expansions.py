@@ -40,8 +40,8 @@ import numpy as np
 from . import ddouble as dd
 from .errors import AccuracyError, DomainError, RegimeError
 from .oracle import EvalPoint, oracle_Ck, oracle_F
-from .specfun import (_k01_dd, _struve_h_scaled_block, _struve_h_scaled_dd,
-                      _y01_dd, struve_k_scaled)
+from .specfun import (_k01_dd, _series_block, _series_dd, _struve_h_scaled_block,
+                      _struve_h_scaled_dd, _y01_dd, struve_k_scaled)
 
 #: Largest supported asymptotic truncation (coefficient engines cap here).
 CK_MAX = 30
@@ -199,51 +199,20 @@ def _run_length(small, carried):
 # Bessel product series
 
 
-def _jhat_dd(m, w):
-    """J_2m(x) * (2m)! / (x/2)^(2m) as a double-double; w = (x/2)^2."""
-    t = dd.ONE
-    s = dd.ONE
-    i = 0
-    while True:
-        t = dd.neg(dd.div_d(dd.mul(t, w), float((i + 1) * (2 * m + i + 1))))
-        if abs(t[0]) <= 1e-21 * abs(s[0]) + 1e-305:
-            return s
-        s = dd.add(s, t)
-        i += 1
-
-
-def _jhat_block(w, m):
-    """_jhat_dd(m, w) at every element of the integer array m and the
-    double-double array w, in one array pass; each element stops where the
-    scalar series stops, so the values equal the scalar ones bit for bit."""
-    hi, lo = np.empty(len(m)), np.empty(len(m))
-    t = s = (np.ones(len(m)), np.zeros(len(m)))
-    live = np.arange(len(m))
-    i = 0
-    while len(live):
-        t = dd.neg(dd.div_d(dd.mul(t, w), ((i + 1) * (2 * m + i + 1)).astype(float)))
-        done = np.abs(t[0]) <= 1e-21 * np.abs(s[0]) + 1e-305
-        if done.any():
-            hi[live[done]], lo[live[done]] = s[0][done], s[1][done]
-            run = ~done
-            live, m = live[run], m[run]
-            w, t, s = ((a[0][run], a[1][run]) for a in (w, t, s))
-        s = dd.add(s, t)
-        i += 1
-    return hi, lo
-
-
 def _bessel_products(x, rho):
     """kappa_m(rho/2) jhat_m(x) as double-doubles for m = 0, 1, ..., MAX_TERMS,
     where kappa_m = K_m(rho/2) (x/2)^{2m} / (2m)! is advanced by the K
-    recurrence; None in place of the first product whose kappa_m overflows,
-    which ends the ladder.  None of it depends on alpha."""
+    recurrence and jhat_m = J_2m(x) (2m)! (x/2)^{-2m} is the ascending
+    series sum_i (-w)^i / (i! (2m+1)_i), w = (x/2)^2; None in place of the
+    first product whose kappa_m overflows, which ends the ladder.  None of
+    it depends on alpha."""
     w = dd.two_prod(0.5 * x, 0.5 * x)
+    minus_w = dd.neg(w)
     m_dd = dd.div_d(dd.two_prod(x, x), 4.0 * rho)
     k0, k1, _ = _k01_dd(0.5 * rho)
     kap_prev = k0                                  # kappa_0
     kap_cur = dd.div_d(dd.mul(k1, w), 2.0)         # kappa_1
-    yield dd.mul(kap_prev, _jhat_dd(0, w))
+    yield dd.mul(kap_prev, _series_dd(dd.ONE, minus_w, 1.0, 1.0, 1e-21)[0])
     for m in range(1, MAX_TERMS + 1):
         if m == 1:
             kap = kap_cur
@@ -256,7 +225,7 @@ def _bessel_products(x, rho):
         if not math.isfinite(kap[0]):
             yield None
             return
-        yield dd.mul(kap, _jhat_dd(m, w))
+        yield dd.mul(kap, _series_dd(dd.ONE, minus_w, 1.0, 2.0 * m + 1.0, 1e-21)[0])
 
 
 def _bessho_sum(alpha, products):
@@ -320,8 +289,10 @@ def _bessho_pass(pts):
     pair_of = {p: i for i, p in enumerate(pairs)}
     alpha_of = {a: i for i, a in enumerate(alphas)}
     x_of = {x: i for i, x in enumerate(xs)}
-    # per distinct x its w = (x/2)^2; per (x, rho) pair its ladder
+    # per distinct x its w = (x/2)^2 and the jhat ratio -w; per (x, rho)
+    # pair its ladder
     xw = dd.two_prod(0.5 * np.array(xs), 0.5 * np.array(xs))
+    minus_w = dd.neg(xw)
     xp = np.array([x_of[x] for x, _ in pairs])          # pair -> x
     px = np.array([x for x, _ in pairs])
     k01 = {rho: _k01_dd(0.5 * rho)[:2] for rho in {rho for _, rho in pairs}}
@@ -332,7 +303,7 @@ def _bessho_pass(pts):
     ww = dd.mul(w, w)
     kap_prev = k0
     kap_cur = dd.div_d(dd.mul(k1, w), 2.0)
-    j0 = _jhat_block(xw, np.zeros(len(xs), dtype=int))
+    j0 = _series_block((np.ones(len(xs)), np.zeros(len(xs))), minus_w, 1.0, 1.0, 1e-21)
     first = dd.mul(kap_prev, (j0[0][xp], j0[1][xp]))
 
     pr = np.array([pair_of[pt.x, pt.rho] for pt in pts])   # point -> pair
@@ -363,8 +334,9 @@ def _bessho_pass(pts):
             ovf = np.where(finite.all(axis=1), width, (~finite).argmax(axis=1))
             # jhat_m of every x a ladder still uses, then the products
             xl = np.unique(xp)
-            jh = _jhat_block((np.repeat(xw[0][xl], width), np.repeat(xw[1][xl], width)),
-                             np.tile(ms, len(xl)))
+            q = (np.repeat(minus_w[0][xl], width), np.repeat(minus_w[1][xl], width))
+            jh = _series_block((np.ones(len(q[0])), np.zeros(len(q[0]))), q,
+                               1.0, 2.0 * np.tile(ms, len(xl)) + 1.0, 1e-21)
             at = np.searchsorted(xl, xp)
             prod = dd.mul((kap[0], kap[1]), (jh[0].reshape(-1, width)[at],
                                              jh[1].reshape(-1, width)[at]))
@@ -472,24 +444,15 @@ def ursell_F(pt: EvalPoint) -> MethodResult:
     for nn in range(1, 2 * mmax):
         yh.append(yh[nn] * nn / (nn + 1.0) - yh[nn - 1] * q / (nn * (nn + 1.0)))
 
-    z = 0.5 * rho
-
-    def bessel_i_sigma(m):
-        # I_m(z) * m! * (z/2)^-m
-        t, s = 1.0, 1.0
-        i = 0
-        while True:
-            t *= (z * z / 4.0) / ((i + 1) * (m + i + 1))
-            s += t
-            i += 1
-            if t < 1e-17 * s:
-                return s
-
-    terms = [bessel_i_sigma(0) * yh[0]]
+    # I_m(rho/2) m! (rho/4)^-m = sum_i (rho/4)^(2i) / (i! (m+1)_i)
+    zq = dd.two_prod(0.25 * rho, 0.25 * rho)
+    isig = [dd.to_float(_series_dd(dd.ONE, zq, 1.0, m + 1.0, 1e-21)[0])
+            for m in range(mmax + 1)]
+    terms = [isig[0] * yh[0]]
     fac = 1.0
     for m in range(1, mmax + 1):
         fac *= (2.0 * m - 1.0) / (2.0 * pt.M)
-        terms.append(2.0 * math.cos(m * alpha) * fac * bessel_i_sigma(m) * yh[2 * m])
+        terms.append(2.0 * math.cos(m * alpha) * fac * isig[m] * yh[2 * m])
     series = math.fsum(terms)
 
     amp = _saddle_amplitude(pt)
@@ -505,6 +468,14 @@ def ursell_F(pt: EvalPoint) -> MethodResult:
 # convergent scaled-Struve sums
 
 
+def _hscal(hvals, xc, j):
+    """Hscal_j(xc), where hvals is the list Hscal_0(xc), Hscal_1(xc), ...
+    so far; orders it lacks up to j are appended from the scalar kernel."""
+    while len(hvals) <= j:
+        hvals.append(dd.to_float(_struve_h_scaled_dd(len(hvals), xc)[0]))
+    return hvals[j]
+
+
 def _struve_series(x, rho, s, c):
     """sum_r (rho^r/r!) sum_m ((-1)^m (m+1/2)_r / m!) (xs/2)^{2m} Hscal_{m+r}(xc).
 
@@ -516,12 +487,6 @@ def _struve_series(x, rho, s, c):
     xc = x * c
     y = (0.5 * x * s) ** 2
     hvals = []
-
-    def hscal(j):
-        while len(hvals) <= j:
-            v, _, _ = _struve_h_scaled_dd(len(hvals), xc)
-            hvals.append(dd.to_float(v))
-        return hvals[j]
 
     total = 0.0
     comp = 0.0          # Neumaier compensation
@@ -541,7 +506,7 @@ def _struve_series(x, rho, s, c):
             if m > 0:
                 mcoef *= y / m
                 poch *= (m - 0.5 + r) / (m - 0.5)
-            t = rcoef * (-mcoef if m % 2 else mcoef) * poch * hscal(m + r)
+            t = rcoef * (-mcoef if m % 2 else mcoef) * poch * _hscal(hvals, xc, m + r)
             block += t
             terms += 1
             # Neumaier step
@@ -631,10 +596,7 @@ def _struve_pass(pts, hscal):
             short = need >= avail[xi]
             if short.any():
                 for i, j in zip(xi[short].tolist(), need[short].tolist()):
-                    hvals = hscal[xcs[i]]
-                    while len(hvals) <= j:
-                        v, _, _ = _struve_h_scaled_dd(len(hvals), xcs[i])
-                        hvals.append(dd.to_float(v))
+                    _hscal(hscal[xcs[i]], xcs[i], j)
                 avail, table = tabulate()
             m = m0[:, None] + k
             j = r[:, None] + m

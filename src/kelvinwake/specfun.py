@@ -18,6 +18,12 @@ Series are accumulated in double-double arithmetic so that the returned
 doubles are correctly rounded to well below 1e-13 relative error even when
 intermediate terms grow above the result (mild cancellation at x ~ 10).
 
+Every ascending series t_{k+1} = t_k q / ((k + a)(k + b)), the sign of an
+alternating one carried in q, runs through _series_dd, or elementwise on
+float64 arrays and bit for bit through _series_block: J, I, Hscal, and the
+expansions' J_2m and I_m factors.  Y and K above order 1 share one upward
+recurrence, _bessel_yk_dd.
+
 All functions are pure and safe for concurrent use.
 """
 
@@ -32,7 +38,8 @@ import numpy as np
 from . import ddouble as dd
 from .errors import AccuracyError, DomainError, OrderOverflowError, RangeOverflowError
 
-#: Default cap on function order; exceeding it raises OrderOverflowError.
+#: Cap on the order of J, I and Hscal; Y, K and Kscal take twice it.
+#: Exceeding a cap raises OrderOverflowError.
 ORDER_CAP = 200
 
 _TWO_OVER_PI = dd.div((2.0, 0.0), dd.PI)
@@ -66,33 +73,67 @@ def _check_finite(x):
     return float(x)
 
 
+def _series_dd(t, q, a, b, rel):
+    """sum_k t_k in double-double, from t_0 = t by
+
+        t_{k+1} = t_k q / ((k + a)(k + b)),
+
+    q carrying the sign of an alternating series.  The sum stops at the
+    first term at or below rel of the partial sum (plus 1e-305).  Returns
+    (sum, first omitted term magnitude, terms used); AccuracyError after
+    _SERIES_MAX terms.
+    """
+    s = t
+    for k in range(_SERIES_MAX):
+        t = dd.div_d(dd.mul(t, q), (k + a) * (k + b))
+        if abs(t[0]) <= rel * abs(s[0]) + 1e-305:
+            return s, abs(t[0]), k + 2
+        s = dd.add(s, t)
+    raise AccuracyError("ascending series did not converge", value=dd.to_float(s))
+
+
+def _series_block(t, q, a, b, rel):
+    """_series_dd elementwise on float64 arrays: t and q double-double
+    arrays, a and b arrays or scalars, rel a scalar.  Every element stops
+    where the scalar loop stops, so each sum equals _series_dd's bit for
+    bit.  Returns the sums as (hi, lo) arrays, NaN where a series did not
+    converge within _SERIES_MAX terms.
+    """
+    n = len(t[0])
+    a, b = (np.broadcast_to(np.asarray(v, dtype=float), n) for v in (a, b))
+    hi, lo = np.full(n, np.nan), np.full(n, np.nan)
+    s = t
+    live = np.arange(n)              # elements whose series still runs
+    for k in range(_SERIES_MAX):
+        t = dd.div_d(dd.mul(t, q), (k + a) * (k + b))
+        done = np.abs(t[0]) <= rel * np.abs(s[0]) + 1e-305
+        if done.any():
+            hi[live[done]], lo[live[done]] = s[0][done], s[1][done]
+            run = ~done
+            live, a, b = live[run], a[run], b[run]
+            q, t, s = ((v[0][run], v[1][run]) for v in (q, t, s))
+            if not len(live):
+                break
+        s = dd.add(s, t)
+    return hi, lo
+
+
 def _ascending_series(n, x, sign):
     """sum_k sign^k (x/2)^(n+2k) / (k! (n+k)!) in double-double.
 
-    sign=-1 gives J_n, sign=+1 gives I_n.  Returns (dd_value, first omitted
-    term magnitude, terms used).
+    sign=-1 gives J_n, sign=+1 gives I_n.  Returns _series_dd's (dd_value,
+    first omitted term magnitude, terms used).
     """
     h = 0.5 * x
-    q = dd.two_prod(h, h)
     t = dd.ONE
     for i in range(1, n + 1):
         t = dd.div_d(dd.mul_d(t, h), float(i))
-    s = t
-    k = 0
-    while k < _SERIES_MAX:
-        t = dd.div_d(dd.mul(t, q), float((k + 1) * (n + k + 1)))
-        if sign < 0:
-            t = dd.neg(t)
-        if abs(t[0]) <= 1e-21 * abs(s[0]) + 1e-305:
-            return s, abs(t[0]), k + 2
-        s = dd.add(s, t)
-        k += 1
-    raise AccuracyError("ascending Bessel series did not converge", value=dd.to_float(s))
+    return _series_dd(t, dd.two_prod(h, sign * h), 1.0, n + 1.0, 1e-21)
 
 
-def bessel_j(order: int, x: float, order_cap: int = ORDER_CAP) -> SpecFunResult:
+def bessel_j(order: int, x: float) -> SpecFunResult:
     """Bessel function of the first kind J_order(x) for x >= 0."""
-    _check_order(order, order_cap)
+    _check_order(order, ORDER_CAP)
     x = _check_finite(x)
     if x < 0:
         raise DomainError("bessel_j requires x >= 0")
@@ -101,9 +142,9 @@ def bessel_j(order: int, x: float, order_cap: int = ORDER_CAP) -> SpecFunResult:
     return SpecFunResult(value, tail + 2.3e-16 * abs(value), terms)
 
 
-def bessel_i(order: int, x: float, order_cap: int = ORDER_CAP) -> SpecFunResult:
+def bessel_i(order: int, x: float) -> SpecFunResult:
     """Modified Bessel function of the first kind I_order(x) for x >= 0."""
-    _check_order(order, order_cap)
+    _check_order(order, ORDER_CAP)
     x = _check_finite(x)
     if x < 0:
         raise DomainError("bessel_i requires x >= 0")
@@ -177,136 +218,96 @@ def _k01_dd(x):
     return k0, k1, terms
 
 
-def _bessel_y_dd(order, x):
-    """Y_order(x) in double-double by stable upward recurrence."""
-    y0, y1, terms = _y01_dd(x)
+def _bessel_yk_dd(order, x, sign):
+    """Y_order(x) (sign=-1) or K_order(x) (sign=+1) in double-double by the
+    stable upward recurrence f_{m+1} = (2m/x) f_m + sign f_{m-1}."""
+    fm, fc, terms = (_y01_dd if sign < 0 else _k01_dd)(x)
     if order == 0:
-        return y0, terms
-    if order == 1:
-        return y1, terms + 1
-    ym, yc = y0, y1
+        return fm, terms
     for m in range(1, order):
-        yn = dd.sub(dd.mul(dd.div_d(dd.from_float(2.0 * m), x), yc), ym)
-        if not math.isfinite(yn[0]):
-            raise RangeOverflowError(f"Y_{m + 1}({x}) exceeds double range")
-        ym, yc = yc, yn
-    return yc, terms + order
+        fn = dd.add(dd.mul(dd.div_d(dd.from_float(2.0 * m), x), fc),
+                    (sign * fm[0], sign * fm[1]))
+        if not math.isfinite(fn[0]):
+            raise RangeOverflowError(
+                f"{'Y' if sign < 0 else 'K'}_{m + 1}({x}) exceeds double range")
+        fm, fc = fc, fn
+    return fc, terms + order
 
 
-def _bessel_k_dd(order, x):
-    """K_order(x) in double-double by stable upward recurrence."""
-    k0, k1, terms = _k01_dd(x)
-    if order == 0:
-        return k0, terms
-    if order == 1:
-        return k1, terms + 1
-    km, kc = k0, k1
-    for m in range(1, order):
-        kn = dd.add(km, dd.mul(dd.div_d(dd.from_float(2.0 * m), x), kc))
-        if not math.isfinite(kn[0]):
-            raise RangeOverflowError(f"K_{m + 1}({x}) exceeds double range")
-        km, kc = kc, kn
-    return kc, terms + order
-
-
-def bessel_y(order: int, x: float, order_cap: int = 2 * ORDER_CAP) -> SpecFunResult:
+def bessel_y(order: int, x: float) -> SpecFunResult:
     """Bessel function of the second kind Y_order(x) for x > 0."""
-    _check_order(order, order_cap)
+    _check_order(order, 2 * ORDER_CAP)
     x = _check_finite(x)
     if x <= 0:
         raise DomainError("bessel_y requires x > 0 (logarithmic branch point at 0)")
-    y, terms = _bessel_y_dd(order, x)
+    y, terms = _bessel_yk_dd(order, x, -1)
     value = dd.to_float(y)
     err = abs(value) * (3e-16 + 1e-16 * order)
     return SpecFunResult(value, err, terms)
 
 
-def bessel_k(order: int, x: float, order_cap: int = 2 * ORDER_CAP) -> SpecFunResult:
+def bessel_k(order: int, x: float) -> SpecFunResult:
     """Modified Bessel function of the second kind K_order(x) for x > 0."""
-    _check_order(order, order_cap)
+    _check_order(order, 2 * ORDER_CAP)
     x = _check_finite(x)
     if x <= 0:
         raise DomainError("bessel_k requires x > 0")
-    k, terms = _bessel_k_dd(order, x)
+    k, terms = _bessel_yk_dd(order, x, +1)
     value = dd.to_float(k)
     err = abs(value) * (3e-16 + 1e-16 * order)
     return SpecFunResult(value, err, terms)
 
 
+def _struve_gammas(order_max):
+    """Gamma(3/2) Gamma(nu + 3/2) for nu = 0 .. order_max as double-doubles,
+    by one chain of products."""
+    g = dd.mul(dd.mul_d(dd.SQRT_PI, 0.5), dd.mul_d(dd.SQRT_PI, 0.5))  # Gamma(3/2)^2
+    gammas = [g]
+    for j in range(order_max):
+        g = dd.mul_d(g, 1.5 + j)
+        gammas.append(g)
+    return gammas
+
+
 def _struve_h_scaled_dd(order, x):
     """Scaled Struve series in double-double.
 
-    Returns (dd_value, first omitted term, terms).  Terms are strictly
-    alternating and, in the supported range, decrease monotonically after
-    at most a few initial terms, so the first omitted term bounds the
-    truncation error.
+    Returns _series_dd's (dd_value, first omitted term, terms).  Terms are
+    strictly alternating and, in the supported range, decrease
+    monotonically after at most a few initial terms, so the first omitted
+    term bounds the truncation error.
     """
     h = 0.5 * x
-    q = dd.two_prod(h, h)
     # t0 = (x/2) / (Gamma(3/2) Gamma(order+3/2))
-    g = dd.mul(dd.mul_d(dd.SQRT_PI, 0.5), dd.mul_d(dd.SQRT_PI, 0.5))  # Gamma(3/2)^2
-    for j in range(order):
-        g = dd.mul_d(g, 1.5 + j)
-    t = dd.div(dd.from_float(h), g)
-    s = t
-    k = 0
-    while k < _SERIES_MAX:
-        t = dd.neg(dd.div_d(dd.mul(t, q), (k + 1.5) * (k + order + 1.5)))
-        if abs(t[0]) <= 1e-17 * abs(s[0]) + 1e-305:
-            return s, abs(t[0]), k + 2
-        s = dd.add(s, t)
-        k += 1
-    raise AccuracyError("scaled Struve series did not converge", value=dd.to_float(s))
+    t = dd.div(dd.from_float(h), _struve_gammas(order)[-1])
+    return _series_dd(t, dd.two_prod(h, -h), 1.5, order + 1.5, 1e-17)
 
 
 def _struve_h_scaled_block(xs, order_max):
     """Hscal_0 .. Hscal_order_max at every x of xs (all > 0), rounded to
-    double, in one array pass.
+    double, in one _series_block pass with one element per (order, x).
 
-    The steps of _struve_h_scaled_dd run elementwise on float64 arrays, one
-    element per (order, x), and every element stops where the scalar series
-    stops, so each value equals dd.to_float of the scalar kernel bit for
-    bit.  Returns one list per x, ending before the first order whose series
+    Each value equals dd.to_float of the scalar kernel bit for bit.
+    Returns one list per x, ending before the first order whose series
     did not converge (the scalar kernel raises there).
     """
     xs = np.asarray(xs, dtype=float)
     width = len(xs)
-    # Gamma(3/2) Gamma(order + 3/2) of every order, by the scalar chain
-    g = dd.mul(dd.mul_d(dd.SQRT_PI, 0.5), dd.mul_d(dd.SQRT_PI, 0.5))
-    gammas = []
-    for j in range(order_max + 1):
-        gammas.append(g)
-        g = dd.mul_d(g, 1.5 + j)
-    ghi, glo = np.repeat(np.array(gammas), width, axis=0).T
-    order = np.repeat(np.arange(order_max + 1), width)
+    ghi, glo = np.repeat(np.array(_struve_gammas(order_max)), width, axis=0).T
     h = np.tile(0.5 * xs, order_max + 1)
-    q = dd.two_prod(h, h)
-    t = dd.div((h, np.zeros_like(h)), (ghi, glo))
-    s = t
-    live = np.arange(len(h))            # elements whose series still runs
-    out = np.full(len(h), np.nan)
-    for k in range(_SERIES_MAX):
-        t = dd.neg(dd.div_d(dd.mul(t, q), (k + 1.5) * (k + order + 1.5)))
-        done = np.abs(t[0]) <= 1e-17 * np.abs(s[0]) + 1e-305
-        if done.any():
-            out[live[done]] = s[0][done] + s[1][done]
-            run = ~done
-            live, order = live[run], order[run]
-            q, t, s = ((a[0][run], a[1][run]) for a in (q, t, s))
-            if not len(live):
-                break
-        s = dd.add(s, t)
+    hi, lo = _series_block(dd.div((h, np.zeros_like(h)), (ghi, glo)), dd.two_prod(h, -h),
+                           1.5, np.repeat(np.arange(order_max + 1) + 1.5, width), 1e-17)
     return [list(itertools.takewhile(lambda v: not math.isnan(v), column))
-            for column in out.reshape(order_max + 1, width).T.tolist()]
+            for column in (hi + lo).reshape(order_max + 1, width).T.tolist()]
 
 
-def struve_h_scaled(order: int, x: float, order_cap: int = ORDER_CAP) -> SpecFunResult:
+def struve_h_scaled(order: int, x: float) -> SpecFunResult:
     """Scaled Struve function (x/2)^(-order) H_order(x) for x >= 0.
 
     The series stops once the next term falls below 1e-17 of the partial
     sum; the first omitted term is reported as the truncation bound.
     """
-    _check_order(order, order_cap)
+    _check_order(order, ORDER_CAP)
     x = _check_finite(x)
     if x < 0:
         raise DomainError("struve_h_scaled requires x >= 0")
@@ -317,7 +318,7 @@ def struve_h_scaled(order: int, x: float, order_cap: int = ORDER_CAP) -> SpecFun
     return SpecFunResult(value, tail + 2.3e-16 * abs(value), terms)
 
 
-def struve_k_scaled(order: int, x: float, order_cap: int = 2 * ORDER_CAP) -> SpecFunResult:
+def struve_k_scaled(order: int, x: float) -> SpecFunResult:
     """Kscal_m(x) = x^m (H_m(x) - Y_m(x)), the decaying Struve combination.
 
     Both parts are computed with ~32-digit working precision, and the error
@@ -325,7 +326,7 @@ def struve_k_scaled(order: int, x: float, order_cap: int = 2 * ORDER_CAP) -> Spe
     so any cancellation between them (mild for x <= 3, heavier as x grows)
     surfaces directly as a larger relative estimate.
     """
-    _check_order(order, order_cap)
+    _check_order(order, 2 * ORDER_CAP)
     x = _check_finite(x)
     if x <= 0:
         raise DomainError("struve_k_scaled requires x > 0")
@@ -335,7 +336,7 @@ def struve_k_scaled(order: int, x: float, order_cap: int = 2 * ORDER_CAP) -> Spe
     for _ in range(order):
         pw = dd.mul_d(pw, 0.5 * x)
     hm = dd.mul(pw, hs)
-    ym, yterms = _bessel_y_dd(order, x)
+    ym, yterms = _bessel_yk_dd(order, x, -1)
     diff = dd.sub(hm, ym)
     xm = dd.ONE
     for _ in range(order):

@@ -88,6 +88,29 @@ def test_box_validation_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, code, lines", [
+    (["--x", "0.4", "--rho", "0.1", "--alpha", "0", "--method", "all"], EXIT_TOLERANCE,
+     ["ursell: DomainError: ursell_F needs M > 1, got M = 0.4",
+      "paris: warning: paris_F called at M = 0.4 < 4; accuracy degrades as M shrinks",
+      "paris: RegimeError: M c^2 = 0.400 <= 1 leaves no valid truncation; "
+      "use bessho_F in this regime"]),
+    (["--x", "1", "--rho", "0.02", "--alpha", "0", "--n", "20"], 0,
+     ["paris: warning: truncation n = 20 is not below M c^2 = 12.500; "
+      "the asymptotic remainder bound no longer applies"]),
+])
+def test_eval_reports_warnings_one_line_each(capsys, argv, code, lines):
+    # a route's warning reaches stderr as "<method>: warning: <message>",
+    # never as a Python warning with a source path and line
+    import warnings
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got, _, err = run(capsys, "eval", *argv)
+    assert caught == []
+    assert got == code
+    assert err.splitlines() == lines
+
+
 _POINT = ("--x", "1.0", "--rho", "0.02", "--alpha", "0.3")
 
 

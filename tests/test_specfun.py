@@ -56,8 +56,6 @@ class TestBesselJ:
     def test_order_cap(self):
         with pytest.raises(OrderOverflowError):
             sf.bessel_j(201, 1.0)
-        # the cap is configurable
-        assert sf.bessel_j(201, 1.0, order_cap=250).value == pytest.approx(0.0, abs=1e-300)
 
 
 class TestBesselY:
@@ -329,3 +327,32 @@ class TestStruveBlock:
 
     def test_block_of_one_argument(self):
         assert relerr(sf._struve_h_scaled_block([0.7], 3)[0][3], HSCAL3_AT_07) <= 1e-13
+
+
+class TestSeriesBlock:
+    def test_block_equals_scalar_loop_bit_for_bit(self):
+        import numpy as np
+
+        from kelvinwake.errors import AccuracyError
+
+        rng = random.Random(19)
+        for rel in (1e-12, 1e-17, 1e-21):
+            rows = []
+            for i in range(40):
+                hi = rng.uniform(-2.0, 2.0) * 10.0 ** rng.uniform(-30, 5)
+                t = sf.dd.quick_two_sum(hi, hi * 2.0 ** -53 * rng.uniform(-1, 1))
+                qh = (-1.0 if i % 2 else 1.0) * 10.0 ** rng.uniform(-8, 3)
+                q = sf.dd.quick_two_sum(qh, qh * 2.0 ** -53 * rng.uniform(-1, 1))
+                rows.append((t, q, rng.choice([1.0, 1.5]), rng.uniform(0.5, 40.0)))
+            # one series whose terms shrink too slowly to stop within
+            # _SERIES_MAX terms: t_k ~ exp(-k^2 / 1e5)
+            rows.append(((1.0, 0.0), (1e10, 0.0), 1e5, 1e5))
+            t, q = ((np.array([r[j][0] for r in rows]), np.array([r[j][1] for r in rows]))
+                    for j in (0, 1))
+            a, b = (np.array([r[j] for r in rows]) for j in (2, 3))
+            hi, lo = sf._series_block(t, q, a, b, rel)
+            for i, row in enumerate(rows[:-1]):
+                assert (hi[i], lo[i]) == sf._series_dd(*row, rel)[0], (rel, row)
+            assert math.isnan(hi[-1]) and math.isnan(lo[-1])
+            with pytest.raises(AccuracyError):
+                sf._series_dd(*rows[-1], rel)
