@@ -8,7 +8,14 @@ from_int also works elementwise on pairs of float64 numpy arrays, with the
 same rounding as on floats (numpy's +, -, * and / are the IEEE ones), so an
 array pass gives the scalar kernels' values bit for bit.
 
-Python 3.10 has no math.fma, so products are split Dekker-style.
+Python 3.10 has no math.fma, so products are split Dekker-style; the
+split overflows for |a| above about 2^996.
+
+add, add_d, mul, mul_d and div_d are the hot operations of the series
+kernels, so each runs in one Python frame, with two_sum, quick_two_sum and
+two_prod written out inline: the same float operations in the same order
+as the composed forms, so the results are the same bit for bit, on floats
+and on arrays alike.
 """
 
 from __future__ import annotations
@@ -51,18 +58,32 @@ def two_prod(a: float, b: float):
 
 
 def add(x, y):
-    s, e = two_sum(x[0], y[0])
-    t, f = two_sum(x[1], y[1])
-    e += t
-    s, e = quick_two_sum(s, e)
-    e += f
-    return quick_two_sum(s, e)
+    # two_sum(x0, y0), two_sum(x1, y1) and two quick_two_sums, written out
+    xh, xl = x
+    yh, yl = y
+    s = xh + yh
+    bb = s - xh
+    e = (xh - (s - bb)) + (yh - bb)
+    t = xl + yl
+    bb = t - xl
+    f = (xl - (t - bb)) + (yl - bb)
+    e = e + t
+    hi = s + e
+    e = e - (hi - s)
+    e = e + f
+    s = hi + e
+    return s, e - (s - hi)
 
 
 def add_d(x, b: float):
-    s, e = two_sum(x[0], b)
-    e += x[1]
-    return quick_two_sum(s, e)
+    # two_sum(x0, b) and quick_two_sum, written out
+    xh, xl = x
+    s = xh + b
+    bb = s - xh
+    e = (xh - (s - bb)) + (b - bb)
+    e = e + xl
+    hi = s + e
+    return hi, e - (hi - s)
 
 
 def neg(x):
@@ -74,15 +95,36 @@ def sub(x, y):
 
 
 def mul(x, y):
-    p, e = two_prod(x[0], y[0])
-    e += x[0] * y[1] + x[1] * y[0]
-    return quick_two_sum(p, e)
+    # two_prod(x0, y0) and quick_two_sum, written out
+    xh, xl = x
+    yh, yl = y
+    p = xh * yh
+    c = _SPLITTER * xh
+    ahi = c - (c - xh)
+    alo = xh - ahi
+    c = _SPLITTER * yh
+    bhi = c - (c - yh)
+    blo = yh - bhi
+    e = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
+    e = e + (xh * yl + xl * yh)
+    hi = p + e
+    return hi, e - (hi - p)
 
 
 def mul_d(x, b: float):
-    p, e = two_prod(x[0], b)
-    e += x[1] * b
-    return quick_two_sum(p, e)
+    # two_prod(x0, b) and quick_two_sum, written out
+    xh, xl = x
+    p = xh * b
+    c = _SPLITTER * xh
+    ahi = c - (c - xh)
+    alo = xh - ahi
+    c = _SPLITTER * b
+    bhi = c - (c - b)
+    blo = b - bhi
+    e = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
+    e = e + xl * b
+    hi = p + e
+    return hi, e - (hi - p)
 
 
 def div(x, y):
@@ -96,13 +138,26 @@ def div(x, y):
 
 
 def div_d(x, b: float):
-    q1 = x[0] / b
-    p, e = two_prod(q1, b)
-    # remainder of x - q1*b, then one refinement step
-    s, f = two_sum(x[0], -p)
-    f += x[1] - e
+    # q1 = x0 / b, the remainder x - q1 b by two_prod(q1, b) and
+    # two_sum(x0, -p), one refinement step and quick_two_sum, written out
+    xh, xl = x
+    q1 = xh / b
+    p = q1 * b
+    c = _SPLITTER * q1
+    ahi = c - (c - q1)
+    alo = q1 - ahi
+    c = _SPLITTER * b
+    bhi = c - (c - b)
+    blo = b - bhi
+    e = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
+    mp = -p
+    s = xh + mp
+    bb = s - xh
+    f = (xh - (s - bb)) + (mp - bb)
+    f = f + (xl - e)
     q2 = (s + f) / b
-    return quick_two_sum(q1, q2)
+    hi = q1 + q2
+    return hi, q2 - (hi - q1)
 
 
 def from_float(a: float):

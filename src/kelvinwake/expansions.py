@@ -7,7 +7,11 @@ Three methods are provided, all sharing the EvalPoint geometry:
                Convergent everywhere, but for large M = x^2/(4 rho) the terms
                first grow to ~e^M/M before decaying, so the sum is evaluated
                with scaled recurrences in double-double arithmetic and aborts
-               honestly when cancellation would exceed 1e12.
+               honestly when cancellation would exceed 1e12.  Every factor
+               is carried to about 1e-30: K_m by its upward recurrence, J_2m
+               by the downward one from two series seeds a window of
+               BESSHO_WINDOW orders (_jhat_window), cos(m alpha) by a
+               Chebyshev ladder on a Taylor-series cos alpha (_cos_ladder).
 
 * ursell_F  -- the truncated I_m Y_2m counterpart plus the closed-form
                saddle estimate; accurate to O(e^-M).
@@ -30,6 +34,7 @@ their `memo`.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -40,7 +45,7 @@ import numpy as np
 from . import ddouble as dd
 from .errors import AccuracyError, DomainError, RegimeError
 from .oracle import EvalPoint, oracle_Ck, oracle_F
-from .specfun import (_k01_dd, _series_block, _series_dd, _struve_h_scaled_block,
+from .specfun import (_k01_dd, _series_dd, _struve_h_scaled_block,
                       _struve_h_scaled_dd, _y01_dd, struve_k_scaled)
 
 #: Largest supported asymptotic truncation (coefficient engines cap here).
@@ -199,38 +204,101 @@ def _run_length(small, carried):
 # Bessel product series
 
 
+#: Indices m of one window of the Bessel products: _jhat_window seeds
+#: its recurrence once a window, and bessho_block's ladders advance this
+#: many m at a time, every point summing them in one go.  The rows of
+#: the benchmark's field sweep read 11 to 42 products.
+BESSHO_WINDOW = 24
+
+#: Relative stopping threshold of the series behind the Bessel product
+#: factors (jhat_0, the seeds of _jhat_window, cos alpha): below the
+#: double-double resolution, so each is exact to the working precision.
+_DD_REL = 1e-33
+
+
+def _jhat0(minus_w):
+    """jhat_0 = J_0(x) as a double-double, minus_w = -(x/2)^2."""
+    return _series_dd(dd.ONE, minus_w, 1.0, 1.0, _DD_REL)[0]
+
+
+def _jhat_window(minus_w, m0, m1):
+    """[jhat_m0, ..., jhat_m1] (1 <= m0 <= m1) as double-doubles, where
+    jhat_m = J_2m(x) (2m)! (x/2)^{-2m} and minus_w = -w = -(x/2)^2.
+
+    With f_n = J_n(x) n! (x/2)^{-n} = sum_i (-w)^i / (i! (n+1)_i), so that
+    jhat_m = f_2m, the Bessel recurrence reads
+
+        f_{n-1} = f_n - w f_{n+1} / (n (n+1)).
+
+    f_{2 m1 + 1} and f_{2 m1} are summed as ascending series, and the
+    orders below follow from them by the recurrence.  Taken downwards it
+    is stable (Miller's method): f tends to 1 as n grows, while the second
+    solution, Y_n's counterpart, falls off as n falls.  Both the scalar
+    and the array Bessel product passes call this, so their jhat_m agree
+    bit for bit.
+    """
+    upper = _series_dd(dd.ONE, minus_w, 1.0, 2.0 * m1 + 2.0, _DD_REL)[0]
+    f = _series_dd(dd.ONE, minus_w, 1.0, 2.0 * m1 + 1.0, _DD_REL)[0]
+    out = [f]
+    for n in range(2 * m1, 2 * m0, -1):
+        upper, f = f, dd.add(f, dd.div_d(dd.mul(minus_w, upper), float(n * (n + 1))))
+        if n % 2:
+            out.append(f)
+    out.reverse()
+    return out
+
+
+def _cos_ladder(alpha):
+    """c_m = 2 (-1)^m cos(m alpha) for m = 1, 2, ... as double-doubles,
+    without end.
+
+    cos alpha is summed from its Taylor series (alpha/2 is exact, so
+    two_prod gives -(alpha/2)^2 exactly), and c_{m+1} = -2 cos(alpha) c_m
+    - c_{m-1} from c_0 = 2.  A double cos(m alpha), whose 1e-16 relative
+    error the cancelling product series multiplies by up to 1e12, is
+    avoided this way.
+    """
+    cos_a = _series_dd(dd.ONE, dd.two_prod(0.5 * alpha, -0.5 * alpha), 0.5, 1.0, _DD_REL)[0]
+    step = (-2.0 * cos_a[0], -2.0 * cos_a[1])
+    prev, cur = (2.0, 0.0), step
+    while True:
+        yield cur
+        prev, cur = cur, dd.sub(dd.mul(step, cur), prev)
+
+
 def _bessel_products(x, rho):
     """kappa_m(rho/2) jhat_m(x) as double-doubles for m = 0, 1, ..., MAX_TERMS,
     where kappa_m = K_m(rho/2) (x/2)^{2m} / (2m)! is advanced by the K
-    recurrence and jhat_m = J_2m(x) (2m)! (x/2)^{-2m} is the ascending
-    series sum_i (-w)^i / (i! (2m+1)_i), w = (x/2)^2; None in place of the
-    first product whose kappa_m overflows, which ends the ladder.  None of
-    it depends on alpha."""
+    recurrence and jhat_m = J_2m(x) (2m)! (x/2)^{-2m} comes from _jhat0 and,
+    BESSHO_WINDOW indices m at a time, from _jhat_window; None in place of
+    the first product whose kappa_m overflows, which ends the ladder.  None
+    of it depends on alpha."""
     w = dd.two_prod(0.5 * x, 0.5 * x)
     minus_w = dd.neg(w)
+    ww = dd.mul(w, w)
     m_dd = dd.div_d(dd.two_prod(x, x), 4.0 * rho)
     k0, k1, _ = _k01_dd(0.5 * rho)
     kap_prev = k0                                  # kappa_0
     kap_cur = dd.div_d(dd.mul(k1, w), 2.0)         # kappa_1
-    yield dd.mul(kap_prev, _series_dd(dd.ONE, minus_w, 1.0, 1.0, 1e-21)[0])
-    for m in range(1, MAX_TERMS + 1):
-        if m == 1:
-            kap = kap_cur
-        else:
-            a = dd.div_d(dd.mul_d(m_dd, 4.0 * (m - 1)), float((2 * m) * (2 * m - 1)))
-            b = dd.div_d(dd.mul(w, w),
-                         float((2 * m) * (2 * m - 1) * (2 * m - 2) * (2 * m - 3)))
-            kap = dd.add(dd.mul(kap_cur, a), dd.mul(kap_prev, b))
-            kap_prev, kap_cur = kap_cur, kap
-        if not math.isfinite(kap[0]):
-            yield None
-            return
-        yield dd.mul(kap, _series_dd(dd.ONE, minus_w, 1.0, 2.0 * m + 1.0, 1e-21)[0])
+    yield dd.mul(kap_prev, _jhat0(minus_w))
+    for m0 in range(1, MAX_TERMS + 1, BESSHO_WINDOW):
+        jhat = _jhat_window(minus_w, m0, min(m0 + BESSHO_WINDOW - 1, MAX_TERMS))
+        for m, jh in enumerate(jhat, m0):
+            if m > 1:
+                a = dd.div_d(dd.mul_d(m_dd, 4.0 * (m - 1)), float((2 * m) * (2 * m - 1)))
+                b = dd.div_d(ww, float((2 * m) * (2 * m - 1) * (2 * m - 2) * (2 * m - 3)))
+                kap = dd.add(dd.mul(kap_cur, a), dd.mul(kap_prev, b))
+                kap_prev, kap_cur = kap_cur, kap
+            if not math.isfinite(kap_cur[0]):
+                yield None
+                return
+            yield dd.mul(kap_cur, jh)
 
 
 def _bessho_sum(alpha, products):
     """The Bessel product series at |alpha| = alpha, summed in double-double
-    from the products of _bessel_products until its stopping rule.
+    from the products of _bessel_products, each times its _cos_ladder
+    factor, until its stopping rule.
 
     Returns (total, peak, abs_sum, last, m, stop): peak is the largest
     |partial sum|, abs_sum the sum of |terms|, last the last |term|, m the
@@ -243,12 +311,11 @@ def _bessho_sum(alpha, products):
     peak = abs_sum = last = abs(total[0])
     small = 0
     m = 0
-    for prod in products:
+    for prod, coef in zip(products, _cos_ladder(alpha)):
         m += 1
         if prod is None:
             return total, peak, abs_sum, last, m, "overflow"
-        sign = -1.0 if m % 2 else 1.0
-        term = dd.mul_d(prod, 2.0 * sign * math.cos(m * alpha))
+        term = dd.mul(prod, coef)
         total = dd.add(total, term)
         peak = max(peak, abs(total[0]))
         abs_sum += abs(term[0])
@@ -262,22 +329,17 @@ def _bessho_sum(alpha, products):
     return total, peak, abs_sum, last, m, "max_terms"
 
 
-#: Indices m that bessho_block takes in one window: the ladders advance
-#: this many m at a time, and every point sums them in one go.  The rows
-#: of the benchmark's field sweep read 11 to 42 products.
-BESSHO_WINDOW = 24
-
-
 def bessho_block(pts):
     """{(x, rho, |alpha|): _bessho_sum's outcome} for the distinct points
     of pts, in array passes of up to HSCAL_BLOCK_CHUNK of them.
 
-    The kappa_m ladder of every (x, rho), jhat_m(x), and the terms and
-    partial sums of every point run elementwise on float64 arrays,
-    BESSHO_WINDOW indices m at a time.  Each element takes the scalar
-    steps in their order, cos(m |alpha|) comes from math.cos and K0, K1
-    from _k01_dd as in the scalar path, so every outcome equals
-    _bessho_sum's at that point bit for bit, refusals included.
+    The kappa_m ladder of every (x, rho), and the terms and partial sums
+    of every point, run elementwise on float64 arrays, BESSHO_WINDOW
+    indices m at a time.  Each element takes the scalar steps in their
+    order, and the scalar kernels give the rest once per distinct value:
+    jhat_m by _jhat0 and _jhat_window per x, the cos(m alpha) factors by
+    _cos_ladder per |alpha|, K0, K1 by _k01_dd per rho.  So every outcome
+    equals _bessho_sum's at that point bit for bit, refusals included.
     """
     return _by_chunk(pts, _bessho_pass)
 
@@ -289,22 +351,23 @@ def _bessho_pass(pts):
     pair_of = {p: i for i, p in enumerate(pairs)}
     alpha_of = {a: i for i, a in enumerate(alphas)}
     x_of = {x: i for i, x in enumerate(xs)}
-    # per distinct x its w = (x/2)^2 and the jhat ratio -w; per (x, rho)
-    # pair its ladder
-    xw = dd.two_prod(0.5 * np.array(xs), 0.5 * np.array(xs))
-    minus_w = dd.neg(xw)
+    # per distinct x its w = (x/2)^2 and -w, per |alpha| its cos ladder,
+    # per (x, rho) pair its kappa ladder
+    ws = np.array([dd.two_prod(0.5 * x, 0.5 * x) for x in xs])
+    minus_w = [dd.neg(w) for w in ws.tolist()]
+    ladders = [_cos_ladder(a) for a in alphas]
     xp = np.array([x_of[x] for x, _ in pairs])          # pair -> x
     px = np.array([x for x, _ in pairs])
     k01 = {rho: _k01_dd(0.5 * rho)[:2] for rho in {rho for _, rho in pairs}}
     k0, k1 = ((np.array([k01[rho][j][0] for _, rho in pairs]),
                np.array([k01[rho][j][1] for _, rho in pairs])) for j in (0, 1))
-    w = (xw[0][xp], xw[1][xp])
+    w = (ws[xp, 0], ws[xp, 1])
     m_dd = dd.div_d(dd.two_prod(px, px), 4.0 * np.array([rho for _, rho in pairs]))
     ww = dd.mul(w, w)
     kap_prev = k0
     kap_cur = dd.div_d(dd.mul(k1, w), 2.0)
-    j0 = _series_block((np.ones(len(xs)), np.zeros(len(xs))), minus_w, 1.0, 1.0, 1e-21)
-    first = dd.mul(kap_prev, (j0[0][xp], j0[1][xp]))
+    j0 = np.array([_jhat0(mw) for mw in minus_w])
+    first = dd.mul(kap_prev, (j0[xp, 0], j0[xp, 1]))
 
     pr = np.array([pair_of[pt.x, pt.rho] for pt in pts])   # point -> pair
     ar = np.array([alpha_of[pt.alpha_abs] for pt in pts])  # point -> alpha
@@ -334,16 +397,12 @@ def _bessho_pass(pts):
             ovf = np.where(finite.all(axis=1), width, (~finite).argmax(axis=1))
             # jhat_m of every x a ladder still uses, then the products
             xl = np.unique(xp)
-            q = (np.repeat(minus_w[0][xl], width), np.repeat(minus_w[1][xl], width))
-            jh = _series_block((np.ones(len(q[0])), np.zeros(len(q[0]))), q,
-                               1.0, 2.0 * np.tile(ms, len(xl)) + 1.0, 1e-21)
+            jh = np.array([_jhat_window(minus_w[i], m0, m0 + width - 1) for i in xl.tolist()])
             at = np.searchsorted(xl, xp)
-            prod = dd.mul((kap[0], kap[1]), (jh[0].reshape(-1, width)[at],
-                                             jh[1].reshape(-1, width)[at]))
+            prod = dd.mul((kap[0], kap[1]), (jh[at, :, 0], jh[at, :, 1]))
             # every point's terms and partial sums; column 0 is the carried sum
-            coef = np.array([[2.0 * (-1.0 if m % 2 else 1.0) * math.cos(m * alpha)
-                              for m in ms.tolist()] for alpha in alphas])
-            term = dd.mul_d((prod[0][pr], prod[1][pr]), coef[ar])
+            coef = np.array([list(itertools.islice(ladder, width)) for ladder in ladders])
+            term = dd.mul((prod[0][pr], prod[1][pr]), (coef[ar, :, 0], coef[ar, :, 1]))
             tot = np.empty((2, len(idx), width + 1))
             tot[0][:, 0], tot[1][:, 0] = total
             for k in range(width):

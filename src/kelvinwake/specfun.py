@@ -20,9 +20,9 @@ intermediate terms grow above the result (mild cancellation at x ~ 10).
 
 Every ascending series t_{k+1} = t_k q / ((k + a)(k + b)), the sign of an
 alternating one carried in q, runs through _series_dd, or elementwise on
-float64 arrays and bit for bit through _series_block: J, I, Hscal, and the
-expansions' J_2m and I_m factors.  Y and K above order 1 share one upward
-recurrence, _bessel_yk_dd.
+float64 arrays and bit for bit through _series_block: J, I, Hscal, the
+expansions' I_m factors and the seeds of their J_2m factors.  Y and K
+above order 1 share one upward recurrence, _bessel_yk_dd.
 
 All functions are pure and safe for concurrent use.
 """
@@ -258,14 +258,25 @@ def bessel_k(order: int, x: float) -> SpecFunResult:
     return SpecFunResult(value, err, terms)
 
 
+#: Largest double that two_prod splits without overflow ((2^27 + 1) a must
+#: stay finite); the Struve Gamma chain is rescaled before it passes this.
+_SPLIT_MAX = 2.0 ** 996
+
+
 def _struve_gammas(order_max):
-    """Gamma(3/2) Gamma(nu + 3/2) for nu = 0 .. order_max as double-doubles,
-    by one chain of products."""
+    """Gamma(3/2) Gamma(nu + 3/2) for nu = 0 .. order_max as pairs (g, e),
+    g a double-double and g 2^e the value, by one chain of products.  e is
+    0 up to order 166; past _SPLIT_MAX (order 167 on) g is scaled down by
+    2^512 at a time, since dd's products split it and Gamma(168.5)
+    already overflows."""
     g = dd.mul(dd.mul_d(dd.SQRT_PI, 0.5), dd.mul_d(dd.SQRT_PI, 0.5))  # Gamma(3/2)^2
-    gammas = [g]
+    e = 0
+    gammas = [(g, e)]
     for j in range(order_max):
         g = dd.mul_d(g, 1.5 + j)
-        gammas.append(g)
+        if g[0] > _SPLIT_MAX:
+            g, e = (math.ldexp(g[0], -512), math.ldexp(g[1], -512)), e + 512
+        gammas.append((g, e))
     return gammas
 
 
@@ -275,12 +286,20 @@ def _struve_h_scaled_dd(order, x):
     Returns _series_dd's (dd_value, first omitted term, terms).  Terms are
     strictly alternating and, in the supported range, decrease
     monotonically after at most a few initial terms, so the first omitted
-    term bounds the truncation error.
+    term bounds the truncation error.  From order 167 on the series runs
+    on the terms times 2^e (_struve_gammas) and is scaled back at the
+    end, where it may round to the subnormal grid or to 0: the omitted
+    term then carries 2^-1074 for that rounding.
     """
     h = 0.5 * x
-    # t0 = (x/2) / (Gamma(3/2) Gamma(order+3/2))
-    t = dd.div(dd.from_float(h), _struve_gammas(order)[-1])
-    return _series_dd(t, dd.two_prod(h, -h), 1.5, order + 1.5, 1e-17)
+    g, e = _struve_gammas(order)[-1]
+    # t0 = (x/2) / (Gamma(3/2) Gamma(order+3/2)) = 2^-e h / g
+    s, tail, terms = _series_dd(dd.div(dd.from_float(h), g), dd.two_prod(h, -h),
+                                1.5, order + 1.5, 1e-17)
+    if e:
+        s = (math.ldexp(s[0], -e), math.ldexp(s[1], -e))
+        tail = math.ldexp(tail, -e) + 2.0 ** -1074
+    return s, tail, terms
 
 
 def _struve_h_scaled_block(xs, order_max):
@@ -293,10 +312,13 @@ def _struve_h_scaled_block(xs, order_max):
     """
     xs = np.asarray(xs, dtype=float)
     width = len(xs)
-    ghi, glo = np.repeat(np.array(_struve_gammas(order_max)), width, axis=0).T
+    gammas = _struve_gammas(order_max)
+    ghi, glo = np.repeat(np.array([g for g, _ in gammas]), width, axis=0).T
+    scale = np.repeat([e for _, e in gammas], width)
     h = np.tile(0.5 * xs, order_max + 1)
     hi, lo = _series_block(dd.div((h, np.zeros_like(h)), (ghi, glo)), dd.two_prod(h, -h),
                            1.5, np.repeat(np.arange(order_max + 1) + 1.5, width), 1e-17)
+    hi, lo = np.ldexp(hi, -scale), np.ldexp(lo, -scale)
     return [list(itertools.takewhile(lambda v: not math.isnan(v), column))
             for column in (hi + lo).reshape(order_max + 1, width).T.tolist()]
 
@@ -343,6 +365,8 @@ def struve_k_scaled(order: int, x: float) -> SpecFunResult:
         xm = dd.mul_d(xm, x)
     val = dd.mul(xm, diff)
     value = dd.to_float(val)
+    if not math.isfinite(value):
+        raise RangeOverflowError(f"Kscal_{order}({x}) exceeds double range")
     # absolute error: series tails scaled into place plus cancellation noise
     biggest = max(abs(hm[0]), abs(ym[0]))
     err = dd.to_float(xm) * (htail * abs(pw[0]) + 3e-16 * abs(ym[0]) + 1e-31 * biggest)

@@ -80,3 +80,104 @@ def test_array_operations_equal_scalar_ones_elementwise():
         for i in range(n):
             want = scalar(i)
             assert (float(got[0][i]), float(got[1][i])) == want, (name, i)
+
+
+# The operations as they were composed from the error-free transformations;
+# the flat ones must do the same float operations in the same order.
+
+def _add(x, y):
+    s, e = dd.two_sum(x[0], y[0])
+    t, f = dd.two_sum(x[1], y[1])
+    e += t
+    s, e = dd.quick_two_sum(s, e)
+    e += f
+    return dd.quick_two_sum(s, e)
+
+
+def _add_d(x, b):
+    s, e = dd.two_sum(x[0], b)
+    e += x[1]
+    return dd.quick_two_sum(s, e)
+
+
+def _mul(x, y):
+    p, e = dd.two_prod(x[0], y[0])
+    e += x[0] * y[1] + x[1] * y[0]
+    return dd.quick_two_sum(p, e)
+
+
+def _mul_d(x, b):
+    p, e = dd.two_prod(x[0], b)
+    e += x[1] * b
+    return dd.quick_two_sum(p, e)
+
+
+def _div_d(x, b):
+    q1 = x[0] / b
+    p, e = dd.two_prod(q1, b)
+    s, f = dd.two_sum(x[0], -p)
+    f += x[1] - e
+    q2 = (s + f) / b
+    return dd.quick_two_sum(q1, q2)
+
+
+COMPOSED = {"add": (dd.add, _add, True), "add_d": (dd.add_d, _add_d, False),
+            "mul": (dd.mul, _mul, True), "mul_d": (dd.mul_d, _mul_d, False),
+            "div_d": (dd.div_d, _div_d, False)}
+
+
+def _operands(rng, n):
+    """n seeded doubles: signed zeros, 1e+-300, and magnitudes in between
+    with mixed signs."""
+    import numpy as np
+
+    special = np.array([0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300, 1.0, -1.0])
+    mags = 10.0 ** rng.uniform(-300, 300, n) * rng.choice([-1.0, 1.0], n)
+    small = rng.uniform(-4, 4, n)
+    pick = rng.integers(0, 3, n)
+    return np.where(pick == 0, mags, np.where(pick == 1, small, rng.choice(special, n)))
+
+
+def _dd_operands(rng, n):
+    hi = _operands(rng, n)
+    lo = hi * rng.uniform(-1.1e-16, 1.1e-16, n)
+    lo[rng.integers(0, 4, n) == 0] = 0.0
+    return hi, lo
+
+
+def _bits(v):
+    import numpy as np
+
+    return np.asarray(v, dtype=float).view(np.uint64)
+
+
+def _scalar(f, x, other):
+    """f's result as bit patterns, or the name of the exception it raised
+    (a float division by zero raises where numpy gives inf or nan)."""
+    try:
+        return tuple(_bits(f(x, other)))
+    except ZeroDivisionError as exc:
+        return type(exc).__name__
+
+
+def test_flat_operations_equal_composed_ones_bit_for_bit():
+    import numpy as np
+
+    rng = np.random.default_rng(19)
+    n = 12000
+    x, y = _dd_operands(rng, n), _dd_operands(rng, n)
+    b = _operands(rng, n)
+    with np.errstate(all="ignore"):
+        for name, (flat, composed, pair) in COMPOSED.items():
+            other = y if pair else b
+            # on arrays, and on every element as Python floats
+            got, want = flat(x, other), composed(x, other)
+            for g, w in zip(got, want):
+                assert np.array_equal(_bits(g), _bits(w)), name
+            xs = list(zip(x[0].tolist(), x[1].tolist()))
+            others = list(zip(y[0].tolist(), y[1].tolist())) if pair else b.tolist()
+            for i in range(n):
+                g, w = _scalar(flat, xs[i], others[i]), _scalar(composed, xs[i], others[i])
+                assert g == w, (name, xs[i], others[i])
+                if g != "ZeroDivisionError":
+                    assert g == tuple(_bits((got[0][i], got[1][i]))), name

@@ -7,6 +7,7 @@ import warnings
 
 import pytest
 
+from kelvinwake import ddouble as dd
 from kelvinwake import expansions, specfun
 from kelvinwake.errors import (AccuracyError, DomainError, InternalConsistencyError,
                                RegimeError)
@@ -148,6 +149,69 @@ def _mp_bessel_product(pt, dps):
             k_prev, k_cur = k_cur, k_prev + (2 * m / z) * k_cur
             m += 1
     return want
+
+
+class TestBesshoFactors:
+    """The double-double factors of the Bessel product series against
+    mpmath, and the sum where it cancels most."""
+
+    @pytest.mark.parametrize("x", [1e-3, 0.5, 2.404825557695773, 3.0])
+    def test_jhat_against_mpmath(self, x):
+        # 2.404825557695773 is a zero of J_0; jhat_0 keeps its own series
+        mp = pytest.importorskip("mpmath")
+        minus_w = dd.neg(dd.two_prod(0.5 * x, 0.5 * x))
+        window = expansions.BESSHO_WINDOW
+        windows = [expansions._jhat_window(minus_w, m0, m0 + window - 1)
+                   for m0 in range(1, 101, window)]
+        one_window = expansions._jhat_window(minus_w, 1, 100)
+        with mp.workdps(50):
+            w = (mp.mpf(x) / 2) ** 2
+            j0 = expansions._jhat0(minus_w)
+            assert abs(mp.mpf(j0[0]) + j0[1] - mp.besselj(0, x)) <= 1e-30
+            for got in (sum(windows, [])[:100], one_window):
+                assert len(got) == 100
+                for m, (hi, lo) in enumerate(got, 1):
+                    want = mp.hyp0f1(2 * m + 1, -w)
+                    assert abs(mp.mpf(hi) + lo - want) <= 1e-25 * want, m
+
+    @pytest.mark.parametrize("alpha", [0.0, 1e-8, 0.3 * math.pi, 0.5 * math.pi])
+    def test_cos_ladder_against_mpmath(self, alpha):
+        mp = pytest.importorskip("mpmath")
+        ladder = expansions._cos_ladder(alpha)
+        with mp.workdps(50):
+            for m in range(1, expansions.MAX_TERMS + 1):
+                hi, lo = next(ladder)
+                want = mp.cos(m * mp.mpf(alpha))
+                assert abs((-1) ** m * (mp.mpf(hi) + lo) / 2 - want) <= 1e-27, m
+
+    @pytest.mark.parametrize("x,M,alpha", [
+        (0.44, 24.0, 0.25 * math.pi),                # 3.3e-6 off, estimate 1.4e-6
+        (1.560727317734223, 19.989777550886878, 0.5 * math.pi),
+        (0.1402058156452941, 19.97937645850596, 0.5 * math.pi),
+        (1.0, 12.0, 0.5 * math.pi),
+        (2.0, 25.0, -0.5 * math.pi),
+    ])
+    def test_estimate_holds_where_the_terms_cancel(self, x, M, alpha):
+        # with a double cos(m alpha) these were up to 7.6x outside their
+        # estimates: the terms cancel from e^M / M down to the result
+        pt = EvalPoint(x, x * x / (4.0 * M), alpha)
+        r = bessho_F(pt)
+        want = _mp_bessel_product(pt, 60)
+        assert abs(r.value - want) <= r.internal_error_estimate
+        assert abs(r.value - want) <= 1e-13
+
+    @pytest.mark.parametrize("x,M,alpha,m_last", [
+        (0.4, 2.0, 0.25 * math.pi, 24),               # ends on a window's top
+        (0.4, 2.0, 0.0, 25),                          # one m into the next
+        (0.4, 8.5, 0.25 * math.pi, 48),               # ends on the second's top
+    ])
+    def test_block_equals_scalar_at_window_edges(self, x, M, alpha, m_last):
+        pt = EvalPoint(x, x * x / (4.0 * M), alpha)
+        assert bessho_F(pt).terms_used == m_last + 1
+        pts = [pt, EvalPoint(x, pt.rho, 0.1 * math.pi), EvalPoint(1.0, 0.02, alpha)]
+        memo = expansions.bessho_block(pts)
+        for p in pts:
+            assert _outcome(bessho_F, p, memo=memo) == _outcome(bessho_F, p)
 
 
 class TestKernelMemo:

@@ -154,6 +154,30 @@ class TestStruveScaled:
             assert all(mags[i + 1] < mags[i] for i in range(cross, len(mags) - 1))
 
 
+    @pytest.mark.parametrize("order", [167, 168, 169, 170, 171])
+    def test_orders_past_the_gamma_overflow_against_mpmath(self, order):
+        # Gamma(3/2) Gamma(order + 3/2) passes the range two_prod splits
+        # from order 167 on; the value underflows gently into subnormals
+        mp = pytest.importorskip("mpmath")
+        r = sf.struve_h_scaled(order, 1.0)
+        with mp.workdps(40):
+            want = mp.struveh(order, 1) * mp.mpf(2) ** order
+            assert abs(r.value - want) <= r.abs_error_estimate
+            assert abs(r.value - want) <= 1e-15 * want + 2.0 ** -1074
+
+    def test_order_cap_returns(self):
+        # Hscal_200(1) ~ 1e-376 rounds to 0
+        r = sf.struve_h_scaled(sf.ORDER_CAP, 1.0)
+        assert r.value == 0.0 and 0.0 < r.abs_error_estimate <= 1e-323
+
+    def test_block_equals_scalar_kernel_past_the_gamma_overflow(self):
+        rows = sf._struve_h_scaled_block([0.5, 1.0, 3.0], 200)
+        for x, row in zip([0.5, 1.0, 3.0], rows):
+            assert len(row) == 201
+            for j in range(160, 201):
+                assert row[j] == sf.dd.to_float(sf._struve_h_scaled_dd(j, x)[0]), (x, j)
+
+
 class TestStruveKScaled:
     def test_frozen_order0(self):
         assert relerr(sf.struve_k_scaled(0, 0.4).value, KSCAL0_AT_04) <= 1e-12
@@ -182,6 +206,13 @@ class TestStruveKScaled:
     def test_domain(self):
         with pytest.raises(DomainError):
             sf.struve_k_scaled(0, 0.0)
+
+    @pytest.mark.parametrize("order,x", [(170, 1.0), (400, 1.0), (400, 3.0), (160, 3.0)])
+    def test_out_of_range_is_reported(self, order, x):
+        # Kscal_m(x) >= about Gamma(m) 2^m / pi: past m ~ 150 it leaves the
+        # double range at every x, and says so
+        with pytest.raises(RangeOverflowError):
+            sf.struve_k_scaled(order, x)
 
 
 class TestKummer:
