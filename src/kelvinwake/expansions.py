@@ -45,7 +45,7 @@ import numpy as np
 from . import ddouble as dd
 from .errors import AccuracyError, DomainError, RegimeError
 from .oracle import EvalPoint, oracle_Ck, oracle_F
-from .specfun import (_k01_dd, _series_dd, _struve_h_scaled_block,
+from .specfun import (_k01_dd, _log_rounding, _series_dd, _struve_h_scaled_block,
                       _struve_h_scaled_dd, _y01_dd, struve_k_scaled)
 
 #: Largest supported asymptotic truncation (coefficient engines cap here).
@@ -489,37 +489,51 @@ def ursell_F(pt: EvalPoint) -> MethodResult:
 
     good to O(e^-M).  The products are formed from scaled pairs so that
     neither factor leaves double range for any M reachable in the box.
-    The estimate adds to those two the saddle estimate's O(1/M) defect and
-    the rounding of the sum, a few ulps of its terms.
+    Their size falls by about (2m - 1)/(2M) a step, so the sum stops at
+    m = floor(M) or before, at the first m > x/2 (past the last zero of
+    Y_2m) whose term without its cos(m alpha) is below SERIES_REL_TOL of
+    the partial sum: at M = 1e6 after 4 terms.  Y_2m and I_m are formed
+    only that far.  The estimate adds to those two the saddle estimate's
+    O(1/M) defect, the rounding of the sum, a few ulps of its terms, and
+    2 e^{rho/2} times the rounding of the double ln(x/2) in Y0 and Y1,
+    which moves the sum by (2/pi) times it times sum_m I_m J_2m.
     """
     if pt.M <= 1.0:
         raise DomainError(f"ursell_F needs M > 1, got M = {pt.M:.3g}")
     x, rho, alpha = pt.x, pt.rho, pt.alpha_abs
-    mmax = math.floor(pt.M)
 
+    # Y_n (x/2)^n / n! for n = 2m and 2m + 1 by the Y recurrence, two orders a step
     y0, y1, _ = _y01_dd(x)
-    yh = [dd.to_float(y0), dd.to_float(dd.mul_d(y1, 0.5 * x))]
+    even, odd = dd.to_float(y0), dd.to_float(dd.mul_d(y1, 0.5 * x))
     q = 0.25 * x * x
-    for nn in range(1, 2 * mmax):
-        yh.append(yh[nn] * nn / (nn + 1.0) - yh[nn - 1] * q / (nn * (nn + 1.0)))
-
     # I_m(rho/2) m! (rho/4)^-m = sum_i (rho/4)^(2i) / (i! (m+1)_i)
     zq = dd.two_prod(0.25 * rho, 0.25 * rho)
-    isig = [dd.to_float(_series_dd(dd.ONE, zq, 1.0, m + 1.0, 1e-21)[0])
-            for m in range(mmax + 1)]
-    terms = [isig[0] * yh[0]]
+
+    def isig(m):
+        return dd.to_float(_series_dd(dd.ONE, zq, 1.0, m + 1.0, 1e-21)[0])
+
+    terms = [isig(0) * even]
+    total = terms[0]
     fac = 1.0
-    for m in range(1, mmax + 1):
+    for m in range(1, math.floor(pt.M) + 1):
+        n = 2 * m - 1
+        even = odd * n / (n + 1.0) - even * q / (n * (n + 1.0))
+        odd = even * (n + 1) / (n + 2.0) - odd * q / ((n + 1) * (n + 2.0))
         fac *= (2.0 * m - 1.0) / (2.0 * pt.M)
-        terms.append(2.0 * math.cos(m * alpha) * fac * isig[m] * yh[2 * m])
+        im = isig(m)
+        terms.append(2.0 * math.cos(m * alpha) * fac * im * even)
+        total += terms[-1]
+        if 2 * m > x and 2.0 * abs(fac * im * even) <= SERIES_REL_TOL * abs(total):
+            break
     series = math.fsum(terms)
 
     amp = _saddle_amplitude(pt)
     sad = amp * math.sin((pt.M + 0.5 * rho) * math.sin(alpha) + 0.5 * alpha)
     value = -math.pi * series + sad
     est = (math.exp(-pt.M) + math.pi * abs(terms[-1]) + 2.0 * amp / pt.M
-           + 4.0 * 2.0 ** -52 * (math.pi * math.fsum(map(abs, terms)) + abs(sad)))
-    return MethodResult(value, Method.URSELL, terms_used=mmax + 1, n_used=mmax,
+           + 4.0 * 2.0 ** -52 * (math.pi * math.fsum(map(abs, terms)) + abs(sad))
+           + 2.0 * math.exp(0.5 * rho) * _log_rounding(x))
+    return MethodResult(value, Method.URSELL, terms_used=len(terms), n_used=len(terms) - 1,
                         saddle_term=sad, internal_error_estimate=est)
 
 

@@ -21,13 +21,12 @@ combined with its conjugate, which works out to the real, even function
     exp(-rho/2 cos(alpha) cosh 2u) * cos(rho/2 sin(alpha) sinh 2u)
                                    * cos(x cosh u).
 
-The infinite u-range is truncated where the Gaussian-type envelope
-guarantees the tail is negligible; close to |alpha| = pi/2 the envelope
-dies, and the tails, integrals of an entire function, are taken instead
-along a contour shifted up to Im u = pi/4, where they decay doubly
-exponentially.  The finite part [0, U] (the integrand is even) starts
-from panels that each span at most 2 pi of the phase.  Its error estimate
-is QUADPACK's plus a bound on the rounding of the integrand, counted from
+oracle_F takes one path: the even integrand over [0, U], from panels
+that each span at most 2 pi of the phase, plus the tails beyond U, either
+bounded by the Gaussian-type envelope or, where it dies near
+|alpha| = pi/2, integrated along a contour shifted up to Im u = pi/4,
+where they decay doubly exponentially.  The error estimate of [0, U] is
+QUADPACK's plus a bound on the rounding of the integrand, counted from
 the roundings of the envelope's exponent, the phases and the nodes: where
 the phase reaches 1e4 and beyond (|alpha| near pi/2 at large M) a few ulps
 of it outweigh QUADPACK's floor of 50 ulps of the integral of |f|.
@@ -51,12 +50,13 @@ coefficients up in it, and oracle_Ck.cache_clear() empties it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, InternalConsistencyError
+from .errors import AccuracyError, DomainError, InternalConsistencyError, RangeOverflowError
 from .specfun import kummer_1f1, upper_inc_gamma
 
 #: Subdivision budget: at most ~1e6 integrand evaluations per integral
@@ -64,6 +64,10 @@ from .specfun import kummer_1f1, upper_inc_gamma
 MAX_SUBDIVISIONS = 47_000
 
 _HALF_PI = 0.5 * math.pi
+
+#: Largest cut U of oracle_F's u-range: e^2U, and with it cosh 2U, stays
+#: within the double range.
+_U_MAX = 0.5 * math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -301,13 +305,6 @@ def _gk21_adaptive(rule, a, b, abs_tol, rel_tol, max_panels):
 # the defining integral
 
 
-def _phase_oscillations(x, rho, alpha, U):
-    """Rough count of integrand oscillations on [0, U]."""
-    k2 = 0.5 * rho * math.sin(alpha)
-    total = k2 * math.sinh(2.0 * U) + x * math.cosh(U)
-    return total / (2.0 * math.pi)
-
-
 def _wake_integrand(x, k1, k2):
     """The integrand exp(-k1 cosh 2u) cos(k2 sinh 2u) cos(x cosh u) of F
     as an integrand of _gk21_panels.
@@ -348,8 +345,12 @@ def _wake_edges(x, k1, k2, U):
     its Kronrod and Gauss sums agree by chance."""
     u = np.linspace(0.0, U, 257)
     total = k1 * np.cosh(2.0 * u) + k2 * np.sinh(2.0 * u) + x * np.cosh(u)
-    count = math.ceil((total[-1] - total[0]) / _WAKE_PANEL_PHASE)
-    edges = np.interp(np.linspace(total[0], total[-1], count + 1), total, u)
+    span = (total[-1] - total[0]) / _WAKE_PANEL_PHASE
+    # _gk21_adaptive refuses more than MAX_SUBDIVISIONS panels before it
+    # evaluates any
+    if span > MAX_SUBDIVISIONS:
+        return np.linspace(0.0, U, MAX_SUBDIVISIONS + 2)
+    edges = np.interp(np.linspace(total[0], total[-1], math.ceil(span) + 1), total, u)
     edges[0], edges[-1] = 0.0, U
     return edges
 
@@ -402,45 +403,6 @@ def _tail_integrand(x, k1, k2, start, turn):
     return f
 
 
-def _oscillatory_F(pt: EvalPoint, abs_tol: float):
-    """F for |alpha| near pi/2: finite core [0, U] + two Fourier tails.
-
-    Beyond U the integrand is Re h (e^{i phi_+} + e^{i phi_-}), entire in u,
-    h = exp(-k1 cosh 2u) / 2, phi_sg = k2 sinh 2u + sg x cosh u.  Each tail
-    runs from U up to U + i pi/4, then along Im u = pi/4, where its modulus
-    is exp(-k2 cosh 2w - sg x sinh w / sqrt 2) / 2, until below e^-45 abs_tol;
-    U makes x sinh U <= k2 cosh 2U, so both legs decay for both signs."""
-    x, rho, alpha = pt.x, pt.rho, pt.alpha_abs
-    k1 = 0.5 * rho * math.cos(alpha)
-    k2 = 0.5 * rho * math.sin(alpha)
-    U = math.log(max(x / (2.0 * k2), 1.0) + 2.0) + 1.5
-    # the minus-phase must be safely increasing and positive at the cut
-    while (2.0 * k2 * math.cosh(2.0 * U) - x * math.sinh(U) < k2 * math.cosh(2.0 * U)
-           or k2 * math.sinh(2.0 * U) - x * math.cosh(U) < max(2.0, x)):
-        U += 0.25
-
-    # the core h(u) (cos(A + B) + cos(A - B)) = 2 h(u) cos A cos B is even:
-    # twice [0, U]
-    half, err, neval, problem = _integrate(
-        _wake_integrand(x, k1, k2), _wake_edges(x, k1, k2, U), 0.125 * abs_tol, 1e-13)
-    value, err = 2.0 * half, 2.0 * err
-
-    # both legs decay over about 1 / (k2 cosh 2U) from their start; on the
-    # horizontal one the exponent is at least (1 - 1/sqrt 2) k2 cosh 2w
-    first, top = 1.0 / (k2 * math.cosh(2.0 * U)), 0.25 * math.pi
-    W = 0.5 * math.acosh(max((45.0 + math.log(0.5 / abs_tol)) / (0.29 * k2), 1.0))
-    for integrand, edges in [
-            (_tail_integrand(x, k1, k2, U, _HALF_PI), _doubling_edges(first, top)),
-            (_tail_integrand(x, k1, k2, 1j * top, 0.0),
-             U + _doubling_edges(first, max(W - U, 0.25)))]:
-        tails, terr, tneval, tproblem = _integrate(integrand, edges, abs_tol / 16.0, 1e-13)
-        value, err = value + 2.0 * sum(tails), err + 2.0 * sum(terr)
-        neval, problem = neval + tneval, problem or tproblem
-    if problem:
-        raise AccuracyError(problem, value=value, error_estimate=err)
-    return QuadResult(value, err, neval, U)
-
-
 def check_abs_tol(abs_tol: float) -> None:
     """Raise DomainError unless 1e-14 <= abs_tol < inf, the tolerances
     oracle_F supports (a NaN fails too)."""
@@ -451,41 +413,73 @@ def check_abs_tol(abs_tol: float) -> None:
 def oracle_F(pt: EvalPoint, abs_tol: float = 1e-12) -> QuadResult:
     """The wake integral F at pt, to absolute tolerance abs_tol (finite, >= 1e-14).
 
-    The two-sided u-range is truncated at U chosen from the envelope rule
-    rho cos(alpha) cosh(2U) / 2 >= ln(1/abs_tol) + 5; the residual tail
-    bound is folded into the reported error estimate.  Within 1e-6 of
-    |alpha| = pi/2 (or whenever the envelope would demand an impractical
-    oscillation count) the Fourier-tail path takes over.
+    F is twice the even integrand's integral over [0, U] plus twice its
+    tails beyond U.  Off |alpha| = pi/2, U comes from the envelope rule
+    rho cos(alpha) cosh(2U) / 2 >= ln(1/abs_tol) + 5, and the tails are
+    only bounded, by e^-a / a at a = k1 cosh 2U.  Within 1e-6 of pi/2, where
+    the envelope dies, or wherever its [0, U] would hold more than 20000
+    oscillations, the tails are integrated instead: beyond U the integrand
+    is Re h (e^{i phi_+} + e^{i phi_-}), entire in u, h = exp(-k1 cosh 2u) / 2,
+    phi_sg = k2 sinh 2u + sg x cosh u, and each tail runs from U up to
+    U + i pi/4, then along Im u = pi/4, where its modulus is
+    exp(-k2 cosh 2w - sg x sinh w / sqrt 2) / 2, until below e^-45 abs_tol.
+    That U makes x sinh U <= k2 cosh 2U, so both legs decay for both signs.
 
-    The even integrand is integrated over [0, U] by _gk21_adaptive.  The
-    error estimate adds QUADPACK's per-panel estimate, the rounding bound
-    of _wake_integrand and any tail; the rounding bound can exceed a tight
-    abs_tol near |alpha| = pi/2 at large M (about 1e-10 at M = 1000),
-    where the phases reach 1e4.  Raises AccuracyError, carrying the best
-    value and its estimate, when the MAX_SUBDIVISIONS panel budget runs out
-    or the quadrature stalls above 20 times the tolerance.
+    The error estimate adds QUADPACK's per-panel estimate, the rounding
+    bound of _wake_integrand and the tails'; the rounding bound can exceed
+    a tight abs_tol near |alpha| = pi/2 at large M (about 1e-10 at
+    M = 1000), where the phases reach 1e4.  Raises AccuracyError, carrying
+    the best value and its estimate, when the MAX_SUBDIVISIONS panel budget
+    runs out (the initial panels may exceed it already) or the quadrature
+    stalls above 20 times the tolerance, and RangeOverflowError for a U
+    past _U_MAX (at rho of about 1e-300 and below).
     """
     check_abs_tol(abs_tol)
     x, rho, alpha = pt.x, pt.rho, pt.alpha_abs
     cos_a = math.cos(alpha)
-    target = math.log(1.0 / abs_tol) + 5.0
-
-    if _HALF_PI - alpha <= 1e-6:
-        return _oscillatory_F(pt, abs_tol)
-
-    arg = 2.0 * target / (rho * cos_a)
-    U = 0.5 * math.acosh(max(arg, 2.0))
-    if _phase_oscillations(x, rho, alpha, U) > 20_000:
-        return _oscillatory_F(pt, abs_tol)
-
     k1 = 0.5 * rho * cos_a
     k2 = 0.5 * rho * math.sin(alpha)
+    target = math.log(1.0 / abs_tol) + 5.0
+
+    near = _HALF_PI - alpha <= 1e-6
+    # the envelope rule; where rho cos(alpha) underflows to 0 no U meets it
+    U = math.inf
+    if not near and rho * cos_a:
+        U = 0.5 * math.acosh(max(2.0 * target / (rho * cos_a), 2.0))
+    # the shifted tails decay only where k2 > 0
+    fourier = k2 > 0 and (
+        near or (k2 * math.sinh(2.0 * U) + x * math.cosh(U)) / (2.0 * math.pi) > 20_000)
+    if fourier:
+        U = math.log(max(x / (2.0 * k2), 1.0) + 2.0) + 1.5
+        # the minus-phase must be safely increasing and positive at the cut
+        while U <= _U_MAX and (
+                2.0 * k2 * math.cosh(2.0 * U) - x * math.sinh(U) < k2 * math.cosh(2.0 * U)
+                or k2 * math.sinh(2.0 * U) - x * math.cosh(U) < max(2.0, x)):
+            U += 0.25
+    if not U <= _U_MAX:
+        raise RangeOverflowError(f"oracle_F needs the cut U = {U:.6g} beyond {_U_MAX:.6g}, "
+                                 f"where e^2U leaves the double range")
+
     # the integrand is even: twice [0, U]
     half, err, neval, problem = _integrate(
-        _wake_integrand(x, k1, k2), _wake_edges(x, k1, k2, U), 0.25 * abs_tol, 1e-13)
-    aW = k1 * 0.5 * math.exp(2.0 * U)   # ~ k1 cosh(2U)
-    tail_bound = 2.0 * math.exp(-aW) / aW
-    value, err = 2.0 * half, 2.0 * err + tail_bound
+        _wake_integrand(x, k1, k2), _wake_edges(x, k1, k2, U),
+        (0.125 if fourier else 0.25) * abs_tol, 1e-13)
+    value, err = 2.0 * half, 2.0 * err
+    if fourier:
+        # both legs decay over about 1 / (k2 cosh 2U) from their start; on
+        # the horizontal one the exponent is at least (1 - 1/sqrt 2) k2 cosh 2w
+        first, top = 1.0 / (k2 * math.cosh(2.0 * U)), 0.25 * math.pi
+        W = 0.5 * math.acosh(max((45.0 + math.log(0.5 / abs_tol)) / (0.29 * k2), 1.0))
+        for integrand, edges in [
+                (_tail_integrand(x, k1, k2, U, _HALF_PI), _doubling_edges(first, top)),
+                (_tail_integrand(x, k1, k2, 1j * top, 0.0),
+                 U + _doubling_edges(first, max(W - U, 0.25)))]:
+            tails, terr, tneval, tproblem = _integrate(integrand, edges, abs_tol / 16.0, 1e-13)
+            value, err = value + 2.0 * sum(tails), err + 2.0 * sum(terr)
+            neval, problem = neval + tneval, problem or tproblem
+    else:
+        aW = k1 * 0.5 * math.exp(2.0 * U)   # ~ k1 cosh(2U)
+        err = err + 2.0 * math.exp(-aW) / aW
     if problem:
         raise AccuracyError(problem, value=value, error_estimate=err)
     return QuadResult(value, err, neval, U)

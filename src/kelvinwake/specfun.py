@@ -79,14 +79,15 @@ def _series_dd(t, q, a, b, rel):
         t_{k+1} = t_k q / ((k + a)(k + b)),
 
     q carrying the sign of an alternating series.  The sum stops at the
-    first term at or below rel of the partial sum (plus 1e-305).  Returns
+    first term at or below rel of the partial sum, however small the sum
+    (a zero term, as at x = 0, stops it).  Returns
     (sum, first omitted term magnitude, terms used); AccuracyError after
     _SERIES_MAX terms.
     """
     s = t
     for k in range(_SERIES_MAX):
         t = dd.div_d(dd.mul(t, q), (k + a) * (k + b))
-        if abs(t[0]) <= rel * abs(s[0]) + 1e-305:
+        if abs(t[0]) <= rel * abs(s[0]):
             return s, abs(t[0]), k + 2
         s = dd.add(s, t)
     raise AccuracyError("ascending series did not converge", value=dd.to_float(s))
@@ -106,7 +107,7 @@ def _series_block(t, q, a, b, rel):
     live = np.arange(n)              # elements whose series still runs
     for k in range(_SERIES_MAX):
         t = dd.div_d(dd.mul(t, q), (k + a) * (k + b))
-        done = np.abs(t[0]) <= rel * np.abs(s[0]) + 1e-305
+        done = np.abs(t[0]) <= rel * np.abs(s[0])
         if done.any():
             hi[live[done]], lo[live[done]] = s[0][done], s[1][done]
             run = ~done
@@ -156,6 +157,15 @@ def bessel_i(order: int, x: float) -> SpecFunResult:
 def _log_half_plus_gamma(x):
     """ln(x/2) + gamma as a double-double (the log itself is a double)."""
     return dd.add_d(dd.EULER_GAMMA, math.log(0.5 * x))
+
+
+def _log_rounding(x):
+    """An ulp of ln(x/2), 2^-52 |ln(x/2)|: a bound on the rounding d of the
+    double log in _log_half_plus_gamma.  Through the log series it moves
+    Y0, Y1 by (2/pi) d J0, J1 and K0, K1 by -d I0, +d I1, and as J and I
+    solve the same recurrences, Y_n(x) by (2/pi) d J_n(x) and K_n(x) by
+    (-1)^(n+1) d I_n(x)."""
+    return 2.0 ** -52 * abs(math.log(0.5 * x))
 
 
 def _log_series(x, sign):
@@ -242,7 +252,8 @@ def bessel_y(order: int, x: float) -> SpecFunResult:
         raise DomainError("bessel_y requires x > 0 (logarithmic branch point at 0)")
     y, terms = _bessel_yk_dd(order, x, -1)
     value = dd.to_float(y)
-    err = abs(value) * (3e-16 + 1e-16 * order)
+    jn = dd.to_float(_ascending_series(order, x, -1)[0])
+    err = abs(value) * (3e-16 + 1e-16 * order) + (2.0 / math.pi) * _log_rounding(x) * abs(jn)
     return SpecFunResult(value, err, terms)
 
 
@@ -254,7 +265,8 @@ def bessel_k(order: int, x: float) -> SpecFunResult:
         raise DomainError("bessel_k requires x > 0")
     k, terms = _bessel_yk_dd(order, x, +1)
     value = dd.to_float(k)
-    err = abs(value) * (3e-16 + 1e-16 * order)
+    i_n = dd.to_float(_ascending_series(order, x, +1)[0])
+    err = abs(value) * (3e-16 + 1e-16 * order) + _log_rounding(x) * i_n
     return SpecFunResult(value, err, terms)
 
 

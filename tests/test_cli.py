@@ -75,6 +75,28 @@ def test_reused_parser_equals_fresh_parsers(capsys):
     assert reused == fresh + fresh[::-1]
 
 
+@pytest.mark.parametrize("argv", [
+    ["--x", "1", "--rho", "1e-12", "--alpha", "1.0"],
+    ["--x", "1", "--rho", "1e-300", "--alpha-pi", "0.5"],
+    ["--x", "1", "--rho", "1e-320", "--alpha-pi", "0.5"],
+    ["--x", "1", "--rho", "1e-320", "--alpha", "0"],
+])
+def test_eval_oracle_beyond_its_budget_fails_in_one_line(capsys, argv):
+    code, _, err = run(capsys, "eval", *argv, "--method", "oracle")
+    assert code in (1, 2)
+    assert len(err.splitlines()) == 1 and err.startswith("oracle: ")
+
+
+def test_compare_at_huge_M_ends(capsys):
+    # M = 2.25e9: ursell_F and paris_F return, bessho_F and oracle_F refuse
+    code, out, err = run(capsys, "compare", "--x", "3", "--rho", "1e-9",
+                         "--alpha-pi", "0.3", "--format", "json")
+    assert code == EXIT_TOLERANCE
+    status = {r["method"]: r["status"] for r in json.loads(out)["rows"]}
+    assert status["ursell"] == status["paris"] == "ok"
+    assert [line.split(":")[0] for line in err.splitlines()] == ["bessho", "oracle"]
+
+
 def test_alpha_validation_exits_2(capsys):
     code, _, err = run(capsys, "eval", "--x", "0.4", "--rho", "0.005",
                        "--alpha", "2.0")

@@ -3,6 +3,7 @@ the coefficient engines against each other, and the assembled methods
 against their stored components."""
 
 import math
+import time
 import warnings
 
 import pytest
@@ -354,6 +355,32 @@ class TestUrsell:
     def test_regime(self):
         with pytest.raises(DomainError):
             ursell_F(EvalPoint(0.1, 0.005, 0.0))
+
+    def test_work_is_bounded_at_huge_M(self):
+        # M = 1e9: the terms fall below 1e-16 of the sum after a few
+        # steps, long before m = floor(M)
+        pt = EvalPoint(2.0, 1e-9, 0.3 * math.pi)
+        start = time.perf_counter()
+        got = ursell_F(pt)
+        assert time.perf_counter() - start < 1.0
+        assert got.terms_used < 10
+        ref = paris_F(pt)
+        assert (abs(got.value - ref.value)
+                <= got.internal_error_estimate + ref.internal_error_estimate)
+
+    def test_estimate_counts_the_rounding_of_the_log(self):
+        # M = 1178: the double ln(x/2) in Y0 and Y1 is all of ursell_F's
+        # error, 3.3e-17 from the same truncated series in mpmath
+        mp = pytest.importorskip("mpmath")
+        pt = EvalPoint(0.895592479689432, 0.0001702389739513427, 1.3245308952493715)
+        got = ursell_F(pt)
+        with mp.workdps(40):
+            x, z, a = mp.mpf(pt.x), mp.mpf(pt.rho) / 2, mp.mpf(pt.alpha)
+            series = mp.besseli(0, z) * mp.bessely(0, x) + 2 * mp.fsum(
+                mp.cos(m * a) * mp.besseli(m, z) * mp.bessely(2 * m, x)
+                for m in range(1, got.n_used + 1))
+            want = -mp.pi * series + got.saddle_term
+            assert abs(got.value - want) <= got.internal_error_estimate
 
     @pytest.mark.parametrize("frac", [0.0, 0.45, 0.5])
     def test_estimate_covers_error_at_m1000(self, frac):

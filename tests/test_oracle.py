@@ -10,7 +10,8 @@ import pytest
 from scipy.integrate import quad
 
 from kelvinwake import oracle, specfun
-from kelvinwake.errors import AccuracyError, DomainError, InternalConsistencyError
+from kelvinwake.errors import (AccuracyError, DomainError, InternalConsistencyError,
+                               KelvinWakeError)
 from kelvinwake.oracle import (
     EvalPoint,
     oracle_Ck,
@@ -226,6 +227,36 @@ class TestOracleF:
         monkeypatch.setattr(oracle, "MAX_SUBDIVISIONS", passes[0] - 1)
         with pytest.raises(AccuracyError, match="panels"):
             oracle_F(pt)
+
+    @pytest.mark.parametrize("x,rho,alpha,match", [
+        # M = 2.5e11: 2e12 initial panels, refused before any is evaluated
+        (1.0, 1e-12, 1.0, "more than 47000 panels"),
+        (3.0, 1e-9, 0.0, "more than 47000 panels"),
+        (1.0, 1e-300, 0.0, "more than 47000 panels"),
+        # the Fourier-tail cut, or the envelope's, beyond the double range
+        (1.0, 1e-300, 0.5 * math.pi, "double range"),
+        (1.0, 1e-320, 0.5 * math.pi, "double range"),
+        (1.0, 1e-320, 0.0, "double range"),
+        (3.0, 1e-320, 1.0, "double range"),
+    ])
+    def test_work_beyond_the_budget_is_refused(self, x, rho, alpha, match):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(KelvinWakeError, match=match):
+                oracle_F(EvalPoint(x, rho, alpha))
+
+    def test_alpha_zero_past_20000_oscillations(self):
+        # k2 = 0 gives the shifted tails nothing to decay by: the envelope
+        # path integrates all 3.2e4 oscillations
+        from kelvinwake.expansions import paris_F
+
+        pt = EvalPoint(1.0, 1e-9, 0.0)
+        got = oracle_F(pt)
+        ref = paris_F(pt)
+        assert (abs(got.value - ref.value)
+                <= got.abs_error_estimate + ref.internal_error_estimate)
 
 
 def _panel_rule(*fs):

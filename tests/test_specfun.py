@@ -89,6 +89,30 @@ class TestBesselIK:
             sf.bessel_k(0, 0.0)
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 200])
+def test_j_and_i_exact_at_zero(n):
+    want = 1.0 if n == 0 else 0.0
+    assert sf.bessel_j(n, 0.0).value == want
+    assert sf.bessel_i(n, 0.0).value == want
+
+
+@pytest.mark.parametrize("func, order, x", [
+    # near the first zeros of Y0 and Y1, 8.1e-18 and 2.3e-18 off
+    ("bessel_y", 0, 0.8935769662791675),
+    ("bessel_y", 1, 2.197141326031017),
+    # 1.3e-17 off, a relative 3.7e-16
+    ("bessel_k", 0, 3.0),
+])
+def test_estimate_counts_the_rounding_of_the_log(func, order, x):
+    # ln(x/2) is a double in the log series: its rounding moves Y_n by
+    # 2/pi times it times J_n(x) and K_n by it times I_n(x)
+    mp = pytest.importorskip("mpmath")
+    got = getattr(sf, func)(order, x)
+    with mp.workdps(40):
+        want = (mp.bessely if func == "bessel_y" else mp.besselk)(order, x)
+        assert abs(got.value - want) <= got.abs_error_estimate
+
+
 @pytest.mark.parametrize("x", [0.1, 0.5, 1.0, 2.0])
 @pytest.mark.parametrize("n", range(0, 21))
 def test_wronskian_jy(n, x):
@@ -164,6 +188,17 @@ class TestStruveScaled:
             want = mp.struveh(order, 1) * mp.mpf(2) ** order
             assert abs(r.value - want) <= r.abs_error_estimate
             assert abs(r.value - want) <= 1e-15 * want + 2.0 ** -1074
+
+    @pytest.mark.parametrize("x", [1e-3, 0.5, 1.0, 2.0, 3.0])
+    def test_orders_150_to_166_against_mpmath(self, x):
+        # sums near 1e-290 and below run to the same relative stop as any
+        # other: no absolute floor cuts their series short
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            for order in range(150, 167):
+                got = sf.struve_h_scaled(order, x).value
+                want = mp.struveh(order, x) / (mp.mpf(x) / 2) ** order
+                assert abs(got - want) <= 1e-15 * abs(want), order
 
     def test_order_cap_returns(self):
         # Hscal_200(1) ~ 1e-376 rounds to 0
