@@ -16,9 +16,9 @@ the benchmark's sweep), one loop per group:
   1. gather the group's distinct (x, rho, |alpha|), each point at its first
      alpha: F is even in alpha, so a row whose |alpha| equals, as a double,
      that of an earlier row of its (x, rho) shares that row's point;
-  2. build one map of convergent sums for those points: the Struve double
-     sum S1 (expansions.struve_block) at every point that
-     expansions.field_route sends to paris_F, the Bessel product sum
+  2. build one map of convergent sums for those points: the Struve sum
+     S1, one series over orders (expansions.struve_block), at every point
+     that expansions.field_route sends to paris_F, the Bessel product sum
      (expansions.bessho_block) at every point it sends to bessho_F;
   3. make one _method_record per distinct point, with that map as the
      route's memo;

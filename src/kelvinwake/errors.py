@@ -21,7 +21,9 @@ class AccuracyError(KelvinWakeError):
     """The requested accuracy was not reached.
 
     Carries the best available value and its estimated error so callers can
-    decide whether the partial result is still useful.
+    decide whether the partial result is still useful.  Both are None where
+    there is none, as when a quadrature's initial panels already exceed
+    its panel budget.
     """
 
     def __init__(self, message, value=None, error_estimate=None, terms_used=0):

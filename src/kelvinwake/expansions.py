@@ -158,7 +158,7 @@ def _key(pt: EvalPoint):
 
 #: Orders 0 .. HSCAL_BLOCK_ORDER are computed by hscal_block; higher ones
 #: by the scalar kernel as they are asked for.  On the benchmark's field
-#: sweep the highest order asked for at an x c is 9 to 18, 13 in the median.
+#: sweep the highest order asked for at an x c is 7 to 15, 11 in the median.
 HSCAL_BLOCK_ORDER = 20
 
 #: Most x c one array pass of hscal_block takes, and most points one array
@@ -549,90 +549,76 @@ def _hscal(hvals, xc, j):
     return hvals[j]
 
 
-def _struve_series(x, rho, s, c):
-    """sum_r (rho^r/r!) sum_m ((-1)^m (m+1/2)_r / m!) (xs/2)^{2m} Hscal_{m+r}(xc).
+def _struve_coefficients(xs, rho):
+    """a_j = sum_{r+m=j} (rho^r/r!) ((-1)^m (m+1/2)_r / m!) (xs/2)^{2m}, the
+    coefficient of Hscal_j(xc) in S1, for j = 0, 1, ... without end;
+    elementwise where xs and rho are arrays.
 
-    Returns (value, terms_used, exhausted): exhausted is None, or "inner"
-    or "outer", the loop that ran out of MAX_TERMS (value is then the
-    partial sum).  At s = 0 only m = 0 survives and this is the single sum
-    over r.
+    a_j = (-1)^j (1/2)_j p_2j, where p_n, the Taylor coefficients of
+    exp(xs z - rho z^2) (a Hermite generating function, DLMF 18.12.15),
+    follow p_0 = 1, p_1 = xs, p_{n+1} = (xs p_n - 2 rho p_{n-1}) / (n + 1).
+    At xs = 0 a_j is (1/2)_j rho^j / j! exactly as running products give it.
     """
-    xc = x * c
-    y = (0.5 * x * s) ** 2
+    two_rho = 2.0 * rho
+    poch = 1.0                     # (1/2)_j
+    p, q = 1.0 + 0.0 * xs, xs      # p_2j (shaped like xs) and p_2j+1
+    yield p
+    for j in itertools.count(1):
+        poch *= j - 0.5
+        p = (xs * q - two_rho * p) / (2 * j)
+        q = (xs * p - two_rho * q) / (2 * j + 1)
+        yield -(poch * p) if j % 2 else poch * p
+
+
+def _struve_series(pt):
+    """S1 = sum_j a_j Hscal_j(xc), a_j by _struve_coefficients at xs,
+    until three consecutive terms are below SERIES_REL_TOL of the partial
+    sum (a_j changes sign, so one small term can be accidental).
+
+    Returns (value, orders summed, refused): refused where the sum ran out
+    of MAX_TERMS orders or left the double range (from rho of about 150),
+    value then being the partial sum.
+    """
+    xc = pt.x * pt.c
     hvals = []
-
-    total = 0.0
-    comp = 0.0          # Neumaier compensation
-    terms = 0
-    rcoef = 1.0         # rho^r / r!
-    poch_base = 1.0     # (1/2)_r
-    small_r = 0
-    for r in range(MAX_TERMS):
-        if r > 0:
-            rcoef *= rho / r
-            poch_base *= r - 0.5
-        block = 0.0
-        poch = poch_base            # (m+1/2)_r
-        mcoef = 1.0                 # y^m / m!
-        small_m = 0
-        for m in range(MAX_TERMS):
-            if m > 0:
-                mcoef *= y / m
-                poch *= (m - 0.5 + r) / (m - 0.5)
-            t = rcoef * (-mcoef if m % 2 else mcoef) * poch * _hscal(hvals, xc, m + r)
-            block += t
-            terms += 1
-            # Neumaier step
-            total_new = total + t
-            if abs(total) >= abs(t):
-                comp += (total - total_new) + t
-            else:
-                comp += (t - total_new) + total
-            total = total_new
-            if abs(t) <= SERIES_REL_TOL * abs(total) + 1e-305:
-                small_m += 1
-                if small_m >= 3:
-                    break
-            else:
-                small_m = 0
+    total = comp = 0.0          # comp: Neumaier compensation
+    small = 0
+    for j, coef in zip(range(MAX_TERMS), _struve_coefficients(pt.x * pt.s, pt.rho)):
+        t = coef * _hscal(hvals, xc, j)
+        total_new = total + t
+        comp += (total - total_new) + t if abs(total) >= abs(t) else (t - total_new) + total
+        total = total_new
+        if not math.isfinite(total):
+            break
+        if abs(t) <= SERIES_REL_TOL * abs(total) + 1e-305:
+            small += 1
+            if small >= 3:
+                return total + comp, j + 1, False
         else:
-            return total + comp, terms, "inner"
-        if abs(block) <= SERIES_REL_TOL * abs(total) + 1e-305:
-            small_r += 1
-            if small_r >= 3:
-                return total + comp, terms, None
-        else:
-            small_r = 0
-    return total + comp, terms, "outer"
+            small = 0
+    return total + comp, j + 1, True
 
 
-def _struve_value(outcome):
-    """(S1, terms_used) of a _struve_series outcome; AccuracyError where
-    the sum ran out of MAX_TERMS."""
-    value, terms, exhausted = outcome
-    if exhausted:
-        raise AccuracyError(f"{exhausted} Struve sum exhausted MAX_TERMS",
+def _struve_value(pt, memo=None):
+    """(S1, orders summed) at pt, _struve_series's outcome or, where memo is
+    given, memo's (see paris_F); AccuracyError where the sum was refused."""
+    value, terms, refused = _struve_series(pt) if memo is None else memo[_key(pt)]
+    if refused:
+        raise AccuracyError(f"Struve sum not converged in {terms} orders",
                             value=value, terms_used=terms)
     return value, terms
-
-
-#: Inner terms m that struve_block takes in one window.  Every inner sum
-#: of the benchmark's field sweep ends within 15 terms.
-STRUVE_WINDOW = 16
 
 
 def struve_block(pts):
     """{(x, rho, |alpha|): _struve_series's outcome} for the distinct
     points of pts, in array passes of up to HSCAL_BLOCK_CHUNK of them.
 
-    Every point is one element of float64 arrays that runs the scalar
-    steps: its inner sum over m takes STRUVE_WINDOW terms at a time, whose
-    coefficients, partial sums and Neumaier compensation come from
-    running products and sums (numpy's accumulate, which adds and
-    multiplies in order), and it stops where the scalar loops stop.  The
-    Hscal values come from one hscal_block of all of pts, orders above it
-    from the scalar kernel, so every outcome equals _struve_series's bit
-    for bit.
+    Every point is one element of float64 arrays that takes the scalar
+    steps, one order j a step, and leaves the pass where the scalar loop
+    stops, as in specfun._series_block.  The coefficients come from
+    _struve_coefficients on the arrays, Hscal_j from one hscal_block of all
+    of pts and orders above it from the scalar kernel, so every outcome
+    equals _struve_series's bit for bit.
     """
     pts = list(pts)
     hscal = hscal_block(pt.x * pt.c for pt in pts)
@@ -640,100 +626,47 @@ def struve_block(pts):
 
 
 def _struve_pass(pts, hscal):
-    xcs = sorted({pt.x * pt.c for pt in pts})
-    row_of = {xc: i for i, xc in enumerate(xcs)}
-    xi = np.array([row_of[pt.x * pt.c] for pt in pts])
-    y = np.array([(0.5 * pt.x * pt.s) ** 2 for pt in pts])
-    rho = np.array([pt.rho for pt in pts])
     n = len(pts)
-    idx = np.arange(n)
-    r, m0, terms, small_m, small_r = (np.zeros(n, dtype=int) for _ in range(5))
-    rcoef, poch_base, mcoef, poch = (np.ones(n) for _ in range(4))
-    block, total, comp = (np.zeros(n) for _ in range(3))
+    xc = np.array([pt.x * pt.c for pt in pts])
+    coefs = _struve_coefficients(np.array([pt.x * pt.s for pt in pts]),
+                                 np.array([pt.rho for pt in pts]))
+    live = np.arange(n)             # points whose sum still runs
+    total, comp, small = np.zeros(n), np.zeros(n), np.zeros(n, dtype=int)
     out = [None] * n
-
-    def tabulate():
-        avail = np.array([len(hscal[xc]) for xc in xcs])
-        table = np.full((len(xcs), avail.max()), np.nan)
-        for i, xc in enumerate(xcs):
-            table[i, :avail[i]] = hscal[xc]
-        return avail, table
-
-    avail, table = tabulate()
-    k = np.arange(STRUVE_WINDOW)
-    with np.errstate(all="ignore"):    # columns past a point's stop are not used
-        while len(idx):
-            # orders beyond the block come from the scalar kernel, as in
-            # _struve_series
-            need = r + m0
-            short = need >= avail[xi]
-            if short.any():
-                for i, j in zip(xi[short].tolist(), need[short].tolist()):
-                    _hscal(hscal[xcs[i]], xcs[i], j)
-                avail, table = tabulate()
-            m = m0[:, None] + k
-            j = r[:, None] + m
-            usable = (j < avail[xi][:, None]) & (m < MAX_TERMS)
-            h = table[xi[:, None], np.minimum(j, table.shape[1] - 1)]
-            f = np.empty(m.shape)
-            f[:, 0], f[:, 1:] = mcoef, y[:, None] / m[:, 1:]
-            mc = np.multiply.accumulate(f, axis=1)
-            f[:, 0], f[:, 1:] = poch, (m[:, 1:] - 0.5 + r[:, None]) / (m[:, 1:] - 0.5)
-            po = np.multiply.accumulate(f, axis=1)
-            t = rcoef[:, None] * np.where(m & 1, -mc, mc) * po * h
-            tot = np.add.accumulate(np.column_stack([total, t]), axis=1)
-            prev, cur = tot[:, :-1], tot[:, 1:]
-            fix = np.where(np.abs(prev) >= np.abs(t), (prev - cur) + t, (t - cur) + prev)
-            cmp = np.add.accumulate(np.column_stack([comp, fix]), axis=1)
-            blk = np.add.accumulate(np.column_stack([block, t]), axis=1)
-            run = _run_length(np.abs(t) <= SERIES_REL_TOL * np.abs(cur) + 1e-305, small_m)
-            stop = (run >= 3) & usable
-            broke = stop.any(axis=1)
-            end = np.where(broke, stop.argmax(axis=1), usable.sum(axis=1) - 1)
-            rows = np.arange(len(idx))
-            total, comp, block = cur[rows, end], cmp[rows, end + 1], blk[rows, end + 1]
-            terms = terms + end + 1
-            small_r = np.where(
-                broke, np.where(np.abs(block) <= SERIES_REL_TOL * np.abs(total) + 1e-305,
-                                small_r + 1, 0), small_r)
-            done = broke & (small_r >= 3)
-            inner = ~broke & (m0 + end + 1 >= MAX_TERMS)
-            outer = broke & ~done & (r == MAX_TERMS - 1)
-            finished = done | inner | outer
+    with np.errstate(all="ignore"):    # past an overflow, as in the scalar loop
+        for j, coef in zip(range(MAX_TERMS), coefs):
+            # Hscal_j once per x c that a point still reads
+            at, inverse = np.unique(xc, return_inverse=True)
+            h = np.array([_hscal(hscal[v], v, j) for v in at.tolist()])
+            t = coef[live] * h[inverse]
+            total_new = total + t
+            comp = comp + np.where(np.abs(total) >= np.abs(t),
+                                   (total - total_new) + t, (t - total_new) + total)
+            total = total_new
+            overflow = ~np.isfinite(total)
+            small = np.where(np.abs(t) <= SERIES_REL_TOL * np.abs(total) + 1e-305, small + 1, 0)
+            done = (small >= 3) & ~overflow
+            finished = done | overflow | (j == MAX_TERMS - 1)
             value = total + comp
             for i in np.flatnonzero(finished).tolist():
-                out[idx[i]] = (float(value[i]), int(terms[i]),
-                               None if done[i] else "inner" if inner[i] else "outer")
-            # where the inner sum broke the next r starts, elsewhere it goes on
-            new_r = broke & ~finished
-            r1 = r + 1
-            m1 = m0 + end + 1
-            rcoef = np.where(new_r, rcoef * (rho / r1), rcoef)
-            poch_base = np.where(new_r, poch_base * (r1 - 0.5), poch_base)
-            mcoef = np.where(new_r, 1.0, mc[rows, end] * (y / m1))
-            poch = np.where(new_r, poch_base,
-                            po[rows, end] * ((m1 - 0.5 + r) / (m1 - 0.5)))
-            block = np.where(new_r, 0.0, block)
-            small_m = np.where(new_r, 0, run[rows, end])
-            m0 = np.where(new_r, 0, m1)
-            r = np.where(new_r, r1, r)
+                out[live[i]] = (float(value[i]), j + 1, not bool(done[i]))
             keep = ~finished
-            idx, xi, y, rho, r, m0, terms, small_m, small_r = (
-                v[keep] for v in (idx, xi, y, rho, r, m0, terms, small_m, small_r))
-            rcoef, poch_base, mcoef, poch, block, total, comp = (
-                v[keep] for v in (rcoef, poch_base, mcoef, poch, block, total, comp))
+            live, xc, total, comp, small = (v[keep] for v in (live, xc, total, comp, small))
+            if not len(live):
+                break
     return out
 
 
 def struve_double_sum(pt: EvalPoint) -> float:
-    """The full convergent double Struve sum S1.
+    """The convergent Struve sum S1 = sum_{r,m} (rho^r/r!) ((-1)^m (m+1/2)_r
+    / m!) (xs/2)^2m Hscal_{m+r}(xc), xs = x sin(alpha/2), xc = x cos(alpha/2),
+    summed as one series over the orders j = m + r (_struve_coefficients).
 
     At alpha = 0 the (xs/2)^2m factor kills every m >= 1 and it is the
     midplane sum  sum_r ((1/2)_r / r!) rho^r Hscal_r(x);  I1 equals
     (pi e^-rho / 2) times this value.
     """
-    value, _ = _struve_value(_struve_series(pt.x, pt.rho, pt.s, pt.c))
-    return value
+    return _struve_value(pt)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -880,13 +813,9 @@ def _saddle_defect(pt: EvalPoint, sad: float) -> float:
 def _large_parts(pt: EvalPoint, n: int, memo: Optional[Mapping] = None):
     """The two large parts of the expansion, pi e^(-rho/2) S1 and
     pi e^(rho/2) sum_{k<n} M^-k/(2^2k k!) C_k, followed by S1, the
-    asymptotic sum, the number of Struve terms and the last asymptotic
+    asymptotic sum, the number of Struve orders and the last asymptotic
     term.  S1's outcome is read from memo where given (see paris_F)."""
-    if memo is None:
-        summed = _struve_series(pt.x, pt.rho, pt.s, pt.c)
-    else:
-        summed = memo[_key(pt)]
-    s1, terms = _struve_value(summed)
+    s1, terms = _struve_value(pt, memo)
     ck = ck_table(n, pt.x, pt.alpha_abs)
     asym = asymptotic_sum(pt, ck)
     return (math.pi * math.exp(-0.5 * pt.rho) * s1,
@@ -900,7 +829,8 @@ def paris_F(pt: EvalPoint, policy: TruncationPolicy = DEFAULT_POLICY, *,
 
         -pi e^(-rho/2) S1 + pi e^(rho/2) sum_{k<n} M^-k/(2^2k k!) C_k + saddle
 
-    with S1 the convergent double Struve sum.  The stored components
+    with S1 the convergent Struve sum (struve_double_sum); terms_used
+    counts its orders.  The stored components
     reproduce the value exactly in double arithmetic.  Soft regime: M >= 4
     (a warning is issued below).  memo maps (x, rho, |alpha|) to S1's
     outcome as struve_block computed it for a group of points; by default

@@ -363,6 +363,8 @@ def _integrate(integrand, edges, abs_tol, rel_tol):
     bound.  problem is None, or why the error cannot be trusted: the
     MAX_SUBDIVISIONS panel budget ran out, or some integrand stalled above
     20 times its tolerance; the caller raises it with its best value.
+    Where the initial panels already exceed the budget there is no value,
+    and AccuracyError is raised here with none.
     """
     if not (math.isfinite(edges[0]) and math.isfinite(edges[-1]) and edges[0] < edges[-1]):
         raise DomainError(f"need finite a < b, got [{edges[0]}, {edges[-1]}]")
@@ -373,6 +375,8 @@ def _integrate(integrand, edges, abs_tol, rel_tol):
     stalled = error > 20.0 * tol
     if not complete:
         problem = f"quadrature needs more than {MAX_SUBDIVISIONS} panels"
+        if not evaluations:
+            raise AccuracyError(problem)
     elif np.count_nonzero(stalled):
         i = np.argmax(stalled)
         e, t = np.ravel(error)[i], np.ravel(tol)[i]
@@ -430,9 +434,10 @@ def oracle_F(pt: EvalPoint, abs_tol: float = 1e-12) -> QuadResult:
     a tight abs_tol near |alpha| = pi/2 at large M (about 1e-10 at
     M = 1000), where the phases reach 1e4.  Raises AccuracyError, carrying
     the best value and its estimate, when the MAX_SUBDIVISIONS panel budget
-    runs out (the initial panels may exceed it already) or the quadrature
-    stalls above 20 times the tolerance, and RangeOverflowError for a U
-    past _U_MAX (at rho of about 1e-300 and below).
+    runs out (with neither where the initial panels exceed it already) or
+    the quadrature stalls above 20 times the tolerance, and
+    RangeOverflowError for a U past _U_MAX (at rho of about 1e-300 and
+    below).
     """
     check_abs_tol(abs_tol)
     x, rho, alpha = pt.x, pt.rho, pt.alpha_abs

@@ -292,6 +292,10 @@ def _struve_gammas(order_max):
     return gammas
 
 
+#: _struve_gammas over every order the scalar kernel serves, 0 .. 2 ORDER_CAP.
+_STRUVE_GAMMAS = _struve_gammas(2 * ORDER_CAP)
+
+
 def _struve_h_scaled_dd(order, x):
     """Scaled Struve series in double-double.
 
@@ -299,12 +303,12 @@ def _struve_h_scaled_dd(order, x):
     strictly alternating and, in the supported range, decrease
     monotonically after at most a few initial terms, so the first omitted
     term bounds the truncation error.  From order 167 on the series runs
-    on the terms times 2^e (_struve_gammas) and is scaled back at the
+    on the terms times 2^e (_STRUVE_GAMMAS) and is scaled back at the
     end, where it may round to the subnormal grid or to 0: the omitted
     term then carries 2^-1074 for that rounding.
     """
     h = 0.5 * x
-    g, e = _struve_gammas(order)[-1]
+    g, e = _STRUVE_GAMMAS[order]
     # t0 = (x/2) / (Gamma(3/2) Gamma(order+3/2)) = 2^-e h / g
     s, tail, terms = _series_dd(dd.div(dd.from_float(h), g), dd.two_prod(h, -h),
                                 1.5, order + 1.5, 1e-17)
@@ -324,7 +328,7 @@ def _struve_h_scaled_block(xs, order_max):
     """
     xs = np.asarray(xs, dtype=float)
     width = len(xs)
-    gammas = _struve_gammas(order_max)
+    gammas = _STRUVE_GAMMAS[:order_max + 1]
     ghi, glo = np.repeat(np.array([g for g, _ in gammas]), width, axis=0).T
     scale = np.repeat([e for _, e in gammas], width)
     h = np.tile(0.5 * xs, order_max + 1)

@@ -92,9 +92,11 @@ def test_compare_at_huge_M_ends(capsys):
     code, out, err = run(capsys, "compare", "--x", "3", "--rho", "1e-9",
                          "--alpha-pi", "0.3", "--format", "json")
     assert code == EXIT_TOLERANCE
-    status = {r["method"]: r["status"] for r in json.loads(out)["rows"]}
-    assert status["ursell"] == status["paris"] == "ok"
+    rows = {r["method"]: r for r in json.loads(out)["rows"]}
+    assert rows["ursell"]["status"] == rows["paris"]["status"] == "ok"
     assert [line.split(":")[0] for line in err.splitlines()] == ["bessho", "oracle"]
+    # the oracle's initial panels exceed its budget: it has no value to show
+    assert rows["oracle"]["value"] is None and rows["oracle"]["error_estimate"] is None
 
 
 def test_alpha_validation_exits_2(capsys):

@@ -5,8 +5,11 @@ against their stored components."""
 import math
 import time
 import warnings
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kelvinwake import ddouble as dd
 from kelvinwake import expansions, specfun
@@ -131,6 +134,36 @@ def _check_group(pts, routes=("bessho", "paris")):
         assert o == _outcome(f, pt), pt
         got.append(o)
     return got
+
+
+def _rising(a, n):
+    """The Pochhammer symbol (a)_n of a rational a."""
+    out = Fraction(1)
+    for i in range(n):
+        out *= a + i
+    return out
+
+
+def _mp_struve_double_sum(pt, dps=40):
+    """S1 at pt as the (r, m) double sum in mpmath at dps digits, every
+    term with its own rho^r / r!, (m + 1/2)_r / m! and mpmath's Struve
+    H_{m+r}: sum_{r,m} (rho^r/r!) ((-1)^m (m+1/2)_r / m!) (xs/2)^2m
+    Hscal_{m+r}(xc), summed over r + m = 0, 1, ... until two orders add
+    less than 10^-dps of the sum."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(dps):
+        x, rho = mp.mpf(pt.x), mp.mpf(pt.rho)
+        xc, y = x * mp.mpf(pt.c), (x * mp.mpf(pt.s) / 2) ** 2
+        total, j, quiet = mp.mpf(0), 0, 0
+        while quiet < 2:
+            hscal = mp.struveh(j, xc) / (xc / 2) ** j
+            part = mp.fsum(rho ** r / mp.factorial(r) * (-1) ** (j - r)
+                           * mp.rf(j - r + mp.mpf(0.5), r) / mp.factorial(j - r)
+                           * y ** (j - r) for r in range(j + 1)) * hscal
+            total += part
+            quiet = quiet + 1 if abs(part) <= mp.mpf(10) ** -dps * abs(total) else 0
+            j += 1
+        return total
 
 
 def _mp_bessel_product(pt, dps):
@@ -268,16 +301,14 @@ class TestKernelMemo:
 
     def test_max_terms_with_a_shared_ladder(self, monkeypatch):
         # both series run out of MAX_TERMS: the Bessel product series and
-        # the Struve sums' inner and outer loops
+        # the Struve sum, which these points need 7 to 20 orders of
         pts = [EvalPoint(x, rho, a) for x in (0.4, 1.5, 2.75)
                for rho in (0.005, 0.05) for a in self.ALPHAS]
-        for max_terms, refusals in [(2, {"Bessel", "inner"}),
-                                    (5, {"Bessel", "inner", "outer"}),
-                                    (10, {"Bessel", "inner", "outer"})]:
+        for max_terms in (2, 5, 10):
             monkeypatch.setattr(expansions, "MAX_TERMS", max_terms)
             raised = [o for o in _check_group(pts) if o[0] == "raised"]
-            assert {o[-1].split()[0] for o in raised} == refusals
-            assert all(o[2] == max_terms for o in raised if o[-1].startswith("Bessel"))
+            assert {o[-1].split()[0] for o in raised} == {"Bessel", "Struve"}
+            assert all(o[2] == max_terms for o in raised)
 
     def test_paris_with_hscal_block_equals_fresh_calls(self):
         pts = [EvalPoint(x, rho, a) for x in (1.5, 2.75) for rho in (0.01, 0.03)
@@ -302,7 +333,6 @@ class TestKernelMemo:
     @pytest.mark.parametrize("window", [1, 3])
     def test_window_sizes_give_the_same_sums(self, monkeypatch, window):
         # a sum that runs past its window carries on in the next one
-        monkeypatch.setattr(expansions, "STRUVE_WINDOW", window)
         monkeypatch.setattr(expansions, "BESSHO_WINDOW", window)
         pts = [EvalPoint(x, rho, a) for x in (0.4, 1.0, 2.0)
                for rho in (0.0078, 0.05) for a in self.ALPHAS[:5]]
@@ -423,6 +453,64 @@ class TestStruveSums:
         monkeypatch.setattr(expansions, "MAX_TERMS", 2)
         with pytest.raises(AccuracyError):
             struve_double_sum(pt_m125)
+
+    def test_refused_where_the_sum_leaves_double_range(self):
+        # at rho = 150 the terms grow past the double range before they
+        # fall; the array pass refuses it at the same order
+        pt = EvalPoint(3.0, 150.0, 0.0)
+        with pytest.raises(AccuracyError, match="not converged") as exc:
+            struve_double_sum(pt)
+        assert exc.value.terms_used < expansions.MAX_TERMS
+        block = expansions.struve_block([pt])[pt.x, pt.rho, pt.alpha_abs]
+        assert repr(block) == repr(expansions._struve_series(pt))
+
+    @settings(max_examples=25, derandomize=True, database=None, deadline=None)
+    @given(x=st.floats(1e-6, 3.0), rho_exp=st.floats(-30.0, 0.0),
+           alpha=st.floats(-0.5 * math.pi, 0.5 * math.pi))
+    @example(x=3.0, rho_exp=-30.0, alpha=0.0)
+    @example(x=3.0, rho_exp=-30.0, alpha=0.5 * math.pi)
+    @example(x=3.0, rho_exp=-30.0, alpha=-0.5 * math.pi)
+    @example(x=3.0, rho_exp=0.0, alpha=0.0)
+    @example(x=3.0, rho_exp=0.0, alpha=0.5 * math.pi)
+    @example(x=3.0, rho_exp=0.0, alpha=-0.5 * math.pi)
+    def test_against_the_double_sum_in_mpmath(self, x, rho_exp, alpha):
+        pt = EvalPoint(x, 10.0 ** rho_exp, alpha)
+        want = _mp_struve_double_sum(pt)
+        assert abs(struve_double_sum(pt) - want) <= 1e-15 * abs(want)
+
+    @pytest.mark.parametrize("xs,rho", [(0.3, 1e-3), (2.1, 0.05), (2.1, 1.0), (0.02, 0.7)])
+    def test_coefficients_equal_the_finite_sums(self, xs, rho):
+        # a_j against (-1)^j (1/2)_j p_2j, p_2j the finite sum of the
+        # Taylor coefficients of e^(xs z) e^(-rho z^2), and that against
+        # S1's (r, m) terms with r + m = j, in exact rationals
+        X, R = Fraction(xs), Fraction(rho)
+        half = Fraction(1)                     # (1/2)_j
+        for j, got in zip(range(21), expansions._struve_coefficients(xs, rho)):
+            if j:
+                half *= Fraction(2 * j - 1, 2)
+            p2j = sum(X ** (2 * j - 2 * k) * (-R) ** k
+                      / (math.factorial(2 * j - 2 * k) * math.factorial(k))
+                      for k in range(j + 1))
+            pairs = sum(R ** r / math.factorial(r) * (-1) ** (j - r)
+                        * _rising(Fraction(2 * (j - r) + 1, 2), r)
+                        / math.factorial(j - r) * (X / 2) ** (2 * (j - r))
+                        for r in range(j + 1))
+            assert (-1) ** j * half * p2j == pairs
+            envelope = half * sum(X ** (2 * j - 2 * k) * R ** k
+                                  / (math.factorial(2 * j - 2 * k) * math.factorial(k))
+                                  for k in range(j + 1))
+            assert abs(Fraction(got) - pairs) <= Fraction(2.3e-16) * (j + 1) * envelope
+
+    @pytest.mark.parametrize("rho", [1e-3, 0.37, 1.0, 2.5])
+    def test_midplane_coefficients_are_the_running_products(self, rho):
+        # at alpha = 0 xs is 0 and a_j is (1/2)_j rho^j / j! bit for bit
+        # as the midplane sum's running products form it
+        half, power = 1.0, 1.0
+        for j, got in zip(range(41), expansions._struve_coefficients(0.0, rho)):
+            if j:
+                half *= j - 0.5
+                power = power * rho / j
+            assert got == half * power
 
 
 PRINTED_CK_ROWS = [

@@ -247,6 +247,17 @@ class TestOracleF:
             with pytest.raises(KelvinWakeError, match=match):
                 oracle_F(EvalPoint(x, rho, alpha))
 
+    @pytest.mark.parametrize("integral,pt", [
+        (oracle_F, EvalPoint(1.0, 1e-12, 1.0)),
+        (oracle_I1_alpha, EvalPoint(1e6, 0.5, 0.3)),
+    ])
+    def test_refused_initial_panels_carry_no_value(self, integral, pt):
+        # the initial panels alone exceed the budget: nothing is evaluated
+        with pytest.raises(AccuracyError,
+                           match=f"more than {oracle.MAX_SUBDIVISIONS} panels") as exc:
+            integral(pt)
+        assert exc.value.value is None and exc.value.error_estimate is None
+
     def test_alpha_zero_past_20000_oscillations(self):
         # k2 = 0 gives the shifted tails nothing to decay by: the envelope
         # path integrates all 3.2e4 oscillations
