@@ -33,10 +33,6 @@ class AccuracyError(KelvinWakeError):
         self.terms_used = terms_used
 
 
-class InternalConsistencyError(KelvinWakeError):
-    """Two supposedly equivalent evaluation routes disagree."""
-
-
 class RegimeError(KelvinWakeError):
     """The evaluation point lies outside the regime of the chosen method."""
 

@@ -749,6 +749,16 @@ def _asymptotic_terms(pt: EvalPoint, ck: CoefficientTable):
     return out
 
 
+def _last_asymptotic_term(pt: EvalPoint, ck: CoefficientTable) -> float:
+    """The last of _asymptotic_terms(pt, ck), by the same float operations,
+    without forming the others."""
+    fac = 1.0
+    four_m = 4.0 * pt.M
+    for k in range(1, len(ck.values)):
+        fac /= four_m * k
+    return fac * ck.values[-1]
+
+
 def asymptotic_sum(pt: EvalPoint, ck: CoefficientTable) -> float:
     """sum_{k<n} M^-k / (2^2k k!) C_k for the coefficients in ck.
 
@@ -820,7 +830,7 @@ def _large_parts(pt: EvalPoint, n: int, memo: Optional[Mapping] = None):
     asym = asymptotic_sum(pt, ck)
     return (math.pi * math.exp(-0.5 * pt.rho) * s1,
             math.pi * math.exp(0.5 * pt.rho) * asym,
-            s1, asym, terms, _asymptotic_terms(pt, ck)[-1])
+            s1, asym, terms, _last_asymptotic_term(pt, ck))
 
 
 def paris_F(pt: EvalPoint, policy: TruncationPolicy = DEFAULT_POLICY, *,

@@ -37,12 +37,13 @@ p^2 - tau^2 in the moment identity.
 
 The coefficients C_k(x, alpha) of the asymptotic 1/M series are computed
 as a whole table, C_0 .. C_30, in one run of the adaptive loop per
-(x, |alpha|): both integral forms of every k are a stack of 62 moments on
-one shared mesh.  Every initial mesh ends in the same 25 panels of width 6
-on [4, 154]; their nodes w and moment weights w^2k e^-w are a module
-constant, computed once at import by the same expression, so a table's
-first pass forms only its panels below 4, about log2(4 / (x c)) + 1 of
-them.  The constant is no result cache: it does not depend on x or alpha.
+(x, |alpha|): the integrals of every k are a stack of 31 moments on one
+shared mesh.  Every initial mesh ends in the same 25 panels of width 6
+on [4, 154]; their nodes w, moment weights w^2k e^-w and the weights'
+integrals are a module constant, computed once at import by the same
+expression, so a table's first pass forms only its panels below 4, about
+log2(4 / (x c)) + 1 of them.  The constant is no result cache: it does
+not depend on x or alpha.
 The table is cached under (x, alpha); oracle_Ck looks single
 coefficients up in it, and oracle_Ck.cache_clear() empties it.
 """
@@ -56,7 +57,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, InternalConsistencyError, RangeOverflowError
+from .errors import AccuracyError, DomainError, RangeOverflowError
 from .specfun import kummer_1f1, upper_inc_gamma
 
 #: Subdivision budget: at most ~1e6 integrand evaluations per integral
@@ -610,13 +611,15 @@ def oracle_I2_tails(pt: EvalPoint, n: int, abs_tol: float) -> list:
 # coefficient integrals
 
 
-# In the scaled variable w = x c xi = c t both forms of C_k become moments
+# In the scaled variable w = x c xi, C_k is (2/pi) c^-2k / (x c) times the
+# moment
 #
-#     int_0^inf w^2k e^-w g(w) dw
+#     int_0^inf w^2k e^-w g(w) dw,   g = cos(s x r) / r,  r = sqrt(1 + (w/(x c))^2),
 #
-# of one function g written two ways (below), so one adaptive mesh on
-# [0, W] serves every k and both forms.  The envelope of the k-th moment is
-# int_0^inf w^2k e^-w dw = (2k)!, independent of x and alpha.
+# so one adaptive mesh on [0, W] serves every k.  The envelope of the k-th
+# moment is int_0^inf w^2k e^-w dw = (2k)!, independent of x and alpha.
+# The substitution t = x xi gives nothing new: its integrand cos(s R)/R,
+# R = sqrt(x^2 + (w/c)^2) = x r, is g / x at every node of the same mesh.
 
 #: Largest coefficient index of the quadrature table.
 CK_INDEX_MAX = 30
@@ -625,7 +628,7 @@ CK_INDEX_MAX = 30
 MAX_CK_PANELS = 1000
 
 #: Relative tolerance of every C_k table, next to each moment's absolute
-#: tolerance of 1e-15 times its envelope.
+#: tolerance of 1e-15 min(1, x) times its envelope.
 CK_REL_TOL = 5e-14
 
 _CK_K = np.arange(CK_INDEX_MAX + 1)
@@ -634,10 +637,8 @@ _CK_ENVELOPE = np.array([float(math.factorial(2 * k)) for k in _CK_K])
 
 #: The scaled range is cut at w = W; int_W^inf w^60 e^-w dw < 1e-17 * 60!.
 _CK_CUT = 154.0
-# envelope tails beyond the cut: |g| <= 1 in the xi-form and |g| <= c/w in
-# the t-form, so the tails are Gamma(2k+1, W) and c Gamma(2k, W)
-_CK_TAIL_XI = np.array([upper_inc_gamma(2.0 * k + 1.0, _CK_CUT).value for k in _CK_K])
-_CK_TAIL_T = np.array([upper_inc_gamma(2.0 * k, _CK_CUT).value for k in _CK_K])
+# envelope tails beyond the cut: |g| <= 1, so the tails are Gamma(2k+1, W)
+_CK_TAIL = np.array([upper_inc_gamma(2.0 * k + 1.0, _CK_CUT).value for k in _CK_K])
 
 
 def _ck_nodes(a, b):
@@ -648,32 +649,45 @@ def _ck_nodes(a, b):
     return h, w, w ** _CK_POWERS[:, None, None] * np.exp(-w)
 
 
+def _ck_mass(h, weights):
+    """The weights' integrals over their panels, shaped (K, panels)."""
+    return weights @ _GK21_KRONROD * h
+
+
 #: Every initial mesh ends in the 25 panels of width 6 on [4, W]; their
-#: nodes and weights are the same for every table.
+#: nodes and weights, and the weights' integrals, are the same for every
+#: table.
 _CK_FAR_EDGES = np.linspace(4.0, _CK_CUT, 26)
 _CK_FAR = _ck_nodes(_CK_FAR_EDGES[:-1], _CK_FAR_EDGES[1:])
-for _part in _CK_FAR:
+_CK_FAR_MASS = _ck_mass(_CK_FAR[0], _CK_FAR[2])
+for _part in (*_CK_FAR, _CK_FAR_MASS):
     _part.flags.writeable = False
 
 
 def _ck_gk21(h, w, weights, x, c, s):
-    """GK21 on panels given by _ck_nodes, for the moments of both forms of g.
+    """GK21 on panels given by _ck_nodes, for the moments of
+    g = cos(s x r)/r with r = sqrt(1 + (w/(x c))^2).
 
-    Returns (value, error, floor), each shaped (2, K, panels): form 0 is
-    the xi-form g = cos(s x r)/r with r = sqrt(1 + (w/(x c))^2), form 1 the
-    t-form g = cos(s R)/R with R = sqrt(x^2 + (w/c)^2).  error is QUADPACK's
-    Kronrod-Gauss estimate, floor its rounding floor.
+    Returns (value, error, floor), each shaped (K, panels): error is
+    QUADPACK's Kronrod-Gauss estimate, floor its rounding floor.
     """
     r = np.sqrt(1.0 + (w / (x * c)) ** 2)
-    R = np.sqrt(x * x + (w / c) ** 2)
-    g = np.stack([np.cos(s * x * r) / r, np.cos(s * R) / R])
-    return _gk21_rule(weights[None] * g[:, None], h)
+    return _gk21_rule(weights * (np.cos(s * x * r) / r), h)
 
 
 def _ck_rule(x, c, s):
     """The panel rule of one C_k table for _gk21_adaptive: _ck_gk21 on the
-    panels [a, b], with no rounding bound.  The first pass's panels end in
-    the 25 panels on [4, W], whose nodes and weights come from _CK_FAR."""
+    panels [a, b] and a rounding bound of the integrand.  The first pass's
+    panels end in the 25 panels on [4, W], whose nodes, weights and weight
+    integrals come from _CK_FAR and _CK_FAR_MASS.
+
+    The bound counts, in units of 4 * 2^-52 as in _wake_integrand, the
+    roundings of the weights (pow, exp), of the root r and of the phase
+    s x r, which moves the cos by as much as itself: (1 + s x r) / r times
+    the weight.  A node's own rounding du moves the phase by du times its
+    slope, at most s/c.  Per panel, r is taken at the left edge, its
+    least, and du at the right, its largest.
+    """
     first = True
 
     def rule(a, b):
@@ -682,80 +696,65 @@ def _ck_rule(x, c, s):
             first = False
             near = len(a) - len(_CK_FAR[0])
             h, w, weights = _ck_nodes(a[:near], b[:near])
+            mass = np.concatenate([_ck_mass(h, weights), _CK_FAR_MASS], axis=1)
             grid = (np.concatenate([h, _CK_FAR[0]]), np.concatenate([w, _CK_FAR[1]]),
                     np.concatenate([weights, _CK_FAR[2]], axis=1))
         else:
             grid = _ck_nodes(a, b)
-        return (*_ck_gk21(*grid, x, c, s), np.zeros(len(a)))
+            mass = _ck_mass(grid[0], grid[2])
+        r = np.sqrt(1.0 + (a / (x * c)) ** 2)
+        bound = (4.0 * 2.0 ** -52 * (1.0 + s * x * r) + 2.0 ** -52 * b * s / c) / r
+        return (*_ck_gk21(*grid, x, c, s), mass * bound)
     return rule
 
 
 @lru_cache(maxsize=2048)
 def _ck_table(x: float, alpha: float) -> tuple:
-    """C_0 .. C_30 at (x, alpha): one QuadResult per k, or for a k that
-    failed its checks a callable making the exception to raise."""
+    """C_0 .. C_30 at (x, alpha): one QuadResult per k, or for a k whose
+    quadrature stalled a callable making the exception to raise."""
     c = math.cos(0.5 * alpha)
     s = math.sin(0.5 * alpha)
-    # all moments of both forms on one adaptive mesh; a (form, k) pair has
-    # the absolute tolerance 1e-15 times its envelope, (2k)! for the
-    # xi-form and (2k)!/max(x, 1) for the t-form
+    # all 31 moments on one adaptive mesh; the k-th has the absolute
+    # tolerance 1e-15 min(1, x) times its envelope (2k)!
     # below 4 the panels double from x c, where the factor
     # 1/sqrt(1 + (w/(x c))^2) turns over
     near = _doubling_edges(x * c, 4.0)
-    abs_tol = 1e-15 * _CK_ENVELOPE * np.array([[1.0], [1.0 / max(x, 1.0)]])
-    moments, errors, _, tol, nodes, complete = _gk21_adaptive(
+    abs_tol = 1e-15 * min(1.0, x) * _CK_ENVELOPE
+    moments, errors, noise, tol, nodes, complete = _gk21_adaptive(
         _ck_rule(x, c, s), np.concatenate([near[:-1], _CK_FAR_EDGES[:-1]]),
         np.concatenate([near[1:], _CK_FAR_EDGES[1:]]), abs_tol, CK_REL_TOL, MAX_CK_PANELS)
     if not complete:
         raise AccuracyError(f"C_k quadrature at (x, c) = ({x}, {c}) needs more than "
                             f"{MAX_CK_PANELS} panels")
-    # C_k = (2/pi) x^2k / (x c)^(2k+1) * xi-moment = (2/pi) c^-(2k+1) * t-moment;
-    # x^2k / (x c)^(2k+1) is formed as c^-2k / (x c), which stays finite
-    # however small x is
-    cpow = c ** -_CK_POWERS
-    scale = (2.0 / math.pi) * np.array([cpow / (x * c), cpow / c])
-    v_xi, v_t = (scale * moments).tolist()
-    e_xi, e_t = (scale * (errors + np.array([_CK_TAIL_XI, c * _CK_TAIL_T]))).tolist()
+    # C_k = (2/pi) x^2k / (x c)^(2k+1) * moment; x^2k / (x c)^(2k+1) is
+    # formed as c^-2k / (x c), which stays finite however small x is
+    scale = (2.0 / math.pi) * (c ** -_CK_POWERS / (x * c))
+    values = (scale * moments).tolist()
+    estimates = (scale * (errors + noise + _CK_TAIL)).tolist()
     # as in _integrate: where rounding stops refinement, up to 20 times the
     # tolerance is accepted
-    stalled = (errors > 20.0 * tol).any(axis=0).tolist()
-    table = []
-    for k in range(CK_INDEX_MAX + 1):
-        gap = abs(v_xi[k] - v_t[k])
-        if stalled[k]:
-            table.append(partial(
-                AccuracyError, f"C_{k}({x}, {alpha}): quadrature stalled",
-                value=v_xi[k], error_estimate=e_xi[k]))
-        # the forms must agree to 1e-10 relative; only when oscillatory
-        # cancellation leaves both unable to certify that level do we defer
-        # to their own (still tiny) error estimates
-        elif (gap > 1e-10 * max(abs(v_xi[k]), abs(v_t[k]), 1e-300)
-              and gap > 30.0 * (e_xi[k] + e_t[k])):
-            table.append(partial(
-                InternalConsistencyError,
-                f"C_{k}({x}, {alpha}): xi-form {v_xi[k]!r} and t-form "
-                f"{v_t[k]!r} disagree beyond 1e-10 relative"))
-        else:
-            table.append(QuadResult(v_xi[k], e_xi[k] + gap, 2 * nodes,
-                                    _CK_CUT / (x * c)))
-    return tuple(table)
+    stalled = (errors > 20.0 * tol).tolist()
+    return tuple(
+        partial(AccuracyError, f"C_{k}({x}, {alpha}): quadrature stalled",
+                value=values[k], error_estimate=estimates[k]) if stalled[k]
+        else QuadResult(values[k], estimates[k], nodes, _CK_CUT / (x * c))
+        for k in range(CK_INDEX_MAX + 1))
 
 
 def oracle_Ck(k: int, x: float, alpha: float) -> QuadResult:
     """Coefficient C_k(x, alpha) of the asymptotic 1/M series, by quadrature.
 
-    Both equivalent integral forms (the xi-form and its t = x*xi
-    substitution) are evaluated and must agree to 1e-10 relative; their
-    agreement is the internal consistency check on the rule.  The whole
-    table C_0 .. C_30 for (x, alpha) is computed at once, to CK_REL_TOL,
-    by one adaptive Gauss-Kronrod run shared by every k and both forms,
-    and cached under that key; every k is a lookup into it, so a value
-    never depends on which k was asked for first.  Each k keeps its own
-    tolerance, error estimate (including the envelope tail beyond the cut)
-    and consistency check.  QuadResult.evaluations counts the integrand
-    evaluations of the whole table (both forms at every node of every panel
-    the mesh held); it is the same for every k.  cache_info() and
-    cache_clear() act on the table cache.
+    The whole table C_0 .. C_30 for (x, alpha) is computed at once, to
+    CK_REL_TOL, by one adaptive Gauss-Kronrod run shared by every k, and
+    cached under that key; every k is a lookup into it, so a value never
+    depends on which k was asked for first.  Each k keeps its own
+    tolerance and error estimate: QUADPACK's, the rounding bound of the
+    integrand (see _ck_rule) and the envelope tail beyond the cut.  Raises
+    AccuracyError, carrying the value and its estimate, for a k whose
+    quadrature stalled above 20 times its tolerance.
+    QuadResult.evaluations counts the integrand evaluations of the whole
+    table (every node of every panel the mesh held); it is the same for
+    every k.  cache_info() and cache_clear() act on the table cache.
     """
     if not isinstance(k, int) or k < 0 or k > CK_INDEX_MAX:
         raise DomainError(f"k must be an integer in [0, {CK_INDEX_MAX}], got {k!r}")

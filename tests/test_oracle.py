@@ -10,8 +10,7 @@ import pytest
 from scipy.integrate import quad
 
 from kelvinwake import oracle, specfun
-from kelvinwake.errors import (AccuracyError, DomainError, InternalConsistencyError,
-                               KelvinWakeError)
+from kelvinwake.errors import AccuracyError, DomainError, KelvinWakeError
 from kelvinwake.oracle import (
     EvalPoint,
     oracle_Ck,
@@ -431,7 +430,7 @@ def test_i1_degenerate_integrand_is_zero():
 
 
 class TestOracleCk:
-    def test_dual_form_agreement_runs(self):
+    def test_table_entry_runs(self):
         r = oracle_Ck(2, 0.7, 0.25 * math.pi)
         assert math.isfinite(r.value)
         assert r.evaluations > 0
@@ -471,8 +470,71 @@ class TestOracleCk:
             want = 2 / mp.pi * mp.quad(f, sorted(cuts))
         c = math.cos(0.5 * alpha)
         envelope = (2.0 / math.pi) * math.factorial(2 * k) / (x * c ** (2 * k + 1))
-        got = oracle_Ck(k, x, alpha).value
-        assert abs(got - float(want)) <= 1e-14 * envelope
+        got = oracle_Ck(k, x, alpha)
+        assert abs(got.value - float(want)) <= 1e-14 * envelope
+        # the estimate, rounding bound included, covers the error; 1e-18 of
+        # the envelope is slack for the 20-digit reference
+        assert abs(got.value - float(want)) <= got.abs_error_estimate + 1e-18 * envelope
+
+    @pytest.mark.parametrize("x,alpha_over_pi,nodes,pinned", [
+        (0.01, 0.0, 735, ["0x1.8183602509091p+1", "0x1.45e15c695da00p-1",
+                          "0x1.d8931abb44889p+31", "0x1.c853564e7c857p+253",
+                          "0x1.7d3c9fc18e2bep+265"]),
+        (0.01, 0.5, 798, ["0x1.814646adff424p+1", "-0x1.3bc63391cf5c5p-13",
+                          "0x1.15f145133c044p+13", "-0x1.6f02a957b9752p+231",
+                          "-0x1.7d3c9a463395dp+265"]),
+        (0.37, 0.45, 672, ["0x1.ac990c30f7400p-1", "0x1.56f6ad33e90f9p-5",
+                           "-0x1.a551c5c762104p+31", "-0x1.c2e3ea463fcb6p+253",
+                           "0x1.cefdbbdb1b4c8p+254"]),
+        (1.0, 0.2, 609, ["0x1.cc473c8ac5f9dp-2", "0x1.6f27f80b13c4bp-2",
+                         "-0x1.1882d9bdfe6a9p+30", "0x1.722725087ce7bp+253",
+                         "0x1.7d7fbf5153384p+265"]),
+        (3.0, 0.0, 567, ["0x1.9463e25460f56p-3", "0x1.3c9ef91843ae9p-2",
+                         "0x1.cbb462bdaa62bp+31", "0x1.c7af05f89d9a0p+253",
+                         "0x1.7cbc8dfc38a2fp+265"]),
+        (3.0, 0.45, 651, ["-0x1.04573cd42a598p-3", "-0x1.aa3ae17a80300p-2",
+                          "-0x1.a69b2d2dd22d5p+31", "-0x1.ce7bfa8a86cf2p+253",
+                          "0x1.eb25013d781f5p+260"]),
+    ])
+    def test_coefficients_pinned(self, x, alpha_over_pi, nodes, pinned):
+        # C_0, C_1, C_7, C_29 and C_30 and the node count as the table gave
+        # them when it also integrated the t-form on the same mesh (whose
+        # evaluations counted both forms, twice these): the table now
+        # integrates one form and must reproduce them bit for bit
+        oracle_Ck.cache_clear()
+        got = [oracle_Ck(k, x, alpha_over_pi * math.pi) for k in (0, 1, 7, 29, 30)]
+        assert [r.value.hex() for r in got] == pinned
+        assert {r.evaluations for r in got} == {nodes}
+
+    @pytest.mark.parametrize("x,alpha", [(1.0, 0.0), (0.01, 0.45 * math.pi),
+                                         (3.0, 0.5 * math.pi)])
+    def test_rounding_bound_covers_the_integrand(self, x, alpha):
+        # per panel of the initial mesh, the rule's rounding bound against
+        # the Kronrod sum of |integrand in doubles - integrand at 30 digits|
+        # at the same (double) nodes
+        mp = pytest.importorskip("mpmath")
+        c, s = math.cos(0.5 * alpha), math.sin(0.5 * alpha)
+        near = oracle._doubling_edges(x * c, 4.0)
+        a = np.concatenate([near[:-1], oracle._CK_FAR_EDGES[:-1]])
+        b = np.concatenate([near[1:], oracle._CK_FAR_EDGES[1:]])
+        ks = [0, 1, 7, 30]
+        h, w, weights = oracle._ck_nodes(a, b)
+        weights = weights[ks]
+        r = np.sqrt(1.0 + (w / (x * c)) ** 2)
+        f = weights * (np.cos(s * x * r) / r)
+        noise = oracle._ck_rule(x, c, s)(a, b)[3][ks]
+        exact = np.empty_like(f)
+        with mp.workdps(30):
+            X, C, S = mp.mpf(x), mp.mpf(c), mp.mpf(s)
+            for (p, i), wv in np.ndenumerate(w):
+                W = mp.mpf(wv)
+                R = mp.sqrt(1 + (W / (X * C)) ** 2)
+                g, log_w = mp.cos(S * X * R) / R, mp.log(W)
+                for j, k in enumerate(ks):
+                    exact[j, p, i] = float(mp.exp(2 * k * log_w - W) * g)
+        deviation = np.abs(f - exact) @ oracle._GK21_KRONROD * h
+        assert (deviation <= noise).all()
+        assert (noise <= 1e-12 * oracle._ck_mass(h, weights)).all()
 
     def test_value_independent_of_request_order(self):
         x, alpha = 0.83, 0.37 * math.pi
@@ -508,19 +570,21 @@ class TestOracleCk:
             oracle_Ck(0, 1.3, 0.6)
         assert oracle_Ck.cache_info().currsize == 0
 
-    def test_form_disagreement_raises(self, monkeypatch):
+    def test_stalled_coefficient_raises(self, monkeypatch):
         gk21 = oracle._ck_gk21
 
-        def skewed(*args):
+        def stalling(*args):
             value, err, floor = gk21(*args)
-            value[1] *= 1.0 + 1e-8     # perturb the t-form only
+            floor[4] *= 1e6     # rounding no bisection can lower, C_4 only
             return value, err, floor
 
-        monkeypatch.setattr(oracle, "_ck_gk21", skewed)
+        monkeypatch.setattr(oracle, "_ck_gk21", stalling)
         oracle_Ck.cache_clear()
         try:
-            with pytest.raises(InternalConsistencyError, match="C_4"):
+            assert math.isfinite(oracle_Ck(3, 1.1, 0.5).value)
+            with pytest.raises(AccuracyError, match="C_4.*quadrature stalled") as exc:
                 oracle_Ck(4, 1.1, 0.5)
+            assert math.isfinite(exc.value.value) and exc.value.error_estimate > 0.0
         finally:
             oracle_Ck.cache_clear()
 
