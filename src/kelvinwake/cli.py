@@ -19,18 +19,24 @@ the benchmark's sweep), one loop per group:
   2. build one map of convergent sums for those points: the Struve sum
      S1, one series over orders (expansions.struve_block), at every point
      that expansions.field_route sends to paris_F, the Bessel product sum
-     (expansions.bessho_block) at every point it sends to bessho_F;
+     (expansions.bessho_block) at every point it sends to bessho_F.  Each
+     sum runs the scalar loop that a single call runs, _struve_series or
+     _bessho_sum, on parts formed once for the group: one Hscal block over
+     its x c, one J_2m(x) ladder per x, one Bessel product ladder per
+     (x, rho) and one cos(m alpha) ladder per |alpha|;
   3. make one _method_record per distinct point, with that map as the
      route's memo;
   4. build every grid row from those records, each with its own alpha.
 
-The array passes of step 2 take the scalar code's steps elementwise, so
-every row, its estimate, terms and any refusal included, equals
+The shared parts of step 2 equal those a single call forms for itself,
+so every row, its estimate, terms and any refusal included, equals
 `eval --method <its method>` at that point bit for bit.  Everything runs
 on the calling thread: --threads is validated (at most MAX_THREADS) and
 echoed in the JSON meta, and has no other effect.  A range count, or a
 field grid, of more than MAX_GRID_POINTS points is a usage error; so is
-an --abs-tol outside [1e-14, inf) or an --n outside 1 .. CK_MAX.
+an --abs-tol outside [1e-14, inf), an --n outside 1 .. CK_MAX, and an
+angle given both in radians and in units of pi (--alpha with --alpha-pi,
+--alpha-range with --alpha-pi-range).
 
 Output formats: csv (deterministic, 17 significant digits, LF endings),
 json (meta + rows on one line, keys sorted), pretty (aligned table).
@@ -109,9 +115,13 @@ def _check_box(x, rho, alpha):
 
 
 def _resolve_alpha(args):
-    if getattr(args, "alpha_pi", None) is not None:
+    """alpha in radians from --alpha or --alpha-pi, 0 where neither is
+    given; both at once is a usage error."""
+    if args.alpha is not None and args.alpha_pi is not None:
+        raise DomainError("give --alpha or --alpha-pi, not both")
+    if args.alpha_pi is not None:
         return args.alpha_pi * math.pi
-    if getattr(args, "alpha", None) is not None:
+    if args.alpha is not None:
         return args.alpha
     return 0.0
 
@@ -299,26 +309,31 @@ _FIELD_HEADER = ["x", "rho", "alpha", "M", "method", "value", "error_estimate",
 
 
 def cmd_field(args) -> int:
+    if args.alpha_range is None and args.alpha_pi_range is None:
+        raise DomainError("field needs --alpha-range or --alpha-pi-range")
+    if args.alpha_range is not None and args.alpha_pi_range is not None:
+        raise DomainError("give --alpha-range or --alpha-pi-range, not both")
     specs = [_parse_range(args.x_range, "x-range"),
              _parse_range(args.rho_range, "rho-range"),
-             _parse_range(args.alpha_range, "alpha-range") if args.alpha_range
+             _parse_range(args.alpha_range, "alpha-range") if args.alpha_range is not None
              else _parse_range(args.alpha_pi_range, "alpha-pi-range")]
     points = math.prod(cnt for _, _, cnt in specs)
     if points > MAX_GRID_POINTS:
         raise DomainError(f"the field grid has {points} points; at most "
                           f"{MAX_GRID_POINTS} are allowed")
     xs, rhos, alphas = (_grid(*spec) for spec in specs)
-    if not args.alpha_range:
+    if args.alpha_range is None:
         alphas = [a * math.pi for a in alphas]
     for x in (xs[0], xs[-1]):
         for rho in (rhos[0], rhos[-1]):
             for alpha in (alphas[0], alphas[-1]):
                 _check_box(x, rho, alpha)
     threads = _thread_count(args)
-    # the array passes run per group of columns of at most HSCAL_BLOCK_CHUNK
-    # (rho, |alpha|) points in all, which bounds them and their results on
-    # any grid; a pass per column would take the benchmark's field sweep 72
-    # Hscal passes instead of 6 (76 against 18 ms a sweep on a 2-core VM)
+    # the sums run per group of columns of at most HSCAL_BLOCK_CHUNK
+    # (rho, |alpha|) points in all, which bounds the Hscal block and the
+    # results on any grid; a block per column would take the benchmark's
+    # field sweep 72 Hscal passes instead of 6 (76 against 18 ms a sweep on
+    # a 2-core VM)
     per_group = max(1, expansions.HSCAL_BLOCK_CHUNK
                     // (len(rhos) * len({abs(a) for a in alphas})))
     rows = []
@@ -477,10 +492,6 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    if args.command == "field" and not (args.alpha_range or args.alpha_pi_range):
-        print("error: field needs --alpha-range or --alpha-pi-range",
-              file=sys.stderr)
-        return EXIT_USAGE
     try:
         return args.func(args)
     except DomainError as exc:

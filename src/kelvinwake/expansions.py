@@ -25,22 +25,22 @@ table at every alpha; the exact alpha = 0 recurrence is kept as a
 reference) and the residual that the error table reports live here too.
 
 field_route is the rule that picks a point's route in `field`.  For a
-group of points, struve_block and bessho_block compute the two convergent
-sums in numpy array passes, bit for bit with the scalar loops that single
-calls run; `field` hands their merged results to paris_F and bessho_F as
+group of points, struve_block and bessho_block run the scalar loops of the
+two convergent sums, _struve_series and _bessho_sum, once per distinct
+point, on the parts that do not depend on the point formed once for the
+group; `field` hands their merged results to paris_F and bessho_F as
 their `memo`.
 """
 
 from __future__ import annotations
 
+import collections
 import enum
 import itertools
 import math
 import warnings
 from dataclasses import dataclass
 from typing import Mapping, Optional
-
-import numpy as np
 
 from . import ddouble as dd
 from .errors import AccuracyError, DomainError, RegimeError
@@ -161,8 +161,7 @@ def _key(pt: EvalPoint):
 #: sweep the highest order asked for at an x c is 7 to 15, 11 in the median.
 HSCAL_BLOCK_ORDER = 20
 
-#: Most x c one array pass of hscal_block takes, and most points one array
-#: pass of struve_block or bessho_block takes; also the most
+#: Most x c one array pass of hscal_block takes; also the most
 #: (rho, |alpha|) points of the columns `field` gives one group, so that
 #: the arrays and the results of a group stay near 10 MB for any grid.
 HSCAL_BLOCK_CHUNK = 4096
@@ -180,34 +179,13 @@ def hscal_block(xcs):
     return block
 
 
-def _by_chunk(pts, one_pass):
-    """{key: outcome} of the distinct (x, rho, |alpha|) of pts, from
-    one_pass over chunks of up to HSCAL_BLOCK_CHUNK of them."""
-    pts = list({_key(pt): pt for pt in pts}.values())
-    out = {}
-    for i in range(0, len(pts), HSCAL_BLOCK_CHUNK):
-        chunk = pts[i:i + HSCAL_BLOCK_CHUNK]
-        out.update(zip(map(_key, chunk), one_pass(chunk)))
-    return out
-
-
-def _run_length(small, carried):
-    """Length of the run of True ending at each column of the boolean
-    array small, counting `carried` (0, 1 or 2) True before its first
-    column, capped at 3."""
-    ext = np.column_stack([carried >= 2, carried >= 1, small])
-    two = ext[:, 1:-1] & ext[:, 2:]
-    return np.where(two & ext[:, :-2], 3, np.where(two, 2, small.astype(int)))
-
-
 # ---------------------------------------------------------------------------
 # Bessel product series
 
 
 #: Indices m of one window of the Bessel products: _jhat_window seeds
-#: its recurrence once a window, and bessho_block's ladders advance this
-#: many m at a time, every point summing them in one go.  The rows of
-#: the benchmark's field sweep read 11 to 42 products.
+#: its recurrence once a window.  The rows of the benchmark's field sweep
+#: read 11 to 42 products.
 BESSHO_WINDOW = 24
 
 #: Relative stopping threshold of the series behind the Bessel product
@@ -233,9 +211,7 @@ def _jhat_window(minus_w, m0, m1):
     f_{2 m1 + 1} and f_{2 m1} are summed as ascending series, and the
     orders below follow from them by the recurrence.  Taken downwards it
     is stable (Miller's method): f tends to 1 as n grows, while the second
-    solution, Y_n's counterpart, falls off as n falls.  Both the scalar
-    and the array Bessel product passes call this, so their jhat_m agree
-    bit for bit.
+    solution, Y_n's counterpart, falls off as n falls.
     """
     upper = _series_dd(dd.ONE, minus_w, 1.0, 2.0 * m1 + 2.0, _DD_REL)[0]
     f = _series_dd(dd.ONE, minus_w, 1.0, 2.0 * m1 + 1.0, _DD_REL)[0]
@@ -266,39 +242,45 @@ def _cos_ladder(alpha):
         prev, cur = cur, dd.sub(dd.mul(step, cur), prev)
 
 
-def _bessel_products(x, rho):
+def _jhats(x):
+    """jhat_m = J_2m(x) (2m)! (x/2)^{-2m} as double-doubles for m = 0, 1,
+    ..., MAX_TERMS: jhat_0 from _jhat0, the others BESSHO_WINDOW indices m
+    at a time from _jhat_window."""
+    minus_w = dd.neg(dd.two_prod(0.5 * x, 0.5 * x))
+    yield _jhat0(minus_w)
+    for m0 in range(1, MAX_TERMS + 1, BESSHO_WINDOW):
+        yield from _jhat_window(minus_w, m0, min(m0 + BESSHO_WINDOW - 1, MAX_TERMS))
+
+
+def _bessel_products(x, rho, jhats):
     """kappa_m(rho/2) jhat_m(x) as double-doubles for m = 0, 1, ..., MAX_TERMS,
     where kappa_m = K_m(rho/2) (x/2)^{2m} / (2m)! is advanced by the K
-    recurrence and jhat_m = J_2m(x) (2m)! (x/2)^{-2m} comes from _jhat0 and,
-    BESSHO_WINDOW indices m at a time, from _jhat_window; None in place of
-    the first product whose kappa_m overflows, which ends the ladder.  None
-    of it depends on alpha."""
+    recurrence and jhat_m is read from jhats, the _jhats of x; None in
+    place of the first product whose kappa_m overflows, which ends the
+    ladder.  None of it depends on alpha."""
     w = dd.two_prod(0.5 * x, 0.5 * x)
-    minus_w = dd.neg(w)
     ww = dd.mul(w, w)
     m_dd = dd.div_d(dd.two_prod(x, x), 4.0 * rho)
     k0, k1, _ = _k01_dd(0.5 * rho)
     kap_prev = k0                                  # kappa_0
     kap_cur = dd.div_d(dd.mul(k1, w), 2.0)         # kappa_1
-    yield dd.mul(kap_prev, _jhat0(minus_w))
-    for m0 in range(1, MAX_TERMS + 1, BESSHO_WINDOW):
-        jhat = _jhat_window(minus_w, m0, min(m0 + BESSHO_WINDOW - 1, MAX_TERMS))
-        for m, jh in enumerate(jhat, m0):
-            if m > 1:
-                a = dd.div_d(dd.mul_d(m_dd, 4.0 * (m - 1)), float((2 * m) * (2 * m - 1)))
-                b = dd.div_d(ww, float((2 * m) * (2 * m - 1) * (2 * m - 2) * (2 * m - 3)))
-                kap = dd.add(dd.mul(kap_cur, a), dd.mul(kap_prev, b))
-                kap_prev, kap_cur = kap_cur, kap
-            if not math.isfinite(kap_cur[0]):
-                yield None
-                return
-            yield dd.mul(kap_cur, jh)
+    yield dd.mul(kap_prev, next(jhats))
+    for m, jh in enumerate(jhats, 1):
+        if m > 1:
+            a = dd.div_d(dd.mul_d(m_dd, 4.0 * (m - 1)), float((2 * m) * (2 * m - 1)))
+            b = dd.div_d(ww, float((2 * m) * (2 * m - 1) * (2 * m - 2) * (2 * m - 3)))
+            kap = dd.add(dd.mul(kap_cur, a), dd.mul(kap_prev, b))
+            kap_prev, kap_cur = kap_cur, kap
+        if not math.isfinite(kap_cur[0]):
+            yield None
+            return
+        yield dd.mul(kap_cur, jh)
 
 
-def _bessho_sum(alpha, products):
-    """The Bessel product series at |alpha| = alpha, summed in double-double
-    from the products of _bessel_products, each times its _cos_ladder
-    factor, until its stopping rule.
+def _bessho_sum(ladder, products):
+    """The Bessel product series, summed in double-double from the products
+    of _bessel_products, each times its factor from ladder, the _cos_ladder
+    of the point's |alpha|, until its stopping rule.
 
     Returns (total, peak, abs_sum, last, m, stop): peak is the largest
     |partial sum|, abs_sum the sum of |terms|, last the last |term|, m the
@@ -311,7 +293,7 @@ def _bessho_sum(alpha, products):
     peak = abs_sum = last = abs(total[0])
     small = 0
     m = 0
-    for prod, coef in zip(products, _cos_ladder(alpha)):
+    for prod, coef in zip(products, ladder):
         m += 1
         if prod is None:
             return total, peak, abs_sum, last, m, "overflow"
@@ -331,118 +313,29 @@ def _bessho_sum(alpha, products):
 
 def bessho_block(pts):
     """{(x, rho, |alpha|): _bessho_sum's outcome} for the distinct points
-    of pts, in array passes of up to HSCAL_BLOCK_CHUNK of them.
+    of pts.
 
-    The kappa_m ladder of every (x, rho), and the terms and partial sums
-    of every point, run elementwise on float64 arrays, BESSHO_WINDOW
-    indices m at a time.  Each element takes the scalar steps in their
-    order, and the scalar kernels give the rest once per distinct value:
-    jhat_m by _jhat0 and _jhat_window per x, the cos(m alpha) factors by
-    _cos_ladder per |alpha|, K0, K1 by _k01_dd per rho.  So every outcome
-    equals _bessho_sum's at that point bit for bit, refusals included.
+    Each point runs the scalar sum, on parts formed once per distinct
+    value: the jhat_m by one _jhats per x, the products by one
+    _bessel_products per (x, rho), the cos(m alpha) factors by one
+    _cos_ladder per |alpha|, each reader taking its own itertools.tee copy
+    of them.  So every outcome equals _bessho_sum's at that point bit for
+    bit, refusals included.
     """
-    return _by_chunk(pts, _bessho_pass)
+    keys = dict.fromkeys(map(_key, pts))
+    pairs = [key[:2] for key in keys]
+    jhats = _tees(_jhats, [(x,) for x, _ in dict.fromkeys(pairs)])
+    products = _tees(lambda x, rho: _bessel_products(x, rho, next(jhats[(x,)])), pairs)
+    ladders = _tees(_cos_ladder, [key[2:] for key in keys])
+    return {key: _bessho_sum(next(ladders[key[2:]]), next(products[key[:2]]))
+            for key in keys}
 
 
-def _bessho_pass(pts):
-    pairs = sorted({(pt.x, pt.rho) for pt in pts})
-    xs = sorted({x for x, _ in pairs})
-    alphas = sorted({pt.alpha_abs for pt in pts})
-    pair_of = {p: i for i, p in enumerate(pairs)}
-    alpha_of = {a: i for i, a in enumerate(alphas)}
-    x_of = {x: i for i, x in enumerate(xs)}
-    # per distinct x its w = (x/2)^2 and -w, per |alpha| its cos ladder,
-    # per (x, rho) pair its kappa ladder
-    ws = np.array([dd.two_prod(0.5 * x, 0.5 * x) for x in xs])
-    minus_w = [dd.neg(w) for w in ws.tolist()]
-    ladders = [_cos_ladder(a) for a in alphas]
-    xp = np.array([x_of[x] for x, _ in pairs])          # pair -> x
-    px = np.array([x for x, _ in pairs])
-    k01 = {rho: _k01_dd(0.5 * rho)[:2] for rho in {rho for _, rho in pairs}}
-    k0, k1 = ((np.array([k01[rho][j][0] for _, rho in pairs]),
-               np.array([k01[rho][j][1] for _, rho in pairs])) for j in (0, 1))
-    w = (ws[xp, 0], ws[xp, 1])
-    m_dd = dd.div_d(dd.two_prod(px, px), 4.0 * np.array([rho for _, rho in pairs]))
-    ww = dd.mul(w, w)
-    kap_prev = k0
-    kap_cur = dd.div_d(dd.mul(k1, w), 2.0)
-    j0 = np.array([_jhat0(mw) for mw in minus_w])
-    first = dd.mul(kap_prev, (j0[xp, 0], j0[xp, 1]))
-
-    pr = np.array([pair_of[pt.x, pt.rho] for pt in pts])   # point -> pair
-    ar = np.array([alpha_of[pt.alpha_abs] for pt in pts])  # point -> alpha
-    idx = np.arange(len(pts))
-    total = (first[0][pr], first[1][pr])
-    peak = abs_sum = last = np.abs(total[0])
-    small = np.zeros(len(pts), dtype=int)
-    out = [None] * len(pts)
-    m0 = 1
-    with np.errstate(all="ignore"):    # past an overflow, as in the scalar code
-        while len(idx):
-            ms = np.arange(m0, min(m0 + BESSHO_WINDOW, MAX_TERMS + 1))
-            width = len(ms)
-            # the ladders over the window (at m = 1 kappa_1 is kap_cur itself)
-            a = dd.div_d(dd.mul_d((m_dd[0][:, None], m_dd[1][:, None]), 4.0 * (ms - 1)),
-                         ((2 * ms) * (2 * ms - 1)).astype(float))
-            b = dd.div_d((ww[0][:, None], ww[1][:, None]),
-                         ((2 * ms) * (2 * ms - 1) * (2 * ms - 2) * (2 * ms - 3)).astype(float))
-            kap = np.empty((2, len(xp), width))
-            for k, m in enumerate(ms.tolist()):
-                if m > 1:
-                    nxt = dd.add(dd.mul(kap_cur, (a[0][:, k], a[1][:, k])),
-                                 dd.mul(kap_prev, (b[0][:, k], b[1][:, k])))
-                    kap_prev, kap_cur = kap_cur, nxt
-                kap[0][:, k], kap[1][:, k] = kap_cur
-            finite = np.isfinite(kap[0])
-            ovf = np.where(finite.all(axis=1), width, (~finite).argmax(axis=1))
-            # jhat_m of every x a ladder still uses, then the products
-            xl = np.unique(xp)
-            jh = np.array([_jhat_window(minus_w[i], m0, m0 + width - 1) for i in xl.tolist()])
-            at = np.searchsorted(xl, xp)
-            prod = dd.mul((kap[0], kap[1]), (jh[at, :, 0], jh[at, :, 1]))
-            # every point's terms and partial sums; column 0 is the carried sum
-            coef = np.array([list(itertools.islice(ladder, width)) for ladder in ladders])
-            term = dd.mul((prod[0][pr], prod[1][pr]), (coef[ar, :, 0], coef[ar, :, 1]))
-            tot = np.empty((2, len(idx), width + 1))
-            tot[0][:, 0], tot[1][:, 0] = total
-            for k in range(width):
-                tot[0][:, k + 1], tot[1][:, k + 1] = dd.add(
-                    (tot[0][:, k], tot[1][:, k]), (term[0][:, k], term[1][:, k]))
-            aterm = np.abs(term[0])
-            atot = np.abs(tot[0][:, 1:])
-            run = _run_length(aterm <= SERIES_REL_TOL * atot, small)
-            row_ovf = ovf[pr]
-            stop = (run >= 3) & (np.arange(width) < row_ovf[:, None])
-            stopped = stop.any(axis=1)
-            overflowed = ~stopped & (row_ovf < width)
-            exhausted = ~stopped & ~overflowed & (ms[-1] == MAX_TERMS)
-            end = np.where(stopped, stop.argmax(axis=1) + 1,
-                           np.where(overflowed, row_ovf, width))
-            rows = np.arange(len(idx))
-            total = (tot[0][rows, end], tot[1][rows, end])
-            peak = np.fmax.accumulate(np.column_stack([peak, atot]), axis=1)[rows, end]
-            abs_sum = np.add.accumulate(np.column_stack([abs_sum, aterm]), axis=1)[rows, end]
-            last = np.column_stack([last, aterm])[rows, end]
-            m_end = m0 - 1 + end + overflowed
-            finished = stopped | overflowed | exhausted
-            for i in np.flatnonzero(finished).tolist():
-                out[idx[i]] = ((float(total[0][i]), float(total[1][i])),
-                               float(peak[i]), float(abs_sum[i]), float(last[i]),
-                               int(m_end[i]), None if stopped[i] else
-                               "overflow" if overflowed[i] else "max_terms")
-            keep = ~finished
-            small = run[:, -1][keep]
-            idx, pr, ar, peak, abs_sum, last = (v[keep] for v in
-                                                (idx, pr, ar, peak, abs_sum, last))
-            total = (total[0][keep], total[1][keep])
-            # keep the ladders that a point still reads
-            used = np.unique(pr)
-            pr = np.searchsorted(used, pr)
-            xp = xp[used]
-            kap_prev, kap_cur, m_dd, ww = ((v[0][used], v[1][used])
-                                           for v in (kap_prev, kap_cur, m_dd, ww))
-            m0 += width
-    return out
+def _tees(make, args):
+    """{a: an iterator over the itertools.tee copies of make(*a)}, one copy
+    for each time a occurs in args."""
+    return {a: iter(itertools.tee(make(*a), n))
+            for a, n in collections.Counter(args).items()}
 
 
 def bessho_F(pt: EvalPoint, *, memo: Optional[Mapping] = None) -> MethodResult:
@@ -457,7 +350,8 @@ def bessho_F(pt: EvalPoint, *, memo: Optional[Mapping] = None) -> MethodResult:
     of points; by default it is computed here.
     """
     if memo is None:
-        summed = _bessho_sum(pt.alpha_abs, _bessel_products(pt.x, pt.rho))
+        summed = _bessho_sum(_cos_ladder(pt.alpha_abs),
+                             _bessel_products(pt.x, pt.rho, _jhats(pt.x)))
     else:
         summed = memo[_key(pt)]
     total, peak, abs_sum, last, m, stop = summed
@@ -551,8 +445,7 @@ def _hscal(hvals, xc, j):
 
 def _struve_coefficients(xs, rho):
     """a_j = sum_{r+m=j} (rho^r/r!) ((-1)^m (m+1/2)_r / m!) (xs/2)^{2m}, the
-    coefficient of Hscal_j(xc) in S1, for j = 0, 1, ... without end;
-    elementwise where xs and rho are arrays.
+    coefficient of Hscal_j(xc) in S1, for j = 0, 1, ... without end.
 
     a_j = (-1)^j (1/2)_j p_2j, where p_n, the Taylor coefficients of
     exp(xs z - rho z^2) (a Hermite generating function, DLMF 18.12.15),
@@ -561,7 +454,7 @@ def _struve_coefficients(xs, rho):
     """
     two_rho = 2.0 * rho
     poch = 1.0                     # (1/2)_j
-    p, q = 1.0 + 0.0 * xs, xs      # p_2j (shaped like xs) and p_2j+1
+    p, q = 1.0, xs                 # p_2j and p_2j+1
     yield p
     for j in itertools.count(1):
         poch *= j - 0.5
@@ -570,17 +463,17 @@ def _struve_coefficients(xs, rho):
         yield -(poch * p) if j % 2 else poch * p
 
 
-def _struve_series(pt):
+def _struve_series(pt, hvals):
     """S1 = sum_j a_j Hscal_j(xc), a_j by _struve_coefficients at xs,
     until three consecutive terms are below SERIES_REL_TOL of the partial
-    sum (a_j changes sign, so one small term can be accidental).
+    sum (a_j changes sign, so one small term can be accidental).  hvals is
+    the list Hscal_0(xc), Hscal_1(xc), ... so far, which _hscal extends.
 
     Returns (value, orders summed, refused): refused where the sum ran out
     of MAX_TERMS orders or left the double range (from rho of about 150),
     value then being the partial sum.
     """
     xc = pt.x * pt.c
-    hvals = []
     total = comp = 0.0          # comp: Neumaier compensation
     small = 0
     for j, coef in zip(range(MAX_TERMS), _struve_coefficients(pt.x * pt.s, pt.rho)):
@@ -602,7 +495,7 @@ def _struve_series(pt):
 def _struve_value(pt, memo=None):
     """(S1, orders summed) at pt, _struve_series's outcome or, where memo is
     given, memo's (see paris_F); AccuracyError where the sum was refused."""
-    value, terms, refused = _struve_series(pt) if memo is None else memo[_key(pt)]
+    value, terms, refused = _struve_series(pt, []) if memo is None else memo[_key(pt)]
     if refused:
         raise AccuracyError(f"Struve sum not converged in {terms} orders",
                             value=value, terms_used=terms)
@@ -611,50 +504,17 @@ def _struve_value(pt, memo=None):
 
 def struve_block(pts):
     """{(x, rho, |alpha|): _struve_series's outcome} for the distinct
-    points of pts, in array passes of up to HSCAL_BLOCK_CHUNK of them.
+    points of pts.
 
-    Every point is one element of float64 arrays that takes the scalar
-    steps, one order j a step, and leaves the pass where the scalar loop
-    stops, as in specfun._series_block.  The coefficients come from
-    _struve_coefficients on the arrays, Hscal_j from one hscal_block of all
-    of pts and orders above it from the scalar kernel, so every outcome
-    equals _struve_series's bit for bit.
+    Each point runs the scalar sum on the Hscal list of its x c from one
+    hscal_block of all of pts; orders above the block come from the scalar
+    kernel and stay in the list for the points after it.  The block equals
+    the scalar kernel bit for bit, so every outcome equals
+    _struve_series's with a fresh list.
     """
-    pts = list(pts)
-    hscal = hscal_block(pt.x * pt.c for pt in pts)
-    return _by_chunk(pts, lambda chunk: _struve_pass(chunk, hscal))
-
-
-def _struve_pass(pts, hscal):
-    n = len(pts)
-    xc = np.array([pt.x * pt.c for pt in pts])
-    coefs = _struve_coefficients(np.array([pt.x * pt.s for pt in pts]),
-                                 np.array([pt.rho for pt in pts]))
-    live = np.arange(n)             # points whose sum still runs
-    total, comp, small = np.zeros(n), np.zeros(n), np.zeros(n, dtype=int)
-    out = [None] * n
-    with np.errstate(all="ignore"):    # past an overflow, as in the scalar loop
-        for j, coef in zip(range(MAX_TERMS), coefs):
-            # Hscal_j once per x c that a point still reads
-            at, inverse = np.unique(xc, return_inverse=True)
-            h = np.array([_hscal(hscal[v], v, j) for v in at.tolist()])
-            t = coef[live] * h[inverse]
-            total_new = total + t
-            comp = comp + np.where(np.abs(total) >= np.abs(t),
-                                   (total - total_new) + t, (t - total_new) + total)
-            total = total_new
-            overflow = ~np.isfinite(total)
-            small = np.where(np.abs(t) <= SERIES_REL_TOL * np.abs(total) + 1e-305, small + 1, 0)
-            done = (small >= 3) & ~overflow
-            finished = done | overflow | (j == MAX_TERMS - 1)
-            value = total + comp
-            for i in np.flatnonzero(finished).tolist():
-                out[live[i]] = (float(value[i]), j + 1, not bool(done[i]))
-            keep = ~finished
-            live, xc, total, comp, small = (v[keep] for v in (live, xc, total, comp, small))
-            if not len(live):
-                break
-    return out
+    pts = {_key(pt): pt for pt in pts}
+    hscal = hscal_block(pt.x * pt.c for pt in pts.values())
+    return {key: _struve_series(pt, hscal[pt.x * pt.c]) for key, pt in pts.items()}
 
 
 def struve_double_sum(pt: EvalPoint) -> float:

@@ -58,7 +58,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .errors import AccuracyError, DomainError, RangeOverflowError
-from .specfun import kummer_1f1, upper_inc_gamma
+from .specfun import _check_finite, kummer_1f1, upper_inc_gamma
 
 #: Subdivision budget: at most ~1e6 integrand evaluations per integral
 #: (21-point Gauss-Kronrod panels).
@@ -92,10 +92,7 @@ class EvalPoint:
 
     def __post_init__(self):
         for name in ("x", "rho", "alpha"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v)):
-                raise DomainError(f"{name} must be finite, got {v!r}")
-            object.__setattr__(self, name, float(v))
+            object.__setattr__(self, name, _check_finite(getattr(self, name), name))
         if self.x <= 0:
             raise DomainError(f"x must be positive, got {self.x}")
         if self.rho <= 0:

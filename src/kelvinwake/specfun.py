@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,15 +62,25 @@ class SpecFunResult:
 
 
 def _check_order(order, cap):
-    if not isinstance(order, int) or order < 0:
+    """order as an int: an integral number (numpy integers included)
+    from 0 to cap."""
+    if type(order) is not int:
+        if not isinstance(order, numbers.Integral):
+            raise DomainError(f"order must be a nonnegative integer, got {order!r}")
+        order = int(order)
+    if order < 0:
         raise DomainError(f"order must be a nonnegative integer, got {order!r}")
     if order > cap:
         raise OrderOverflowError(f"order {order} exceeds cap {cap}")
+    return order
 
 
-def _check_finite(x):
-    if not (isinstance(x, (int, float)) and math.isfinite(x)):
-        raise DomainError(f"argument must be finite, got {x!r}")
+def _check_finite(x, name="argument"):
+    """x as a float: a finite real number (numpy scalars included)."""
+    if type(x) is float and math.isfinite(x):
+        return x
+    if not (isinstance(x, numbers.Real) and math.isfinite(x)):
+        raise DomainError(f"{name} must be finite, got {x!r}")
     return float(x)
 
 
@@ -134,7 +145,7 @@ def _ascending_series(n, x, sign):
 
 def bessel_j(order: int, x: float) -> SpecFunResult:
     """Bessel function of the first kind J_order(x) for x >= 0."""
-    _check_order(order, ORDER_CAP)
+    order = _check_order(order, ORDER_CAP)
     x = _check_finite(x)
     if x < 0:
         raise DomainError("bessel_j requires x >= 0")
@@ -145,7 +156,7 @@ def bessel_j(order: int, x: float) -> SpecFunResult:
 
 def bessel_i(order: int, x: float) -> SpecFunResult:
     """Modified Bessel function of the first kind I_order(x) for x >= 0."""
-    _check_order(order, ORDER_CAP)
+    order = _check_order(order, ORDER_CAP)
     x = _check_finite(x)
     if x < 0:
         raise DomainError("bessel_i requires x >= 0")
@@ -246,7 +257,7 @@ def _bessel_yk_dd(order, x, sign):
 
 def bessel_y(order: int, x: float) -> SpecFunResult:
     """Bessel function of the second kind Y_order(x) for x > 0."""
-    _check_order(order, 2 * ORDER_CAP)
+    order = _check_order(order, 2 * ORDER_CAP)
     x = _check_finite(x)
     if x <= 0:
         raise DomainError("bessel_y requires x > 0 (logarithmic branch point at 0)")
@@ -259,7 +270,7 @@ def bessel_y(order: int, x: float) -> SpecFunResult:
 
 def bessel_k(order: int, x: float) -> SpecFunResult:
     """Modified Bessel function of the second kind K_order(x) for x > 0."""
-    _check_order(order, 2 * ORDER_CAP)
+    order = _check_order(order, 2 * ORDER_CAP)
     x = _check_finite(x)
     if x <= 0:
         raise DomainError("bessel_k requires x > 0")
@@ -345,7 +356,7 @@ def struve_h_scaled(order: int, x: float) -> SpecFunResult:
     The series stops once the next term falls below 1e-17 of the partial
     sum; the first omitted term is reported as the truncation bound.
     """
-    _check_order(order, ORDER_CAP)
+    order = _check_order(order, ORDER_CAP)
     x = _check_finite(x)
     if x < 0:
         raise DomainError("struve_h_scaled requires x >= 0")
@@ -364,7 +375,7 @@ def struve_k_scaled(order: int, x: float) -> SpecFunResult:
     so any cancellation between them (mild for x <= 3, heavier as x grows)
     surfaces directly as a larger relative estimate.
     """
-    _check_order(order, 2 * ORDER_CAP)
+    order = _check_order(order, 2 * ORDER_CAP)
     x = _check_finite(x)
     if x <= 0:
         raise DomainError("struve_k_scaled requires x > 0")

@@ -313,9 +313,9 @@ def test_field_thread_count_is_capped(capsys):
                                           (12, [[0.4, 1.6], [2.8]]),
                                           (5, [[0.4], [1.6], [2.8]])])
 def test_field_hscal_block_per_group_of_columns(capsys, monkeypatch, chunk, groups):
-    # one array pass per group of columns of at most HSCAL_BLOCK_CHUNK
+    # one Hscal block per group of columns of at most HSCAL_BLOCK_CHUNK
     # (rho, |alpha|) points, over exactly that group's paris x c, so the
-    # pass grows with a group, not with the grid
+    # block grows with a group, not with the grid
     import kelvinwake.cli as cli
 
     block = cli.expansions.hscal_block
@@ -436,6 +436,28 @@ def test_field_requires_alpha_range(capsys):
                        "--rho-range", "0.01:0.02:2")
     assert code == 2
     assert "alpha" in err
+
+
+_FIELD_GRID = ("field", "--x-range", "0.4:1:2", "--rho-range", "0.01:0.02:2")
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--x", "1", "--rho", "0.02", "--alpha", "0.1", "--alpha-pi", "0.4"],
+    ["compare", "--x", "1", "--rho", "0.02", "--alpha", "0.1", "--alpha-pi", "0.4"],
+    ["coeffs", "--x-range", "0.5:1:2", "--alpha", "0.1", "--alpha-pi", "0.4"],
+    [*_FIELD_GRID, "--alpha-range", "0:0.1:2", "--alpha-pi-range", "0:0.4:2"],
+])
+def test_both_alpha_flags_exit_2(capsys, argv):
+    # an angle in radians and one in units of pi together is a usage
+    # error, returned from main with one line on stderr; each flag alone
+    # still runs
+    code, out, err = run(capsys, *argv, "--format", "csv")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "not both" in err
+    first = argv.index(argv[-4])
+    for drop in (first, first + 2):
+        assert run(capsys, *argv[:drop], *argv[drop + 2:], "--format", "csv")[0] == 0
 
 
 def test_bad_range_spec(capsys):

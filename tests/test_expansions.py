@@ -115,7 +115,8 @@ def _outcome(f, pt, **kwargs):
 
 def _group_memo(pts):
     """The memo `field` builds for a group: each point's sum from the
-    array pass of the route field_route gives it."""
+    block (struve_block or bessho_block) of the route field_route gives
+    it."""
     return {**expansions.struve_block(p for p in pts if field_route(p) == "paris"),
             **expansions.bessho_block(p for p in pts if field_route(p) == "bessho")}
 
@@ -248,9 +249,9 @@ class TestBesshoFactors:
 
 
 class TestKernelMemo:
-    """The array passes of a `field` group, as the plain (x, rho, |alpha|)
-    mapping that paris_F and bessho_F take as memo, against fresh scalar
-    calls."""
+    """The convergent sums of a `field` group, run on parts shared across
+    the group, as the plain (x, rho, |alpha|) mapping that paris_F and
+    bessho_F take as memo, against fresh calls."""
 
     ALPHAS = [f * math.pi for f in (0.0, 0.1, -0.1, 0.25, 0.37, 0.5, -0.5, 0.03)]
 
@@ -298,6 +299,36 @@ class TestKernelMemo:
         assert any("cancellation" in o[-1] for o in outcomes[:8])
         assert all("overflow" in o[-1] for o in outcomes[8:])
 
+    def test_bessho_parts_formed_once_per_distinct_value(self, monkeypatch):
+        # one jhat ladder per distinct x, one product ladder per distinct
+        # (x, rho) and one cos ladder per distinct |alpha| serve a whole
+        # group: +-alpha interleaved, several pairs, a cancellation refusal
+        # (x = 1, M = 32) and an overflow (x = 3, M = 4500)
+        calls = {"_jhats": [], "_bessel_products": [], "_cos_ladder": []}
+
+        def counted(name):
+            make = getattr(expansions, name)
+
+            def wrapper(*args):
+                calls[name].append(args[:2])
+                return make(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(expansions, name, counted(name))
+        pairs = [(0.4, 0.01), (1.0, 0.0078), (0.3, 0.9), (3.0, 0.0005), (0.4, 0.05)]
+        pts = [EvalPoint(x, rho, a) for a in self.ALPHAS for x, rho in pairs]
+        memo = expansions.bessho_block(pts)
+        assert sorted(calls["_jhats"]) == sorted({(x,) for x, _ in pairs})
+        assert sorted(calls["_bessel_products"]) == sorted(pairs)
+        assert sorted(calls["_cos_ladder"]) == sorted({(abs(a),) for a in self.ALPHAS})
+        outcomes = [_outcome(bessho_F, pt, memo=memo) for pt in pts]
+        assert outcomes == [_outcome(bessho_F, pt) for pt in pts]
+        refusals = [o[-1] for o in outcomes if o[0] == "raised"]
+        assert any("cancellation" in r for r in refusals)
+        assert any("overflow" in r for r in refusals)
+        assert len(refusals) < len(outcomes)
+
     def test_max_terms_with_a_shared_ladder(self, monkeypatch):
         # both series run out of MAX_TERMS: the Bessel product series and
         # the Struve sum, which these points need 7 to 20 orders of
@@ -341,10 +372,11 @@ class TestKernelMemo:
         pts = [EvalPoint(x, rho, a) for x in (0.4, 1.0, 2.0)
                for rho in (0.005, 0.05) for a in self.ALPHAS]
         whole = _group_memo(pts)
+        # hscal_block in array passes of 5 x c
         monkeypatch.setattr(expansions, "HSCAL_BLOCK_CHUNK", 5)
         parts = _group_memo(pts)
         assert parts == whole
-        # the two passes' key sets never overlap, and together cover pts
+        # the two blocks' key sets never overlap, and together cover pts
         paris = expansions.struve_block(p for p in pts if field_route(p) == "paris")
         bessho = expansions.bessho_block(p for p in pts if field_route(p) == "bessho")
         assert len(paris) + len(bessho) == len(whole)
@@ -455,13 +487,13 @@ class TestStruveSums:
 
     def test_refused_where_the_sum_leaves_double_range(self):
         # at rho = 150 the terms grow past the double range before they
-        # fall; the array pass refuses it at the same order
+        # fall; struve_block refuses it at the same order
         pt = EvalPoint(3.0, 150.0, 0.0)
         with pytest.raises(AccuracyError, match="not converged") as exc:
             struve_double_sum(pt)
         assert exc.value.terms_used < expansions.MAX_TERMS
         block = expansions.struve_block([pt])[pt.x, pt.rho, pt.alpha_abs]
-        assert repr(block) == repr(expansions._struve_series(pt))
+        assert repr(block) == repr(expansions._struve_series(pt, []))
 
     @settings(max_examples=25, derandomize=True, database=None, deadline=None)
     @given(x=st.floats(1e-6, 3.0), rho_exp=st.floats(-30.0, 0.0),

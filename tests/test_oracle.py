@@ -111,6 +111,20 @@ class TestEvalPoint:
         with pytest.raises(DomainError):
             EvalPoint(math.nan, 0.01, 0.0)
 
+    def test_numpy_scalars_are_real_numbers(self):
+        # numpy integers and float32 are real numbers: they give the point
+        # of the equal Python floats; NaN, inf and non-numbers stay refused
+        want = EvalPoint(1.0, 0.125, 0.0)
+        for args in [(np.int64(1), 0.125, 0), (np.float32(1.0), np.float32(0.125), np.int32(0)),
+                     (np.float64(1.0), 0.125, np.float16(0.0)), (1, 0.125, False)]:
+            got = EvalPoint(*args)
+            assert got == want
+            assert all(type(v) is float for v in (got.x, got.rho, got.alpha))
+        for bad in [np.float64(math.nan), np.float32(math.inf), -math.inf, "1", None, 1j,
+                    np.array([1.0, 2.0])]:
+            with pytest.raises(DomainError, match="x must be finite"):
+                EvalPoint(bad, 0.125, 0.0)
+
 
 def _near_half_pi_points():
     """Six seeded draws: x in [0.2, 3], log10 M in [-1.3, 1.5] and alpha

@@ -57,6 +57,26 @@ class TestBesselJ:
         with pytest.raises(OrderOverflowError):
             sf.bessel_j(201, 1.0)
 
+    def test_numpy_integers_and_floats(self):
+        # an integral order and a real argument of numpy type give the
+        # result of the equal Python numbers; a non-integral order, a
+        # negative one and a non-finite argument stay refused
+        import numpy as np
+
+        want = sf.bessel_j(2, 1.0)
+        for order, x in [(np.int64(2), 1.0), (np.int32(2), np.float32(1.0)),
+                         (2, np.int64(1)), (np.uint8(2), np.float64(1.0))]:
+            assert sf.bessel_j(order, x) == want
+            assert sf.struve_h_scaled(order, x) == sf.struve_h_scaled(2, 1.0)
+        for order in (2.0, np.float64(2.0), -1, np.int64(-1), "2"):
+            with pytest.raises(DomainError, match="order must be"):
+                sf.bessel_j(order, 1.0)
+        with pytest.raises(OrderOverflowError):
+            sf.bessel_j(np.int64(201), 1.0)
+        for x in (np.float64(math.nan), np.float32(math.inf), "1", None):
+            with pytest.raises(DomainError, match="argument must be finite"):
+                sf.bessel_j(2, x)
+
 
 class TestBesselY:
     def test_log_blowup_direction(self):
