@@ -10,8 +10,8 @@ Subcommands:
   bounds  -- evaluate and verify the remainder/tail/gamma bounds
 
 field evaluates its grid in groups of x columns of at most
-expansions.HSCAL_BLOCK_CHUNK (rho, |alpha|) points in all (a whole call on
-the benchmark's sweep), one loop per group:
+FIELD_GROUP_POINTS (rho, |alpha|) points in all (a whole call on the
+benchmark's sweep), one loop per group:
 
   1. gather the group's distinct (x, rho, |alpha|), each point at its first
      alpha: F is even in alpha, so a row whose |alpha| equals, as a double,
@@ -21,9 +21,9 @@ the benchmark's sweep), one loop per group:
      that expansions.field_route sends to paris_F, the Bessel product sum
      (expansions.bessho_block) at every point it sends to bessho_F.  Each
      sum runs the scalar loop that a single call runs, _struve_series or
-     _bessho_sum, on parts formed once for the group: one Hscal block over
-     its x c, one J_2m(x) ladder per x, one Bessel product ladder per
-     (x, rho) and one cos(m alpha) ladder per |alpha|;
+     _bessho_sum, on parts formed once for the group: one Hscal ladder per
+     x c, one J_2m(x) ladder per x, one Bessel product ladder per (x, rho)
+     and one cos(m alpha) ladder per |alpha|;
   3. make one _method_record per distinct point, with that map as the
      route's memo;
   4. build every grid row from those records, each with its own alpha.
@@ -67,6 +67,11 @@ MAX_THREADS = 64
 
 #: Most points a start:stop:count range, or a whole field grid, may have.
 MAX_GRID_POINTS = 10 ** 6
+
+#: Most (rho, |alpha|) points of the x columns `field` evaluates as one
+#: group: it bounds the group's records and memo on any grid, while every
+#: column of a group shares one cos(m alpha) ladder per |alpha|.
+FIELD_GROUP_POINTS = 4096
 
 _BOX = "0 < x <= 3, 0 < rho <= 1, |alpha| <= pi/2"
 
@@ -329,13 +334,7 @@ def cmd_field(args) -> int:
             for alpha in (alphas[0], alphas[-1]):
                 _check_box(x, rho, alpha)
     threads = _thread_count(args)
-    # the sums run per group of columns of at most HSCAL_BLOCK_CHUNK
-    # (rho, |alpha|) points in all, which bounds the Hscal block and the
-    # results on any grid; a block per column would take the benchmark's
-    # field sweep 72 Hscal passes instead of 6 (76 against 18 ms a sweep on
-    # a 2-core VM)
-    per_group = max(1, expansions.HSCAL_BLOCK_CHUNK
-                    // (len(rhos) * len({abs(a) for a in alphas})))
+    per_group = max(1, FIELD_GROUP_POINTS // (len(rhos) * len({abs(a) for a in alphas})))
     rows = []
     for i in range(0, len(xs), per_group):
         grid = [(x, rho, alpha) for x in xs[i:i + per_group]

@@ -18,7 +18,10 @@ Three methods are provided, all sharing the EvalPoint geometry:
 
 * paris_F   -- the three-part large-M expansion: a convergent scaled-Struve
                sum, an asymptotic series in 1/M with coefficients C_k, and
-               an exponentially small saddle-point term.
+               an exponentially small saddle-point term.  The sum reads
+               Hscal_j(x c) from one ladder (_hscals): HSCAL_WINDOW orders
+               at a time by the downward Struve recurrence from two series
+               seeds (specfun._hscal_window).
 
 The C_k coefficient tables (lookups into the quadrature oracle's cached
 table at every alpha; the exact alpha = 0 recurrence is kept as a
@@ -28,8 +31,9 @@ field_route is the rule that picks a point's route in `field`.  For a
 group of points, struve_block and bessho_block run the scalar loops of the
 two convergent sums, _struve_series and _bessho_sum, once per distinct
 point, on the parts that do not depend on the point formed once for the
-group; `field` hands their merged results to paris_F and bessho_F as
-their `memo`.
+group (one Hscal ladder per x c; the J_2m, product and cos ladders of
+the Bessel sum); `field` hands their merged results to paris_F and
+bessho_F as their `memo`.
 """
 
 from __future__ import annotations
@@ -45,11 +49,13 @@ from typing import Mapping, Optional
 from . import ddouble as dd
 from .errors import AccuracyError, DomainError, RegimeError
 from .oracle import EvalPoint, oracle_Ck, oracle_F
-from .specfun import (_k01_dd, _log_rounding, _series_dd, _struve_h_scaled_block,
-                      _struve_h_scaled_dd, _y01_dd, struve_k_scaled)
+from .specfun import (ORDER_CAP, _check_int, _hscal_window, _k01_dd, _log_rounding,
+                      _series_dd, _y01_dd, struve_k_scaled)
 
 #: Largest supported asymptotic truncation (coefficient engines cap here).
 CK_MAX = 30
+
+_CK_N_MESSAGE = f"n must be an integer in [1, {CK_MAX}]"
 
 #: Stopping threshold of the convergent sums, relative to the running sum.
 SERIES_REL_TOL = 1e-16
@@ -84,8 +90,9 @@ class TruncationPolicy:
     n: Optional[int] = None
 
     def __post_init__(self):
-        if self.n is not None and (not isinstance(self.n, int) or self.n < 1):
-            raise DomainError(f"n must be a positive integer or None, got {self.n!r}")
+        if self.n is not None:
+            object.__setattr__(self, "n", _check_int(
+                self.n, 1, None, "n must be a positive integer or None, got {!r}"))
 
     def resolve_n(self, pt: EvalPoint) -> int:
         """Resolve the truncation index for pt, enforcing n < M c^2 for AUTO."""
@@ -154,29 +161,6 @@ def field_route(pt: EvalPoint) -> str:
 
 def _key(pt: EvalPoint):
     return pt.x, pt.rho, pt.alpha_abs
-
-
-#: Orders 0 .. HSCAL_BLOCK_ORDER are computed by hscal_block; higher ones
-#: by the scalar kernel as they are asked for.  On the benchmark's field
-#: sweep the highest order asked for at an x c is 7 to 15, 11 in the median.
-HSCAL_BLOCK_ORDER = 20
-
-#: Most x c one array pass of hscal_block takes; also the most
-#: (rho, |alpha|) points of the columns `field` gives one group, so that
-#: the arrays and the results of a group stay near 10 MB for any grid.
-HSCAL_BLOCK_CHUNK = 4096
-
-
-def hscal_block(xcs):
-    """{xc: [Hscal_0(xc), ..., Hscal_HSCAL_BLOCK_ORDER(xc)]} for the
-    distinct xc of xcs, computed in array passes of up to HSCAL_BLOCK_CHUNK
-    of them.  The values equal the scalar kernel's bit for bit."""
-    xcs = sorted(set(xcs))
-    block = {}
-    for i in range(0, len(xcs), HSCAL_BLOCK_CHUNK):
-        chunk = xcs[i:i + HSCAL_BLOCK_CHUNK]
-        block.update(zip(chunk, _struve_h_scaled_block(chunk, HSCAL_BLOCK_ORDER)))
-    return block
 
 
 # ---------------------------------------------------------------------------
@@ -435,12 +419,17 @@ def ursell_F(pt: EvalPoint) -> MethodResult:
 # convergent scaled-Struve sums
 
 
-def _hscal(hvals, xc, j):
-    """Hscal_j(xc), where hvals is the list Hscal_0(xc), Hscal_1(xc), ...
-    so far; orders it lacks up to j are appended from the scalar kernel."""
-    while len(hvals) <= j:
-        hvals.append(dd.to_float(_struve_h_scaled_dd(len(hvals), xc)[0]))
-    return hvals[j]
+#: Orders of one window of the Hscal ladder: _hscal_window seeds its
+#: recurrence once a window.  On the benchmark's field sweep the sums
+#: read 8 to 16 orders at an x c.
+HSCAL_WINDOW = 16
+
+
+def _hscals(xc):
+    """Hscal_j(xc) as doubles for j = 0, 1, ..., 2 ORDER_CAP - 1,
+    HSCAL_WINDOW orders at a time from _hscal_window."""
+    for j0 in range(0, 2 * ORDER_CAP, HSCAL_WINDOW):
+        yield from _hscal_window(xc, j0, min(j0 + HSCAL_WINDOW, 2 * ORDER_CAP) - 1)
 
 
 def _struve_coefficients(xs, rho):
@@ -463,21 +452,21 @@ def _struve_coefficients(xs, rho):
         yield -(poch * p) if j % 2 else poch * p
 
 
-def _struve_series(pt, hvals):
+def _struve_series(pt, hscals):
     """S1 = sum_j a_j Hscal_j(xc), a_j by _struve_coefficients at xs,
     until three consecutive terms are below SERIES_REL_TOL of the partial
-    sum (a_j changes sign, so one small term can be accidental).  hvals is
-    the list Hscal_0(xc), Hscal_1(xc), ... so far, which _hscal extends.
+    sum (a_j changes sign, so one small term can be accidental).  hscals
+    yields Hscal_0(xc), Hscal_1(xc), ..., as _hscals does.
 
     Returns (value, orders summed, refused): refused where the sum ran out
-    of MAX_TERMS orders or left the double range (from rho of about 150),
-    value then being the partial sum.
+    of MAX_TERMS orders, or of the ladder's, or left the double range (from
+    rho of about 150), value then being the partial sum.
     """
-    xc = pt.x * pt.c
     total = comp = 0.0          # comp: Neumaier compensation
     small = 0
-    for j, coef in zip(range(MAX_TERMS), _struve_coefficients(pt.x * pt.s, pt.rho)):
-        t = coef * _hscal(hvals, xc, j)
+    for j, coef, hscal in zip(range(MAX_TERMS), _struve_coefficients(pt.x * pt.s, pt.rho),
+                              hscals):
+        t = coef * hscal
         total_new = total + t
         comp += (total - total_new) + t if abs(total) >= abs(t) else (t - total_new) + total
         total = total_new
@@ -495,7 +484,8 @@ def _struve_series(pt, hvals):
 def _struve_value(pt, memo=None):
     """(S1, orders summed) at pt, _struve_series's outcome or, where memo is
     given, memo's (see paris_F); AccuracyError where the sum was refused."""
-    value, terms, refused = _struve_series(pt, []) if memo is None else memo[_key(pt)]
+    value, terms, refused = (_struve_series(pt, _hscals(pt.x * pt.c)) if memo is None
+                             else memo[_key(pt)])
     if refused:
         raise AccuracyError(f"Struve sum not converged in {terms} orders",
                             value=value, terms_used=terms)
@@ -506,15 +496,14 @@ def struve_block(pts):
     """{(x, rho, |alpha|): _struve_series's outcome} for the distinct
     points of pts.
 
-    Each point runs the scalar sum on the Hscal list of its x c from one
-    hscal_block of all of pts; orders above the block come from the scalar
-    kernel and stay in the list for the points after it.  The block equals
-    the scalar kernel bit for bit, so every outcome equals
-    _struve_series's with a fresh list.
+    Each point runs the scalar sum on one _hscals per distinct x c, each
+    reader taking its own itertools.tee copy of it.  So every outcome
+    equals _struve_series's at that point bit for bit, refusals included.
     """
     pts = {_key(pt): pt for pt in pts}
-    hscal = hscal_block(pt.x * pt.c for pt in pts.values())
-    return {key: _struve_series(pt, hscal[pt.x * pt.c]) for key, pt in pts.items()}
+    xcs = {key: (pt.x * pt.c,) for key, pt in pts.items()}
+    ladders = _tees(_hscals, xcs.values())
+    return {key: _struve_series(pt, next(ladders[xcs[key]])) for key, pt in pts.items()}
 
 
 def struve_double_sum(pt: EvalPoint) -> float:
@@ -541,8 +530,7 @@ def ck_symbolic_coefficients(n: int):
     Unrolled from the recurrence with exact integer arithmetic:
     a[m][m] = (2m-1)!!,  a[m][j] = -sum_{r=j}^{m-1} binom(m, r) a[r][j].
     """
-    if not isinstance(n, int) or not 1 <= n <= CK_MAX:
-        raise DomainError(f"n must be an integer in [1, {CK_MAX}]")
+    n = _check_int(n, 1, CK_MAX, _CK_N_MESSAGE)
     rows = []
     dfact = 1
     for m in range(n):
@@ -564,8 +552,7 @@ def ck_recurrence(n: int, x: float) -> CoefficientTable:
     Exact binomials, double-double accumulation.  An independent reference
     for the quadrature table that ck_table reads; no evaluation uses it.
     """
-    if not isinstance(n, int) or not 1 <= n <= CK_MAX:
-        raise DomainError(f"n must be an integer in [1, {CK_MAX}]")
+    n = _check_int(n, 1, CK_MAX, _CK_N_MESSAGE)
     if x <= 0:
         raise DomainError("ck_recurrence requires x > 0")
     x2 = dd.two_prod(x, x)
@@ -593,8 +580,7 @@ def ck_table(n: int, x: float, alpha: float) -> CoefficientTable:
     which is computed whole on its first use, so the values do not depend
     on n.
     """
-    if not isinstance(n, int) or not 1 <= n <= CK_MAX:
-        raise DomainError(f"n must be an integer in [1, {CK_MAX}]")
+    n = _check_int(n, 1, CK_MAX, _CK_N_MESSAGE)
     values = tuple(oracle_Ck(k, float(x), float(alpha)).value for k in range(n))
     return CoefficientTable(alpha=float(alpha), x=float(x), values=values)
 

@@ -58,7 +58,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .errors import AccuracyError, DomainError, RangeOverflowError
-from .specfun import _check_finite, kummer_1f1, upper_inc_gamma
+from .specfun import _check_finite, _check_int, kummer_1f1, upper_inc_gamma
 
 #: Subdivision budget: at most ~1e6 integrand evaluations per integral
 #: (21-point Gauss-Kronrod panels).
@@ -579,8 +579,10 @@ def oracle_I2_tails(pt: EvalPoint, n: int, abs_tol: float) -> list:
     it over that peak, so nothing overflows.
     """
     x, rho, c, s, xi0 = pt.x, pt.rho, pt.c, pt.s, pt.xi0
-    if not (isinstance(n, int) and n >= 1 and xi0 > 0):
-        raise DomainError(f"need an integer n >= 1 and xi0 > 0, got {n!r} and {xi0}")
+    message = f"need an integer n >= 1 and xi0 > 0, got {{!r}} and {xi0}"
+    n = _check_int(n, 1, None, message)
+    if not xi0 > 0:
+        raise DomainError(message.format(n))
     lam = x * c
     k = np.arange(n)
     log_w = k * math.log(rho) - np.array([math.lgamma(j + 1.0) for j in range(n)])
@@ -620,6 +622,8 @@ def oracle_I2_tails(pt: EvalPoint, n: int, abs_tol: float) -> list:
 
 #: Largest coefficient index of the quadrature table.
 CK_INDEX_MAX = 30
+
+_CK_K_MESSAGE = f"k must be an integer in [0, {CK_INDEX_MAX}], got {{!r}}"
 
 #: Panel budget of one C_k table (21 nodes per panel).
 MAX_CK_PANELS = 1000
@@ -753,8 +757,7 @@ def oracle_Ck(k: int, x: float, alpha: float) -> QuadResult:
     table (every node of every panel the mesh held); it is the same for
     every k.  cache_info() and cache_clear() act on the table cache.
     """
-    if not isinstance(k, int) or k < 0 or k > CK_INDEX_MAX:
-        raise DomainError(f"k must be an integer in [0, {CK_INDEX_MAX}], got {k!r}")
+    k = _check_int(k, 0, CK_INDEX_MAX, _CK_K_MESSAGE)
     if not 0.0 <= alpha <= _HALF_PI + 4e-16:
         raise DomainError(f"alpha must lie in [0, pi/2], got {alpha}")
     if not (x > 0 and math.isfinite(x)):
@@ -782,8 +785,7 @@ def oracle_moment_identity(k: int, mu: float, M: float, p: float):
 
     as (lhs_by_quadrature, rhs_by_series).  Test plumbing only.
     """
-    if not isinstance(k, int) or k < 0 or k > 20:
-        raise DomainError("k must be an integer in [0, 20]")
+    k = _check_int(k, 0, 20, "k must be an integer in [0, 20]")
     if not all(0.0 < v < math.inf for v in (mu, M, p)):
         raise DomainError("mu, M, p must all be positive and finite")
     rho = M * p * p

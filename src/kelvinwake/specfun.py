@@ -19,22 +19,20 @@ doubles are correctly rounded to well below 1e-13 relative error even when
 intermediate terms grow above the result (mild cancellation at x ~ 10).
 
 Every ascending series t_{k+1} = t_k q / ((k + a)(k + b)), the sign of an
-alternating one carried in q, runs through _series_dd, or elementwise on
-float64 arrays and bit for bit through _series_block: J, I, Hscal, the
+alternating one carried in q, runs through _series_dd: J, I, Hscal, the
 expansions' I_m factors and the seeds of their J_2m factors.  Y and K
-above order 1 share one upward recurrence, _bessel_yk_dd.
+above order 1 share one upward recurrence, _bessel_yk_dd; a run of
+consecutive Hscal orders at one argument comes from the downward Struve
+recurrence, _hscal_window.
 
 All functions are pure and safe for concurrent use.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import ddouble as dd
 from .errors import AccuracyError, DomainError, OrderOverflowError, RangeOverflowError
@@ -61,27 +59,42 @@ class SpecFunResult:
     terms_used: int
 
 
+def _check_int(n, lo, hi, message):
+    """n as an int: an integral number (numpy integers included) from lo
+    to hi, or from lo up where hi is None.  Otherwise DomainError with
+    message.format(n), so a "{!r}" in message shows n."""
+    if type(n) is not int:
+        if not isinstance(n, numbers.Integral):
+            raise DomainError(message.format(n))
+        n = int(n)
+    if n < lo or (hi is not None and n > hi):
+        raise DomainError(message.format(n))
+    return n
+
+
 def _check_order(order, cap):
     """order as an int: an integral number (numpy integers included)
-    from 0 to cap."""
-    if type(order) is not int:
-        if not isinstance(order, numbers.Integral):
-            raise DomainError(f"order must be a nonnegative integer, got {order!r}")
-        order = int(order)
-    if order < 0:
-        raise DomainError(f"order must be a nonnegative integer, got {order!r}")
+    from 0 to cap; OrderOverflowError above cap."""
+    order = _check_int(order, 0, None, "order must be a nonnegative integer, got {!r}")
     if order > cap:
         raise OrderOverflowError(f"order {order} exceeds cap {cap}")
     return order
 
 
 def _check_finite(x, name="argument"):
-    """x as a float: a finite real number (numpy scalars included)."""
+    """x as a float: a finite real number (numpy scalars included).  An
+    int past the double range is refused as not finite."""
     if type(x) is float and math.isfinite(x):
         return x
-    if not (isinstance(x, numbers.Real) and math.isfinite(x)):
-        raise DomainError(f"{name} must be finite, got {x!r}")
-    return float(x)
+    if isinstance(x, numbers.Real):
+        try:
+            v = float(x)
+        except OverflowError:
+            raise DomainError(f"{name} must be finite, got a number past "
+                              "the double range") from None
+        if math.isfinite(v):
+            return v
+    raise DomainError(f"{name} must be finite, got {x!r}")
 
 
 def _series_dd(t, q, a, b, rel):
@@ -102,32 +115,6 @@ def _series_dd(t, q, a, b, rel):
             return s, abs(t[0]), k + 2
         s = dd.add(s, t)
     raise AccuracyError("ascending series did not converge", value=dd.to_float(s))
-
-
-def _series_block(t, q, a, b, rel):
-    """_series_dd elementwise on float64 arrays: t and q double-double
-    arrays, a and b arrays or scalars, rel a scalar.  Every element stops
-    where the scalar loop stops, so each sum equals _series_dd's bit for
-    bit.  Returns the sums as (hi, lo) arrays, NaN where a series did not
-    converge within _SERIES_MAX terms.
-    """
-    n = len(t[0])
-    a, b = (np.broadcast_to(np.asarray(v, dtype=float), n) for v in (a, b))
-    hi, lo = np.full(n, np.nan), np.full(n, np.nan)
-    s = t
-    live = np.arange(n)              # elements whose series still runs
-    for k in range(_SERIES_MAX):
-        t = dd.div_d(dd.mul(t, q), (k + a) * (k + b))
-        done = np.abs(t[0]) <= rel * np.abs(s[0])
-        if done.any():
-            hi[live[done]], lo[live[done]] = s[0][done], s[1][done]
-            run = ~done
-            live, a, b = live[run], a[run], b[run]
-            q, t, s = ((v[0][run], v[1][run]) for v in (q, t, s))
-            if not len(live):
-                break
-        s = dd.add(s, t)
-    return hi, lo
 
 
 def _ascending_series(n, x, sign):
@@ -307,47 +294,65 @@ def _struve_gammas(order_max):
 _STRUVE_GAMMAS = _struve_gammas(2 * ORDER_CAP)
 
 
+def _struve_h_series(order, x, shift=0):
+    """The scaled Struve series of order at x times 2^(e + shift), e the
+    exponent of _STRUVE_GAMMAS[order]: _series_dd's (dd_value, first
+    omitted term, terms).  Terms are strictly alternating and, in the
+    supported range, decrease monotonically after at most a few initial
+    terms, so the first omitted term bounds the truncation error."""
+    h = 0.5 * x
+    # t0 = (x/2) / (Gamma(3/2) Gamma(order+3/2)) = 2^-e h / g
+    t0 = dd.div(dd.from_float(math.ldexp(h, shift)), _STRUVE_GAMMAS[order][0])
+    return _series_dd(t0, dd.two_prod(h, -h), 1.5, order + 1.5, 1e-17)
+
+
 def _struve_h_scaled_dd(order, x):
     """Scaled Struve series in double-double.
 
-    Returns _series_dd's (dd_value, first omitted term, terms).  Terms are
-    strictly alternating and, in the supported range, decrease
-    monotonically after at most a few initial terms, so the first omitted
-    term bounds the truncation error.  From order 167 on the series runs
-    on the terms times 2^e (_STRUVE_GAMMAS) and is scaled back at the
-    end, where it may round to the subnormal grid or to 0: the omitted
-    term then carries 2^-1074 for that rounding.
+    Returns _series_dd's (dd_value, first omitted term, terms).  From
+    order 167 on the series runs on the terms times 2^e (_STRUVE_GAMMAS)
+    and is scaled back at the end, where it may round to the subnormal
+    grid or to 0: the omitted term then carries 2^-1074 for that rounding.
     """
-    h = 0.5 * x
-    g, e = _STRUVE_GAMMAS[order]
-    # t0 = (x/2) / (Gamma(3/2) Gamma(order+3/2)) = 2^-e h / g
-    s, tail, terms = _series_dd(dd.div(dd.from_float(h), g), dd.two_prod(h, -h),
-                                1.5, order + 1.5, 1e-17)
+    s, tail, terms = _struve_h_series(order, x)
+    e = _STRUVE_GAMMAS[order][1]
     if e:
         s = (math.ldexp(s[0], -e), math.ldexp(s[1], -e))
         tail = math.ldexp(tail, -e) + 2.0 ** -1074
     return s, tail, terms
 
 
-def _struve_h_scaled_block(xs, order_max):
-    """Hscal_0 .. Hscal_order_max at every x of xs (all > 0), rounded to
-    double, in one _series_block pass with one element per (order, x).
+def _hscal_window(x, j0, j1):
+    """[Hscal_j0(x), ..., Hscal_j1(x)] rounded to double, 0 <= j0 <= j1 <
+    2 ORDER_CAP.
 
-    Each value equals dd.to_float of the scalar kernel bit for bit.
-    Returns one list per x, ending before the first order whose series
-    did not converge (the scalar kernel raises there).
+    With h = x/2 and w = h^2, the Struve recurrence (DLMF 11.4.23) reads
+
+        Hscal_{v-1} = v Hscal_v - w Hscal_{v+1} + h / (sqrt(pi) Gamma(v + 3/2)).
+
+    Hscal_{j1+1} and Hscal_j1 are summed as ascending series, and the
+    orders below follow from them by the recurrence in double-double.
+    Taken downwards it is stable: J_v's counterpart shrinks relative to
+    Hscal as v falls, and Y_v's falls off.  The inhomogeneous term starts
+    at (h/2) / _STRUVE_GAMMAS[j1] and gains a factor v + 1/2 a step down.
+    Everything runs times 2^k, k the exponent of _STRUVE_GAMMAS[j1 + 1]
+    less that of h, and is scaled back at the end, so that no seed is
+    subnormal where the values are not: past order 166, or at a tiny x.
     """
-    xs = np.asarray(xs, dtype=float)
-    width = len(xs)
-    gammas = _STRUVE_GAMMAS[:order_max + 1]
-    ghi, glo = np.repeat(np.array([g for g, _ in gammas]), width, axis=0).T
-    scale = np.repeat([e for _, e in gammas], width)
-    h = np.tile(0.5 * xs, order_max + 1)
-    hi, lo = _series_block(dd.div((h, np.zeros_like(h)), (ghi, glo)), dd.two_prod(h, -h),
-                           1.5, np.repeat(np.arange(order_max + 1) + 1.5, width), 1e-17)
-    hi, lo = np.ldexp(hi, -scale), np.ldexp(lo, -scale)
-    return [list(itertools.takewhile(lambda v: not math.isnan(v), column))
-            for column in (hi + lo).reshape(order_max + 1, width).T.tolist()]
+    h = 0.5 * x
+    minus_w = dd.two_prod(h, -h)
+    e, e1 = _STRUVE_GAMMAS[j1 + 1][1], _STRUVE_GAMMAS[j1][1]
+    k = e - math.frexp(h)[1]
+    upper = _struve_h_series(j1 + 1, x, k - e)[0]
+    f = _struve_h_series(j1, x, k - e1)[0]
+    inh = dd.div(dd.from_float(math.ldexp(h, k - e1 - 1)), _STRUVE_GAMMAS[j1][0])
+    out = [f]
+    for v in range(j1, j0, -1):
+        upper, f = f, dd.add(dd.add(dd.mul_d(f, float(v)), dd.mul(minus_w, upper)), inh)
+        inh = dd.mul_d(inh, v + 0.5)
+        out.append(f)
+    out.reverse()
+    return [math.ldexp(hi, -k) + math.ldexp(lo, -k) for hi, lo in out]
 
 
 def struve_h_scaled(order: int, x: float) -> SpecFunResult:

@@ -15,6 +15,13 @@ from kelvinwake.bounds import (
     verify_remainder,
 )
 from kelvinwake.errors import DomainError
+from kelvinwake.expansions import (
+    CK_MAX,
+    TruncationPolicy,
+    ck_recurrence,
+    ck_symbolic_coefficients,
+    ck_table,
+)
 from kelvinwake.oracle import EvalPoint
 
 
@@ -164,3 +171,38 @@ class TestIncGammaBound:
             verify_inc_gamma_bound([(0.0, 0.5)])    # chi < 1
         with pytest.raises(DomainError):
             verify_inc_gamma_bound([])
+
+
+_PT = EvalPoint(0.8, 0.02, 0.0)      # M = 8
+
+#: Every integer check outside specfun, as (call of n, a valid n, invalid
+#: integers)
+_INTEGER_CHECKS = {
+    "TruncationPolicy": (lambda n: TruncationPolicy(n=n).n, 3, [0, -1]),
+    "ck_symbolic_coefficients": (ck_symbolic_coefficients, 3, [0, CK_MAX + 1]),
+    "ck_recurrence": (lambda n: ck_recurrence(n, 1.0), 3, [0, CK_MAX + 1]),
+    "ck_table": (lambda n: ck_table(n, 1.0, 0.2), 3, [0, CK_MAX + 1]),
+    "oracle_Ck": (lambda k: oracle.oracle_Ck(k, 1.0, 0.2).value, 3,
+                  [-1, oracle.CK_INDEX_MAX + 1]),
+    "oracle_I2_tails": (lambda n: oracle.oracle_I2_tails(_PT, n, 1e-12), 2, [0]),
+    "oracle_moment_identity": (lambda k: oracle.oracle_moment_identity(k, 1.5, 2.0, 0.7),
+                               2, [-1, 21]),
+    "remainder_bound": (lambda n: remainder_bound(n, 8.0), 3, [0]),
+    "tail_bound_components": (lambda n: tail_bound_components(n, _PT), 3, [0]),
+    "verify_remainder": (lambda n: verify_remainder(_PT, n), 1, [0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_INTEGER_CHECKS))
+def test_integer_checks_take_numpy_integers(name):
+    # numpy integers give what the equal int gives; non-integers and
+    # integers out of range are refused, of either type
+    np = pytest.importorskip("numpy")
+    call, n, bad = _INTEGER_CHECKS[name]
+    want = call(n)
+    for m in (np.int64(n), np.int32(n), np.uint8(n)):
+        assert call(m) == want
+    for m in bad + [np.int64(b) for b in bad] + [float(n), np.float64(n), str(n), 1j]:
+        with pytest.raises(DomainError):
+            call(m)
+    assert type(TruncationPolicy(n=np.int64(n)).n) is int

@@ -312,21 +312,26 @@ def test_field_thread_count_is_capped(capsys):
 @pytest.mark.parametrize("chunk,groups", [(4096, [[0.4, 1.6, 2.8]]),
                                           (12, [[0.4, 1.6], [2.8]]),
                                           (5, [[0.4], [1.6], [2.8]])])
-def test_field_hscal_block_per_group_of_columns(capsys, monkeypatch, chunk, groups):
-    # one Hscal block per group of columns of at most HSCAL_BLOCK_CHUNK
-    # (rho, |alpha|) points, over exactly that group's paris x c, so the
-    # block grows with a group, not with the grid
+def test_field_groups_of_columns(capsys, monkeypatch, chunk, groups):
+    # one struve_block and one bessho_block per group of columns of at most
+    # FIELD_GROUP_POINTS (rho, |alpha|) points, over exactly that group's
+    # points of each route, so the memo grows with a group, not with the grid
     import kelvinwake.cli as cli
 
-    block = cli.expansions.hscal_block
     calls = []
 
-    def recording(xcs):
-        calls.append(sorted(set(xcs)))
-        return block(calls[-1])
+    def recording(name):
+        block = getattr(cli.expansions, name)
 
-    monkeypatch.setattr(cli.expansions, "hscal_block", recording)
-    monkeypatch.setattr(cli.expansions, "HSCAL_BLOCK_CHUNK", chunk)
+        def wrapper(pts):
+            pts = list(pts)
+            calls.append((name, sorted({pt.x for pt in pts})))
+            return block(pts)
+        return wrapper
+
+    for name in ("struve_block", "bessho_block"):
+        monkeypatch.setattr(cli.expansions, name, recording(name))
+    monkeypatch.setattr(cli, "FIELD_GROUP_POINTS", chunk)
     code, out, _ = run(capsys, "field", "--x-range", "0.4:2.8:3",
                        "--rho-range", "0.001:0.05:2",
                        "--alpha-pi-range=-0.5:0.5:5", "--format", "json",
@@ -335,11 +340,11 @@ def test_field_hscal_block_per_group_of_columns(capsys, monkeypatch, chunk, grou
     rows = json.loads(out)["rows"]
     want = []
     for group in groups:
-        pts = [EvalPoint(r["x"], r["rho"], r["alpha"]) for r in rows
-               if r["x"] in group and r["method"] == "paris"]
-        want.append(sorted({pt.x * pt.c for pt in pts}))
+        for name, method in (("struve_block", "paris"), ("bessho_block", "bessho")):
+            want.append((name, sorted({r["x"] for r in rows
+                                       if r["x"] in group and r["method"] == method})))
     assert calls == want
-    assert all(calls)
+    assert all(xs for name, xs in calls if name == "struve_block")
 
 
 @pytest.mark.parametrize("chunk,threads", [(4096, "1"), (12, "2"), (5, "2")])
@@ -349,7 +354,7 @@ def test_field_group_passes_equal_fresh_calls(capsys, monkeypatch, chunk, thread
     # has the fields of a fresh scalar evaluation, bit for bit
     import kelvinwake.cli as cli
 
-    monkeypatch.setattr(cli.expansions, "HSCAL_BLOCK_CHUNK", chunk)
+    monkeypatch.setattr(cli, "FIELD_GROUP_POINTS", chunk)
     code, out, _ = run(capsys, "field", "--x-range", "0.4:2.8:3",
                        "--rho-range", "0.01:0.2:2",
                        "--alpha-pi-range=-0.5:0.5:5", "--format", "csv",
@@ -387,7 +392,7 @@ def test_field_rows_equal_fresh_records(xs, rhos, alpha_pi, alpha_count, chunk):
     alpha_range = f"{-alpha_pi!r}:{alpha_pi!r}:{alpha_count}"
     out = io.StringIO()
     with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
-        mp.setattr(cli.expansions, "HSCAL_BLOCK_CHUNK", chunk)
+        mp.setattr(cli, "FIELD_GROUP_POINTS", chunk)
         code = main(["field", "--x-range", x_range, "--rho-range", rho_range,
                      f"--alpha-pi-range={alpha_range}", "--format", "csv"])
     lines = out.getvalue().strip().split("\n")

@@ -2,7 +2,10 @@
 the coefficient engines against each other, and the assembled methods
 against their stored components."""
 
+import itertools
 import math
+import random
+import sys
 import time
 import warnings
 from fractions import Fraction
@@ -340,25 +343,36 @@ class TestKernelMemo:
             assert {o[-1].split()[0] for o in raised} == {"Bessel", "Struve"}
             assert all(o[2] == max_terms for o in raised)
 
-    def test_paris_with_hscal_block_equals_fresh_calls(self):
-        pts = [EvalPoint(x, rho, a) for x in (1.5, 2.75) for rho in (0.01, 0.03)
-               for a in self.ALPHAS]
-        hscal = expansions.hscal_block(p.x * p.c for p in pts)
-        assert len(hscal) == len({p.x * p.c for p in pts})
+    def test_struve_ladder_formed_once_per_distinct_xc(self, monkeypatch):
+        # one Hscal ladder per distinct x c serves a whole group: +-alpha
+        # interleaved, two rho a column, and a sum refused past MAX_TERMS
+        calls = []
+        make = expansions._hscals
+
+        def counted(xc):
+            calls.append(xc)
+            return make(xc)
+
+        monkeypatch.setattr(expansions, "_hscals", counted)
+        monkeypatch.setattr(expansions, "MAX_TERMS", 12)
+        pts = [EvalPoint(x, rho, a) for a in self.ALPHAS for x in (1.5, 2.75)
+               for rho in (0.01, 0.03)]
         memo = expansions.struve_block(pts)
-        for pt in pts:
-            assert _outcome(paris_F, pt, memo=memo) == _outcome(paris_F, pt)
+        assert sorted(calls) == sorted({p.x * p.c for p in pts})
+        outcomes = [_outcome(paris_F, pt, memo=memo) for pt in pts]
+        assert outcomes == [_outcome(paris_F, pt) for pt in pts]
+        assert set(memo.values()) == {
+            expansions._struve_series(pt, make(pt.x * pt.c)) for pt in pts}
+        assert {o[0] for o in outcomes} == {"ok", "raised"}
 
     @pytest.mark.parametrize("order", [0, 3, 9])
-    def test_struve_orders_above_the_hscal_block(self, monkeypatch, order):
+    def test_struve_orders_past_the_first_window(self, monkeypatch, order):
         # the sums need orders up to about 20 at these points; the orders
-        # hscal_block leaves out come from the scalar kernel
-        monkeypatch.setattr(expansions, "HSCAL_BLOCK_ORDER", order)
+        # past a window come from the next one
+        monkeypatch.setattr(expansions, "HSCAL_WINDOW", order + 1)
         pts = [EvalPoint(x, rho, a) for x in (0.8, 3.0) for rho in (0.001, 0.02)
                for a in self.ALPHAS]
-        assert max(len(v) for v in expansions.hscal_block(
-            p.x * p.c for p in pts).values()) == order + 1
-        _check_group(pts, routes=("paris",))
+        assert any(o[3] > order + 1 for o in _check_group(pts, routes=("paris",)))
 
     @pytest.mark.parametrize("window", [1, 3])
     def test_window_sizes_give_the_same_sums(self, monkeypatch, window):
@@ -368,13 +382,15 @@ class TestKernelMemo:
                for rho in (0.0078, 0.05) for a in self.ALPHAS[:5]]
         _check_group(pts)
 
-    def test_passes_in_chunks_give_the_same_sums(self, monkeypatch):
+    def test_passes_in_chunks_give_the_same_sums(self):
+        # the memo of a group, and the merged memos of its x columns taken
+        # as groups of their own, as `field` takes a grid in groups
         pts = [EvalPoint(x, rho, a) for x in (0.4, 1.0, 2.0)
                for rho in (0.005, 0.05) for a in self.ALPHAS]
         whole = _group_memo(pts)
-        # hscal_block in array passes of 5 x c
-        monkeypatch.setattr(expansions, "HSCAL_BLOCK_CHUNK", 5)
-        parts = _group_memo(pts)
+        parts = {}
+        for x in (0.4, 1.0, 2.0):
+            parts.update(_group_memo([p for p in pts if p.x == x]))
         assert parts == whole
         # the two blocks' key sets never overlap, and together cover pts
         paris = expansions.struve_block(p for p in pts if field_route(p) == "paris")
@@ -382,14 +398,6 @@ class TestKernelMemo:
         assert len(paris) + len(bessho) == len(whole)
         assert set(whole) == {(p.x, p.rho, p.alpha_abs) for p in pts}
         assert expansions.struve_block([]) == {} == expansions.bessho_block([])
-
-    def test_hscal_block_chunks_give_the_same_block(self, monkeypatch):
-        xcs = [0.9, 0.2, 2.5, 0.9, 1e-3, 3.0, 1.7]
-        whole = expansions.hscal_block(xcs)
-        assert len(whole) == 6
-        monkeypatch.setattr(expansions, "HSCAL_BLOCK_CHUNK", 4)
-        assert expansions.hscal_block(xcs) == whole
-        assert expansions.hscal_block([]) == {}
 
 
 class TestUrsell:
@@ -459,6 +467,58 @@ class TestUrsell:
                 <= got.internal_error_estimate + ref.abs_error_estimate)
 
 
+class TestHscalLadder:
+    """_hscals, the one source of the Hscal_j(x c) that S1 reads, against
+    the scalar kernel and mpmath."""
+
+    @pytest.mark.parametrize("window", [1, 7, expansions.HSCAL_WINDOW])
+    def test_within_one_ulp_of_the_kernel(self, monkeypatch, window):
+        # a window of one order is the kernel itself
+        monkeypatch.setattr(expansions, "HSCAL_WINDOW", window)
+        rng = random.Random(11)
+        xcs = [1e-40, 1e-8, 1e-6, 1e-3, 3.0] + [rng.uniform(0.0, 3.0) or 1.5
+                                                for _ in range(24)]
+        for xc in xcs:
+            for j, got in zip(range(144), expansions._hscals(xc)):
+                want = specfun.struve_h_scaled(j, xc).value
+                assert abs(got - want) <= math.ulp(want), (xc, j)
+                assert window > 1 or got == want
+
+    @pytest.mark.parametrize("xc", [1e-300, 0.3, 1.7, 3.0])
+    def test_against_mpmath(self, xc):
+        # at x c = 1e-300 the values from order 12 on are subnormal, and
+        # every seed would be without the rescaling of h
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            for j, got in zip(range(60), expansions._hscals(xc)):
+                want = mp.struveh(j, xc) / (mp.mpf(xc) / 2) ** j
+                if want >= sys.float_info.min:
+                    assert abs(got - want) <= 2.3e-16 * abs(want), (xc, j)
+
+    @pytest.mark.parametrize("x", [0.5, 1.0, 3.0])
+    def test_past_the_gamma_rescale(self, x):
+        # orders 160-200 run through the 2^512 rescale of the Gamma chain
+        # at order 167, and down into the subnormal range
+        ladder = list(itertools.islice(expansions._hscals(x), 201))
+        normal = 0
+        for j in range(160, 201):
+            want = dd.to_float(specfun._struve_h_scaled_dd(j, x)[0])
+            if abs(want) >= sys.float_info.min:
+                normal += 1
+                assert abs(ladder[j] - want) <= math.ulp(want), (x, j)
+            else:
+                assert abs(ladder[j] - want) <= 4 * 2.0 ** -1074, (x, j)
+        assert 0 < normal < 41
+
+    def test_a_sum_that_runs_out_of_the_ladder_is_refused(self):
+        assert len(list(expansions._hscals(1.0))) == 2 * specfun.ORDER_CAP
+        pt = EvalPoint(1.0, 0.02, 0.3)
+        value, terms, refused = expansions._struve_series(
+            pt, itertools.islice(expansions._hscals(pt.x * pt.c), 3))
+        assert (terms, refused) == (3, True)
+        assert struve_double_sum(pt) != value
+
+
 class TestStruveSums:
     def test_rho_to_zero_collapses_to_first_term(self):
         pt = EvalPoint(0.4, 1e-30, 0.0)
@@ -493,7 +553,7 @@ class TestStruveSums:
             struve_double_sum(pt)
         assert exc.value.terms_used < expansions.MAX_TERMS
         block = expansions.struve_block([pt])[pt.x, pt.rho, pt.alpha_abs]
-        assert repr(block) == repr(expansions._struve_series(pt, []))
+        assert repr(block) == repr(expansions._struve_series(pt, expansions._hscals(3.0)))
 
     @settings(max_examples=25, derandomize=True, database=None, deadline=None)
     @given(x=st.floats(1e-6, 3.0), rho_exp=st.floats(-30.0, 0.0),

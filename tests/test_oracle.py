@@ -125,6 +125,13 @@ class TestEvalPoint:
             with pytest.raises(DomainError, match="x must be finite"):
                 EvalPoint(bad, 0.125, 0.0)
 
+    def test_ints_past_the_double_range_are_refused(self):
+        # float() of such an int overflows; it is not finite as a double
+        for args in [(10 ** 400, 0.1, 0), (1.0, -10 ** 400, 0), (1.0, 0.1, 10 ** 5000)]:
+            with pytest.raises(DomainError, match="must be finite"):
+                EvalPoint(*args)
+        assert EvalPoint(2 ** 53 + 1, 0.1, 0).x == 2.0 ** 53
+
 
 def _near_half_pi_points():
     """Six seeded draws: x in [0.2, 3], log10 M in [-1.3, 1.5] and alpha

@@ -225,13 +225,6 @@ class TestStruveScaled:
         r = sf.struve_h_scaled(sf.ORDER_CAP, 1.0)
         assert r.value == 0.0 and 0.0 < r.abs_error_estimate <= 1e-323
 
-    def test_block_equals_scalar_kernel_past_the_gamma_overflow(self):
-        rows = sf._struve_h_scaled_block([0.5, 1.0, 3.0], 200)
-        for x, row in zip([0.5, 1.0, 3.0], rows):
-            assert len(row) == 201
-            for j in range(160, 201):
-                assert row[j] == sf.dd.to_float(sf._struve_h_scaled_dd(j, x)[0]), (x, j)
-
 
 class TestStruveKScaled:
     def test_frozen_order0(self):
@@ -398,47 +391,17 @@ def test_large_order_bessel_asymptotics(x, rho):
     assert abs(k / k_asym - 1.0) <= 0.10
 
 
-class TestStruveBlock:
-    def test_block_equals_scalar_kernel_bit_for_bit(self):
-        import random
-
-        rng = random.Random(11)
-        xs = [1e-8, 1e-3, 3.0] + [rng.uniform(0.0, 3.0) or 1.5 for _ in range(24)]
-        rows = sf._struve_h_scaled_block(xs, 40)
-        assert len(rows) == len(xs)
-        for x, row in zip(xs, rows):
-            assert len(row) == 41
-            for j, v in enumerate(row):
-                assert v == sf.dd.to_float(sf._struve_h_scaled_dd(j, x)[0]), (x, j)
-
-    def test_block_of_one_argument(self):
-        assert relerr(sf._struve_h_scaled_block([0.7], 3)[0][3], HSCAL3_AT_07) <= 1e-13
-
-
-class TestSeriesBlock:
-    def test_block_equals_scalar_loop_bit_for_bit(self):
-        import numpy as np
-
+class TestSeriesDD:
+    @pytest.mark.parametrize("rel", [1e-12, 1e-17, 1e-21])
+    def test_raises_where_the_terms_shrink_too_slowly(self, rel):
+        # t_{k+1} = t_k 1e10 / (k + 1e5)^2 falls about as exp(-k^2 / 1e5):
+        # no term falls to rel of the sum within _SERIES_MAX terms, and the
+        # error carries the partial sum of all of them
         from kelvinwake.errors import AccuracyError
 
-        rng = random.Random(19)
-        for rel in (1e-12, 1e-17, 1e-21):
-            rows = []
-            for i in range(40):
-                hi = rng.uniform(-2.0, 2.0) * 10.0 ** rng.uniform(-30, 5)
-                t = sf.dd.quick_two_sum(hi, hi * 2.0 ** -53 * rng.uniform(-1, 1))
-                qh = (-1.0 if i % 2 else 1.0) * 10.0 ** rng.uniform(-8, 3)
-                q = sf.dd.quick_two_sum(qh, qh * 2.0 ** -53 * rng.uniform(-1, 1))
-                rows.append((t, q, rng.choice([1.0, 1.5]), rng.uniform(0.5, 40.0)))
-            # one series whose terms shrink too slowly to stop within
-            # _SERIES_MAX terms: t_k ~ exp(-k^2 / 1e5)
-            rows.append(((1.0, 0.0), (1e10, 0.0), 1e5, 1e5))
-            t, q = ((np.array([r[j][0] for r in rows]), np.array([r[j][1] for r in rows]))
-                    for j in (0, 1))
-            a, b = (np.array([r[j] for r in rows]) for j in (2, 3))
-            hi, lo = sf._series_block(t, q, a, b, rel)
-            for i, row in enumerate(rows[:-1]):
-                assert (hi[i], lo[i]) == sf._series_dd(*row, rel)[0], (rel, row)
-            assert math.isnan(hi[-1]) and math.isnan(lo[-1])
-            with pytest.raises(AccuracyError):
-                sf._series_dd(*rows[-1], rel)
+        with pytest.raises(AccuracyError, match="did not converge") as exc:
+            sf._series_dd((1.0, 0.0), (1e10, 0.0), 1e5, 1e5, rel)
+        terms = [1.0]
+        for k in range(sf._SERIES_MAX):
+            terms.append(terms[-1] * 1e10 / ((k + 1e5) * (k + 1e5)))
+        assert abs(exc.value.value - math.fsum(terms)) <= 1e-12 * math.fsum(terms)
