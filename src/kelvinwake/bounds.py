@@ -52,7 +52,7 @@ class BoundReport:
 
 def remainder_bound(n: int, M: float) -> float:
     """The Lagrange-remainder envelope M^-n Gamma(2n) / n!, in log space."""
-    n = _check_int(n, 1, None, "n must be a positive integer, got {!r}")
+    n = _check_int(n, 1, None, "n must be a positive integer, got {}")
     if M <= 0:
         raise DomainError("M must be positive")
     return math.exp(math.lgamma(2 * n) - math.lgamma(n + 1) - n * math.log(M))
@@ -66,7 +66,7 @@ def tail_bound_components(n: int, pt: EvalPoint):
     positive, so where one underflows (M u0 c above about 745, or 372 for
     the finite-n form) it is returned as the smallest positive double.
     """
-    n = _check_int(n, 1, None, "n must be a positive integer, got {!r}")
+    n = _check_int(n, 1, None, "n must be a positive integer, got {}")
     m_u0_c = pt.M * pt.u0 * pt.c
     simple = max(2.0 * math.exp(-m_u0_c), _TINY) if n < m_u0_c else math.inf
     q = pt.M * pt.u0 * pt.u0
@@ -106,7 +106,7 @@ def verify_remainder(pt: EvalPoint, n: int) -> BoundReport:
     check by more than that.  Raises BoundViolationError unless both strict
     inequalities hold, AccuracyError if a quadrature misses its tolerance.
     """
-    n = _check_int(n, 1, None, "n must be a positive integer, got {!r}")
+    n = _check_int(n, 1, None, "n must be a positive integer, got {}")
     rn_b = remainder_bound(n, pt.M)
     tail_b = tail_bound(n, pt)
     i2 = oracle_I2(pt).value

@@ -16,23 +16,19 @@ benchmark's sweep), one loop per group:
   1. gather the group's distinct (x, rho, |alpha|), each point at its first
      alpha: F is even in alpha, so a row whose |alpha| equals, as a double,
      that of an earlier row of its (x, rho) shares that row's point;
-  2. build one map of convergent sums for those points: the Struve sum
-     S1, one series over orders (expansions.struve_block), at every point
-     that expansions.field_route sends to paris_F, the Bessel product sum
-     (expansions.bessho_block) at every point it sends to bessho_F.  Each
-     sum runs the scalar loop that a single call runs, _struve_series or
-     _bessho_sum, on parts formed once for the group: one Hscal ladder per
-     x c, one J_2m(x) ladder per x, one Bessel product ladder per (x, rho)
-     and one cos(m alpha) ladder per |alpha|;
-  3. make one _method_record per distinct point, with that map as the
-     route's memo;
-  4. build every grid row from those records, each with its own alpha.
+  2. make one _method_record per distinct point, by the route
+     expansions.field_route gives it, all of them on one expansions.Ladders:
+     paris_F and bessho_F run their convergent sums on ladders formed once
+     for the group, one Hscal ladder per x c, one J_2m(x) ladder per x, one
+     Bessel product ladder per (x, rho) and one cos(m alpha) ladder per
+     |alpha|;
+  3. build every grid row from those records, each with its own alpha.
 
-The shared parts of step 2 equal those a single call forms for itself,
-so every row, its estimate, terms and any refusal included, equals
-`eval --method <its method>` at that point bit for bit.  Everything runs
-on the calling thread: --threads is validated (at most MAX_THREADS) and
-echoed in the JSON meta, and has no other effect.  A range count, or a
+Every reader of a ladder starts at its first value, so every row, its
+estimate, terms and any refusal included, equals `eval --method <its
+method>` at that point bit for bit.  Everything runs on the calling
+thread: --threads is validated (at most MAX_THREADS) and echoed in the
+JSON meta, and has no other effect.  A range count, or a
 field grid, of more than MAX_GRID_POINTS points is a usage error; so is
 an --abs-tol outside [1e-14, inf), an --n outside 1 .. CK_MAX, and an
 angle given both in radians and in units of pi (--alpha with --alpha-pi,
@@ -69,8 +65,8 @@ MAX_THREADS = 64
 MAX_GRID_POINTS = 10 ** 6
 
 #: Most (rho, |alpha|) points of the x columns `field` evaluates as one
-#: group: it bounds the group's records and memo on any grid, while every
-#: column of a group shares one cos(m alpha) ladder per |alpha|.
+#: group: it bounds the group's records and ladders on any grid, while
+#: every column of a group shares one cos(m alpha) ladder per |alpha|.
 FIELD_GROUP_POINTS = 4096
 
 _BOX = "0 < x <= 3, 0 < rho <= 1, |alpha| <= pi/2"
@@ -132,9 +128,10 @@ def _resolve_alpha(args):
 
 
 def _parse_n(raw):
-    """--n as an integer in [1, CK_MAX], or None for 'auto' or no value:
-    the C_k tables hold CK_MAX coefficients, so no truncation or
-    coefficient count beyond it can be evaluated."""
+    """--n as an integer in [1, CK_MAX], or None for 'auto' or no value.
+    The C_k tables hold C_0 .. C_30 (oracle.CK_INDEX_MAX + 1 coefficients),
+    and CK_MAX = 30 caps the truncation n, so no truncation or coefficient
+    count beyond it can be evaluated."""
     if raw is None or raw == "auto":
         return None
     try:
@@ -187,10 +184,9 @@ def _thread_count(args):
     return n
 
 
-def _method_record(pt, method, policy, abs_tol, memo=None):
+def _method_record(pt, method, policy, abs_tol, ladders=None):
     """One evaluation record; failures are reported in the status field.
-    memo is handed to bessho_F and paris_F: a mapping from
-    (x, rho, |alpha|) to the route's convergent sum, as `field` builds it."""
+    ladders, an expansions.Ladders, is handed to bessho_F and paris_F."""
     rec = {"method": method, "x": pt.x, "rho": pt.rho, "alpha": pt.alpha,
            "M": pt.M, "value": math.nan, "error_estimate": math.nan,
            "n_used": 0, "terms_used": 0, "saddle": 0.0,
@@ -202,11 +198,11 @@ def _method_record(pt, method, policy, abs_tol, memo=None):
                        terms_used=q.evaluations)
             return rec
         if method == "bessho":
-            r = expansions.bessho_F(pt, memo=memo)
+            r = expansions.bessho_F(pt, ladders=ladders)
         elif method == "ursell":
             r = expansions.ursell_F(pt)
         elif method == "paris":
-            r = expansions.paris_F(pt, policy, memo=memo)
+            r = expansions.paris_F(pt, policy, ladders=ladders)
         else:
             raise DomainError(f"unknown method {method!r}")
         rec.update(value=r.value, error_estimate=r.internal_error_estimate,
@@ -342,12 +338,9 @@ def cmd_field(args) -> int:
         pts = {}
         for x, rho, alpha in grid:
             pts.setdefault((x, rho, abs(alpha)), EvalPoint(x, rho, alpha))
-        routes = {key: expansions.field_route(pt) for key, pt in pts.items()}
-        memo = {**expansions.struve_block(pt for key, pt in pts.items()
-                                          if routes[key] == "paris"),
-                **expansions.bessho_block(pt for key, pt in pts.items()
-                                          if routes[key] == "bessho")}
-        records = {key: _method_record(pt, routes[key], TruncationPolicy(), 1e-12, memo)
+        ladders = expansions.Ladders()
+        records = {key: _method_record(pt, expansions.field_route(pt), TruncationPolicy(),
+                                       1e-12, ladders)
                    for key, pt in pts.items()}
         for x, rho, alpha in grid:
             rec = records[x, rho, abs(alpha)]
@@ -439,18 +432,18 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["bessho", "ursell", "paris", "oracle", "all"])
     _add_common(p)
     _add_abs_tol(p)
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(func="cmd_eval")
 
     p = sub.add_parser("compare", help="evaluate F by every method")
     _add_point(p)
     _add_common(p)
     _add_abs_tol(p)
-    p.set_defaults(func=cmd_eval, method="all")
+    p.set_defaults(func="cmd_eval", method="all")
 
     p = sub.add_parser("table1", help="reproduce the reference residual table")
     _add_common(p)
     _add_abs_tol(p)
-    p.set_defaults(func=cmd_table1)
+    p.set_defaults(func="cmd_table1")
 
     p = sub.add_parser("coeffs", help="emit C_k coefficient curves")
     p.add_argument("--n", default=4, help=f"number of coefficients (k = 0..n-1), "
@@ -460,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x-range", default="0.05:2:40", dest="x_range",
                    help="x grid as start:stop:count")
     _add_common(p)
-    p.set_defaults(func=cmd_coeffs)
+    p.set_defaults(func="cmd_coeffs")
 
     p = sub.add_parser("field", help="evaluate F over a grid")
     p.add_argument("--x-range", required=True, dest="x_range")
@@ -474,25 +467,27 @@ def build_parser() -> argparse.ArgumentParser:
                         f"integer up to {MAX_THREADS} or 'auto' (default 1), "
                         "echoed in the JSON meta; field runs on one thread")
     _add_common(p)
-    p.set_defaults(func=cmd_field)
+    p.set_defaults(func="cmd_field")
 
     p = sub.add_parser("bounds", help="verify remainder/tail/gamma bounds")
     _add_common(p)
-    p.set_defaults(func=cmd_bounds)
+    p.set_defaults(func="cmd_bounds")
     return ap
 
 
 @functools.lru_cache(maxsize=None)
 def _parser() -> argparse.ArgumentParser:
     """The parser of main, built on its first call: parse_args leaves the
-    parser as it found it, so in-process callers need not rebuild it."""
+    parser as it found it, so in-process callers need not rebuild it.  It
+    names each subcommand's function, which main looks up on this module
+    when it runs, so a wrapper put in its place later is the one called."""
     return build_parser()
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[args.func](args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -27,24 +27,22 @@ The C_k coefficient tables (lookups into the quadrature oracle's cached
 table at every alpha; the exact alpha = 0 recurrence is kept as a
 reference) and the residual that the error table reports live here too.
 
-field_route is the rule that picks a point's route in `field`.  For a
-group of points, struve_block and bessho_block run the scalar loops of the
-two convergent sums, _struve_series and _bessho_sum, once per distinct
-point, on the parts that do not depend on the point formed once for the
-group (one Hscal ladder per x c; the J_2m, product and cos ladders of
-the Bessel sum); `field` hands their merged results to paris_F and
-bessho_F as their `memo`.
+field_route is the rule that picks a point's route in `field`.  The
+ladders that do not depend on the point (Hscal_j per x c; J_2m per x, the
+Bessel products per (x, rho) and cos(m alpha) per |alpha|) are read from a
+Ladders cache, formed on their first read: paris_F and bessho_F take one
+made for a group of points as `ladders`, and a single call makes its own.
+Either way the sums run in paris_F and bessho_F on the same values.
 """
 
 from __future__ import annotations
 
-import collections
 import enum
 import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Optional
 
 from . import ddouble as dd
 from .errors import AccuracyError, DomainError, RegimeError
@@ -92,7 +90,7 @@ class TruncationPolicy:
     def __post_init__(self):
         if self.n is not None:
             object.__setattr__(self, "n", _check_int(
-                self.n, 1, None, "n must be a positive integer or None, got {!r}"))
+                self.n, 1, None, "n must be a positive integer or None, got {}"))
 
     def resolve_n(self, pt: EvalPoint) -> int:
         """Resolve the truncation index for pt, enforcing n < M c^2 for AUTO."""
@@ -159,8 +157,40 @@ def field_route(pt: EvalPoint) -> str:
     return "paris" if pt.M >= 6.0 else "bessho"
 
 
-def _key(pt: EvalPoint):
-    return pt.x, pt.rho, pt.alpha_abs
+class Ladders:
+    """The ladders of the two convergent sums that do not depend on the
+    point, for a group of points: Hscal_j per x c (_hscals), J_2m per x
+    (_jhats), the Bessel products per (x, rho) (_bessel_products) and
+    cos(m alpha) per |alpha| (_cos_ladder).
+
+    Each ladder is formed on its first read.  Every read returns a copy of
+    its itertools.tee origin, which no reader advances, so each reader
+    starts at the ladder's first value and reads what a fresh ladder gives.
+    """
+
+    def __init__(self):
+        self._origins = {}
+
+    def _read(self, make, *args):
+        key = (make, *args)
+        origin = self._origins.get(key)
+        if origin is None:
+            origin = self._origins[key] = itertools.tee(make(*args), 1)[0]
+        return origin.__copy__()
+
+    def hscals(self, xc):
+        return self._read(_hscals, xc)
+
+    def cos_ladder(self, alpha):
+        return self._read(_cos_ladder, alpha)
+
+    def bessel_products(self, x, rho):
+        """The products of (x, rho), on the J_2m ladder of x."""
+        origin = self._origins.get((x, rho))
+        if origin is None:
+            products = _bessel_products(x, rho, self._read(_jhats, x))
+            origin = self._origins[x, rho] = itertools.tee(products, 1)[0]
+        return origin.__copy__()
 
 
 # ---------------------------------------------------------------------------
@@ -295,50 +325,20 @@ def _bessho_sum(ladder, products):
     return total, peak, abs_sum, last, m, "max_terms"
 
 
-def bessho_block(pts):
-    """{(x, rho, |alpha|): _bessho_sum's outcome} for the distinct points
-    of pts.
-
-    Each point runs the scalar sum, on parts formed once per distinct
-    value: the jhat_m by one _jhats per x, the products by one
-    _bessel_products per (x, rho), the cos(m alpha) factors by one
-    _cos_ladder per |alpha|, each reader taking its own itertools.tee copy
-    of them.  So every outcome equals _bessho_sum's at that point bit for
-    bit, refusals included.
-    """
-    keys = dict.fromkeys(map(_key, pts))
-    pairs = [key[:2] for key in keys]
-    jhats = _tees(_jhats, [(x,) for x, _ in dict.fromkeys(pairs)])
-    products = _tees(lambda x, rho: _bessel_products(x, rho, next(jhats[(x,)])), pairs)
-    ladders = _tees(_cos_ladder, [key[2:] for key in keys])
-    return {key: _bessho_sum(next(ladders[key[2:]]), next(products[key[:2]]))
-            for key in keys}
-
-
-def _tees(make, args):
-    """{a: an iterator over the itertools.tee copies of make(*a)}, one copy
-    for each time a occurs in args."""
-    return {a: iter(itertools.tee(make(*a), n))
-            for a, n in collections.Counter(args).items()}
-
-
-def bessho_F(pt: EvalPoint, *, memo: Optional[Mapping] = None) -> MethodResult:
+def bessho_F(pt: EvalPoint, *, ladders: Optional[Ladders] = None) -> MethodResult:
     """Convergent Bessel product series for F.
 
     Terms are products K_m(rho/2) J_2m(x) evaluated as scaled pairs
     kappa_m = K_m (x/2)^{2m} / (2m)!  and  jhat_m = J_2m (2m)! (x/2)^{-2m}
     (_bessel_products).  This keeps every intermediate in range for any M
     and concentrates the cancellation in the final sum, which is
-    accumulated in double-double (_bessho_sum).  memo maps
-    (x, rho, |alpha|) to the sum as bessho_block computed it for a group
-    of points; by default it is computed here.
+    accumulated in double-double (_bessho_sum).  The products and the
+    cos(m alpha) factors are read from ladders, a fresh Ladders by default.
     """
-    if memo is None:
-        summed = _bessho_sum(_cos_ladder(pt.alpha_abs),
-                             _bessel_products(pt.x, pt.rho, _jhats(pt.x)))
-    else:
-        summed = memo[_key(pt)]
-    total, peak, abs_sum, last, m, stop = summed
+    if ladders is None:
+        ladders = Ladders()
+    total, peak, abs_sum, last, m, stop = _bessho_sum(
+        ladders.cos_ladder(pt.alpha_abs), ladders.bessel_products(pt.x, pt.rho))
     if stop == "overflow":
         raise AccuracyError("Bessel product terms overflow double range",
                             value=dd.to_float(total), terms_used=m)
@@ -481,29 +481,14 @@ def _struve_series(pt, hscals):
     return total + comp, j + 1, True
 
 
-def _struve_value(pt, memo=None):
-    """(S1, orders summed) at pt, _struve_series's outcome or, where memo is
-    given, memo's (see paris_F); AccuracyError where the sum was refused."""
-    value, terms, refused = (_struve_series(pt, _hscals(pt.x * pt.c)) if memo is None
-                             else memo[_key(pt)])
+def _struve_value(pt, ladders):
+    """(S1, orders summed) at pt, _struve_series's outcome on the Hscal
+    ladder of ladders at x c; AccuracyError where the sum was refused."""
+    value, terms, refused = _struve_series(pt, ladders.hscals(pt.x * pt.c))
     if refused:
         raise AccuracyError(f"Struve sum not converged in {terms} orders",
                             value=value, terms_used=terms)
     return value, terms
-
-
-def struve_block(pts):
-    """{(x, rho, |alpha|): _struve_series's outcome} for the distinct
-    points of pts.
-
-    Each point runs the scalar sum on one _hscals per distinct x c, each
-    reader taking its own itertools.tee copy of it.  So every outcome
-    equals _struve_series's at that point bit for bit, refusals included.
-    """
-    pts = {_key(pt): pt for pt in pts}
-    xcs = {key: (pt.x * pt.c,) for key, pt in pts.items()}
-    ladders = _tees(_hscals, xcs.values())
-    return {key: _struve_series(pt, next(ladders[xcs[key]])) for key, pt in pts.items()}
 
 
 def struve_double_sum(pt: EvalPoint) -> float:
@@ -515,7 +500,7 @@ def struve_double_sum(pt: EvalPoint) -> float:
     midplane sum  sum_r ((1/2)_r / r!) rho^r Hscal_r(x);  I1 equals
     (pi e^-rho / 2) times this value.
     """
-    return _struve_value(pt)[0]
+    return _struve_value(pt, Ladders())[0]
 
 
 # ---------------------------------------------------------------------------
@@ -666,12 +651,12 @@ def _saddle_defect(pt: EvalPoint, sad: float) -> float:
                else amp * SADDLE_DEFECT_SCALE / ms2)
 
 
-def _large_parts(pt: EvalPoint, n: int, memo: Optional[Mapping] = None):
+def _large_parts(pt: EvalPoint, n: int, ladders: Ladders):
     """The two large parts of the expansion, pi e^(-rho/2) S1 and
     pi e^(rho/2) sum_{k<n} M^-k/(2^2k k!) C_k, followed by S1, the
     asymptotic sum, the number of Struve orders and the last asymptotic
-    term.  S1's outcome is read from memo where given (see paris_F)."""
-    s1, terms = _struve_value(pt, memo)
+    term.  S1 reads its Hscal ladder from ladders."""
+    s1, terms = _struve_value(pt, ladders)
     ck = ck_table(n, pt.x, pt.alpha_abs)
     asym = asymptotic_sum(pt, ck)
     return (math.pi * math.exp(-0.5 * pt.rho) * s1,
@@ -680,7 +665,7 @@ def _large_parts(pt: EvalPoint, n: int, memo: Optional[Mapping] = None):
 
 
 def paris_F(pt: EvalPoint, policy: TruncationPolicy = DEFAULT_POLICY, *,
-            memo: Optional[Mapping] = None) -> MethodResult:
+            ladders: Optional[Ladders] = None) -> MethodResult:
     """Three-part large-M evaluation of F:
 
         -pi e^(-rho/2) S1 + pi e^(rho/2) sum_{k<n} M^-k/(2^2k k!) C_k + saddle
@@ -688,15 +673,16 @@ def paris_F(pt: EvalPoint, policy: TruncationPolicy = DEFAULT_POLICY, *,
     with S1 the convergent Struve sum (struve_double_sum); terms_used
     counts its orders.  The stored components
     reproduce the value exactly in double arithmetic.  Soft regime: M >= 4
-    (a warning is issued below).  memo maps (x, rho, |alpha|) to S1's
-    outcome as struve_block computed it for a group of points; by default
-    it is computed here.
+    (a warning is issued below).  S1 reads its Hscal ladder from ladders,
+    a fresh Ladders by default.
     """
     if pt.M < 4.0:
         warnings.warn(f"paris_F called at M = {pt.M:.3g} < 4; accuracy degrades "
                       "as M shrinks", RuntimeWarning, stacklevel=2)
     n = policy.resolve_n(pt)
-    struve_part, asym_part, s1, asym, terms, last = _large_parts(pt, n, memo)
+    if ladders is None:
+        ladders = Ladders()
+    struve_part, asym_part, s1, asym, terms, last = _large_parts(pt, n, ladders)
     sad = saddle_term(pt)
     value = -struve_part + asym_part + sad
     # the rounding error of the three-part sum is absolute: a few ulps of
@@ -720,5 +706,5 @@ def curly_F_residual(pt: EvalPoint, n: int, oracle_abs_tol: float = 1e-12) -> fl
     defect; the reference error table reports its magnitude.
     """
     f_val = oracle_F(pt, abs_tol=oracle_abs_tol).value
-    struve_part, asym_part = _large_parts(pt, n)[:2]
+    struve_part, asym_part = _large_parts(pt, n, Ladders())[:2]
     return f_val + struve_part - asym_part

@@ -58,7 +58,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .errors import AccuracyError, DomainError, RangeOverflowError
-from .specfun import _check_finite, _check_int, kummer_1f1, upper_inc_gamma
+from .specfun import _check_finite, _check_int, _shown, kummer_1f1, upper_inc_gamma
 
 #: Subdivision budget: at most ~1e6 integrand evaluations per integral
 #: (21-point Gauss-Kronrod panels).
@@ -579,10 +579,10 @@ def oracle_I2_tails(pt: EvalPoint, n: int, abs_tol: float) -> list:
     it over that peak, so nothing overflows.
     """
     x, rho, c, s, xi0 = pt.x, pt.rho, pt.c, pt.s, pt.xi0
-    message = f"need an integer n >= 1 and xi0 > 0, got {{!r}} and {xi0}"
+    message = f"need an integer n >= 1 and xi0 > 0, got {{}} and {xi0}"
     n = _check_int(n, 1, None, message)
     if not xi0 > 0:
-        raise DomainError(message.format(n))
+        raise DomainError(message.format(_shown(n)))
     lam = x * c
     k = np.arange(n)
     log_w = k * math.log(rho) - np.array([math.lgamma(j + 1.0) for j in range(n)])
@@ -623,7 +623,7 @@ def oracle_I2_tails(pt: EvalPoint, n: int, abs_tol: float) -> list:
 #: Largest coefficient index of the quadrature table.
 CK_INDEX_MAX = 30
 
-_CK_K_MESSAGE = f"k must be an integer in [0, {CK_INDEX_MAX}], got {{!r}}"
+_CK_K_MESSAGE = f"k must be an integer in [0, {CK_INDEX_MAX}], got {{}}"
 
 #: Panel budget of one C_k table (21 nodes per panel).
 MAX_CK_PANELS = 1000

@@ -59,25 +59,34 @@ class SpecFunResult:
     terms_used: int
 
 
+def _shown(n):
+    """repr(n), or for an int too long to print (past about 4300 digits)
+    its bit length."""
+    try:
+        return repr(n)
+    except ValueError:
+        return f"an integer of {n.bit_length()} bits"
+
+
 def _check_int(n, lo, hi, message):
     """n as an int: an integral number (numpy integers included) from lo
     to hi, or from lo up where hi is None.  Otherwise DomainError with
-    message.format(n), so a "{!r}" in message shows n."""
+    message.format(_shown(n)), so a "{}" in message shows n."""
     if type(n) is not int:
         if not isinstance(n, numbers.Integral):
-            raise DomainError(message.format(n))
+            raise DomainError(message.format(_shown(n)))
         n = int(n)
     if n < lo or (hi is not None and n > hi):
-        raise DomainError(message.format(n))
+        raise DomainError(message.format(_shown(n)))
     return n
 
 
 def _check_order(order, cap):
     """order as an int: an integral number (numpy integers included)
     from 0 to cap; OrderOverflowError above cap."""
-    order = _check_int(order, 0, None, "order must be a nonnegative integer, got {!r}")
+    order = _check_int(order, 0, None, "order must be a nonnegative integer, got {}")
     if order > cap:
-        raise OrderOverflowError(f"order {order} exceeds cap {cap}")
+        raise OrderOverflowError(f"order exceeds cap {cap}, got {_shown(order)}")
     return order
 
 

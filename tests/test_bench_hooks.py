@@ -8,6 +8,7 @@ each of them."""
 
 import importlib.util
 import math
+import os
 import pathlib
 import types
 
@@ -49,3 +50,26 @@ def test_tracer_records_every_layer():
     # uninstall put every original back
     assert expansions.dd is ddouble and specfun.dd is ddouble
     assert not hasattr(expansions.paris_F, "__wrapped__")
+
+
+def test_tracer_records_field_and_its_routes():
+    # a field grid with both routes: cmd_field, found through main's
+    # parser however early that was built, and each point's route under it
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    kw = types.SimpleNamespace(cli=kelvinwake.cli, expansions=expansions, oracle=oracle,
+                               bounds=bounds, specfun=specfun, ddouble=ddouble)
+    argv = ["field", "--x-range", "0.4:1.6:2", "--rho-range", "0.01:0.05:2",
+            "--alpha-pi-range=-0.25:0.25:2", "--format", "csv", "--out", os.devnull]
+    kelvinwake.cli._parser()
+    tracing.install(tracer, kw)
+    try:
+        assert kelvinwake.cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    names = [name for name, *_ in tracer.spans]
+    field = names.index("cli.field")
+    routes = [(name, parent) for name, _, _, parent, _ in tracer.spans
+              if name in ("expansions.paris_F", "expansions.bessho_F")]
+    assert {name for name, _ in routes} == {"expansions.paris_F", "expansions.bessho_F"}
+    assert all(parent == field for _, parent in routes)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from kelvinwake import oracle
+from kelvinwake import oracle, specfun
 from kelvinwake.bounds import (
     remainder_bound,
     tail_bound,
@@ -14,7 +14,7 @@ from kelvinwake.bounds import (
     verify_inc_gamma_bound,
     verify_remainder,
 )
-from kelvinwake.errors import DomainError
+from kelvinwake.errors import DomainError, OrderOverflowError
 from kelvinwake.expansions import (
     CK_MAX,
     TruncationPolicy,
@@ -206,3 +206,15 @@ def test_integer_checks_take_numpy_integers(name):
         with pytest.raises(DomainError):
             call(m)
     assert type(TruncationPolicy(n=np.int64(n)).n) is int
+
+
+@pytest.mark.parametrize("call,error", [
+    (lambda: specfun.bessel_j(10 ** 5000, 1.0), OrderOverflowError),
+    (lambda: oracle.oracle_Ck(10 ** 5000, 1.0, 0.2), DomainError),
+    (lambda: remainder_bound(-10 ** 5000, 8.0), DomainError),
+], ids=["bessel_j", "oracle_Ck", "remainder_bound"])
+def test_integers_too_long_to_print_are_refused(call, error):
+    # past about 4300 digits an int has no repr; the refusal names it by
+    # its bit length
+    with pytest.raises(error, match="an integer of 16610 bits"):
+        call()

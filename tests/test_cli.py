@@ -313,24 +313,29 @@ def test_field_thread_count_is_capped(capsys):
                                           (12, [[0.4, 1.6], [2.8]]),
                                           (5, [[0.4], [1.6], [2.8]])])
 def test_field_groups_of_columns(capsys, monkeypatch, chunk, groups):
-    # one struve_block and one bessho_block per group of columns of at most
-    # FIELD_GROUP_POINTS (rho, |alpha|) points, over exactly that group's
-    # points of each route, so the memo grows with a group, not with the grid
+    # one Ladders per group of columns of at most FIELD_GROUP_POINTS
+    # (rho, |alpha|) points, read by exactly that group's points of each
+    # route, so the ladders grow with a group, not with the grid
     import kelvinwake.cli as cli
 
-    calls = []
+    made, calls = [], []
 
-    def recording(name):
-        block = getattr(cli.expansions, name)
+    class Recording(cli.expansions.Ladders):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
 
-        def wrapper(pts):
-            pts = list(pts)
-            calls.append((name, sorted({pt.x for pt in pts})))
-            return block(pts)
+    def recording(name, route):
+        f = getattr(cli.expansions, name)
+
+        def wrapper(pt, *args, ladders, **kwargs):
+            calls.append((ladders, route, pt.x))
+            return f(pt, *args, ladders=ladders, **kwargs)
         return wrapper
 
-    for name in ("struve_block", "bessho_block"):
-        monkeypatch.setattr(cli.expansions, name, recording(name))
+    monkeypatch.setattr(cli.expansions, "Ladders", Recording)
+    for name, route in (("paris_F", "paris"), ("bessho_F", "bessho")):
+        monkeypatch.setattr(cli.expansions, name, recording(name, route))
     monkeypatch.setattr(cli, "FIELD_GROUP_POINTS", chunk)
     code, out, _ = run(capsys, "field", "--x-range", "0.4:2.8:3",
                        "--rho-range", "0.001:0.05:2",
@@ -338,13 +343,13 @@ def test_field_groups_of_columns(capsys, monkeypatch, chunk, groups):
                        "--threads", "2")
     assert code == 0
     rows = json.loads(out)["rows"]
-    want = []
-    for group in groups:
-        for name, method in (("struve_block", "paris"), ("bessho_block", "bessho")):
-            want.append((name, sorted({r["x"] for r in rows
-                                       if r["x"] in group and r["method"] == method})))
-    assert calls == want
-    assert all(xs for name, xs in calls if name == "struve_block")
+    assert len(made) == len(groups)
+    got = [sorted({(route, x) for owner, route, x in calls if owner is ladders})
+           for ladders in made]
+    want = [sorted({(r["method"], r["x"]) for r in rows if r["x"] in group})
+            for group in groups]
+    assert got == want
+    assert all(any(route == "paris" for route, _ in g) for g in got)
 
 
 @pytest.mark.parametrize("chunk,threads", [(4096, "1"), (12, "2"), (5, "2")])
@@ -429,7 +434,7 @@ def test_grid_size_is_capped(capsys, monkeypatch, argv):
 
     for attr in ("_grid", "_method_record"):
         monkeypatch.setattr(cli, attr, no_work)
-    for attr in ("struve_block", "bessho_block", "ck_table"):
+    for attr in ("Ladders", "ck_table"):
         monkeypatch.setattr(cli.expansions, attr, no_work)
     code, _, err = run(capsys, *argv)
     assert code == 2

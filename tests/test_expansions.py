@@ -116,27 +116,38 @@ def _outcome(f, pt, **kwargs):
             r.components)
 
 
-def _group_memo(pts):
-    """The memo `field` builds for a group: each point's sum from the
-    block (struve_block or bessho_block) of the route field_route gives
-    it."""
-    return {**expansions.struve_block(p for p in pts if field_route(p) == "paris"),
-            **expansions.bessho_block(p for p in pts if field_route(p) == "bessho")}
-
-
 def _check_group(pts, routes=("bessho", "paris")):
-    """Every point's outcome with its group's memo equals a fresh call's
-    bit for bit; returns the outcomes."""
-    memo = _group_memo(pts)
+    """Every point's outcome by the route field_route gives it, on one
+    Ladders for the group as `field` makes, equals a fresh call's bit for
+    bit; returns the outcomes."""
+    ladders = expansions.Ladders()
     got = []
     for pt in pts:
         if field_route(pt) not in routes:
             continue
         f = paris_F if field_route(pt) == "paris" else bessho_F
-        o = _outcome(f, pt, memo=memo)
+        o = _outcome(f, pt, ladders=ladders)
         assert o == _outcome(f, pt), pt
         got.append(o)
     return got
+
+
+def _count_calls(monkeypatch, names):
+    """{name: the first two arguments of each call} for the ladder makers
+    of expansions named, counted from now on."""
+    calls = {name: [] for name in names}
+
+    def counted(name):
+        make = getattr(expansions, name)
+
+        def wrapper(*args):
+            calls[name].append(args[:2])
+            return make(*args)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(expansions, name, counted(name))
+    return calls
 
 
 def _rising(a, n):
@@ -246,15 +257,16 @@ class TestBesshoFactors:
         pt = EvalPoint(x, x * x / (4.0 * M), alpha)
         assert bessho_F(pt).terms_used == m_last + 1
         pts = [pt, EvalPoint(x, pt.rho, 0.1 * math.pi), EvalPoint(1.0, 0.02, alpha)]
-        memo = expansions.bessho_block(pts)
-        for p in pts:
-            assert _outcome(bessho_F, p, memo=memo) == _outcome(bessho_F, p)
+        # twice over: the second pass reads ladders the first formed
+        ladders = expansions.Ladders()
+        for p in pts + pts:
+            assert _outcome(bessho_F, p, ladders=ladders) == _outcome(bessho_F, p)
 
 
 class TestKernelMemo:
-    """The convergent sums of a `field` group, run on parts shared across
-    the group, as the plain (x, rho, |alpha|) mapping that paris_F and
-    bessho_F take as memo, against fresh calls."""
+    """The convergent sums of a `field` group, run by paris_F and bessho_F
+    on the ladders of one Ladders shared across the group, against fresh
+    calls."""
 
     ALPHAS = [f * math.pi for f in (0.0, 0.1, -0.1, 0.25, 0.37, 0.5, -0.5, 0.03)]
 
@@ -268,9 +280,9 @@ class TestKernelMemo:
     ])
     def test_shared_bessho_ladder_equals_fresh_calls(self, x, rho):
         pts = [EvalPoint(x, rho, a) for a in self.ALPHAS]
-        memo = expansions.bessho_block(pts)
+        ladders = expansions.Ladders()
         for pt in pts:
-            assert _outcome(bessho_F, pt, memo=memo) == _outcome(bessho_F, pt)
+            assert _outcome(bessho_F, pt, ladders=ladders) == _outcome(bessho_F, pt)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.25 * math.pi, -0.5 * math.pi,
                                        0.5 * math.pi + 4e-16])
@@ -296,8 +308,8 @@ class TestKernelMemo:
     def test_refusals_come_out_with_a_shared_ladder(self):
         pts = [EvalPoint(x, rho, a) for x, rho in [(1.0, 0.0078), (3.0, 0.0005)]
                for a in self.ALPHAS]
-        memo = expansions.bessho_block(pts)
-        outcomes = [_outcome(bessho_F, pt, memo=memo) for pt in pts]
+        ladders = expansions.Ladders()
+        outcomes = [_outcome(bessho_F, pt, ladders=ladders) for pt in pts]
         assert outcomes == [_outcome(bessho_F, pt) for pt in pts]
         assert any("cancellation" in o[-1] for o in outcomes[:8])
         assert all("overflow" in o[-1] for o in outcomes[8:])
@@ -306,26 +318,16 @@ class TestKernelMemo:
         # one jhat ladder per distinct x, one product ladder per distinct
         # (x, rho) and one cos ladder per distinct |alpha| serve a whole
         # group: +-alpha interleaved, several pairs, a cancellation refusal
-        # (x = 1, M = 32) and an overflow (x = 3, M = 4500)
-        calls = {"_jhats": [], "_bessel_products": [], "_cos_ladder": []}
-
-        def counted(name):
-            make = getattr(expansions, name)
-
-            def wrapper(*args):
-                calls[name].append(args[:2])
-                return make(*args)
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(expansions, name, counted(name))
+        # (x = 1, M = 32) and an overflow (x = 3, M = 4500).  The ladders
+        # are formed as the points read them, so they are counted after
+        calls = _count_calls(monkeypatch, ["_jhats", "_bessel_products", "_cos_ladder"])
         pairs = [(0.4, 0.01), (1.0, 0.0078), (0.3, 0.9), (3.0, 0.0005), (0.4, 0.05)]
         pts = [EvalPoint(x, rho, a) for a in self.ALPHAS for x, rho in pairs]
-        memo = expansions.bessho_block(pts)
+        ladders = expansions.Ladders()
+        outcomes = [_outcome(bessho_F, pt, ladders=ladders) for pt in pts]
         assert sorted(calls["_jhats"]) == sorted({(x,) for x, _ in pairs})
         assert sorted(calls["_bessel_products"]) == sorted(pairs)
         assert sorted(calls["_cos_ladder"]) == sorted({(abs(a),) for a in self.ALPHAS})
-        outcomes = [_outcome(bessho_F, pt, memo=memo) for pt in pts]
         assert outcomes == [_outcome(bessho_F, pt) for pt in pts]
         refusals = [o[-1] for o in outcomes if o[0] == "raised"]
         assert any("cancellation" in r for r in refusals)
@@ -346,24 +348,31 @@ class TestKernelMemo:
     def test_struve_ladder_formed_once_per_distinct_xc(self, monkeypatch):
         # one Hscal ladder per distinct x c serves a whole group: +-alpha
         # interleaved, two rho a column, and a sum refused past MAX_TERMS
-        calls = []
         make = expansions._hscals
-
-        def counted(xc):
-            calls.append(xc)
-            return make(xc)
-
-        monkeypatch.setattr(expansions, "_hscals", counted)
+        calls = _count_calls(monkeypatch, ["_hscals"])["_hscals"]
         monkeypatch.setattr(expansions, "MAX_TERMS", 12)
         pts = [EvalPoint(x, rho, a) for a in self.ALPHAS for x in (1.5, 2.75)
                for rho in (0.01, 0.03)]
-        memo = expansions.struve_block(pts)
-        assert sorted(calls) == sorted({p.x * p.c for p in pts})
-        outcomes = [_outcome(paris_F, pt, memo=memo) for pt in pts]
+        ladders = expansions.Ladders()
+        outcomes = [_outcome(paris_F, pt, ladders=ladders) for pt in pts]
+        assert sorted(calls) == sorted({(p.x * p.c,) for p in pts})
         assert outcomes == [_outcome(paris_F, pt) for pt in pts]
-        assert set(memo.values()) == {
-            expansions._struve_series(pt, make(pt.x * pt.c)) for pt in pts}
+        assert ([expansions._struve_series(pt, ladders.hscals(pt.x * pt.c)) for pt in pts]
+                == [expansions._struve_series(pt, make(pt.x * pt.c)) for pt in pts])
         assert {o[0] for o in outcomes} == {"ok", "raised"}
+
+    @pytest.mark.parametrize("x,route", [(0.4, "bessho"), (2.75, "paris")])
+    def test_a_group_forms_only_its_routes_ladders(self, monkeypatch, x, route):
+        # a bessho-only group forms no Hscal ladder, a paris-only group no
+        # J_2m, product or cos ladder
+        calls = _count_calls(monkeypatch,
+                             ["_hscals", "_jhats", "_bessel_products", "_cos_ladder"])
+        pts = [EvalPoint(x, rho, a) for rho in (0.01, 0.05) for a in self.ALPHAS]
+        assert {field_route(p) for p in pts} == {route}
+        _check_group(pts)
+        assert {name for name, made in calls.items() if made} == (
+            {"_hscals"} if route == "paris"
+            else {"_jhats", "_bessel_products", "_cos_ladder"})
 
     @pytest.mark.parametrize("order", [0, 3, 9])
     def test_struve_orders_past_the_first_window(self, monkeypatch, order):
@@ -383,21 +392,16 @@ class TestKernelMemo:
         _check_group(pts)
 
     def test_passes_in_chunks_give_the_same_sums(self):
-        # the memo of a group, and the merged memos of its x columns taken
-        # as groups of their own, as `field` takes a grid in groups
+        # one Ladders over a group, and one per x column taken as a group
+        # of its own, as `field` takes a grid in groups
         pts = [EvalPoint(x, rho, a) for x in (0.4, 1.0, 2.0)
                for rho in (0.005, 0.05) for a in self.ALPHAS]
-        whole = _group_memo(pts)
-        parts = {}
+        whole = _check_group(pts)
+        parts = []
         for x in (0.4, 1.0, 2.0):
-            parts.update(_group_memo([p for p in pts if p.x == x]))
+            parts += _check_group([p for p in pts if p.x == x])
         assert parts == whole
-        # the two blocks' key sets never overlap, and together cover pts
-        paris = expansions.struve_block(p for p in pts if field_route(p) == "paris")
-        bessho = expansions.bessho_block(p for p in pts if field_route(p) == "bessho")
-        assert len(paris) + len(bessho) == len(whole)
-        assert set(whole) == {(p.x, p.rho, p.alpha_abs) for p in pts}
-        assert expansions.struve_block([]) == {} == expansions.bessho_block([])
+        assert len(whole) == len(pts)
 
 
 class TestUrsell:
@@ -547,13 +551,18 @@ class TestStruveSums:
 
     def test_refused_where_the_sum_leaves_double_range(self):
         # at rho = 150 the terms grow past the double range before they
-        # fall; struve_block refuses it at the same order
+        # fall; a shared Ladders, read a second time, refuses it at the
+        # same order
         pt = EvalPoint(3.0, 150.0, 0.0)
         with pytest.raises(AccuracyError, match="not converged") as exc:
             struve_double_sum(pt)
         assert exc.value.terms_used < expansions.MAX_TERMS
-        block = expansions.struve_block([pt])[pt.x, pt.rho, pt.alpha_abs]
-        assert repr(block) == repr(expansions._struve_series(pt, expansions._hscals(3.0)))
+        ladders = expansions.Ladders()
+        for _ in range(2):
+            with pytest.raises(AccuracyError, match="not converged") as shared:
+                expansions._struve_value(pt, ladders)
+            assert ((repr(shared.value.value), shared.value.terms_used)
+                    == (repr(exc.value.value), exc.value.terms_used))
 
     @settings(max_examples=25, derandomize=True, database=None, deadline=None)
     @given(x=st.floats(1e-6, 3.0), rho_exp=st.floats(-30.0, 0.0),
