@@ -23,7 +23,7 @@ Three methods are provided, all sharing the EvalPoint geometry:
                at a time by the downward Struve recurrence from two series
                seeds (specfun._hscal_window).
 
-The C_k coefficient tables (lookups into the quadrature oracle's cached
+The C_k coefficient tables (one read of the quadrature oracle's cached
 table at every alpha; the exact alpha = 0 recurrence is kept as a
 reference) and the residual that the error table reports live here too.
 
@@ -46,7 +46,7 @@ from typing import Optional
 
 from . import ddouble as dd
 from .errors import AccuracyError, DomainError, RegimeError
-from .oracle import EvalPoint, oracle_Ck, oracle_F
+from .oracle import EvalPoint, _ck_values, oracle_Ck, oracle_F
 from .specfun import (ORDER_CAP, _check_int, _hscal_window, _k01_dd, _log_rounding,
                       _series_dd, _y01_dd, struve_k_scaled)
 
@@ -561,13 +561,16 @@ def ck_recurrence(n: int, x: float) -> CoefficientTable:
 def ck_table(n: int, x: float, alpha: float) -> CoefficientTable:
     """C_0 .. C_{n-1} at (x, alpha), alpha in [0, pi/2].
 
-    Lookups into oracle_Ck's cached table of C_0 .. C_30 at (x, alpha),
+    One read of oracle_Ck's cached table of C_0 .. C_30 at (x, alpha),
     which is computed whole on its first use, so the values do not depend
-    on n.
+    on n: oracle_Ck(0, x, alpha) validates (x, alpha) and builds the table,
+    and the row comes from it at once.  Raises oracle_Ck(k)'s AccuracyError
+    for the first k < n whose quadrature stalled.
     """
     n = _check_int(n, 1, CK_MAX, _CK_N_MESSAGE)
-    values = tuple(oracle_Ck(k, float(x), float(alpha)).value for k in range(n))
-    return CoefficientTable(alpha=float(alpha), x=float(x), values=values)
+    x, alpha = float(x), float(alpha)
+    oracle_Ck(0, x, alpha)
+    return CoefficientTable(alpha=alpha, x=x, values=_ck_values(n, x, alpha))
 
 
 def _asymptotic_terms(pt: EvalPoint, ck: CoefficientTable):

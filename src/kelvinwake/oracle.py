@@ -44,8 +44,9 @@ integrals are a module constant, computed once at import by the same
 expression, so a table's first pass forms only its panels below 4, about
 log2(4 / (x c)) + 1 of them.  The constant is no result cache: it does
 not depend on x or alpha.
-The table is cached under (x, alpha); oracle_Ck looks single
-coefficients up in it, and oracle_Ck.cache_clear() empties it.
+The table is cached under (x, alpha) as one record of floats; oracle_Ck
+builds the QuadResult of a single coefficient from it, _ck_values reads a
+whole row C_0 .. C_{n-1} at once, and oracle_Ck.cache_clear() empties it.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -576,11 +578,13 @@ def oracle_I2_tails(pt: EvalPoint, n: int, abs_tol: float) -> list:
     for n < M u0^2, where the envelope tails grow with k.  Each T_k is
     measured to the smaller of abs_tol and 1e-12 of its envelope, (U - xi0)
     times the peak of its weight, or to 5e-14 relative; the quadrature sees
-    it over that peak, so nothing overflows.
+    it over that peak, so nothing overflows.  n is at most
+    CK_INDEX_MAX + 1, the length of the C_k table the tails complete.
     """
     x, rho, c, s, xi0 = pt.x, pt.rho, pt.c, pt.s, pt.xi0
-    message = f"need an integer n >= 1 and xi0 > 0, got {{}} and {xi0}"
-    n = _check_int(n, 1, None, message)
+    message = (f"need an integer n in [1, {CK_INDEX_MAX + 1}] and xi0 > 0, "
+               f"got {{}} and {xi0}")
+    n = _check_int(n, 1, CK_INDEX_MAX + 1, message)
     if not xi0 > 0:
         raise DomainError(message.format(_shown(n)))
     lam = x * c
@@ -709,10 +713,21 @@ def _ck_rule(x, c, s):
     return rule
 
 
+class _CkRow(NamedTuple):
+    """One cached C_k table: C_0 .. C_30 and their error estimates as
+    floats, the k whose quadrature stalled (ascending, usually none), the
+    integrand evaluations of the whole table and the cut in xi."""
+
+    values: tuple
+    estimates: tuple
+    stalled: tuple
+    evaluations: int
+    cut: float
+
+
 @lru_cache(maxsize=2048)
-def _ck_table(x: float, alpha: float) -> tuple:
-    """C_0 .. C_30 at (x, alpha): one QuadResult per k, or for a k whose
-    quadrature stalled a callable making the exception to raise."""
+def _ck_table(x: float, alpha: float) -> _CkRow:
+    """C_0 .. C_30 at (x, alpha) as a _CkRow."""
     c = math.cos(0.5 * alpha)
     s = math.sin(0.5 * alpha)
     # all 31 moments on one adaptive mesh; the k-th has the absolute
@@ -730,16 +745,30 @@ def _ck_table(x: float, alpha: float) -> tuple:
     # C_k = (2/pi) x^2k / (x c)^(2k+1) * moment; x^2k / (x c)^(2k+1) is
     # formed as c^-2k / (x c), which stays finite however small x is
     scale = (2.0 / math.pi) * (c ** -_CK_POWERS / (x * c))
-    values = (scale * moments).tolist()
-    estimates = (scale * (errors + noise + _CK_TAIL)).tolist()
     # as in _integrate: where rounding stops refinement, up to 20 times the
     # tolerance is accepted
-    stalled = (errors > 20.0 * tol).tolist()
-    return tuple(
-        partial(AccuracyError, f"C_{k}({x}, {alpha}): quadrature stalled",
-                value=values[k], error_estimate=estimates[k]) if stalled[k]
-        else QuadResult(values[k], estimates[k], nodes, _CK_CUT / (x * c))
-        for k in range(CK_INDEX_MAX + 1))
+    stalled = tuple(np.flatnonzero(errors > 20.0 * tol).tolist())
+    return _CkRow(tuple((scale * moments).tolist()),
+                  tuple((scale * (errors + noise + _CK_TAIL)).tolist()),
+                  stalled, nodes, _CK_CUT / (x * c))
+
+
+def _ck_stalled(row: _CkRow, k: int, x: float, alpha: float) -> AccuracyError:
+    """The AccuracyError of the stalled C_k, carrying its value and estimate."""
+    return AccuracyError(f"C_{k}({x}, {alpha}): quadrature stalled",
+                         value=row.values[k], error_estimate=row.estimates[k])
+
+
+def _ck_values(n: int, x: float, alpha: float) -> tuple:
+    """C_0 .. C_{n-1} at (x, alpha), n in [1, CK_INDEX_MAX + 1], read from
+    the cached table in one lookup; raises the AccuracyError oracle_Ck(k)
+    raises for the first stalled k < n.  Checks nothing: a caller first
+    calls oracle_Ck(0, x, alpha), which validates (x, alpha) and builds the
+    table, and passes x and alpha as floats."""
+    row = _ck_table(x, alpha)
+    if row.stalled and row.stalled[0] < n:
+        raise _ck_stalled(row, row.stalled[0], x, alpha)
+    return row.values[:n]
 
 
 def oracle_Ck(k: int, x: float, alpha: float) -> QuadResult:
@@ -747,8 +776,10 @@ def oracle_Ck(k: int, x: float, alpha: float) -> QuadResult:
 
     The whole table C_0 .. C_30 for (x, alpha) is computed at once, to
     CK_REL_TOL, by one adaptive Gauss-Kronrod run shared by every k, and
-    cached under that key; every k is a lookup into it, so a value never
-    depends on which k was asked for first.  Each k keeps its own
+    cached under that key as floats; the QuadResult of k is built from it
+    on each call, so a value never depends on which k was asked for first.
+    Readers of a whole row (ck_table, verify_remainder) call this once, for
+    k = 0, and take the row from _ck_values.  Each k keeps its own
     tolerance and error estimate: QUADPACK's, the rounding bound of the
     integrand (see _ck_rule) and the envelope tail beyond the cut.  Raises
     AccuracyError, carrying the value and its estimate, for a k whose
@@ -762,10 +793,11 @@ def oracle_Ck(k: int, x: float, alpha: float) -> QuadResult:
         raise DomainError(f"alpha must lie in [0, pi/2], got {alpha}")
     if not (x > 0 and math.isfinite(x)):
         raise DomainError(f"x must be positive and finite, got {x}")
-    entry = _ck_table(float(x), float(alpha))[k]
-    if not isinstance(entry, QuadResult):
-        raise entry()
-    return entry
+    x, alpha = float(x), float(alpha)
+    row = _ck_table(x, alpha)
+    if k in row.stalled:
+        raise _ck_stalled(row, k, x, alpha)
+    return QuadResult(row.values[k], row.estimates[k], row.evaluations, row.cut)
 
 
 oracle_Ck.cache_info = _ck_table.cache_info

@@ -41,11 +41,17 @@ def test_tracer_records_every_layer():
         bounds.verify_remainder(EvalPoint(0.4, 0.005, 0.0), 1)
     finally:
         tracer.uninstall()
-    spans = {name for name, *_ in tracer.spans}
+    names = [name for name, *_ in tracer.spans]
+    spans = set(names)
     assert {"expansions.paris_F", "expansions.ck_table", "oracle.oracle_Ck",
             "expansions.asymptotic_sum", "expansions.saddle_term",
             "expansions.bessho_F", "oracle.oracle_F", "oracle.oracle_I2",
             "bounds.verify_remainder"} <= spans
+    # verify_remainder reads its C_k through bounds.oracle_Ck, so certify's
+    # oracle.oracle_Ck metrics count it
+    verify = names.index("bounds.verify_remainder")
+    assert any(name == "oracle.oracle_Ck" and parent == verify
+               for name, _, _, parent, _ in tracer.spans)
     assert tracer.dd_ops > 0
     # uninstall put every original back
     assert expansions.dd is ddouble and specfun.dd is ddouble

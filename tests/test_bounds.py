@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from kelvinwake import oracle, specfun
+from kelvinwake import bounds, oracle, specfun
 from kelvinwake.bounds import (
     remainder_bound,
     tail_bound,
@@ -14,7 +14,7 @@ from kelvinwake.bounds import (
     verify_inc_gamma_bound,
     verify_remainder,
 )
-from kelvinwake.errors import DomainError, OrderOverflowError
+from kelvinwake.errors import AccuracyError, DomainError, OrderOverflowError
 from kelvinwake.expansions import (
     CK_MAX,
     TruncationPolicy,
@@ -50,6 +50,17 @@ class TestRemainderBound:
     @pytest.mark.parametrize("n", [1, 3, 7])
     def test_decreasing_in_M(self, n):
         assert remainder_bound(n, 12.5) < remainder_bound(n, 8.0)
+
+    @pytest.mark.parametrize("n,M", [
+        (10 ** 6, 8.0), (2 ** 60, 8.0), (10 ** 400, 8.0), (10 ** 400, 1.7e308)],
+        ids=["1e6", "2^60", "1e400", "1e400-largest-M"])
+    def test_inf_past_the_double_range(self, n, M):
+        # the log of the bound passes 709.78; n past 2^53 takes Stirling's
+        # form, and n past the double range is never made a float
+        assert remainder_bound(n, M) == math.inf
+
+    def test_underflows_to_zero_at_large_n(self):
+        assert remainder_bound(2 ** 60, 1e300) == 0.0
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -91,6 +102,18 @@ class TestTailBound:
             assert finite == 5e-324
             assert simple == max(2.0 * math.exp(-pt.M), 5e-324)
             assert tail_bound(n, pt) == 5e-324
+
+    def test_inf_past_the_double_range(self, pt_m8):
+        # M u0^2 = 8: the geometric sum passes the double range
+        assert tail_bound_components(10 ** 400, pt_m8) == (math.inf, math.inf)
+        assert tail_bound(10 ** 400, pt_m8) == math.inf
+
+    def test_geometric_sum_converges_at_large_n(self):
+        # M u0^2 = 0.2: sum_k q^k tends to 1 / (1 - q) however large n is
+        pt = EvalPoint(0.4, 0.2, 0.0)
+        want = 2.0 * math.exp(-2.0 * pt.M * pt.u0 * pt.c) / (1.0 - pt.M * pt.u0 ** 2)
+        for n in (10 ** 6, 10 ** 400):
+            assert tail_bound(n, pt) == pytest.approx(want, rel=1e-14)
 
 
 class TestVerifyRemainder:
@@ -143,6 +166,42 @@ class TestVerifyRemainder:
         with pytest.raises(DomainError):
             verify_remainder(pt_m8, 0)
 
+    def test_n_past_the_table_is_refused_before_any_work(self, monkeypatch, pt_m8):
+        # the C_k table holds C_0 .. C_30: n = 32 is refused before the
+        # bounds or any quadrature run
+        def never(*args):
+            raise AssertionError("ran before the check")
+
+        for name in ("remainder_bound", "oracle_I2", "oracle_Ck"):
+            monkeypatch.setattr(bounds, name, never)
+        with pytest.raises(DomainError, match=r"\[1, 31\], got 32"):
+            verify_remainder(pt_m8, oracle.CK_INDEX_MAX + 2)
+
+    def test_reads_its_coefficients_in_one_call(self, monkeypatch):
+        calls = []
+        read = bounds.oracle_Ck
+
+        def counted(*args):
+            calls.append(args)
+            return read(*args)
+
+        monkeypatch.setattr(bounds, "oracle_Ck", counted)
+        pt = EvalPoint(1.0, 1 / 32, 0.2 * math.pi)
+        verify_remainder(pt, 8)
+        assert calls == [(0, pt.x, pt.alpha_abs)]
+
+    def test_raises_the_first_failing_coefficient(self, ck_stalled_from_c4):
+        # C_0 .. C_3 read, C_4 stalled: the error oracle_Ck(4) raises
+        pt = EvalPoint(1.1, 1.1 ** 2 / 32.0, 0.5)
+        verify_remainder(pt, 4)
+        with pytest.raises(AccuracyError, match="C_4.*quadrature stalled") as exc:
+            verify_remainder(pt, 9)
+        with pytest.raises(AccuracyError) as want:
+            oracle.oracle_Ck(4, pt.x, pt.alpha_abs)
+        assert str(exc.value) == str(want.value)
+        assert exc.value.value == want.value.value
+        assert exc.value.error_estimate == want.value.error_estimate
+
 
 class TestIncGammaBound:
     def test_known_ratio_at_1_1(self):
@@ -184,12 +243,14 @@ _INTEGER_CHECKS = {
     "ck_table": (lambda n: ck_table(n, 1.0, 0.2), 3, [0, CK_MAX + 1]),
     "oracle_Ck": (lambda k: oracle.oracle_Ck(k, 1.0, 0.2).value, 3,
                   [-1, oracle.CK_INDEX_MAX + 1]),
-    "oracle_I2_tails": (lambda n: oracle.oracle_I2_tails(_PT, n, 1e-12), 2, [0]),
+    "oracle_I2_tails": (lambda n: oracle.oracle_I2_tails(_PT, n, 1e-12), 2,
+                        [0, oracle.CK_INDEX_MAX + 2]),
     "oracle_moment_identity": (lambda k: oracle.oracle_moment_identity(k, 1.5, 2.0, 0.7),
                                2, [-1, 21]),
     "remainder_bound": (lambda n: remainder_bound(n, 8.0), 3, [0]),
     "tail_bound_components": (lambda n: tail_bound_components(n, _PT), 3, [0]),
-    "verify_remainder": (lambda n: verify_remainder(_PT, n), 1, [0]),
+    "verify_remainder": (lambda n: verify_remainder(_PT, n), 1,
+                         [0, oracle.CK_INDEX_MAX + 2]),
 }
 
 
@@ -212,7 +273,9 @@ def test_integer_checks_take_numpy_integers(name):
     (lambda: specfun.bessel_j(10 ** 5000, 1.0), OrderOverflowError),
     (lambda: oracle.oracle_Ck(10 ** 5000, 1.0, 0.2), DomainError),
     (lambda: remainder_bound(-10 ** 5000, 8.0), DomainError),
-], ids=["bessel_j", "oracle_Ck", "remainder_bound"])
+    (lambda: oracle.oracle_I2_tails(_PT, 10 ** 5000, 1e-12), DomainError),
+    (lambda: verify_remainder(_PT, 10 ** 5000), DomainError),
+], ids=["bessel_j", "oracle_Ck", "remainder_bound", "oracle_I2_tails", "verify_remainder"])
 def test_integers_too_long_to_print_are_refused(call, error):
     # past about 4300 digits an int has no repr; the refusal names it by
     # its bit length

@@ -688,28 +688,24 @@ class TestCoefficients:
         with pytest.raises(DomainError, match="x must be"):
             ck_table(3, -1.0, 0.1)
 
-    def test_table_raises_the_first_failing_coefficient(self, monkeypatch):
-        from kelvinwake import oracle
+    @pytest.mark.parametrize("x,alpha", [(0.05, 0.0), (1.1, 0.5), (2.7, 0.5 * math.pi)])
+    def test_table_is_the_coefficients_bit_for_bit(self, x, alpha):
+        # the one read of the cached row gives every n what oracle_Ck gives
+        # each k
+        want = tuple(oracle_Ck(k, x, alpha).value for k in range(CK_MAX))
+        for n in range(1, CK_MAX + 1):
+            assert ck_table(n, x, alpha).values == want[:n]
 
-        gk21 = oracle._ck_gk21
-
-        def stalling(*args):
-            value, err, floor = gk21(*args)
-            floor[4:] *= 1e6     # C_4 and above stall: no bisection lowers it
-            return value, err, floor
-
-        monkeypatch.setattr(oracle, "_ck_gk21", stalling)
-        oracle_Ck.cache_clear()
-        try:
-            got = ck_table(4, 1.1, 0.5).values
-            assert got == tuple(oracle_Ck(k, 1.1, 0.5).value for k in range(4))
-            with pytest.raises(AccuracyError, match="C_4.*quadrature stalled") as exc:
-                ck_table(9, 1.1, 0.5)
-            with pytest.raises(AccuracyError) as want:
-                oracle_Ck(4, 1.1, 0.5)
-            assert str(exc.value) == str(want.value)
-        finally:
-            oracle_Ck.cache_clear()
+    def test_table_raises_the_first_failing_coefficient(self, ck_stalled_from_c4):
+        got = ck_table(4, 1.1, 0.5).values
+        assert got == tuple(oracle_Ck(k, 1.1, 0.5).value for k in range(4))
+        with pytest.raises(AccuracyError, match="C_4.*quadrature stalled") as exc:
+            ck_table(9, 1.1, 0.5)
+        with pytest.raises(AccuracyError) as want:
+            oracle_Ck(4, 1.1, 0.5)
+        assert str(exc.value) == str(want.value)
+        assert exc.value.value == want.value.value
+        assert exc.value.error_estimate == want.value.error_estimate
 
 
 class TestAsymptoticSum:
@@ -779,6 +775,21 @@ class TestParis:
     def test_low_m_warns(self):
         with pytest.warns(RuntimeWarning):
             paris_F(EvalPoint(0.4, 0.02, 0.0), TruncationPolicy(n=1))
+
+    def test_reads_its_coefficients_in_one_call(self, monkeypatch):
+        # whatever n is, the row C_0 .. C_{n-1} comes from the cached table
+        # after one validated oracle_Ck call
+        calls = []
+        read = expansions.oracle_Ck
+
+        def counted(*args):
+            calls.append(args)
+            return read(*args)
+
+        monkeypatch.setattr(expansions, "oracle_Ck", counted)
+        r = paris_F(EvalPoint(1.3, 0.02, -0.3))
+        assert r.n_used > 1
+        assert calls == [(0, 1.3, 0.3)]
 
     def test_estimate_covers_rounding_of_the_three_part_sum(self):
         # M = 75: the Struve and asymptotic parts are each about 1.5 while F
