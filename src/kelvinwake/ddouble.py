@@ -5,8 +5,7 @@ A value is carried as an unevaluated sum hi + lo of two doubles, with
 operations the series kernels need are provided; everything works on plain
 tuples to keep the inner loops cheap.  Every operation but from_float and
 from_int also works elementwise on pairs of float64 numpy arrays, with the
-same rounding as on floats (numpy's +, -, * and / are the IEEE ones), so an
-array pass gives the scalar kernels' values bit for bit.
+same rounding as on floats (numpy's +, -, * and / are the IEEE ones).
 
 Python 3.10 has no math.fma, so products are split Dekker-style; the
 split overflows for |a| above about 2^996.
@@ -15,7 +14,13 @@ add, add_d, mul, mul_d and div_d are the hot operations of the series
 kernels, so each runs in one Python frame, with two_sum, quick_two_sum and
 two_prod written out inline: the same float operations in the same order
 as the composed forms, so the results are the same bit for bit, on floats
-and on arrays alike.
+and on arrays alike.  The hot loops of specfun and expansions (the
+ascending series, the log series of Y0, Y1, K0, K1, the Hscal, J_2m, K_m
+and cos(m alpha) ladders and the Bessel product sum) write their steps out
+under the same rule, one frame a loop: each step performs the float
+operations of the calls it replaces, in the same order, with the (hi, lo)
+state in local floats and an operand that does not change in the loop
+split once before it (splitting a double always gives the same halves).
 """
 
 from __future__ import annotations

@@ -45,6 +45,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import ddouble as dd
+from .ddouble import _SPLITTER
 from .errors import AccuracyError, DomainError, RegimeError
 from .oracle import EvalPoint, _ck_values, oracle_Ck, oracle_F
 from .specfun import (ORDER_CAP, _check_int, _hscal_window, _k01_dd, _log_rounding,
@@ -226,14 +227,65 @@ def _jhat_window(minus_w, m0, m1):
     orders below follow from them by the recurrence.  Taken downwards it
     is stable (Miller's method): f tends to 1 as n grows, while the second
     solution, Y_n's counterpart, falls off as n falls.
+
+    Each step is dd.add(f, dd.div_d(dd.mul(-w, upper), n (n + 1)))
+    written out, the same float operations in the same order, with -w
+    split once before the loop.
     """
-    upper = _series_dd(dd.ONE, minus_w, 1.0, 2.0 * m1 + 2.0, _DD_REL)[0]
-    f = _series_dd(dd.ONE, minus_w, 1.0, 2.0 * m1 + 1.0, _DD_REL)[0]
-    out = [f]
+    wh, wl = minus_w
+    c = _SPLITTER * wh
+    whi = c - (c - wh)
+    wlo = wh - whi
+    uh, ul = _series_dd(dd.ONE, minus_w, 1.0, 2.0 * m1 + 2.0, _DD_REL)[0]
+    fh, fl = _series_dd(dd.ONE, minus_w, 1.0, 2.0 * m1 + 1.0, _DD_REL)[0]
+    out = [(fh, fl)]
     for n in range(2 * m1, 2 * m0, -1):
-        upper, f = f, dd.add(f, dd.div_d(dd.mul(minus_w, upper), float(n * (n + 1))))
+        d = float(n * (n + 1))
+        # mul(-w, upper): two_prod(-w0, upper0) and quick_two_sum
+        p = wh * uh
+        c = _SPLITTER * uh
+        bhi = c - (c - uh)
+        blo = uh - bhi
+        e = ((whi * bhi - p) + whi * blo + wlo * bhi) + wlo * blo
+        e = e + (wh * ul + wl * uh)
+        ah = p + e
+        al = e - (ah - p)
+        uh, ul = fh, fl
+        # div_d(a, d): the quotient, two_prod(q1, d), two_sum(a0, -p), one
+        # refinement step and quick_two_sum
+        q1 = ah / d
+        p = q1 * d
+        c = _SPLITTER * q1
+        ahi = c - (c - q1)
+        alo = q1 - ahi
+        c = _SPLITTER * d
+        bhi = c - (c - d)
+        blo = d - bhi
+        e = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
+        mp = -p
+        s = ah + mp
+        bb = s - ah
+        g = (ah - (s - bb)) + (mp - bb)
+        g = g + (al - e)
+        q2 = (s + g) / d
+        ah = q1 + q2
+        al = q2 - (ah - q1)
+        # f = add(f, a): two two_sums and two quick_two_sums
+        s = fh + ah
+        bb = s - fh
+        e = (fh - (s - bb)) + (ah - bb)
+        t = fl + al
+        bb = t - fl
+        g = (fl - (t - bb)) + (al - bb)
+        e = e + t
+        fh = s + e
+        e = e - (fh - s)
+        e = e + g
+        s = fh + e
+        fl = e - (s - fh)
+        fh = s
         if n % 2:
-            out.append(f)
+            out.append((fh, fl))
     out.reverse()
     return out
 
@@ -247,13 +299,46 @@ def _cos_ladder(alpha):
     - c_{m-1} from c_0 = 2.  A double cos(m alpha), whose 1e-16 relative
     error the cancelling product series multiplies by up to 1e12, is
     avoided this way.
+
+    Each step is dd.sub(dd.mul(step, c_m), c_{m-1}) written out, the same
+    float operations in the same order, with step = -2 cos alpha split
+    once before the loop.
     """
     cos_a = _series_dd(dd.ONE, dd.two_prod(0.5 * alpha, -0.5 * alpha), 0.5, 1.0, _DD_REL)[0]
-    step = (-2.0 * cos_a[0], -2.0 * cos_a[1])
-    prev, cur = (2.0, 0.0), step
+    sh, sl = -2.0 * cos_a[0], -2.0 * cos_a[1]
+    c = _SPLITTER * sh
+    shi = c - (c - sh)
+    slo = sh - shi
+    ph, pl = 2.0, 0.0
+    ch, cl = sh, sl
     while True:
-        yield cur
-        prev, cur = cur, dd.sub(dd.mul(step, cur), prev)
+        yield ch, cl
+        # mul(step, c_m): two_prod(step0, c_m0) and quick_two_sum
+        p = sh * ch
+        c = _SPLITTER * ch
+        bhi = c - (c - ch)
+        blo = ch - bhi
+        e = ((shi * bhi - p) + shi * blo + slo * bhi) + slo * blo
+        e = e + (sh * cl + sl * ch)
+        ah = p + e
+        al = e - (ah - p)
+        # sub(a, c_{m-1}) = add(a, -c_{m-1}): two two_sums and two
+        # quick_two_sums
+        bh, bl = -ph, -pl
+        ph, pl = ch, cl
+        s = ah + bh
+        bb = s - ah
+        e = (ah - (s - bb)) + (bh - bb)
+        t = al + bl
+        bb = t - al
+        f = (al - (t - bb)) + (bl - bb)
+        e = e + t
+        ch = s + e
+        e = e - (ch - s)
+        e = e + f
+        s = ch + e
+        cl = e - (s - ch)
+        ch = s
 
 
 def _jhats(x):
@@ -271,24 +356,131 @@ def _bessel_products(x, rho, jhats):
     where kappa_m = K_m(rho/2) (x/2)^{2m} / (2m)! is advanced by the K
     recurrence and jhat_m is read from jhats, the _jhats of x; None in
     place of the first product whose kappa_m overflows, which ends the
-    ladder.  None of it depends on alpha."""
+    ladder.  None of it depends on alpha.
+
+    Each step of the K recurrence,
+
+        kappa_m = kappa_{m-1} div_d(mul_d(M, 4 (m - 1)), 2m (2m - 1))
+                  + kappa_{m-2} div_d((x/2)^4, 2m (2m - 1) (2m - 2) (2m - 3)),
+
+    and each product dd.mul(kappa_m, jhat_m) is written out, the same float
+    operations in the same order as the dd calls, with M = x^2/(4 rho)
+    split once before the loop and each kappa_m split once, for its
+    product, its halves reused by the two steps that read it.
+    """
     w = dd.two_prod(0.5 * x, 0.5 * x)
-    ww = dd.mul(w, w)
-    m_dd = dd.div_d(dd.two_prod(x, x), 4.0 * rho)
+    wwh, wwl = dd.mul(w, w)
+    mh, ml = dd.div_d(dd.two_prod(x, x), 4.0 * rho)
+    c = _SPLITTER * mh
+    mhi = c - (c - mh)
+    mlo = mh - mhi
     k0, k1, _ = _k01_dd(0.5 * rho)
-    kap_prev = k0                                  # kappa_0
-    kap_cur = dd.div_d(dd.mul(k1, w), 2.0)         # kappa_1
-    yield dd.mul(kap_prev, next(jhats))
-    for m, jh in enumerate(jhats, 1):
+    yield dd.mul(k0, next(jhats))
+    kph, kpl = k0                                  # kappa_{m-2}
+    c = _SPLITTER * kph
+    kphi = c - (c - kph)
+    kplo = kph - kphi
+    kch, kcl = dd.div_d(dd.mul(k1, w), 2.0)        # kappa_{m-1}, then kappa_m
+    for m, (jh, jl) in enumerate(jhats, 1):
         if m > 1:
-            a = dd.div_d(dd.mul_d(m_dd, 4.0 * (m - 1)), float((2 * m) * (2 * m - 1)))
-            b = dd.div_d(ww, float((2 * m) * (2 * m - 1) * (2 * m - 2) * (2 * m - 3)))
-            kap = dd.add(dd.mul(kap_cur, a), dd.mul(kap_prev, b))
-            kap_prev, kap_cur = kap_cur, kap
-        if not math.isfinite(kap_cur[0]):
+            # a = div_d(mul_d(M, 4 (m - 1)), 2m (2m - 1)): two_prod(M0, g)
+            # and quick_two_sum, then the quotient, two_prod(q1, d),
+            # two_sum(a0, -p), one refinement step and quick_two_sum
+            g = 4.0 * (m - 1)
+            p = mh * g
+            c = _SPLITTER * g
+            bhi = c - (c - g)
+            blo = g - bhi
+            e = ((mhi * bhi - p) + mhi * blo + mlo * bhi) + mlo * blo
+            e = e + ml * g
+            ah = p + e
+            al = e - (ah - p)
+            d = float((2 * m) * (2 * m - 1))
+            q1 = ah / d
+            p = q1 * d
+            c = _SPLITTER * q1
+            ahi = c - (c - q1)
+            alo = q1 - ahi
+            c = _SPLITTER * d
+            bhi = c - (c - d)
+            blo = d - bhi
+            e = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
+            mp = -p
+            s = ah + mp
+            bb = s - ah
+            f = (ah - (s - bb)) + (mp - bb)
+            f = f + (al - e)
+            q2 = (s + f) / d
+            ah = q1 + q2
+            al = q2 - (ah - q1)
+            # b = div_d(ww, 2m (2m - 1) (2m - 2) (2m - 3)), as above
+            d = float((2 * m) * (2 * m - 1) * (2 * m - 2) * (2 * m - 3))
+            q1 = wwh / d
+            p = q1 * d
+            c = _SPLITTER * q1
+            ahi = c - (c - q1)
+            alo = q1 - ahi
+            c = _SPLITTER * d
+            bhi = c - (c - d)
+            blo = d - bhi
+            e = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
+            mp = -p
+            s = wwh + mp
+            bb = s - wwh
+            f = (wwh - (s - bb)) + (mp - bb)
+            f = f + (wwl - e)
+            q2 = (s + f) / d
+            bh = q1 + q2
+            bl = q2 - (bh - q1)
+            # mul(kappa_{m-1}, a): two_prod(kappa_{m-1}0, a0) and quick_two_sum
+            p = kch * ah
+            c = _SPLITTER * ah
+            bhi = c - (c - ah)
+            blo = ah - bhi
+            e = ((kchi * bhi - p) + kchi * blo + kclo * bhi) + kclo * blo
+            e = e + (kch * al + kcl * ah)
+            ah = p + e
+            al = e - (ah - p)
+            # mul(kappa_{m-2}, b), as above
+            p = kph * bh
+            c = _SPLITTER * bh
+            bhi = c - (c - bh)
+            blo = bh - bhi
+            e = ((kphi * bhi - p) + kphi * blo + kplo * bhi) + kplo * blo
+            e = e + (kph * bl + kpl * bh)
+            bh = p + e
+            bl = e - (bh - p)
+            kph, kpl, kphi, kplo = kch, kcl, kchi, kclo
+            # kappa_m = add(mul(...), mul(...)): two two_sums and two
+            # quick_two_sums
+            s = ah + bh
+            bb = s - ah
+            e = (ah - (s - bb)) + (bh - bb)
+            t = al + bl
+            bb = t - al
+            f = (al - (t - bb)) + (bl - bb)
+            e = e + t
+            kch = s + e
+            e = e - (kch - s)
+            e = e + f
+            s = kch + e
+            kcl = e - (s - kch)
+            kch = s
+        if not math.isfinite(kch):
             yield None
             return
-        yield dd.mul(kap_cur, jh)
+        # mul(kappa_m, jhat_m): two_prod(kappa_m0, jhat_m0) and quick_two_sum
+        p = kch * jh
+        c = _SPLITTER * kch
+        kchi = c - (c - kch)
+        kclo = kch - kchi
+        c = _SPLITTER * jh
+        bhi = c - (c - jh)
+        blo = jh - bhi
+        e = ((kchi * bhi - p) + kchi * blo + kclo * bhi) + kclo * blo
+        e = e + (kch * jl + kcl * jh)
+        ah = p + e
+        yield ah, e - (ah - p)
 
 
 def _bessho_sum(ladder, products):
@@ -302,27 +494,57 @@ def _bessho_sum(ladder, products):
     overflowed and was not summed) or "max_terms".  The sum stops after
     three consecutive terms below SERIES_REL_TOL relative (single small
     terms are routinely accidental: cos(m alpha) has zeros).
+
+    Each step is dd.add(total, dd.mul(prod, coef)) written out, the same
+    float operations in the same order, the total carried as two floats.
     """
-    total = next(products)
-    peak = abs_sum = last = abs(total[0])
+    th, tl = next(products)
+    peak = abs_sum = last = abs(th)
     small = 0
     m = 0
-    for prod, coef in zip(products, ladder):
+    for prod, (ch, cl) in zip(products, ladder):
         m += 1
         if prod is None:
-            return total, peak, abs_sum, last, m, "overflow"
-        term = dd.mul(prod, coef)
-        total = dd.add(total, term)
-        peak = max(peak, abs(total[0]))
-        abs_sum += abs(term[0])
-        last = abs(term[0])
-        if last <= SERIES_REL_TOL * abs(total[0]):
+            return (th, tl), peak, abs_sum, last, m, "overflow"
+        # term = mul(prod, coef): two_prod(prod0, coef0) and quick_two_sum
+        xh, xl = prod
+        p = xh * ch
+        c = _SPLITTER * xh
+        ahi = c - (c - xh)
+        alo = xh - ahi
+        c = _SPLITTER * ch
+        bhi = c - (c - ch)
+        blo = ch - bhi
+        e = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
+        e = e + (xh * cl + xl * ch)
+        xh = p + e
+        xl = e - (xh - p)
+        # total = add(total, term): two two_sums and two quick_two_sums
+        s = th + xh
+        bb = s - th
+        e = (th - (s - bb)) + (xh - bb)
+        t = tl + xl
+        bb = t - tl
+        f = (tl - (t - bb)) + (xl - bb)
+        e = e + t
+        th = s + e
+        e = e - (th - s)
+        e = e + f
+        s = th + e
+        tl = e - (s - th)
+        th = s
+        a = abs(th)
+        if a > peak:
+            peak = a
+        last = abs(xh)
+        abs_sum += last
+        if last <= SERIES_REL_TOL * a:
             small += 1
             if small >= 3:
-                return total, peak, abs_sum, last, m, None
+                return (th, tl), peak, abs_sum, last, m, None
         else:
             small = 0
-    return total, peak, abs_sum, last, m, "max_terms"
+    return (th, tl), peak, abs_sum, last, m, "max_terms"
 
 
 def bessho_F(pt: EvalPoint, *, ladders: Optional[Ladders] = None) -> MethodResult:
@@ -568,8 +790,8 @@ def ck_table(n: int, x: float, alpha: float) -> CoefficientTable:
     for the first k < n whose quadrature stalled.
     """
     n = _check_int(n, 1, CK_MAX, _CK_N_MESSAGE)
-    x, alpha = float(x), float(alpha)
     oracle_Ck(0, x, alpha)
+    x, alpha = float(x), float(alpha)
     return CoefficientTable(alpha=alpha, x=x, values=_ck_values(n, x, alpha))
 
 

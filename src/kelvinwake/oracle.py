@@ -789,11 +789,12 @@ def oracle_Ck(k: int, x: float, alpha: float) -> QuadResult:
     every k.  cache_info() and cache_clear() act on the table cache.
     """
     k = _check_int(k, 0, CK_INDEX_MAX, _CK_K_MESSAGE)
+    alpha = _check_finite(alpha, "alpha")
     if not 0.0 <= alpha <= _HALF_PI + 4e-16:
         raise DomainError(f"alpha must lie in [0, pi/2], got {alpha}")
-    if not (x > 0 and math.isfinite(x)):
+    x = _check_finite(x, "x")
+    if not x > 0:
         raise DomainError(f"x must be positive and finite, got {x}")
-    x, alpha = float(x), float(alpha)
     row = _ck_table(x, alpha)
     if k in row.stalled:
         raise _ck_stalled(row, k, x, alpha)

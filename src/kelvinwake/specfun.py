@@ -23,7 +23,8 @@ alternating one carried in q, runs through _series_dd: J, I, Hscal, the
 expansions' I_m factors and the seeds of their J_2m factors.  Y and K
 above order 1 share one upward recurrence, _bessel_yk_dd; a run of
 consecutive Hscal orders at one argument comes from the downward Struve
-recurrence, _hscal_window.
+recurrence, _hscal_window.  _series_dd, _log_series and _hscal_window
+write their double-double steps out, as ddouble's own operations do.
 
 All functions are pure and safe for concurrent use.
 """
@@ -35,6 +36,7 @@ import numbers
 from dataclasses import dataclass
 
 from . import ddouble as dd
+from .ddouble import _SPLITTER
 from .errors import AccuracyError, DomainError, OrderOverflowError, RangeOverflowError
 
 #: Cap on the order of J, I and Hscal; Y, K and Kscal take twice it.
@@ -116,14 +118,65 @@ def _series_dd(t, q, a, b, rel):
     (a zero term, as at x = 0, stops it).  Returns
     (sum, first omitted term magnitude, terms used); AccuracyError after
     _SERIES_MAX terms.
+
+    Each step is dd.div_d(dd.mul(t, q), (k + a)(k + b)) and dd.add(s, t)
+    written out, the same float operations in the same order, with q split
+    once before the loop.
     """
-    s = t
+    th, tl = t
+    sh, sl = th, tl
+    qh, ql = q
+    c = _SPLITTER * qh
+    qhi = c - (c - qh)
+    qlo = qh - qhi
     for k in range(_SERIES_MAX):
-        t = dd.div_d(dd.mul(t, q), (k + a) * (k + b))
-        if abs(t[0]) <= rel * abs(s[0]):
-            return s, abs(t[0]), k + 2
-        s = dd.add(s, t)
-    raise AccuracyError("ascending series did not converge", value=dd.to_float(s))
+        d = (k + a) * (k + b)
+        # t = mul(t, q): two_prod(t0, q0) and quick_two_sum
+        p = th * qh
+        c = _SPLITTER * th
+        ahi = c - (c - th)
+        alo = th - ahi
+        e = ((ahi * qhi - p) + ahi * qlo + alo * qhi) + alo * qlo
+        e = e + (th * ql + tl * qh)
+        th = p + e
+        tl = e - (th - p)
+        # t = div_d(t, d): the quotient, two_prod(q1, d), two_sum(t0, -p),
+        # one refinement step and quick_two_sum
+        q1 = th / d
+        p = q1 * d
+        c = _SPLITTER * q1
+        ahi = c - (c - q1)
+        alo = q1 - ahi
+        c = _SPLITTER * d
+        bhi = c - (c - d)
+        blo = d - bhi
+        e = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
+        mp = -p
+        r = th + mp
+        bb = r - th
+        f = (th - (r - bb)) + (mp - bb)
+        f = f + (tl - e)
+        q2 = (r + f) / d
+        th = q1 + q2
+        tl = q2 - (th - q1)
+        if abs(th) <= rel * abs(sh):
+            return (sh, sl), abs(th), k + 2
+        # s = add(s, t): two_sum(s0, t0), two_sum(s1, t1) and two
+        # quick_two_sums
+        r = sh + th
+        bb = r - sh
+        e = (sh - (r - bb)) + (th - bb)
+        u = sl + tl
+        bb = u - sl
+        f = (sl - (u - bb)) + (tl - bb)
+        e = e + u
+        sh = r + e
+        e = e - (sh - r)
+        e = e + f
+        r = sh + e
+        sl = e - (r - sh)
+        sh = r
+    raise AccuracyError("ascending series did not converge", value=sh + sl)
 
 
 def _ascending_series(n, x, sign):
@@ -185,36 +238,201 @@ def _log_series(x, sign):
 
     Returns (f0, f1, ln(x/2) + gamma, s0, s1, terms used), where f0, f1 are
     J0, J1 for sign=-1 and I0, I1 for sign=+1.
+
+    Each step is the dd calls
+
+        t = div_d(mul(t, q), k^2),  u = div_d(mul(u, q), k (k + 1)),
+        h = add(h, div_d(ONE, k)),  hsum = add(mul_d(h, 2), div_d(ONE, k + 1)),
+        s0 = add(s0, +-mul(t, h)),  s1 = add(s1, +-mul(u, hsum))
+
+    written out, the same float operations in the same order, with q and 2
+    split once before the loop, each of t, u and h split once, and
+    div_d(ONE, k + 1) kept for the next step's div_d(ONE, k).
     """
-    q = dd.two_prod(0.5 * x, 0.5 * x)
+    qh, ql = dd.two_prod(0.5 * x, 0.5 * x)
+    c = _SPLITTER * qh
+    qhi = c - (c - qh)
+    qlo = qh - qhi
+    c = _SPLITTER * 2.0
+    twohi = c - (c - 2.0)
+    twolo = 2.0 - twohi
     f0, _, t0 = _ascending_series(0, x, sign)
     f1, _, t1 = _ascending_series(1, x, sign)
     lg = _log_half_plus_gamma(x)
 
-    s0 = dd.ZERO
-    s1 = dd.ONE           # the k = 0 term of s1 is 1
-    h = dd.ZERO
-    t = dd.ONE
-    u = dd.ONE
+    s0h, s0l = dd.ZERO
+    s1h, s1l = dd.ONE     # the k = 0 term of s1 is 1
+    hh, hl = dd.ZERO
+    th, tl = uh, ul = dd.ONE
+    c = _SPLITTER * th
+    thi = uhi = c - (c - th)
+    tlo = ulo = th - thi
+    rh, rl = dd.div_d(dd.ONE, 1.0)      # 1/k
     k = 1
     while k < _SERIES_MAX:
-        t = dd.div_d(dd.mul(t, q), float(k * k))
-        u = dd.div_d(dd.mul(u, q), float(k * (k + 1)))
-        h = dd.add(h, dd.div_d(dd.ONE, float(k)))
-        hsum = dd.add(dd.mul_d(h, 2.0), dd.div_d(dd.ONE, float(k + 1)))  # H_k + H_{k+1}
-        term0 = dd.mul(t, h)
-        term1 = dd.mul(u, hsum)
+        # t = div_d(mul(t, q), k^2): two_prod(t0, q0) and quick_two_sum, then
+        # the quotient, two_prod(q1, d), two_sum(t0, -p), one refinement
+        # step and quick_two_sum
+        p = th * qh
+        e = ((thi * qhi - p) + thi * qlo + tlo * qhi) + tlo * qlo
+        e = e + (th * ql + tl * qh)
+        th = p + e
+        tl = e - (th - p)
+        d = float(k * k)
+        q1 = th / d
+        p = q1 * d
+        c = _SPLITTER * q1
+        ahi = c - (c - q1)
+        alo = q1 - ahi
+        c = _SPLITTER * d
+        bhi = c - (c - d)
+        blo = d - bhi
+        e = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
+        mp = -p
+        r = th + mp
+        bb = r - th
+        f = (th - (r - bb)) + (mp - bb)
+        f = f + (tl - e)
+        q2 = (r + f) / d
+        th = q1 + q2
+        tl = q2 - (th - q1)
+        # u = div_d(mul(u, q), k (k + 1)), as t
+        p = uh * qh
+        e = ((uhi * qhi - p) + uhi * qlo + ulo * qhi) + ulo * qlo
+        e = e + (uh * ql + ul * qh)
+        uh = p + e
+        ul = e - (uh - p)
+        d = float(k * (k + 1))
+        q1 = uh / d
+        p = q1 * d
+        c = _SPLITTER * q1
+        ahi = c - (c - q1)
+        alo = q1 - ahi
+        c = _SPLITTER * d
+        bhi = c - (c - d)
+        blo = d - bhi
+        e = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
+        mp = -p
+        r = uh + mp
+        bb = r - uh
+        f = (uh - (r - bb)) + (mp - bb)
+        f = f + (ul - e)
+        q2 = (r + f) / d
+        uh = q1 + q2
+        ul = q2 - (uh - q1)
+        # h = add(h, 1/k): two two_sums and two quick_two_sums
+        r = hh + rh
+        bb = r - hh
+        e = (hh - (r - bb)) + (rh - bb)
+        v = hl + rl
+        bb = v - hl
+        f = (hl - (v - bb)) + (rl - bb)
+        e = e + v
+        hh = r + e
+        e = e - (hh - r)
+        e = e + f
+        r = hh + e
+        hl = e - (r - hh)
+        hh = r
+        # 1/(k + 1) = div_d(ONE, k + 1), as t's quotient
+        d = float(k + 1)
+        q1 = 1.0 / d
+        p = q1 * d
+        c = _SPLITTER * q1
+        ahi = c - (c - q1)
+        alo = q1 - ahi
+        c = _SPLITTER * d
+        bhi = c - (c - d)
+        blo = d - bhi
+        e = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
+        mp = -p
+        r = 1.0 + mp
+        bb = r - 1.0
+        f = (1.0 - (r - bb)) + (mp - bb)
+        f = f + (0.0 - e)
+        q2 = (r + f) / d
+        rh = q1 + q2
+        rl = q2 - (rh - q1)
+        # hsum = add(mul_d(h, 2), 1/(k + 1)) = H_k + H_{k+1}: two_prod(h0, 2)
+        # and quick_two_sum, then add as for h
+        p = hh * 2.0
+        c = _SPLITTER * hh
+        hhi = c - (c - hh)
+        hlo = hh - hhi
+        e = ((hhi * twohi - p) + hhi * twolo + hlo * twohi) + hlo * twolo
+        e = e + hl * 2.0
+        ah = p + e
+        al = e - (ah - p)
+        r = ah + rh
+        bb = r - ah
+        e = (ah - (r - bb)) + (rh - bb)
+        v = al + rl
+        bb = v - al
+        f = (al - (v - bb)) + (rl - bb)
+        e = e + v
+        gh = r + e
+        e = e - (gh - r)
+        e = e + f
+        r = gh + e
+        gl = e - (r - gh)
+        gh = r
+        # term0 = mul(t, h): two_prod(t0, h0) and quick_two_sum
+        p = th * hh
+        c = _SPLITTER * th
+        thi = c - (c - th)
+        tlo = th - thi
+        e = ((thi * hhi - p) + thi * hlo + tlo * hhi) + tlo * hlo
+        e = e + (th * hl + tl * hh)
+        ah = p + e
+        al = e - (ah - p)
+        # term1 = mul(u, hsum), as term0
+        p = uh * gh
+        c = _SPLITTER * uh
+        uhi = c - (c - uh)
+        ulo = uh - uhi
+        c = _SPLITTER * gh
+        bhi = c - (c - gh)
+        blo = gh - bhi
+        e = ((uhi * bhi - p) + uhi * blo + ulo * bhi) + ulo * blo
+        e = e + (uh * gl + ul * gh)
+        bh = p + e
+        bl = e - (bh - p)
         if sign < 0:
             if k % 2 == 0:
-                term0 = dd.neg(term0)
+                ah, al = -ah, -al
             else:
-                term1 = dd.neg(term1)
-        s0 = dd.add(s0, term0)
-        s1 = dd.add(s1, term1)
-        if abs(term0[0]) + abs(term1[0]) <= 1e-21 * (abs(s0[0]) + abs(s1[0]) + 1e-30):
+                bh, bl = -bh, -bl
+        # s0 = add(s0, term0) and s1 = add(s1, term1), as h
+        r = s0h + ah
+        bb = r - s0h
+        e = (s0h - (r - bb)) + (ah - bb)
+        v = s0l + al
+        bb = v - s0l
+        f = (s0l - (v - bb)) + (al - bb)
+        e = e + v
+        s0h = r + e
+        e = e - (s0h - r)
+        e = e + f
+        r = s0h + e
+        s0l = e - (r - s0h)
+        s0h = r
+        r = s1h + bh
+        bb = r - s1h
+        e = (s1h - (r - bb)) + (bh - bb)
+        v = s1l + bl
+        bb = v - s1l
+        f = (s1l - (v - bb)) + (bl - bb)
+        e = e + v
+        s1h = r + e
+        e = e - (s1h - r)
+        e = e + f
+        r = s1h + e
+        s1l = e - (r - s1h)
+        s1h = r
+        if abs(ah) + abs(bh) <= 1e-21 * (abs(s0h) + abs(s1h) + 1e-30):
             break
         k += 1
-    return f0, f1, lg, s0, s1, t0 + t1 + k
+    return f0, f1, lg, (s0h, s0l), (s1h, s1l), t0 + t1 + k
 
 
 def _y01_dd(x):
@@ -347,21 +565,91 @@ def _hscal_window(x, j0, j1):
     Everything runs times 2^k, k the exponent of _STRUVE_GAMMAS[j1 + 1]
     less that of h, and is scaled back at the end, so that no seed is
     subnormal where the values are not: past order 166, or at a tiny x.
+
+    Each step is dd.add(dd.add(dd.mul_d(f, v), dd.mul(-w, upper)), inh)
+    and dd.mul_d(inh, v + 1/2) written out, the same float operations in
+    the same order, with -w split once before the loop and each Hscal
+    split once, where mul_d(f, v) splits it and mul(-w, upper) reuses the
+    halves a step later.
     """
     h = 0.5 * x
-    minus_w = dd.two_prod(h, -h)
-    e, e1 = _STRUVE_GAMMAS[j1 + 1][1], _STRUVE_GAMMAS[j1][1]
-    k = e - math.frexp(h)[1]
-    upper = _struve_h_series(j1 + 1, x, k - e)[0]
-    f = _struve_h_series(j1, x, k - e1)[0]
-    inh = dd.div(dd.from_float(math.ldexp(h, k - e1 - 1)), _STRUVE_GAMMAS[j1][0])
-    out = [f]
+    wh, wl = dd.two_prod(h, -h)
+    c = _SPLITTER * wh
+    whi = c - (c - wh)
+    wlo = wh - whi
+    e_upper, e_f = _STRUVE_GAMMAS[j1 + 1][1], _STRUVE_GAMMAS[j1][1]
+    k = e_upper - math.frexp(h)[1]
+    uh, ul = _struve_h_series(j1 + 1, x, k - e_upper)[0]
+    c = _SPLITTER * uh
+    uhi = c - (c - uh)
+    ulo = uh - uhi
+    fh, fl = _struve_h_series(j1, x, k - e_f)[0]
+    ih, il = dd.div(dd.from_float(math.ldexp(h, k - e_f - 1)), _STRUVE_GAMMAS[j1][0])
+    out = [math.ldexp(fh, -k) + math.ldexp(fl, -k)]
     for v in range(j1, j0, -1):
-        upper, f = f, dd.add(dd.add(dd.mul_d(f, float(v)), dd.mul(minus_w, upper)), inh)
-        inh = dd.mul_d(inh, v + 0.5)
-        out.append(f)
+        b = float(v)
+        # mul_d(f, v): two_prod(f0, v) and quick_two_sum
+        p = fh * b
+        c = _SPLITTER * fh
+        fhi = c - (c - fh)
+        flo = fh - fhi
+        c = _SPLITTER * b
+        bhi = c - (c - b)
+        blo = b - bhi
+        e = ((fhi * bhi - p) + fhi * blo + flo * bhi) + flo * blo
+        e = e + fl * b
+        ah = p + e
+        al = e - (ah - p)
+        # mul(-w, upper): two_prod(-w0, upper0) and quick_two_sum
+        p = wh * uh
+        e = ((whi * uhi - p) + whi * ulo + wlo * uhi) + wlo * ulo
+        e = e + (wh * ul + wl * uh)
+        bh = p + e
+        bl = e - (bh - p)
+        uh, ul, uhi, ulo = fh, fl, fhi, flo
+        # add(add(a, b), inh): two two_sums and two quick_two_sums each
+        s = ah + bh
+        bb = s - ah
+        e = (ah - (s - bb)) + (bh - bb)
+        t = al + bl
+        bb = t - al
+        f = (al - (t - bb)) + (bl - bb)
+        e = e + t
+        ah = s + e
+        e = e - (ah - s)
+        e = e + f
+        s = ah + e
+        al = e - (s - ah)
+        ah = s
+        s = ah + ih
+        bb = s - ah
+        e = (ah - (s - bb)) + (ih - bb)
+        t = al + il
+        bb = t - al
+        f = (al - (t - bb)) + (il - bb)
+        e = e + t
+        fh = s + e
+        e = e - (fh - s)
+        e = e + f
+        s = fh + e
+        fl = e - (s - fh)
+        fh = s
+        # inh = mul_d(inh, v + 1/2): two_prod(inh0, v + 1/2) and quick_two_sum
+        b = v + 0.5
+        p = ih * b
+        c = _SPLITTER * ih
+        ahi = c - (c - ih)
+        alo = ih - ahi
+        c = _SPLITTER * b
+        bhi = c - (c - b)
+        blo = b - bhi
+        e = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
+        e = e + il * b
+        ih = p + e
+        il = e - (ih - p)
+        out.append(math.ldexp(fh, -k) + math.ldexp(fl, -k))
     out.reverse()
-    return [math.ldexp(hi, -k) + math.ldexp(lo, -k) for hi, lo in out]
+    return out
 
 
 def struve_h_scaled(order: int, x: float) -> SpecFunResult:

@@ -1,0 +1,332 @@
+"""The double-double loops written out in specfun and expansions against
+their composed forms, bit for bit.
+
+Each reference below is the loop as it reads when built from the ddouble
+operations (dd.add, mul, mul_d, div_d, sub), one call per operation.  The
+written-out loops must perform the same float operations in the same
+order, so every value, stopping point and count is compared exactly, on
+seeded inputs and at the edges of each loop.
+"""
+
+import itertools
+import math
+import random
+
+import pytest
+
+from kelvinwake import ddouble as dd
+from kelvinwake import expansions, specfun
+from kelvinwake.errors import AccuracyError
+from kelvinwake.expansions import BESSHO_WINDOW, HSCAL_WINDOW, MAX_TERMS
+from kelvinwake.oracle import EvalPoint
+from kelvinwake.specfun import _SERIES_MAX, _STRUVE_GAMMAS, ORDER_CAP
+
+# ---------------------------------------------------------------------------
+# composed references
+
+
+def _series_ref(t, q, a, b, rel):
+    s = t
+    for k in range(_SERIES_MAX):
+        t = dd.div_d(dd.mul(t, q), (k + a) * (k + b))
+        if abs(t[0]) <= rel * abs(s[0]):
+            return s, abs(t[0]), k + 2
+        s = dd.add(s, t)
+    raise AccuracyError("ascending series did not converge", value=dd.to_float(s))
+
+
+def _ascending_ref(n, x, sign):
+    h = 0.5 * x
+    t = dd.ONE
+    for i in range(1, n + 1):
+        t = dd.div_d(dd.mul_d(t, h), float(i))
+    return _series_ref(t, dd.two_prod(h, sign * h), 1.0, n + 1.0, 1e-21)
+
+
+def _log_series_ref(x, sign):
+    q = dd.two_prod(0.5 * x, 0.5 * x)
+    f0, _, t0 = _ascending_ref(0, x, sign)
+    f1, _, t1 = _ascending_ref(1, x, sign)
+    lg = specfun._log_half_plus_gamma(x)
+    s0 = dd.ZERO
+    s1 = dd.ONE
+    h = dd.ZERO
+    t = dd.ONE
+    u = dd.ONE
+    k = 1
+    while k < _SERIES_MAX:
+        t = dd.div_d(dd.mul(t, q), float(k * k))
+        u = dd.div_d(dd.mul(u, q), float(k * (k + 1)))
+        h = dd.add(h, dd.div_d(dd.ONE, float(k)))
+        hsum = dd.add(dd.mul_d(h, 2.0), dd.div_d(dd.ONE, float(k + 1)))
+        term0 = dd.mul(t, h)
+        term1 = dd.mul(u, hsum)
+        if sign < 0:
+            if k % 2 == 0:
+                term0 = dd.neg(term0)
+            else:
+                term1 = dd.neg(term1)
+        s0 = dd.add(s0, term0)
+        s1 = dd.add(s1, term1)
+        if abs(term0[0]) + abs(term1[0]) <= 1e-21 * (abs(s0[0]) + abs(s1[0]) + 1e-30):
+            break
+        k += 1
+    return f0, f1, lg, s0, s1, t0 + t1 + k
+
+
+def _struve_h_series_ref(order, x, shift):
+    h = 0.5 * x
+    t0 = dd.div(dd.from_float(math.ldexp(h, shift)), _STRUVE_GAMMAS[order][0])
+    return _series_ref(t0, dd.two_prod(h, -h), 1.5, order + 1.5, 1e-17)
+
+
+def _hscal_window_ref(x, j0, j1):
+    h = 0.5 * x
+    minus_w = dd.two_prod(h, -h)
+    e, e1 = _STRUVE_GAMMAS[j1 + 1][1], _STRUVE_GAMMAS[j1][1]
+    k = e - math.frexp(h)[1]
+    upper = _struve_h_series_ref(j1 + 1, x, k - e)[0]
+    f = _struve_h_series_ref(j1, x, k - e1)[0]
+    inh = dd.div(dd.from_float(math.ldexp(h, k - e1 - 1)), _STRUVE_GAMMAS[j1][0])
+    out = [f]
+    for v in range(j1, j0, -1):
+        upper, f = f, dd.add(dd.add(dd.mul_d(f, float(v)), dd.mul(minus_w, upper)), inh)
+        inh = dd.mul_d(inh, v + 0.5)
+        out.append(f)
+    out.reverse()
+    return [math.ldexp(hi, -k) + math.ldexp(lo, -k) for hi, lo in out]
+
+
+def _jhat_window_ref(minus_w, m0, m1):
+    upper = _series_ref(dd.ONE, minus_w, 1.0, 2.0 * m1 + 2.0, expansions._DD_REL)[0]
+    f = _series_ref(dd.ONE, minus_w, 1.0, 2.0 * m1 + 1.0, expansions._DD_REL)[0]
+    out = [f]
+    for n in range(2 * m1, 2 * m0, -1):
+        upper, f = f, dd.add(f, dd.div_d(dd.mul(minus_w, upper), float(n * (n + 1))))
+        if n % 2:
+            out.append(f)
+    out.reverse()
+    return out
+
+
+def _cos_ladder_ref(alpha):
+    cos_a = _series_ref(dd.ONE, dd.two_prod(0.5 * alpha, -0.5 * alpha), 0.5, 1.0,
+                        expansions._DD_REL)[0]
+    step = (-2.0 * cos_a[0], -2.0 * cos_a[1])
+    prev, cur = (2.0, 0.0), step
+    while True:
+        yield cur
+        prev, cur = cur, dd.sub(dd.mul(step, cur), prev)
+
+
+def _bessel_products_ref(x, rho, jhats):
+    w = dd.two_prod(0.5 * x, 0.5 * x)
+    ww = dd.mul(w, w)
+    m_dd = dd.div_d(dd.two_prod(x, x), 4.0 * rho)
+    k0, k1, _ = specfun._k01_dd(0.5 * rho)
+    kap_prev = k0
+    kap_cur = dd.div_d(dd.mul(k1, w), 2.0)
+    yield dd.mul(kap_prev, next(jhats))
+    for m, jh in enumerate(jhats, 1):
+        if m > 1:
+            a = dd.div_d(dd.mul_d(m_dd, 4.0 * (m - 1)), float((2 * m) * (2 * m - 1)))
+            b = dd.div_d(ww, float((2 * m) * (2 * m - 1) * (2 * m - 2) * (2 * m - 3)))
+            kap = dd.add(dd.mul(kap_cur, a), dd.mul(kap_prev, b))
+            kap_prev, kap_cur = kap_cur, kap
+        if not math.isfinite(kap_cur[0]):
+            yield None
+            return
+        yield dd.mul(kap_cur, jh)
+
+
+def _bessho_sum_ref(ladder, products):
+    total = next(products)
+    peak = abs_sum = last = abs(total[0])
+    small = 0
+    m = 0
+    for prod, coef in zip(products, ladder):
+        m += 1
+        if prod is None:
+            return total, peak, abs_sum, last, m, "overflow"
+        term = dd.mul(prod, coef)
+        total = dd.add(total, term)
+        peak = max(peak, abs(total[0]))
+        abs_sum += abs(term[0])
+        last = abs(term[0])
+        if last <= expansions.SERIES_REL_TOL * abs(total[0]):
+            small += 1
+            if small >= 3:
+                return total, peak, abs_sum, last, m, None
+        else:
+            small = 0
+    return total, peak, abs_sum, last, m, "max_terms"
+
+
+def _jhats_ref(x):
+    minus_w = dd.neg(dd.two_prod(0.5 * x, 0.5 * x))
+    yield _series_ref(dd.ONE, minus_w, 1.0, 1.0, expansions._DD_REL)[0]
+    for m0 in range(1, MAX_TERMS + 1, BESSHO_WINDOW):
+        yield from _jhat_window_ref(minus_w, m0, min(m0 + BESSHO_WINDOW - 1, MAX_TERMS))
+
+
+# ---------------------------------------------------------------------------
+# comparisons
+
+
+def _hex(value):
+    """value with every float as its hex string, so that -0.0 and 0.0 and
+    the last bit all count."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (tuple, list)):
+        return [_hex(v) for v in value]
+    return value
+
+
+def _seeded(seed, n, lo, hi):
+    rng = random.Random(seed)
+    return [math.exp(rng.uniform(math.log(lo), math.log(hi))) for _ in range(n)]
+
+
+class TestSeries:
+    def test_seeded_series(self):
+        rng = random.Random(2801)
+        for _ in range(200):
+            x = math.exp(rng.uniform(math.log(1e-3), math.log(10.0)))
+            sign = rng.choice([-1.0, 1.0])
+            t = (rng.uniform(-2.0, 2.0), rng.uniform(-1e-17, 1e-17))
+            q = dd.two_prod(0.5 * x, sign * 0.5 * x)
+            a, b = rng.choice([(1.0, 1.0), (1.5, 2.5), (0.5, 1.0)])
+            b += rng.randrange(0, 60)
+            rel = rng.choice([1e-17, 1e-21, 1e-33])
+            assert (_hex(specfun._series_dd(t, q, a, b, rel))
+                    == _hex(_series_ref(t, q, a, b, rel)))
+
+    def test_stopped_by_a_zero_term(self):
+        # at x = 0 the first term after t_0 is 0, which stops the sum
+        for t in [(1.0, 0.0), (0.25, -1e-18)]:
+            got = specfun._series_dd(t, dd.two_prod(0.0, -0.0), 1.0, 1.0, 1e-21)
+            assert _hex(got) == _hex(_series_ref(t, dd.two_prod(0.0, -0.0), 1.0, 1.0, 1e-21))
+            assert got[1:] == (0.0, 2)
+
+    def test_no_convergence_raises_the_same_error(self):
+        args = ((1.0, 0.0), (1e10, 0.0), 1e5, 1e5, 1e-40)
+        with pytest.raises(AccuracyError) as got:
+            specfun._series_dd(*args)
+        with pytest.raises(AccuracyError) as want:
+            _series_ref(*args)
+        assert str(got.value) == str(want.value)
+        assert got.value.value.hex() == want.value.value.hex()
+
+    @pytest.mark.parametrize("sign", [-1, 1])
+    def test_log_series(self, sign):
+        for x in _seeded(2802 + sign, 60, 1e-6, 20.0) + [1e-300, 2.404825557695773]:
+            assert _hex(specfun._log_series(x, sign)) == _hex(_log_series_ref(x, sign))
+
+
+class TestHscalWindow:
+    def test_seeded_windows(self):
+        rng = random.Random(2803)
+        for xc in _seeded(2804, 40, 1e-3, 3.5):
+            j0 = rng.randrange(0, 2 * ORDER_CAP - HSCAL_WINDOW, HSCAL_WINDOW)
+            j1 = j0 + HSCAL_WINDOW - 1
+            assert specfun._hscal_window(xc, j0, j1) == _hscal_window_ref(xc, j0, j1)
+
+    @pytest.mark.parametrize("xc", [1e-300, 1e-10, 0.7, 3.0, 10.0])
+    def test_edges(self, xc):
+        # the first windows, windows past order 166 where the Gamma chain is
+        # rescaled, a window across it and the last window, up to
+        # 2 ORDER_CAP - 1
+        last = 2 * ORDER_CAP - 1
+        for j0, j1 in [(0, 0), (0, HSCAL_WINDOW - 1), (160, 175), (166, 167), (176, 191),
+                       (last - HSCAL_WINDOW + 1, last), (last, last)]:
+            got = specfun._hscal_window(xc, j0, j1)
+            want = _hscal_window_ref(xc, j0, j1)
+            assert _hex(got) == _hex(want), (j0, j1)
+
+    def test_whole_ladders(self):
+        for xc in (1e-300, 0.31, 2.9):
+            assert _hex(list(expansions._hscals(xc))) == _hex(
+                [v for j0 in range(0, 2 * ORDER_CAP, HSCAL_WINDOW)
+                 for v in _hscal_window_ref(xc, j0, min(j0 + HSCAL_WINDOW, 2 * ORDER_CAP) - 1)])
+
+
+class TestBesselProductLadders:
+    def test_jhat_windows(self):
+        # seeded windows, the windows either side of m = 24/25 and the last
+        # window, capped at MAX_TERMS
+        rng = random.Random(2805)
+        for x in _seeded(2806, 30, 1e-4, 3.5) + [1e-8, 3.0]:
+            minus_w = dd.neg(dd.two_prod(0.5 * x, 0.5 * x))
+            m0 = rng.randrange(1, MAX_TERMS - 40)
+            last0 = 1 + BESSHO_WINDOW * ((MAX_TERMS - 1) // BESSHO_WINDOW)
+            for lo, hi in [(m0, m0 + rng.randrange(0, 40)), (1, BESSHO_WINDOW),
+                           (BESSHO_WINDOW + 1, 2 * BESSHO_WINDOW), (20, 30),
+                           (last0, MAX_TERMS), (MAX_TERMS, MAX_TERMS)]:
+                assert (_hex(expansions._jhat_window(minus_w, lo, hi))
+                        == _hex(_jhat_window_ref(minus_w, lo, hi))), (x, lo, hi)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1e-9, 0.3, 1.0, 0.5 * math.pi])
+    def test_cos_ladder(self, alpha):
+        got = list(itertools.islice(expansions._cos_ladder(alpha), MAX_TERMS))
+        want = list(itertools.islice(_cos_ladder_ref(alpha), MAX_TERMS))
+        assert _hex(got) == _hex(want)
+
+    def test_products(self):
+        # seeded (x, rho) over M from 0.02 to 60, and x = 3, rho = 5e-4
+        # (M = 4500), whose ladder ends in None where kappa_m overflows
+        rng = random.Random(2807)
+        cases = [(3.0, 5e-4)]
+        for _ in range(12):
+            x = rng.uniform(0.1, 3.5)
+            cases.append((x, x * x / (4.0 * math.exp(rng.uniform(math.log(0.02),
+                                                                 math.log(60.0))))))
+        for x, rho in cases:
+            got = list(expansions._bessel_products(x, rho, expansions._jhats(x)))
+            want = list(_bessel_products_ref(x, rho, _jhats_ref(x)))
+            assert _hex(got) == _hex(want), (x, rho)
+        ended = list(expansions._bessel_products(3.0, 5e-4, expansions._jhats(3.0)))
+        assert ended[-1] is None and len(ended) < MAX_TERMS + 1
+
+    def test_sums(self):
+        # every stop of the sum: converged, the overflow that ends the
+        # products and the cap on terms
+        rng = random.Random(2808)
+        cases = [(3.0, 5e-4, 0.2), (3.0, 3.0 * 3.0 / (4.0 * 300.0), 0.0)]
+        for _ in range(12):
+            x = rng.uniform(0.1, 3.5)
+            M = math.exp(rng.uniform(math.log(0.02), math.log(30.0)))
+            cases.append((x, x * x / (4.0 * M), rng.uniform(0.0, 0.5 * math.pi)))
+        stops = set()
+        for x, rho, alpha in cases:
+            got = expansions._bessho_sum(
+                expansions._cos_ladder(alpha),
+                expansions._bessel_products(x, rho, expansions._jhats(x)))
+            want = _bessho_sum_ref(_cos_ladder_ref(alpha),
+                                   _bessel_products_ref(x, rho, _jhats_ref(x)))
+            assert _hex(got) == _hex(want), (x, rho, alpha)
+            stops.add(got[-1])
+        assert stops == {None, "overflow", "max_terms"}
+
+
+class TestPinned:
+    """Values of the parent of the written-out loops, as hex."""
+
+    @pytest.mark.parametrize("point,value,estimate,terms", [
+        ((1.0, 0.1, 0.2), "0x1.1c59a065f78e4p-4", "0x1.d656a68f29e23p-49", 30),
+        ((3.0, 0.1, 0.3 * math.pi), "-0x1.2ba4c64d63b2ap+0", "0x1.4ee4f4907cb1dp-22", 91),
+        ((0.5, 0.5, 0.5 * math.pi), "0x1.6fc0bbde6ae35p+0", "0x1.824d5bb1f7006p-52", 14),
+    ])
+    def test_bessho_F(self, point, value, estimate, terms):
+        got = expansions.bessho_F(EvalPoint(*point))
+        assert got.value.hex() == value
+        assert got.internal_error_estimate.hex() == estimate
+        assert got.terms_used == terms
+
+    @pytest.mark.parametrize("point,value", [
+        ((1.3, 0.02, 0.3), "0x1.5b1b2960bd5dbp-1"),
+        ((2.0, 0.05, 0.0), "0x1.9d55a4ffe832dp-1"),
+        ((0.7, 0.01, -1.2), "0x1.6280491d3095bp-2"),
+    ])
+    def test_struve_double_sum(self, point, value):
+        assert expansions.struve_double_sum(EvalPoint(*point)).hex() == value

@@ -687,6 +687,11 @@ class TestCoefficients:
             ck_table(3, 1.0, -0.1)
         with pytest.raises(DomainError, match="x must be"):
             ck_table(3, -1.0, 0.1)
+        # numbers past the double range or too long to print
+        with pytest.raises(DomainError, match="x must be finite"):
+            ck_table(3, 10 ** 400, 0.2)
+        with pytest.raises(DomainError, match="alpha must be finite"):
+            ck_table(3, 1.0, 10 ** 5000)
 
     @pytest.mark.parametrize("x,alpha", [(0.05, 0.0), (1.1, 0.5), (2.7, 0.5 * math.pi)])
     def test_table_is_the_coefficients_bit_for_bit(self, x, alpha):

@@ -648,6 +648,13 @@ class TestOracleCk:
             oracle_Ck(0, -1.0, 0.0)
         with pytest.raises(DomainError):
             oracle_Ck(0, 1.0, -0.1)
+        # numbers past the double range or too long to print, and NaN
+        for args, match in [((0, 10 ** 400, 0.2), "x must be finite"),
+                            ((0, 1.0, 10 ** 5000), "alpha must be finite"),
+                            ((0, 1.0, math.nan), "alpha must be finite"),
+                            ((0, math.inf, 0.2), "x must be finite")]:
+            with pytest.raises(DomainError, match=match):
+                oracle_Ck(*args)
 
 
 class TestMomentIdentity:
