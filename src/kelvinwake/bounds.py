@@ -26,7 +26,7 @@ from typing import Optional
 
 from .errors import BoundViolationError, DomainError
 from .oracle import CK_INDEX_MAX, EvalPoint, _ck_values, oracle_Ck, oracle_I2, oracle_I2_tails
-from .specfun import _check_int, upper_inc_gamma
+from .specfun import _check_finite, _check_int, upper_inc_gamma
 
 #: The smallest positive double, the floor of the tail bounds.
 _TINY = 5e-324
@@ -64,6 +64,7 @@ def remainder_bound(n: int, M: float) -> float:
     """The Lagrange-remainder envelope M^-n Gamma(2n) / n!, in log space;
     inf where it passes the double range."""
     n = _check_int(n, 1, None, "n must be a positive integer, got {}")
+    M = _check_finite(M, "M")
     if M <= 0:
         raise DomainError("M must be positive")
     if n < 2 ** 53:

@@ -21,6 +21,13 @@ under the same rule, one frame a loop: each step performs the float
 operations of the calls it replaces, in the same order, with the (hi, lo)
 state in local floats and an operand that does not change in the loop
 split once before it (splitting a double always gives the same halves).
+Work that cannot change a bit is left out.  An integer operand below
+2^26 (or any double of at most 26 significant bits, such as v + 1/2) is
+not split: it is its own high half, with a zero low half, and the two
+products by that zero would only add a signed zero to a sum that is
+never -0.  A value that does not depend on the loop's argument, such as
+the harmonic numbers of specfun's log series, is read from a module
+table built by the same calls at import.
 """
 
 from __future__ import annotations

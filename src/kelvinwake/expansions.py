@@ -48,8 +48,8 @@ from . import ddouble as dd
 from .ddouble import _SPLITTER
 from .errors import AccuracyError, DomainError, RegimeError
 from .oracle import EvalPoint, _ck_values, oracle_Ck, oracle_F
-from .specfun import (ORDER_CAP, _check_int, _hscal_window, _k01_dd, _log_rounding,
-                      _series_dd, _y01_dd, struve_k_scaled)
+from .specfun import (ORDER_CAP, _check_finite, _check_int, _hscal_window, _k01_dd,
+                      _log_rounding, _series_dd, _y01_dd, struve_k_scaled)
 
 #: Largest supported asymptotic truncation (coefficient engines cap here).
 CK_MAX = 30
@@ -230,7 +230,8 @@ def _jhat_window(minus_w, m0, m1):
 
     Each step is dd.add(f, dd.div_d(dd.mul(-w, upper), n (n + 1)))
     written out, the same float operations in the same order, with -w
-    split once before the loop.
+    split once before the loop.  n (n + 1) is an integer below 2^26
+    (n <= 2 MAX_TERMS), its own high half, and is not split (see ddouble).
     """
     wh, wl = minus_w
     c = _SPLITTER * wh
@@ -258,10 +259,7 @@ def _jhat_window(minus_w, m0, m1):
         c = _SPLITTER * q1
         ahi = c - (c - q1)
         alo = q1 - ahi
-        c = _SPLITTER * d
-        bhi = c - (c - d)
-        blo = d - bhi
-        e = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
+        e = (ahi * d - p) + alo * d
         mp = -p
         s = ah + mp
         bb = s - ah
@@ -366,7 +364,10 @@ def _bessel_products(x, rho, jhats):
     and each product dd.mul(kappa_m, jhat_m) is written out, the same float
     operations in the same order as the dd calls, with M = x^2/(4 rho)
     split once before the loop and each kappa_m split once, for its
-    product, its halves reused by the two steps that read it.
+    product, its halves reused by the two steps that read it.  4 (m - 1)
+    and 2m (2m - 1) are integers below 2^26 (m <= MAX_TERMS), their own
+    high halves, and are not split (see ddouble); the quartic divisor
+    passes 2^26 at m = 47 and is split.
     """
     w = dd.two_prod(0.5 * x, 0.5 * x)
     wwh, wwl = dd.mul(w, w)
@@ -388,10 +389,7 @@ def _bessel_products(x, rho, jhats):
             # two_sum(a0, -p), one refinement step and quick_two_sum
             g = 4.0 * (m - 1)
             p = mh * g
-            c = _SPLITTER * g
-            bhi = c - (c - g)
-            blo = g - bhi
-            e = ((mhi * bhi - p) + mhi * blo + mlo * bhi) + mlo * blo
+            e = (mhi * g - p) + mlo * g
             e = e + ml * g
             ah = p + e
             al = e - (ah - p)
@@ -401,10 +399,7 @@ def _bessel_products(x, rho, jhats):
             c = _SPLITTER * q1
             ahi = c - (c - q1)
             alo = q1 - ahi
-            c = _SPLITTER * d
-            bhi = c - (c - d)
-            blo = d - bhi
-            e = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
+            e = (ahi * d - p) + alo * d
             mp = -p
             s = ah + mp
             bb = s - ah
@@ -760,6 +755,7 @@ def ck_recurrence(n: int, x: float) -> CoefficientTable:
     for the quadrature table that ck_table reads; no evaluation uses it.
     """
     n = _check_int(n, 1, CK_MAX, _CK_N_MESSAGE)
+    x = _check_finite(x, "x")
     if x <= 0:
         raise DomainError("ck_recurrence requires x > 0")
     x2 = dd.two_prod(x, x)
@@ -776,7 +772,7 @@ def ck_recurrence(n: int, x: float) -> CoefficientTable:
             acc = dd.sub(acc, dd.mul_d(dd.mul(xpow[m - r], cvals[r]),
                                        float(math.comb(m, r))))
         cvals.append(acc)
-    return CoefficientTable(alpha=0.0, x=float(x),
+    return CoefficientTable(alpha=0.0, x=x,
                             values=tuple(dd.to_float(v) for v in cvals))
 
 

@@ -25,6 +25,9 @@ above order 1 share one upward recurrence, _bessel_yk_dd; a run of
 consecutive Hscal orders at one argument comes from the downward Struve
 recurrence, _hscal_window.  _series_dd, _log_series and _hscal_window
 write their double-double steps out, as ddouble's own operations do.
+The harmonic numbers of _log_series come from _HARMONIC, a module
+constant like _STRUVE_GAMMAS: it does not depend on x, so it is no cache
+of results.
 
 All functions are pure and safe for concurrent use.
 """
@@ -228,6 +231,32 @@ def _log_rounding(x):
     return 2.0 ** -52 * abs(math.log(0.5 * x))
 
 
+def _harmonic_table(n):
+    """Rows (H_k, H_k + H_{k+1}) for k = 0 .. n - 1, each double-double
+    (hi, lo) followed by the split halves of its hi, by the dd calls
+
+        h = add(h, div_d(ONE, k)),  hsum = add(mul_d(h, 2), div_d(ONE, k + 1)).
+    """
+    def with_halves(a):
+        c = _SPLITTER * a[0]
+        hi = c - (c - a[0])
+        return a[0], a[1], hi, a[0] - hi
+
+    h = dd.ZERO
+    rows = []
+    for k in range(n):
+        if k:
+            h = dd.add(h, dd.div_d(dd.ONE, float(k)))
+        hsum = dd.add(dd.mul_d(h, 2.0), dd.div_d(dd.ONE, float(k + 1)))
+        rows.append(with_halves(h) + with_halves(hsum))
+    return rows
+
+
+#: _harmonic_table over every step of _log_series.  Like _STRUVE_GAMMAS it
+#: does not depend on x: a constant of the series, not a cache of results.
+_HARMONIC = _harmonic_table(_SERIES_MAX)
+
+
 def _log_series(x, sign):
     """The ascending series shared by (Y0, Y1) and (K0, K1), DLMF 10.8.1
     and 10.31.2 layout, in double-double.  With q = (x/2)^2 and H_k the
@@ -242,32 +271,27 @@ def _log_series(x, sign):
     Each step is the dd calls
 
         t = div_d(mul(t, q), k^2),  u = div_d(mul(u, q), k (k + 1)),
-        h = add(h, div_d(ONE, k)),  hsum = add(mul_d(h, 2), div_d(ONE, k + 1)),
         s0 = add(s0, +-mul(t, h)),  s1 = add(s1, +-mul(u, hsum))
 
-    written out, the same float operations in the same order, with q and 2
-    split once before the loop, each of t, u and h split once, and
-    div_d(ONE, k + 1) kept for the next step's div_d(ONE, k).
+    written out, the same float operations in the same order, with q split
+    once before the loop and each of t and u split once.  h = H_k and
+    hsum = H_k + H_{k+1} do not depend on x and are read from _HARMONIC,
+    with the split halves of their high parts.  The divisors k^2 and
+    k (k + 1) are integers below 2^26, their own high halves, and are not
+    split (see ddouble).
     """
     qh, ql = dd.two_prod(0.5 * x, 0.5 * x)
     c = _SPLITTER * qh
     qhi = c - (c - qh)
     qlo = qh - qhi
-    c = _SPLITTER * 2.0
-    twohi = c - (c - 2.0)
-    twolo = 2.0 - twohi
     f0, _, t0 = _ascending_series(0, x, sign)
     f1, _, t1 = _ascending_series(1, x, sign)
     lg = _log_half_plus_gamma(x)
 
     s0h, s0l = dd.ZERO
     s1h, s1l = dd.ONE     # the k = 0 term of s1 is 1
-    hh, hl = dd.ZERO
     th, tl = uh, ul = dd.ONE
-    c = _SPLITTER * th
-    thi = uhi = c - (c - th)
-    tlo = ulo = th - thi
-    rh, rl = dd.div_d(dd.ONE, 1.0)      # 1/k
+    thi, tlo = uhi, ulo = dd.ONE      # 1 splits to itself
     k = 1
     while k < _SERIES_MAX:
         # t = div_d(mul(t, q), k^2): two_prod(t0, q0) and quick_two_sum, then
@@ -284,10 +308,7 @@ def _log_series(x, sign):
         c = _SPLITTER * q1
         ahi = c - (c - q1)
         alo = q1 - ahi
-        c = _SPLITTER * d
-        bhi = c - (c - d)
-        blo = d - bhi
-        e = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
+        e = (ahi * d - p) + alo * d
         mp = -p
         r = th + mp
         bb = r - th
@@ -308,10 +329,7 @@ def _log_series(x, sign):
         c = _SPLITTER * q1
         ahi = c - (c - q1)
         alo = q1 - ahi
-        c = _SPLITTER * d
-        bhi = c - (c - d)
-        blo = d - bhi
-        e = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
+        e = (ahi * d - p) + alo * d
         mp = -p
         r = uh + mp
         bb = r - uh
@@ -320,62 +338,8 @@ def _log_series(x, sign):
         q2 = (r + f) / d
         uh = q1 + q2
         ul = q2 - (uh - q1)
-        # h = add(h, 1/k): two two_sums and two quick_two_sums
-        r = hh + rh
-        bb = r - hh
-        e = (hh - (r - bb)) + (rh - bb)
-        v = hl + rl
-        bb = v - hl
-        f = (hl - (v - bb)) + (rl - bb)
-        e = e + v
-        hh = r + e
-        e = e - (hh - r)
-        e = e + f
-        r = hh + e
-        hl = e - (r - hh)
-        hh = r
-        # 1/(k + 1) = div_d(ONE, k + 1), as t's quotient
-        d = float(k + 1)
-        q1 = 1.0 / d
-        p = q1 * d
-        c = _SPLITTER * q1
-        ahi = c - (c - q1)
-        alo = q1 - ahi
-        c = _SPLITTER * d
-        bhi = c - (c - d)
-        blo = d - bhi
-        e = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
-        mp = -p
-        r = 1.0 + mp
-        bb = r - 1.0
-        f = (1.0 - (r - bb)) + (mp - bb)
-        f = f + (0.0 - e)
-        q2 = (r + f) / d
-        rh = q1 + q2
-        rl = q2 - (rh - q1)
-        # hsum = add(mul_d(h, 2), 1/(k + 1)) = H_k + H_{k+1}: two_prod(h0, 2)
-        # and quick_two_sum, then add as for h
-        p = hh * 2.0
-        c = _SPLITTER * hh
-        hhi = c - (c - hh)
-        hlo = hh - hhi
-        e = ((hhi * twohi - p) + hhi * twolo + hlo * twohi) + hlo * twolo
-        e = e + hl * 2.0
-        ah = p + e
-        al = e - (ah - p)
-        r = ah + rh
-        bb = r - ah
-        e = (ah - (r - bb)) + (rh - bb)
-        v = al + rl
-        bb = v - al
-        f = (al - (v - bb)) + (rl - bb)
-        e = e + v
-        gh = r + e
-        e = e - (gh - r)
-        e = e + f
-        r = gh + e
-        gl = e - (r - gh)
-        gh = r
+        # h = H_k and hsum = H_k + H_{k+1}, each with its high part's halves
+        hh, hl, hhi, hlo, gh, gl, ghi, glo = _HARMONIC[k]
         # term0 = mul(t, h): two_prod(t0, h0) and quick_two_sum
         p = th * hh
         c = _SPLITTER * th
@@ -390,10 +354,7 @@ def _log_series(x, sign):
         c = _SPLITTER * uh
         uhi = c - (c - uh)
         ulo = uh - uhi
-        c = _SPLITTER * gh
-        bhi = c - (c - gh)
-        blo = gh - bhi
-        e = ((uhi * bhi - p) + uhi * blo + ulo * bhi) + ulo * blo
+        e = ((uhi * ghi - p) + uhi * glo + ulo * ghi) + ulo * glo
         e = e + (uh * gl + ul * gh)
         bh = p + e
         bl = e - (bh - p)
@@ -570,7 +531,9 @@ def _hscal_window(x, j0, j1):
     and dd.mul_d(inh, v + 1/2) written out, the same float operations in
     the same order, with -w split once before the loop and each Hscal
     split once, where mul_d(f, v) splits it and mul(-w, upper) reuses the
-    halves a step later.
+    halves a step later.  v and v + 1/2 (v < 2 ORDER_CAP) have at most 10
+    significant bits, so each is its own high half and is not split (see
+    ddouble).
     """
     h = 0.5 * x
     wh, wl = dd.two_prod(h, -h)
@@ -593,10 +556,7 @@ def _hscal_window(x, j0, j1):
         c = _SPLITTER * fh
         fhi = c - (c - fh)
         flo = fh - fhi
-        c = _SPLITTER * b
-        bhi = c - (c - b)
-        blo = b - bhi
-        e = ((fhi * bhi - p) + fhi * blo + flo * bhi) + flo * blo
+        e = (fhi * b - p) + flo * b
         e = e + fl * b
         ah = p + e
         al = e - (ah - p)
@@ -640,10 +600,7 @@ def _hscal_window(x, j0, j1):
         c = _SPLITTER * ih
         ahi = c - (c - ih)
         alo = ih - ahi
-        c = _SPLITTER * b
-        bhi = c - (c - b)
-        blo = b - bhi
-        e = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
+        e = (ahi * b - p) + alo * b
         e = e + il * b
         ih = p + e
         il = e - (ih - p)

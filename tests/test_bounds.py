@@ -67,6 +67,16 @@ class TestRemainderBound:
             remainder_bound(0, 8.0)
         with pytest.raises(DomainError):
             remainder_bound(1, 0.0)
+        # M is checked finite and real before its sign: nan gave nan, inf
+        # and an int past the double range 0.0, a string TypeError
+        for M in (math.nan, math.inf, 10 ** 400, "2"):
+            with pytest.raises(DomainError, match="M must be finite"):
+                remainder_bound(3, M)
+
+    @pytest.mark.parametrize("M", [0.5, 3, 8.0, 1e300, 1.7e308])
+    def test_finite_M_keeps_its_value(self, M):
+        want = math.exp(math.lgamma(6) - math.lgamma(4) - 3 * math.log(M))
+        assert remainder_bound(3, M) == want
 
 
 class TestTailBound:

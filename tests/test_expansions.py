@@ -692,6 +692,10 @@ class TestCoefficients:
             ck_table(3, 10 ** 400, 0.2)
         with pytest.raises(DomainError, match="alpha must be finite"):
             ck_table(3, 1.0, 10 ** 5000)
+        # ck_recurrence checks x finite and real before its sign
+        for x in (10 ** 400, "1", math.nan, math.inf):
+            with pytest.raises(DomainError, match="x must be finite"):
+                ck_recurrence(3, x)
 
     @pytest.mark.parametrize("x,alpha", [(0.05, 0.0), (1.1, 0.5), (2.7, 0.5 * math.pi)])
     def test_table_is_the_coefficients_bit_for_bit(self, x, alpha):

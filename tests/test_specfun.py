@@ -405,3 +405,53 @@ class TestSeriesDD:
         for k in range(sf._SERIES_MAX):
             terms.append(terms[-1] * 1e10 / ((k + 1e5) * (k + 1e5)))
         assert abs(exc.value.value - math.fsum(terms)) <= 1e-12 * math.fsum(terms)
+
+
+def _halves(a):
+    """Dekker's split of a double into (high, low) halves, as ddouble does."""
+    c = sf._SPLITTER * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+class TestLoopConstants:
+    def test_harmonic_table_is_the_composed_build(self):
+        # _HARMONIC holds what the dd calls of the log series' steps give,
+        # bit for bit, with the split halves of both high parts
+        from kelvinwake import ddouble as dd
+
+        mp = pytest.importorskip("mpmath")
+        assert len(sf._HARMONIC) == sf._SERIES_MAX
+        h = dd.ZERO
+        with mp.workdps(40):
+            for k, row in enumerate(sf._HARMONIC):
+                if k:
+                    h = dd.add(h, dd.div_d(dd.ONE, float(k)))
+                hsum = dd.add(dd.mul_d(h, 2.0), dd.div_d(dd.ONE, float(k + 1)))
+                want = (*h, *_halves(h[0]), *hsum, *_halves(hsum[0]))
+                assert [v.hex() for v in row] == [v.hex() for v in want], k
+                for (hi, lo), exact in ((h, mp.harmonic(k)),
+                                        (hsum, mp.harmonic(k) + mp.harmonic(k + 1))):
+                    assert abs(mp.mpf(hi) + mp.mpf(lo) - exact) <= 1e-30 * exact, k
+
+    def test_unsplit_operands_stay_below_2_26(self):
+        # the written-out loops leave an integer operand below 2^26 (and
+        # v + 1/2) unsplit, as Dekker's split gives it back with a zero low
+        # half; this holds up to each loop's cap, and fails if a cap is
+        # raised past it
+        from kelvinwake.expansions import MAX_TERMS
+
+        n, k, v, m = 2 * MAX_TERMS, sf._SERIES_MAX, 2 * sf.ORDER_CAP, MAX_TERMS
+        for operand in (n * (n + 1), k * k, k * (k + 1), v + 0.5,
+                        4 * (m - 1), 2 * m * (2 * m - 1)):
+            assert operand < 2 ** 26
+        reachable = ([float(n * (n + 1)) for n in range(1, 2 * MAX_TERMS + 1)]
+                     + [float(d) for k in range(1, sf._SERIES_MAX) for d in (k * k, k * (k + 1))]
+                     + [b for v in range(1, 2 * sf.ORDER_CAP) for b in (float(v), v + 0.5)]
+                     + [float(d) for m in range(2, MAX_TERMS + 1)
+                        for d in (4 * (m - 1), 2 * m * (2 * m - 1))])
+        assert all(_halves(b) == (b, 0.0) for b in reachable)
+        # the quartic divisor of the K recurrence passes 2^26 at m = 47 and
+        # stays split: from m = 78 on its low half is not zero
+        assert any(_halves(float(2 * m * (2 * m - 1) * (2 * m - 2) * (2 * m - 3)))[1]
+                   for m in range(2, MAX_TERMS + 1))
