@@ -28,7 +28,7 @@ bounded by the Gaussian-type envelope or, where it dies near
 where they decay doubly exponentially.  The error estimate of [0, U] is
 QUADPACK's plus a bound on the rounding of the integrand, counted from
 the roundings of the envelope's exponent, the phases and the nodes: where
-the phase reaches 1e4 and beyond (|alpha| near pi/2 at large M) a few ulps
+the phase reaches thousands (|alpha| near pi/2 at large M) a few ulps
 of it outweigh QUADPACK's floor of 50 ulps of the integral of |f|.
 
 Endpoint singularities are removed by a change of variable before any rule
@@ -210,8 +210,8 @@ def _gk21_rule(f, h):
 
 
 #: Panels evaluated as one array; a larger pass goes in blocks of this
-#: many, so a pass at the MAX_SUBDIVISIONS budget holds about 10 MB.
-_PANEL_BLOCK = 4096
+#: many, so the buffers of a block, about 86 kB each, stay in cache.
+_PANEL_BLOCK = 512
 
 
 def _gk21_panels(integrand, a, b):
@@ -316,20 +316,50 @@ def _wake_integrand(x, k1, k2):
     themselves, all times the envelope e^-E: a cos moves by as much as its
     argument.  A node's own rounding du moves the phases by du times their
     slope 2 k1 sinh 2u + 2 k2 cosh 2u + x sinh u.  Where the phase runs
-    to 1e4 and beyond, near |alpha| = pi/2 at large M, this is the
-    estimate's largest part.
+    to thousands, near |alpha| = pi/2 at large M, this is the estimate's
+    largest part.
+
+    It runs in place, in six buffers shaped like u, with the same float
+    operations in the same order as the expressions
+
+        env = exp(-k1 cosh 2u),
+        value = env cos(k2 sinh 2u) cos(x cosh u),
+        bound = env (4 2^-52 (1 + |k1| cosh 2u + k2 sinh 2u + x cosh u)
+                     + du (2 |k1| sinh 2u + 2 k2 cosh 2u + x sinh u)),
+
+    so its values equal theirs bit for bit.
     """
+    neg_k1, abs_k1 = -k1, abs(k1)
+    twice_k1, twice_k2 = 2.0 * abs_k1, 2.0 * k2
+
     def f(u, du):
-        c2u = np.cosh(2.0 * u)
-        s2u = np.sinh(2.0 * u)
-        cu = np.cosh(u)
-        env = np.exp(-k1 * c2u)
-        phase_a = k2 * s2u
-        phase_b = x * cu
-        value = env * np.cos(phase_a) * np.cos(phase_b)
-        slope = 2.0 * abs(k1) * s2u + 2.0 * k2 * c2u + x * np.sinh(u)
-        bound = env * (4.0 * 2.0 ** -52 * (1.0 + abs(k1) * c2u + phase_a + phase_b)
-                       + du * slope)
+        s2u = np.multiply(u, 2.0)
+        c2u = np.cosh(s2u)
+        np.sinh(s2u, out=s2u)
+        phase_b = np.cosh(u)
+        phase_b *= x
+        env = np.multiply(c2u, neg_k1)
+        np.exp(env, out=env)
+        # bound = (4 2^-52 (1 + |k1| c2u + phase_a + phase_b) + du slope) env
+        bound = np.multiply(c2u, abs_k1)
+        bound += 1.0
+        phase_a = np.multiply(s2u, k2)
+        bound += phase_a
+        bound += phase_b
+        bound *= 4.0 * 2.0 ** -52
+        s2u *= twice_k1
+        c2u *= twice_k2
+        s2u += c2u
+        slope = np.sinh(u, out=c2u)
+        slope *= x
+        slope += s2u
+        slope *= du
+        bound += slope
+        bound *= env
+        # value = env cos(phase_a) cos(phase_b)
+        value = np.cos(phase_a, out=phase_a)
+        value *= env
+        value *= np.cos(phase_b, out=phase_b)
         return value, bound
     return f
 
@@ -427,12 +457,18 @@ def oracle_F(pt: EvalPoint, abs_tol: float = 1e-12) -> QuadResult:
     phi_sg = k2 sinh 2u + sg x cosh u, and each tail runs from U up to
     U + i pi/4, then along Im u = pi/4, where its modulus is
     exp(-k2 cosh 2w - sg x sinh w / sqrt 2) / 2, until below e^-45 abs_tol.
-    That U makes x sinh U <= k2 cosh 2U, so both legs decay for both signs.
+    The cut U is the first point of the grid ln(max(x / 2 k2, 1) + 2)
+    + 0.25 j, j = 0, 1, ..., where x sinh U <= k2 cosh 2U, so both legs
+    decay for both signs, and the minus-phase k2 sinh 2U - x cosh U is at
+    least max(2, x), so it is positive and increasing.  The first such U
+    is taken: the core's phase k2 sinh 2U, and with it the core's panels
+    and its rounding bound, grows as e^2U.
 
     The error estimate adds QUADPACK's per-panel estimate, the rounding
     bound of _wake_integrand and the tails'; the rounding bound can exceed
-    a tight abs_tol near |alpha| = pi/2 at large M (about 1e-10 at
-    M = 1000), where the phases reach 1e4.  Raises AccuracyError, carrying
+    a tight abs_tol near |alpha| = pi/2 at large M (about 4e-11 at
+    M = 1000 and 9e-11 at M = 2000), where the phases reach 4e3 and
+    9e3.  Raises AccuracyError, carrying
     the best value and its estimate, when the MAX_SUBDIVISIONS panel budget
     runs out (with neither where the initial panels exceed it already) or
     the quadrature stalls above 20 times the tolerance, and
@@ -455,8 +491,9 @@ def oracle_F(pt: EvalPoint, abs_tol: float = 1e-12) -> QuadResult:
     fourier = k2 > 0 and (
         near or (k2 * math.sinh(2.0 * U) + x * math.cosh(U)) / (2.0 * math.pi) > 20_000)
     if fourier:
-        U = math.log(max(x / (2.0 * k2), 1.0) + 2.0) + 1.5
-        # the minus-phase must be safely increasing and positive at the cut
+        U = math.log(max(x / (2.0 * k2), 1.0) + 2.0)
+        # the first U on this grid where both legs decay and the minus-phase
+        # is safely increasing and positive
         while U <= _U_MAX and (
                 2.0 * k2 * math.cosh(2.0 * U) - x * math.sinh(U) < k2 * math.cosh(2.0 * U)
                 or k2 * math.sinh(2.0 * U) - x * math.cosh(U) < max(2.0, x)):

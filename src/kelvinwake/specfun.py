@@ -196,14 +196,20 @@ def _ascending_series(n, x, sign):
 
 
 def bessel_j(order: int, x: float) -> SpecFunResult:
-    """Bessel function of the first kind J_order(x) for x >= 0."""
+    """Bessel function of the first kind J_order(x) for x >= 0.
+
+    The series' terms add up in absolute value to I_order(x), which they
+    cancel down from; the estimate counts 2^-102 of it for the
+    double-double rounding (below 2^-110 of it at x up to 100), which
+    outgrows the value past x of about 40."""
     order = _check_order(order, ORDER_CAP)
     x = _check_finite(x)
     if x < 0:
         raise DomainError("bessel_j requires x >= 0")
     s, tail, terms = _ascending_series(order, x, -1)
     value = dd.to_float(s)
-    return SpecFunResult(value, tail + 2.3e-16 * abs(value), terms)
+    size = dd.to_float(_ascending_series(order, x, +1)[0])
+    return SpecFunResult(value, tail + 2.3e-16 * abs(value) + 2.0 ** -102 * size, terms)
 
 
 def bessel_i(order: int, x: float) -> SpecFunResult:
@@ -430,8 +436,45 @@ def _bessel_yk_dd(order, x, sign):
     return fc, terms + order
 
 
+def _series_spread(order, x, sign):
+    """A bound on the error the log series leaves in Y_order(x) (sign=-1)
+    or K_order(x) (sign=+1) besides the rounding of the double log.
+
+    The series' terms grow to about I_0(x) before they cancel to the
+    seeds Y0, Y1 or K0, K1 of the recurrence, so past x of about 40 that
+    error outgrows every other part of the estimate.  The terms' absolute
+    sums are the sign=+1 series: |lg| I0 + s0 for the first seed and
+    1/x + |lg| I1 + (x/4) s1 for the second, their sum S (times 2/pi for
+    Y).  Y's alternating sums lose at most 2^-102 S to double-double
+    rounding (below 2^-109 S at x up to 100); they stop at 1e-21 of
+    partial sums about the size of Y0, Y1, within the estimate's ulps of
+    the value.  K's positive sums stop at 1e-21 of partial sums up to S,
+    where their terms fall by more than 4 a step (at x up to 125), so
+    their tails add at most 1e-21 S / 3 to s0, s1, I0 and I1, and the
+    second seed takes s1 times x/4: 2e-21 (1 + x/4) S covers both.  An
+    error e in both seeds moves f_order by at most g_order, where
+    g_0 = g_1 = e and g_{m+1} = (2m/x) g_m + g_{m-1} majorizes both
+    recurrences.
+    """
+    i0, i1, lg, s0, s1, _ = _log_series(x, +1)
+    size = abs(lg[0]) * (i0[0] + i1[0]) + s0[0] + 1.0 / x + 0.25 * x * s1[0]
+    g0 = g1 = size * ((2.0 / math.pi) * 2.0 ** -102 if sign < 0 else 2e-21 * (1.0 + 0.25 * x))
+    for m in range(1, order):
+        g0, g1 = g1, (2.0 * m / x) * g1 + g0
+    spread = g1 if order else g0
+    if not math.isfinite(spread):
+        raise RangeOverflowError(f"the error estimate of {'Y' if sign < 0 else 'K'}_{order}"
+                                 f"({x}) exceeds double range")
+    return spread
+
+
 def bessel_y(order: int, x: float) -> SpecFunResult:
-    """Bessel function of the second kind Y_order(x) for x > 0."""
+    """Bessel function of the second kind Y_order(x) for x > 0.
+
+    The estimate adds to a few ulps of the value the rounding of the
+    double log (see _log_rounding) and the log series' own rounding (see
+    _series_spread), which grows as I_0(x) 2^-102 and outgrows the value
+    past x of about 40."""
     order = _check_order(order, 2 * ORDER_CAP)
     x = _check_finite(x)
     if x <= 0:
@@ -439,12 +482,18 @@ def bessel_y(order: int, x: float) -> SpecFunResult:
     y, terms = _bessel_yk_dd(order, x, -1)
     value = dd.to_float(y)
     jn = dd.to_float(_ascending_series(order, x, -1)[0])
-    err = abs(value) * (3e-16 + 1e-16 * order) + (2.0 / math.pi) * _log_rounding(x) * abs(jn)
+    err = (abs(value) * (3e-16 + 1e-16 * order) + (2.0 / math.pi) * _log_rounding(x) * abs(jn)
+           + _series_spread(order, x, -1))
     return SpecFunResult(value, err, terms)
 
 
 def bessel_k(order: int, x: float) -> SpecFunResult:
-    """Modified Bessel function of the second kind K_order(x) for x > 0."""
+    """Modified Bessel function of the second kind K_order(x) for x > 0.
+
+    The estimate adds to a few ulps of the value the rounding of the
+    double log and the log series' truncation (see _series_spread); both
+    grow as I_0(x), while K falls as e^-x, so the value keeps no digit
+    past x of about 15."""
     order = _check_order(order, 2 * ORDER_CAP)
     x = _check_finite(x)
     if x <= 0:
@@ -452,7 +501,8 @@ def bessel_k(order: int, x: float) -> SpecFunResult:
     k, terms = _bessel_yk_dd(order, x, +1)
     value = dd.to_float(k)
     i_n = dd.to_float(_ascending_series(order, x, +1)[0])
-    err = abs(value) * (3e-16 + 1e-16 * order) + _log_rounding(x) * i_n
+    err = (abs(value) * (3e-16 + 1e-16 * order) + _log_rounding(x) * i_n
+           + _series_spread(order, x, +1))
     return SpecFunResult(value, err, terms)
 
 

@@ -205,11 +205,11 @@ class TestOracleF:
         assert abs(got.value - float(want)) <= got.abs_error_estimate
 
     def test_estimate_counts_the_rounding_of_the_phases(self):
-        # at pi/2 and M = 1000 the phase k2 sinh 2u reaches 2e4 within the
-        # core, so its ulps are worth about 1e-10 of F
+        # at pi/2 and M = 1000 the phase k2 sinh 2u reaches 4.4e3 within the
+        # core, cut at U = 9.04, so its ulps are worth about 4e-11 of F
         pt = EvalPoint(1.0, 0.00025, 0.5 * math.pi)
         got = oracle_F(pt)
-        assert 2e-11 < got.abs_error_estimate < 1e-9
+        assert 2e-11 < got.abs_error_estimate < 1e-10
 
     def test_tight_tolerance_ends_within_the_panel_budget(self):
         # F = -0.22220307416678721580... by the Bessel product series in
@@ -288,6 +288,81 @@ class TestOracleF:
         ref = paris_F(pt)
         assert (abs(got.value - ref.value)
                 <= got.abs_error_estimate + ref.internal_error_estimate)
+
+    def test_fourier_cut_is_the_first_grid_point_that_holds(self):
+        # the Fourier-tail cut starts at ln(max(x / 2 k2, 1) + 2) and steps
+        # by 0.25 to the first U where both legs decay (k2 cosh 2U >=
+        # x sinh U) and the minus-phase k2 sinh 2U - x cosh U is at least
+        # max(2, x); one step less fails one of the two
+        def holds(x, k2, U):
+            return (k2 * math.cosh(2.0 * U) >= x * math.sinh(U)
+                    and k2 * math.sinh(2.0 * U) - x * math.cosh(U) >= max(2.0, x))
+
+        rng = random.Random(3030)
+        for i in range(24):
+            x = rng.uniform(0.05, 3.5)
+            rho = min(x * x / (4.0 * 10.0 ** rng.uniform(-1.7, 3.3)), 2.0)
+            alpha = 0.5 * math.pi - (0.0 if i % 2 else rng.uniform(0.0, 1e-6))
+            k2 = 0.5 * rho * math.sin(alpha)
+            start = math.log(max(x / (2.0 * k2), 1.0) + 2.0)
+            U = oracle_F(EvalPoint(x, rho, alpha)).truncation_point
+            assert holds(x, k2, U)
+            assert U - start < 1e-12 or not holds(x, k2, U - 0.25)
+
+    def test_past_the_old_panel_budget(self):
+        # M = 24769 at pi/2: with the cut's grid started 1.5 further out,
+        # the core's bisection ran past MAX_SUBDIVISIONS and raised
+        # AccuracyError.
+        # F = -0.62252538287501009269... by the Bessel product series in
+        # mpmath at 10837 digits (the J_2m by Miller's backward recurrence,
+        # the K_m by the forward one; the terms peak near 1e10757)
+        want = -0.6225253828750101
+        got = oracle_F(EvalPoint(3.4689672504416738, 1.2145971838498043e-4, 0.5 * math.pi))
+        assert abs(got.value - want) <= got.abs_error_estimate
+
+
+def _wake_integrand_ref(x, k1, k2):
+    """_wake_integrand as the composed expressions its docstring names."""
+    def f(u, du):
+        c2u = np.cosh(2.0 * u)
+        s2u = np.sinh(2.0 * u)
+        cu = np.cosh(u)
+        env = np.exp(-k1 * c2u)
+        phase_a = k2 * s2u
+        phase_b = x * cu
+        value = env * np.cos(phase_a) * np.cos(phase_b)
+        slope = 2.0 * abs(k1) * s2u + 2.0 * k2 * c2u + x * np.sinh(u)
+        bound = env * (4.0 * 2.0 ** -52 * (1.0 + abs(k1) * c2u + phase_a + phase_b)
+                       + du * slope)
+        return value, bound
+    return f
+
+
+class TestWakeIntegrand:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_the_composed_expressions(self, seed):
+        # GK21 nodes of panels over [0, U], U up to where the phase
+        # k2 sinh 2U reaches 1e5 (and the exponent k1 cosh 2U 700), with
+        # k1 = 0, with k2 = 0 (alpha = 0) and with alpha in between
+        rng = np.random.default_rng(seed)
+        for i in range(12):
+            x = rng.uniform(0.05, 3.5)
+            rho = x * x / (4.0 * 10.0 ** rng.uniform(-1.7, 3.3))
+            alpha = (0.5 * math.pi, 0.0, rng.uniform(0.0, 0.5) * math.pi)[i % 3]
+            k1 = 0.0 if i % 3 == 0 else 0.5 * rho * math.cos(alpha)
+            k2 = 0.0 if i % 3 == 1 else 0.5 * rho * math.sin(alpha)
+            U = 0.5 * math.asinh(10.0 ** rng.uniform(0.0, 5.0) / max(k2, 1e-300))
+            U = min(U, 0.5 * math.acosh(700.0 / k1) if k1 else U, 30.0)
+            edges = np.sort(rng.uniform(0.0, U, size=rng.choice([3, 40, 700])))
+            a, b = edges[:-1], edges[1:]
+            h, mid = 0.5 * (b - a), 0.5 * (a + b)
+            u = mid[:, None] + h[:, None] * oracle._GK21_NODES
+            du = (2.0 ** -52 * (np.abs(mid) + h))[:, None]
+            got = oracle._wake_integrand(x, k1, k2)(u, du)
+            want = _wake_integrand_ref(x, k1, k2)(u, du)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape
+                assert np.array_equal(g.view(np.int64), w.view(np.int64))
 
 
 def _panel_rule(*fs):

@@ -122,14 +122,31 @@ def test_j_and_i_exact_at_zero(n):
     ("bessel_y", 1, 2.197141326031017),
     # 1.3e-17 off, a relative 3.7e-16
     ("bessel_k", 0, 3.0),
+    # the series' terms reach I_0(x) before they cancel: J0(100) and Y0(100)
+    # come out as -8.8e8 and 8.8e8, K0(30) as 1.6e-6 against 2.1e-14
+    ("bessel_j", 0, 50.0),
+    ("bessel_j", 0, 100.0),
+    ("bessel_y", 0, 45.0),
+    ("bessel_y", 0, 50.0),
+    ("bessel_y", 0, 100.0),
+    ("bessel_k", 0, 30.0),
+    # the recurrence carries the seeds' error up: K_30(20) is 1.2e-5 off,
+    # a relative 7e-5
+    ("bessel_k", 30, 20.0),
+    ("bessel_k", 60, 20.0),
+    ("bessel_k", 30, 10.0),
+    ("bessel_y", 60, 45.0),
+    ("bessel_y", 100, 70.0),
 ])
 def test_estimate_counts_the_rounding_of_the_log(func, order, x):
     # ln(x/2) is a double in the log series: its rounding moves Y_n by
-    # 2/pi times it times J_n(x) and K_n by it times I_n(x)
+    # 2/pi times it times J_n(x) and K_n by it times I_n(x); the series'
+    # own rounding and truncation scale with its absolute terms
     mp = pytest.importorskip("mpmath")
     got = getattr(sf, func)(order, x)
     with mp.workdps(40):
-        want = (mp.bessely if func == "bessel_y" else mp.besselk)(order, x)
+        want = {"bessel_j": mp.besselj, "bessel_y": mp.bessely,
+                "bessel_k": mp.besselk}[func](order, x)
         assert abs(got.value - want) <= got.abs_error_estimate
 
 
