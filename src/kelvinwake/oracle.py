@@ -21,15 +21,15 @@ combined with its conjugate, which works out to the real, even function
     exp(-rho/2 cos(alpha) cosh 2u) * cos(rho/2 sin(alpha) sinh 2u)
                                    * cos(x cosh u).
 
-oracle_F takes one path: the even integrand over [0, U], from panels
-that each span at most 2 pi of the phase, plus the tails beyond U, either
-bounded by the Gaussian-type envelope or, where it dies near
-|alpha| = pi/2, integrated along a contour shifted up to Im u = pi/4,
-where they decay doubly exponentially.  The error estimate of [0, U] is
-QUADPACK's plus a bound on the rounding of the integrand, counted from
-the roundings of the envelope's exponent, the phases and the nodes: where
-the phase reaches thousands (|alpha| near pi/2 at large M) a few ulps
-of it outweigh QUADPACK's floor of 50 ulps of the integral of |f|.
+oracle_F takes one of two paths.  The envelope path integrates the even
+integrand over [0, U], on panels that each span at most 2 pi of the phase,
+and bounds the tails beyond U by the Gaussian-type envelope.  Where that
+takes too many panels (near |alpha| = pi/2, where the envelope dies, or at
+large M), the contour path integrates along straight legs through the
+saddle of the minus-phase and out along Im u = pi/4, where no leg
+oscillates more than a few times.  Both estimates add to QUADPACK's a
+bound on the rounding of the integrand, counted from the roundings of the
+exponent's terms, the phases and the nodes.
 
 Endpoint singularities are removed by a change of variable before any rule
 sees them: tau = p sin(theta) in the branch-cut integral, a power of
@@ -138,7 +138,7 @@ class QuadResult:
 
     abs_error_estimate includes any truncation tail bound;
     truncation_point is the U at which an infinite range was cut (or the
-    finite upper limit when no cut was needed).
+    finite upper limit when no cut was needed), on oracle_F's contour W.
     """
 
     value: float
@@ -315,9 +315,7 @@ def _wake_integrand(x, k1, k2):
     hyperbolic functions and the products) and the exp, cos and products
     themselves, all times the envelope e^-E: a cos moves by as much as its
     argument.  A node's own rounding du moves the phases by du times their
-    slope 2 k1 sinh 2u + 2 k2 cosh 2u + x sinh u.  Where the phase runs
-    to thousands, near |alpha| = pi/2 at large M, this is the estimate's
-    largest part.
+    slope 2 k1 sinh 2u + 2 k2 cosh 2u + x sinh u.
 
     It runs in place, in six buffers shaped like u, with the same float
     operations in the same order as the expressions
@@ -419,22 +417,71 @@ def _plain(f):
     return lambda u, du: (f(u), np.zeros_like(u))
 
 
-def _tail_integrand(x, k1, k2, start, turn):
-    """Re h(u) e^{i phi(u)} along u = start + e^{i turn} s (turn 0 or pi/2),
-    as an integrand of _gk21_panels in s, for sg = +1, -1 as a stack: with
-    E = -k1 cosh 2u + i phi, e^{Re E} cos(Im E + turn) / 2.  The rounding
-    bound is _wake_integrand's, (|k1| + k2) cosh(2 Re u) + x cosh(Re u)
-    bounding the exponent and the phases, and twice that their slope."""
-    step, sg = (1j if turn else 1.0), np.array([1.0, -1.0])[:, None, None]
+def _saddle(x, k2):
+    """The largest root u* of 2 k2 cosh 2u = x sinh u (x, k2 > 0), the saddle
+    of k2 sinh 2u - x cosh u, or None if it has no real root: in sinh u, the
+    larger root of 4 k2 s^2 - x s + 2 k2 = 0, a sum of non-negative terms."""
+    r = math.sqrt(32.0) * k2
+    if not x >= r:
+        return None
+    return math.asinh((x + math.sqrt((x - r) * (x + r))) / (8.0 * k2))
 
-    def f(s, ds):
-        u = start + step * s
-        e = -k1 * np.cosh(2.0 * u) + 1j * (k2 * np.sinh(2.0 * u) + sg * x * np.cosh(u))
-        env = 0.5 * np.exp(e.real)
+
+def _contour(x, k1, k2, abs_tol):
+    """oracle_F's contour as (integrand, legs, W): Re e^g(u) du/dt on each
+    leg u = a + (b - a) t, t in [0, 1], g = -k1 cosh 2u + i (k2 sinh 2u
+    + sign x cosh u), sign +1 on C+ and -1 on C-, as a stack of integrands
+    of _gk21_panels, one per leg; see oracle_F.  The rounding bound counts,
+    as _wake_integrand's, 4 * 2^-52 for the terms of g, bounded together by
+    (|k1| + k2) cosh(2 Re u) + x cosh(Re u), and for the exp, cos and
+    products, times the modulus |b - a| e^Re g; and a node's move,
+    |b - a| dt plus an ulp of u, times |g'|, which vanishes at the saddle.
+    """
+    q = 0.25 * math.pi
+    top = 1j * q
+    u = _saddle(x, k2)
+    if u is None or u <= q:
+        minus = [0.0, top]
+    else:
+        # below the axis the modulus reaches e^(k2 sin 2d) at depth d
+        d = 0.5 * math.asin(min(1.0, 1.0 / k2))
+        minus = [0.0, -1j * d, u - d - 1j * d, u + q + top]
+    # the first point of the grid from the last corner where the far leg's
+    # modulus exp(-(k2 cosh 2w - x sinh w / sqrt 2)) is below e^-45 abs_tol
+    cut = 45.0 + math.log(1.0 / abs_tol)
+    W = minus[-1].real + 0.25
+    while W <= _U_MAX and k2 * math.cosh(2.0 * W) - x * math.sinh(W) / math.sqrt(2.0) < cut:
+        W += 0.25
+    if not W <= _U_MAX:
+        raise RangeOverflowError(f"oracle_F needs its contour out to Re u = {W:.6g}, beyond "
+                                 f"{_U_MAX:.6g}, where e^2u leaves the double range")
+    a, b = np.array([0.0, top] + minus), np.array([top, W + top] + minus[1:] + [W + top])
+    a, step = a[:, None, None], (b - a)[:, None, None]
+    sign = np.array([1.0, 1.0] + [-1.0] * len(minus))[:, None, None]
+    length, turn = np.abs(step), np.angle(step)
+
+    def f(t, dt):
+        u = a + step * t
+        # the hyperbolic functions of u and 2u from e^u and e^-u: one complex
+        # exp in place of four complex cosh and sinh, which cost twice as much
+        e1 = np.exp(u)
+        r1 = 1.0 / e1
+        e2, r2 = e1 * e1, r1 * r1
+        c2u, s2u = 0.5 * (e2 + r2), 0.5 * (e2 - r2)
+        g = -k1 * c2u + 1j * (k2 * s2u + sign * x * 0.5 * (e1 + r1))
+        slope = np.abs(-2.0 * k1 * s2u + 1j * (2.0 * k2 * c2u + sign * x * 0.5 * (e1 - r1)))
+        env = length * np.exp(g.real)
         size = (abs(k1) + k2) * np.cosh(2.0 * u.real) + x * np.cosh(u.real)
-        return (env * np.cos(e.imag + turn),
-                env * (4.0 * 2.0 ** -52 * (2.0 + size) + ds * 2.0 * size))
-    return f
+        du = length * dt + 2.0 ** -52 * np.abs(u)
+        return (env * np.cos(g.imag + turn),
+                env * (4.0 * 2.0 ** -52 * (2.0 + size) + du * slope))
+    return f, len(minus) + 2, W
+
+
+#: The contour's initial panels, on its legs' shared parameter t in [0, 1].
+_CONTOUR_EDGES = np.linspace(0.0, 1.0, 9)
+#: oracle_F's contour runs where the envelope path would need more initial panels.
+_CONTOUR_PANELS = 160
 
 
 def check_abs_tol(abs_tol: float) -> None:
@@ -447,81 +494,60 @@ def check_abs_tol(abs_tol: float) -> None:
 def oracle_F(pt: EvalPoint, abs_tol: float = 1e-12) -> QuadResult:
     """The wake integral F at pt, to absolute tolerance abs_tol (finite, >= 1e-14).
 
-    F is twice the even integrand's integral over [0, U] plus twice its
-    tails beyond U.  Off |alpha| = pi/2, U comes from the envelope rule
-    rho cos(alpha) cosh(2U) / 2 >= ln(1/abs_tol) + 5, and the tails are
-    only bounded, by e^-a / a at a = k1 cosh 2U.  Within 1e-6 of pi/2, where
-    the envelope dies, or wherever its [0, U] would hold more than 20000
-    oscillations, the tails are integrated instead: beyond U the integrand
-    is Re h (e^{i phi_+} + e^{i phi_-}), entire in u, h = exp(-k1 cosh 2u) / 2,
-    phi_sg = k2 sinh 2u + sg x cosh u, and each tail runs from U up to
-    U + i pi/4, then along Im u = pi/4, where its modulus is
-    exp(-k2 cosh 2w - sg x sinh w / sqrt 2) / 2, until below e^-45 abs_tol.
-    The cut U is the first point of the grid ln(max(x / 2 k2, 1) + 2)
-    + 0.25 j, j = 0, 1, ..., where x sinh U <= k2 cosh 2U, so both legs
-    decay for both signs, and the minus-phase k2 sinh 2U - x cosh U is at
-    least max(2, x), so it is positive and increasing.  The first such U
-    is taken: the core's phase k2 sinh 2U, and with it the core's panels
-    and its rounding bound, grows as e^2U.
+    With k1 = rho cos(alpha) / 2 and k2 = rho sin(alpha) / 2, the envelope
+    path takes twice the even integrand's integral over [0, U], where
+    rho cos(alpha) cosh(2U) / 2 = ln(1/abs_tol) + 5, and bounds the tails
+    beyond by e^-a / a at a = k1 cosh 2U.  Where k2 > 0 and its initial
+    panels, 2 pi of phase each, would number more than _CONTOUR_PANELS,
+    the contour path runs: the integrand is entire, so
+    F = Re[int_C+ e^g+ du + int_C- e^g- du], g+- = -k1 cosh 2u
+    + i (k2 sinh 2u +- x cosh u).  C+ runs 0 -> i pi/4 -> W + i pi/4;
+    C- runs 0 -> -i d -> (u* - d) - i d -> (u* + pi/4) + i pi/4 ->
+    W + i pi/4, crossing the saddle u* of the minus-phase (_saddle) on its
+    steepest descent, e^{i pi/4}, with d = pi/4, or less where k2 > 1 so
+    the modulus below the axis stays below e; where no saddle exceeds pi/4
+    it takes C+'s path.  W is the first point of the grid from the last
+    corner in steps of 0.25 where exp(-(k2 cosh 2W - x sinh W / sqrt 2)),
+    g-'s modulus, is below e^-45 abs_tol.  The four or six legs run as one
+    stack on a shared t in [0, 1], each to abs_tol over twice their
+    number, and truncation_point is W.
 
-    The error estimate adds QUADPACK's per-panel estimate, the rounding
-    bound of _wake_integrand and the tails'; the rounding bound can exceed
-    a tight abs_tol near |alpha| = pi/2 at large M (about 4e-11 at
-    M = 1000 and 9e-11 at M = 2000), where the phases reach 4e3 and
-    9e3.  Raises AccuracyError, carrying
-    the best value and its estimate, when the MAX_SUBDIVISIONS panel budget
-    runs out (with neither where the initial panels exceed it already) or
-    the quadrature stalls above 20 times the tolerance, and
-    RangeOverflowError for a U past _U_MAX (at rho of about 1e-300 and
-    below).
+    The error estimate adds QUADPACK's per-panel estimate, the integrand's
+    rounding bound and the envelope path's tail bound.  Raises
+    AccuracyError, carrying the best value and its estimate, when the
+    MAX_SUBDIVISIONS panel budget runs out (with neither where the initial
+    panels exceed it) or the quadrature stalls above 20 times the
+    tolerance, and RangeOverflowError for a U or W past _U_MAX (at rho of
+    about 1e-300 and below).
     """
     check_abs_tol(abs_tol)
     x, rho, alpha = pt.x, pt.rho, pt.alpha_abs
     cos_a = math.cos(alpha)
     k1 = 0.5 * rho * cos_a
     k2 = 0.5 * rho * math.sin(alpha)
-    target = math.log(1.0 / abs_tol) + 5.0
-
-    near = _HALF_PI - alpha <= 1e-6
     # the envelope rule; where rho cos(alpha) underflows to 0 no U meets it
     U = math.inf
-    if not near and rho * cos_a:
-        U = 0.5 * math.acosh(max(2.0 * target / (rho * cos_a), 2.0))
-    # the shifted tails decay only where k2 > 0
-    fourier = k2 > 0 and (
-        near or (k2 * math.sinh(2.0 * U) + x * math.cosh(U)) / (2.0 * math.pi) > 20_000)
-    if fourier:
-        U = math.log(max(x / (2.0 * k2), 1.0) + 2.0)
-        # the first U on this grid where both legs decay and the minus-phase
-        # is safely increasing and positive
-        while U <= _U_MAX and (
-                2.0 * k2 * math.cosh(2.0 * U) - x * math.sinh(U) < k2 * math.cosh(2.0 * U)
-                or k2 * math.sinh(2.0 * U) - x * math.cosh(U) < max(2.0, x)):
-            U += 0.25
-    if not U <= _U_MAX:
-        raise RangeOverflowError(f"oracle_F needs the cut U = {U:.6g} beyond {_U_MAX:.6g}, "
-                                 f"where e^2U leaves the double range")
-
-    # the integrand is even: twice [0, U]
-    half, err, neval, problem = _integrate(
-        _wake_integrand(x, k1, k2), _wake_edges(x, k1, k2, U),
-        (0.125 if fourier else 0.25) * abs_tol, 1e-13)
-    value, err = 2.0 * half, 2.0 * err
-    if fourier:
-        # both legs decay over about 1 / (k2 cosh 2U) from their start; on
-        # the horizontal one the exponent is at least (1 - 1/sqrt 2) k2 cosh 2w
-        first, top = 1.0 / (k2 * math.cosh(2.0 * U)), 0.25 * math.pi
-        W = 0.5 * math.acosh(max((45.0 + math.log(0.5 / abs_tol)) / (0.29 * k2), 1.0))
-        for integrand, edges in [
-                (_tail_integrand(x, k1, k2, U, _HALF_PI), _doubling_edges(first, top)),
-                (_tail_integrand(x, k1, k2, 1j * top, 0.0),
-                 U + _doubling_edges(first, max(W - U, 0.25)))]:
-            tails, terr, tneval, tproblem = _integrate(integrand, edges, abs_tol / 16.0, 1e-13)
-            value, err = value + 2.0 * sum(tails), err + 2.0 * sum(terr)
-            neval, problem = neval + tneval, problem or tproblem
+    if rho * cos_a:
+        U = 0.5 * math.acosh(max(2.0 * (math.log(1.0 / abs_tol) + 5.0) / (rho * cos_a), 2.0))
+    # the initial panels _wake_edges lays on [0, U], 2 pi of phase each
+    panels = math.inf
+    if U <= _U_MAX:
+        panels = (k1 * (math.cosh(2.0 * U) - 1.0) + k2 * math.sinh(2.0 * U)
+                  + x * (math.cosh(U) - 1.0)) / _WAKE_PANEL_PHASE
+    if k2 > 0 and panels > _CONTOUR_PANELS:
+        integrand, legs, U = _contour(x, k1, k2, abs_tol)
+        parts, errs, neval, problem = _integrate(
+            integrand, _CONTOUR_EDGES, abs_tol / (2 * legs), 1e-13)
+        value, err = math.fsum(parts), sum(errs)
     else:
+        if not U <= _U_MAX:
+            raise RangeOverflowError(f"oracle_F needs the cut U = {U:.6g} beyond {_U_MAX:.6g}, "
+                                     f"where e^2U leaves the double range")
+        # the integrand is even: twice [0, U], and the tails bounded by the envelope
+        half, err, neval, problem = _integrate(
+            _wake_integrand(x, k1, k2), _wake_edges(x, k1, k2, U), 0.25 * abs_tol, 1e-13)
         aW = k1 * 0.5 * math.exp(2.0 * U)   # ~ k1 cosh(2U)
-        err = err + 2.0 * math.exp(-aW) / aW
+        value, err = 2.0 * half, 2.0 * err + 2.0 * math.exp(-aW) / aW
     if problem:
         raise AccuracyError(problem, value=value, error_estimate=err)
     return QuadResult(value, err, neval, U)

@@ -76,7 +76,7 @@ def test_reused_parser_equals_fresh_parsers(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["--x", "1", "--rho", "1e-12", "--alpha", "1.0"],
+    ["--x", "1", "--rho", "1e-12", "--alpha", "0"],
     ["--x", "1", "--rho", "1e-300", "--alpha-pi", "0.5"],
     ["--x", "1", "--rho", "1e-320", "--alpha-pi", "0.5"],
     ["--x", "1", "--rho", "1e-320", "--alpha", "0"],
@@ -88,9 +88,10 @@ def test_eval_oracle_beyond_its_budget_fails_in_one_line(capsys, argv):
 
 
 def test_compare_at_huge_M_ends(capsys):
-    # M = 2.25e9: ursell_F and paris_F return, bessho_F and oracle_F refuse
+    # M = 2.25e9 at alpha = 0: ursell_F and paris_F return, bessho_F and
+    # oracle_F refuse (with k2 = 0 oracle_F has no contour to take)
     code, out, err = run(capsys, "compare", "--x", "3", "--rho", "1e-9",
-                         "--alpha-pi", "0.3", "--format", "json")
+                         "--alpha-pi", "0", "--format", "json")
     assert code == EXIT_TOLERANCE
     rows = {r["method"]: r for r in json.loads(out)["rows"]}
     assert rows["ursell"]["status"] == rows["paris"]["status"] == "ok"
@@ -512,8 +513,8 @@ def test_csv_output_is_17_digit(capsys):
 
 def test_runs_without_scipy():
     # the package needs numpy alone: with scipy blocked from import, eval
-    # runs every route at |alpha| = pi/2 and M = 1000 (oracle_F's Fourier
-    # tails), field a small grid and verify_remainder one pair
+    # runs every route at |alpha| = pi/2 and M = 1000 (oracle_F's contour),
+    # field a small grid and verify_remainder one pair
     import os
     import subprocess
     import sys

@@ -2,7 +2,10 @@
 EvalPoint, and the exact decomposition identities that connect the wake
 integral to its branch-cut, imaginary-axis and saddle parts."""
 
+import gzip
+import json
 import math
+import pathlib
 import random
 
 import numpy as np
@@ -146,6 +149,27 @@ def _near_half_pi_points():
     return pts
 
 
+_REFERENCE = pathlib.Path(__file__).resolve().parents[1] / "bench" / "data" / "reference.json.gz"
+
+
+def _near_half_pi_references():
+    """Seeded members of the benchmark pool's two near-pi/2 strata, |alpha|
+    = pi/2 and |alpha| / pi in [0.49, 0.5), four of each per decade of M
+    from 0.02 to 2000: (x, rho, alpha, hi, lo, err), F = hi + lo within
+    err by the Bessel product series in mpmath (bench/reference.py)."""
+    with gzip.open(_REFERENCE, "rt", encoding="utf-8") as fh:
+        pool = json.load(fh)["pool"]
+    strata = {}
+    for r in pool:
+        a = abs(r["alpha"]) / math.pi
+        if a >= 0.49:
+            M = r["x"] ** 2 / (4.0 * r["rho"])
+            strata.setdefault((a == 0.5, math.floor(math.log10(M / 0.02))), []).append(r)
+    rng = random.Random(3132)
+    return [(r["x"], r["rho"], r["alpha"], r["hi"], r["lo"], r["err"])
+            for key in sorted(strata) for r in rng.sample(strata[key], 4)]
+
+
 class TestOracleF:
     def test_tolerance_floor(self, pt_m8):
         for abs_tol in (1e-15, math.nan, math.inf, -1.0):
@@ -170,7 +194,7 @@ class TestOracleF:
         assert r.truncation_point > 0
 
     def test_near_halfpi_matches_series(self):
-        # the Fourier-tail path at alpha = pi/2 against the convergent series
+        # the contour at alpha = pi/2 against the convergent series
         from kelvinwake.expansions import bessho_F
 
         for (x, rho) in [(0.4, 0.005), (1.0, 0.02)]:
@@ -190,10 +214,8 @@ class TestOracleF:
         # M = 14.3: from one initial panel rather than panels of 2 pi of
         # phase, 3.0e-11 from the reference with an estimate of 1.1e-12
         (0.2377375910226187, 0.0009876714904896776, -1.5644247249063796),
-        # the Fourier-tail path below pi/2 - 1e-6, for more than 20000
-        # oscillations of the envelope path
+        # x below 0.1 at M = 0.03, 1.2e-6 below pi/2 and at pi/2
         (0.09690709022087807, 0.08020389554167652, -1.570575555952955),
-        # at pi/2, where the U loop advances the cut
         (0.059024830461159805, 0.03559978721721959, -0.5 * math.pi),
     ])
     def test_estimate_covers_error_near_half_pi(self, x, rho, alpha):
@@ -204,32 +226,38 @@ class TestOracleF:
         want = _mp_bessel_product(pt, 60)
         assert abs(got.value - float(want)) <= got.abs_error_estimate
 
+    def test_estimate_covers_the_pool_near_half_pi(self):
+        # the contour's estimate at every tolerance oracle_F takes
+        refs = _near_half_pi_references()
+        assert len(refs) == 40
+        for abs_tol in (1e-12, 1e-13, 1e-14):
+            for x, rho, alpha, hi, lo, err in refs:
+                got = oracle_F(EvalPoint(x, rho, alpha), abs_tol=abs_tol)
+                assert abs((got.value - hi) - lo) <= got.abs_error_estimate + err
+
     def test_estimate_counts_the_rounding_of_the_phases(self):
-        # at pi/2 and M = 1000 the phase k2 sinh 2u reaches 4.4e3 within the
-        # core, cut at U = 9.04, so its ulps are worth about 4e-11 of F
+        # at pi/2 and M = 1000 the contour crosses the saddle u* = 8.29,
+        # where the phases k2 sinh 2u and x cosh u are 1e3 and 2e3, on a
+        # Gaussian of width 1/sqrt(2 M): their ulps are worth about 2e-13
+        # of F
         pt = EvalPoint(1.0, 0.00025, 0.5 * math.pi)
         got = oracle_F(pt)
-        assert 2e-11 < got.abs_error_estimate < 1e-10
+        assert 1e-13 < got.abs_error_estimate < 4e-13
 
     def test_tight_tolerance_ends_within_the_panel_budget(self):
         # F = -0.22220307416678721580... by the Bessel product series in
-        # mpmath at 480 digits.  The requested 1e-13 is below the rounding
-        # of the phases there: the pass either returns an estimate that
-        # covers its error or runs into MAX_SUBDIVISIONS and says so
+        # mpmath at 480 digits.  On the contour the phases stay near 3 M,
+        # so the requested 1e-13 is met without running into
+        # MAX_SUBDIVISIONS
         want = -0.22220307416678722
-        pt = EvalPoint(1.0, 0.00025, 0.5 * math.pi)
-        try:
-            got = oracle_F(pt, abs_tol=1e-13)
-            value, estimate = got.value, got.abs_error_estimate
-        except AccuracyError as exc:
-            assert "panels" in str(exc)
-            value, estimate = exc.value, exc.error_estimate
-        assert abs(value - want) <= estimate
+        got = oracle_F(EvalPoint(1.0, 0.00025, 0.5 * math.pi), abs_tol=1e-13)
+        assert abs(got.value - want) <= got.abs_error_estimate
 
     @pytest.mark.parametrize("alpha", [0.0, 0.499 * math.pi, 0.5 * math.pi])
     def test_panel_budget_raises_with_best_value(self, monkeypatch, alpha):
-        # a budget of just the initial panels: the first bisection exceeds it
-        pt = EvalPoint(1.0, 0.02, alpha)
+        # a budget of just the initial panels: the first bisection exceeds
+        # it.  Near pi/2 the contour needs a second pass only at larger M
+        pt = EvalPoint(1.0, 0.02 if alpha == 0.0 else 0.00025, alpha)
         passes = []
         panels = oracle._gk21_panels
 
@@ -249,11 +277,13 @@ class TestOracleF:
             oracle_F(pt)
 
     @pytest.mark.parametrize("x,rho,alpha,match", [
-        # M = 2.5e11: 2e12 initial panels, refused before any is evaluated
-        (1.0, 1e-12, 1.0, "more than 47000 panels"),
+        # M = 2.5e11 at alpha = 0, where the contour has nothing to decay
+        # by: 2e12 initial panels, refused before any is evaluated
+        (1.0, 1e-12, 0.0, "more than 47000 panels"),
         (3.0, 1e-9, 0.0, "more than 47000 panels"),
         (1.0, 1e-300, 0.0, "more than 47000 panels"),
-        # the Fourier-tail cut, or the envelope's, beyond the double range
+        # the contour's far end, or the envelope's cut, beyond the double
+        # range
         (1.0, 1e-300, 0.5 * math.pi, "double range"),
         (1.0, 1e-320, 0.5 * math.pi, "double range"),
         (1.0, 1e-320, 0.0, "double range"),
@@ -268,7 +298,7 @@ class TestOracleF:
                 oracle_F(EvalPoint(x, rho, alpha))
 
     @pytest.mark.parametrize("integral,pt", [
-        (oracle_F, EvalPoint(1.0, 1e-12, 1.0)),
+        (oracle_F, EvalPoint(1.0, 1e-12, 0.0)),
         (oracle_I1_alpha, EvalPoint(1e6, 0.5, 0.3)),
     ])
     def test_refused_initial_panels_carry_no_value(self, integral, pt):
@@ -279,8 +309,8 @@ class TestOracleF:
         assert exc.value.value is None and exc.value.error_estimate is None
 
     def test_alpha_zero_past_20000_oscillations(self):
-        # k2 = 0 gives the shifted tails nothing to decay by: the envelope
-        # path integrates all 3.2e4 oscillations
+        # k2 = 0 gives the contour's far legs nothing to decay by: the
+        # envelope path integrates all 3.2e4 oscillations
         from kelvinwake.expansions import paris_F
 
         pt = EvalPoint(1.0, 1e-9, 0.0)
@@ -289,25 +319,63 @@ class TestOracleF:
         assert (abs(got.value - ref.value)
                 <= got.abs_error_estimate + ref.internal_error_estimate)
 
-    def test_fourier_cut_is_the_first_grid_point_that_holds(self):
-        # the Fourier-tail cut starts at ln(max(x / 2 k2, 1) + 2) and steps
-        # by 0.25 to the first U where both legs decay (k2 cosh 2U >=
-        # x sinh U) and the minus-phase k2 sinh 2U - x cosh U is at least
-        # max(2, x); one step less fails one of the two
-        def holds(x, k2, U):
-            return (k2 * math.cosh(2.0 * U) >= x * math.sinh(U)
-                    and k2 * math.sinh(2.0 * U) - x * math.cosh(U) >= max(2.0, x))
+    def test_saddle_is_the_largest_root_of_its_equation(self):
+        # u* against the root of 2 k2 cosh 2u = x sinh u that mpmath's
+        # findroot reaches from it at 40 digits: within 4 ulps, and the
+        # largest root, where the difference turns positive; with no real
+        # root, where x < sqrt(32) k2, there is no saddle
+        mp = pytest.importorskip("mpmath")
+        rng = random.Random(3131)
+        for _ in range(24):
+            x = rng.uniform(0.05, 3.5)
+            k2 = x / 10.0 ** rng.uniform(0.9, 6.0)
+            got = oracle._saddle(x, k2)
+            with mp.workdps(40):
+                want = mp.findroot(lambda u: 2 * k2 * mp.cosh(2 * u) - x * mp.sinh(u), got)
+                slope = 4 * k2 * mp.sinh(2 * want) - x * mp.cosh(want)
+            assert abs(got - want) <= 4.0 * math.ulp(got) and slope > 0
+        for x, k2 in [(1.0, 1.0), (0.3, 0.3 / math.sqrt(32.0) * (1.0 + 1e-15)), (3.0, 5.0)]:
+            assert oracle._saddle(x, k2) is None
+
+    def test_contour_far_end_is_the_first_grid_point_that_holds(self):
+        # W steps by 0.25 from the contour's last corner, u* + pi/4 past a
+        # saddle beyond pi/4 and 0 otherwise, to the first point where the
+        # far leg's modulus exp(-(k2 cosh 2W - x sinh W / sqrt 2)) is below
+        # e^-45 abs_tol; one step less is not below it
+        def below(x, k2, W):
+            exponent = k2 * math.cosh(2.0 * W) - x * math.sinh(W) / math.sqrt(2.0)
+            return exponent >= 45.0 + math.log(1e12)
 
         rng = random.Random(3030)
         for i in range(24):
             x = rng.uniform(0.05, 3.5)
             rho = min(x * x / (4.0 * 10.0 ** rng.uniform(-1.7, 3.3)), 2.0)
-            alpha = 0.5 * math.pi - (0.0 if i % 2 else rng.uniform(0.0, 1e-6))
+            alpha = 0.5 * math.pi - (0.0 if i % 2 else rng.uniform(0.0, 0.01))
             k2 = 0.5 * rho * math.sin(alpha)
-            start = math.log(max(x / (2.0 * k2), 1.0) + 2.0)
-            U = oracle_F(EvalPoint(x, rho, alpha)).truncation_point
-            assert holds(x, k2, U)
-            assert U - start < 1e-12 or not holds(x, k2, U - 0.25)
+            u = oracle._saddle(x, k2)
+            start = u + 0.25 * math.pi if u is not None and u > 0.25 * math.pi else 0.0
+            W = oracle_F(EvalPoint(x, rho, alpha)).truncation_point
+            steps = (W - start) / 0.25
+            assert abs(steps - round(steps)) < 1e-9 and steps > 0.5
+            assert below(x, k2, W) and (steps < 1.5 or not below(x, k2, W - 0.25))
+
+    @pytest.mark.parametrize("x,rho,alpha", [
+        (1.0, 1e-12, 1.0),
+        (3.0, 1e-9, 0.3 * math.pi),
+        (1.0, 1e-9, 1e-3),
+    ])
+    def test_contour_past_the_envelope_budget(self, x, rho, alpha):
+        # M = 2.5e8 to 2.3e9: the envelope path would need more than
+        # MAX_SUBDIVISIONS initial panels; the contour's work does not grow
+        # with M, down to alpha = 1e-3, and it agrees with the 1/M series
+        from kelvinwake.expansions import paris_F
+
+        pt = EvalPoint(x, rho, alpha)
+        got = oracle_F(pt)
+        ref = paris_F(pt)
+        assert got.evaluations < 1000
+        assert (abs(got.value - ref.value)
+                <= got.abs_error_estimate + ref.internal_error_estimate)
 
     def test_past_the_old_panel_budget(self):
         # M = 24769 at pi/2: with the cut's grid started 1.5 further out,
@@ -319,6 +387,27 @@ class TestOracleF:
         want = -0.6225253828750101
         got = oracle_F(EvalPoint(3.4689672504416738, 1.2145971838498043e-4, 0.5 * math.pi))
         assert abs(got.value - want) <= got.abs_error_estimate
+        assert got.evaluations < 1000
+
+    def test_small_x_past_the_old_panel_budget(self):
+        # M = 23794 at pi/2 and x = 0.335, where the integrand's real-axis
+        # oscillations would need more than MAX_SUBDIVISIONS panels.
+        # F = 2.28920520546385402218... by the Bessel product series in
+        # mpmath at 10400 and at 10440 digits (the J_2m by Miller's backward
+        # recurrence, normalised by J_0 + 2 sum J_2m = 1; the K_m by the
+        # forward one from K_0 and K_1, which come from their ascending
+        # series and the Wronskian; cos(m alpha) by its Chebyshev
+        # recurrence; the terms peak near 1e10329)
+        want = 2.289205205463854
+        got = oracle_F(EvalPoint(0.3354042256919964, 1.182015882807431e-6, 0.5 * math.pi))
+        assert abs(got.value - want) <= got.abs_error_estimate
+        assert got.evaluations < 1000
+
+    def test_work_and_estimate_stay_flat_in_M(self):
+        # M = 2000 at pi/2: the contour crosses the saddle in a few hundred
+        # evaluations, and the phases' ulps stay below 1e-12 of F
+        got = oracle_F(EvalPoint(2.0, 5e-4, 0.5 * math.pi))
+        assert got.evaluations < 1000 and got.abs_error_estimate <= 1e-12
 
 
 def _wake_integrand_ref(x, k1, k2):
