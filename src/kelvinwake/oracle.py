@@ -428,58 +428,101 @@ def _saddle(x, k2):
 
 
 def _contour(x, k1, k2, abs_tol):
-    """oracle_F's contour as (integrand, legs, W): Re e^g(u) du/dt on each
-    leg u = a + (b - a) t, t in [0, 1], g = -k1 cosh 2u + i (k2 sinh 2u
-    + sign x cosh u), sign +1 on C+ and -1 on C-, as a stack of integrands
-    of _gk21_panels, one per leg; see oracle_F.  The rounding bound counts,
-    as _wake_integrand's, 4 * 2^-52 for the terms of g, bounded together by
-    (|k1| + k2) cosh(2 Re u) + x cosh(Re u), and for the exp, cos and
-    products, times the modulus |b - a| e^Re g; and a node's move,
-    |b - a| dt plus an ulp of u, times |g'|, which vanishes at the saddle.
+    """oracle_F's contour as (integrand, edges, tolerances, W), or None where W
+    would lie past _U_MAX (at alpha so small that u* does).  Each leg runs
+    straight, u = a + (b - a) t, t in [0, 1], and the integrand is
+    Re e^g(u) du/dt, g = -k1 cosh 2u + i (k2 sinh 2u + sign x cosh u), sign
+    +1 on C+ and -1 on C-, as a stack of integrands of _gk21_panels, one per
+    leg; see oracle_F.  C-'s leg up to the saddle is run from the saddle
+    back, so that every leg's narrowest feature, the saddle's Gaussian or
+    the decay away from the axis, lies at t = 0: the initial edges, 8 equal
+    panels, are graded there down to the Gaussian's width.  The phases
+    reach about 3 M at the saddle, where their rounding, which bisection
+    cannot reduce, can exceed abs_tol: the two saddle legs' tolerance is at
+    least eight times its bound there.  The rounding
+    bound counts, as _wake_integrand's, 4 * 2^-52 for the terms of g,
+    bounded together by (|k1| + k2) cosh(2 Re u) + x cosh(Re u), and for
+    the exp, cos and products, times the modulus |b - a| e^Re g; and a
+    node's move, |b - a| dt plus an ulp of u, times |g'|, which vanishes at
+    the saddle.
     """
     q = 0.25 * math.pi
     top = 1j * q
     u = _saddle(x, k2)
-    if u is None or u <= q:
-        minus = [0.0, top]
-    else:
-        # below the axis the modulus reaches e^(k2 sin 2d) at depth d
-        d = 0.5 * math.asin(min(1.0, 1.0 / k2))
-        minus = [0.0, -1j * d, u - d - 1j * d, u + q + top]
-    # the first point of the grid from the last corner where the far leg's
-    # modulus exp(-(k2 cosh 2w - x sinh w / sqrt 2)) is below e^-45 abs_tol
+    saddle = u is not None and u > q
+    # the first point of the grid from the far legs' start where their
+    # modulus on C-, exp(-(k2 cosh 2w - x sinh w / sqrt 2)), is below
+    # e^-45 abs_tol
+    start = u + q if saddle else 0.0
     cut = 45.0 + math.log(1.0 / abs_tol)
-    W = minus[-1].real + 0.25
+    W = start + 0.25
     while W <= _U_MAX and k2 * math.cosh(2.0 * W) - x * math.sinh(W) / math.sqrt(2.0) < cut:
         W += 0.25
     if not W <= _U_MAX:
-        raise RangeOverflowError(f"oracle_F needs its contour out to Re u = {W:.6g}, beyond "
-                                 f"{_U_MAX:.6g}, where e^2u leaves the double range")
-    a, b = np.array([0.0, top] + minus), np.array([top, W + top] + minus[1:] + [W + top])
-    a, step = a[:, None, None], (b - a)[:, None, None]
-    sign = np.array([1.0, 1.0] + [-1.0] * len(minus))[:, None, None]
-    length, turn = np.abs(step), np.angle(step)
+        return None
+    # (a, b, sign, travel): travel -1 runs the leg from b to a
+    legs = [(0.0, top, 1.0, 1.0), (top, W + top, 1.0, 1.0)]
+    if saddle:
+        # below the axis the modulus reaches e^(k2 sin 2d) at depth d
+        d = 0.5 * math.asin(min(1.0, 1.0 / k2))
+        corner = u - d - 1j * d
+        legs += [(0.0, -1j * d, -1.0, 1.0), (-1j * d, corner, -1.0, 1.0),
+                 (u, corner, -1.0, -1.0), (u, start + top, -1.0, 1.0),
+                 (start + top, W + top, -1.0, 1.0)]
+    else:
+        legs += [(0.0, top, -1.0, 1.0), (top, W + top, -1.0, 1.0)]
+    tol = np.full(len(legs), abs_tol / (2 * len(legs)))
+    width = 1.0
+    if saddle and k1 * math.cosh(2.0 * u) < cut:
+        # the saddle's Gaussian exp(-phi'' r^2 / 2), phi'' the minus-phase's
+        # curvature, in t along its legs of length pi/4 sqrt 2; the rounding
+        # bound of phases of size over its half, 4 2^-52 size
+        # sqrt(pi / 2 phi''), sets the saddle legs' (4 and 5) least tolerance
+        curvature = 4.0 * k2 * math.sinh(2.0 * u) - x * math.cosh(u)
+        width = 1.0 / (math.sqrt(curvature) * q * math.sqrt(2.0))
+        size = (abs(k1) + k2) * math.cosh(2.0 * u) + x * math.cosh(u)
+        tol[4:6] = np.maximum(tol[4:6], 8.0 * 4.0 * 2.0 ** -52 * size
+                              * math.sqrt(0.5 * math.pi / curvature))
+    halvings = max(0, math.ceil(math.log2(0.125 / width)))
+    edges = np.concatenate([[0.0], 0.125 * 0.5 ** np.arange(halvings, 0, -1),
+                            np.linspace(0.125, 1.0, 8)])
+    a, b, sign, travel = (np.array(part)[:, None, None] for part in zip(*legs))
+    step = b - a
+    length, turn = np.abs(step), np.angle(travel * step)
+    a_re, a_im, step_re, step_im = a.real, a.imag, step.real, step.imag
+    hx, hsize = 0.5 * sign * x, 0.5 * (abs(k1) + k2)
 
     def f(t, dt):
-        u = a + step * t
-        # the hyperbolic functions of u and 2u from e^u and e^-u: one complex
-        # exp in place of four complex cosh and sinh, which cost twice as much
-        e1 = np.exp(u)
-        r1 = 1.0 / e1
-        e2, r2 = e1 * e1, r1 * r1
-        c2u, s2u = 0.5 * (e2 + r2), 0.5 * (e2 - r2)
-        g = -k1 * c2u + 1j * (k2 * s2u + sign * x * 0.5 * (e1 + r1))
-        slope = np.abs(-2.0 * k1 * s2u + 1j * (2.0 * k2 * c2u + sign * x * 0.5 * (e1 - r1)))
-        env = length * np.exp(g.real)
-        size = (abs(k1) + k2) * np.cosh(2.0 * u.real) + x * np.cosh(u.real)
-        du = length * dt + 2.0 ** -52 * np.abs(u)
-        return (env * np.cos(g.imag + turn),
-                env * (4.0 * 2.0 ** -52 * (2.0 + size) + du * slope))
-    return f, len(minus) + 2, W
+        # with u = p + i q, cosh u = ch1 cq + i sh1 sq and cosh 2u = ch2 c2q
+        # + i sh2 s2q, formed from c1 = 2 ch1, s1 = 2 sh1, c2 = 2 ch2 and
+        # s2 = 2 sh2; c2q, taken directly, stays positive up to |q| = pi/4,
+        # so the k1 term cannot turn into growth by rounding
+        p = a_re + step_re * t
+        q2 = 2.0 * (a_im + step_im * t)
+        e = np.exp(p)
+        r = 1.0 / e
+        c1, s1 = e + r, e - r
+        e *= e
+        r *= r
+        c2, s2 = e + r, e - r
+        c2q, s2q = np.cos(q2), np.sin(q2)
+        cq = np.sqrt(0.5 + 0.5 * c2q)
+        sq = 0.5 * s2q / cq
+        decay_c, phase_c = k1 * c2q + k2 * s2q, k2 * c2q - k1 * s2q
+        hsq, hcq = hx * sq, hx * cq
+        # -Re g, below e^-708 only where the modulus underflows
+        decay = 0.5 * decay_c * c2 + hsq * s1
+        env = np.exp(-decay, out=np.zeros_like(decay), where=decay <= 708.0)
+        env *= length
+        # |g'| <= |Re g'| + |Im g'|
+        slope = np.abs(decay_c * s2 + hsq * c1) + np.abs(phase_c * c2 + hcq * s1)
+        bound = (4.0 * 2.0 ** -52) * (2.0 + hsize * c2 + 0.5 * x * c1)
+        bound += (length * dt + 2.0 ** -52 * (np.abs(p) + 0.5 * np.abs(q2))) * slope
+        bound *= env
+        return env * np.cos(0.5 * phase_c * s2 + hcq * c1 + turn), bound
+    return f, edges, tol, W
 
 
-#: The contour's initial panels, on its legs' shared parameter t in [0, 1].
-_CONTOUR_EDGES = np.linspace(0.0, 1.0, 9)
 #: oracle_F's contour runs where the envelope path would need more initial panels.
 _CONTOUR_PANELS = 160
 
@@ -499,26 +542,27 @@ def oracle_F(pt: EvalPoint, abs_tol: float = 1e-12) -> QuadResult:
     rho cos(alpha) cosh(2U) / 2 = ln(1/abs_tol) + 5, and bounds the tails
     beyond by e^-a / a at a = k1 cosh 2U.  Where k2 > 0 and its initial
     panels, 2 pi of phase each, would number more than _CONTOUR_PANELS,
-    the contour path runs: the integrand is entire, so
-    F = Re[int_C+ e^g+ du + int_C- e^g- du], g+- = -k1 cosh 2u
-    + i (k2 sinh 2u +- x cosh u).  C+ runs 0 -> i pi/4 -> W + i pi/4;
-    C- runs 0 -> -i d -> (u* - d) - i d -> (u* + pi/4) + i pi/4 ->
-    W + i pi/4, crossing the saddle u* of the minus-phase (_saddle) on its
-    steepest descent, e^{i pi/4}, with d = pi/4, or less where k2 > 1 so
-    the modulus below the axis stays below e; where no saddle exceeds pi/4
-    it takes C+'s path.  W is the first point of the grid from the last
-    corner in steps of 0.25 where exp(-(k2 cosh 2W - x sinh W / sqrt 2)),
-    g-'s modulus, is below e^-45 abs_tol.  The four or six legs run as one
-    stack on a shared t in [0, 1], each to abs_tol over twice their
-    number, and truncation_point is W.
+    the contour path runs, if it fits in the double range: the integrand
+    is entire, so F = Re[int_C+ e^g+ du + int_C- e^g- du],
+    g+- = -k1 cosh 2u + i (k2 sinh 2u +- x cosh u).  C+ runs
+    0 -> i pi/4 -> W + i pi/4; C- runs 0 -> -i d -> (u* - d) - i d -> u*
+    -> (u* + pi/4) + i pi/4 -> W + i pi/4, crossing the saddle u* of the
+    minus-phase (_saddle) on its steepest descent, e^{i pi/4}, with
+    d = pi/4, or less where k2 > 1 so the modulus below the axis stays
+    below e; where no saddle exceeds pi/4 it takes C+'s path.  W is the
+    first point of the grid from the last corner in steps of 0.25 where
+    exp(-(k2 cosh 2W - x sinh W / sqrt 2)), g-'s modulus, is below
+    e^-45 abs_tol.  The four or seven legs run as one stack on a shared
+    t in [0, 1] (_contour), each to abs_tol over twice their number, and
+    truncation_point is W.
 
     The error estimate adds QUADPACK's per-panel estimate, the integrand's
     rounding bound and the envelope path's tail bound.  Raises
     AccuracyError, carrying the best value and its estimate, when the
     MAX_SUBDIVISIONS panel budget runs out (with neither where the initial
     panels exceed it) or the quadrature stalls above 20 times the
-    tolerance, and RangeOverflowError for a U or W past _U_MAX (at rho of
-    about 1e-300 and below).
+    tolerance, and RangeOverflowError for a U past _U_MAX (at rho of about
+    1e-300 and below).
     """
     check_abs_tol(abs_tol)
     x, rho, alpha = pt.x, pt.rho, pt.alpha_abs
@@ -534,10 +578,10 @@ def oracle_F(pt: EvalPoint, abs_tol: float = 1e-12) -> QuadResult:
     if U <= _U_MAX:
         panels = (k1 * (math.cosh(2.0 * U) - 1.0) + k2 * math.sinh(2.0 * U)
                   + x * (math.cosh(U) - 1.0)) / _WAKE_PANEL_PHASE
-    if k2 > 0 and panels > _CONTOUR_PANELS:
-        integrand, legs, U = _contour(x, k1, k2, abs_tol)
-        parts, errs, neval, problem = _integrate(
-            integrand, _CONTOUR_EDGES, abs_tol / (2 * legs), 1e-13)
+    contour = _contour(x, k1, k2, abs_tol) if k2 > 0 and panels > _CONTOUR_PANELS else None
+    if contour:
+        integrand, edges, tol, U = contour
+        parts, errs, neval, problem = _integrate(integrand, edges, tol, 1e-13)
         value, err = math.fsum(parts), sum(errs)
     else:
         if not U <= _U_MAX:

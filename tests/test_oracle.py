@@ -363,11 +363,14 @@ class TestOracleF:
         (1.0, 1e-12, 1.0),
         (3.0, 1e-9, 0.3 * math.pi),
         (1.0, 1e-9, 1e-3),
+        (2.0, 1e-8, 0.5 * math.pi),
     ])
     def test_contour_past_the_envelope_budget(self, x, rho, alpha):
-        # M = 2.5e8 to 2.3e9: the envelope path would need more than
+        # M = 1e8 to 2.5e11: the envelope path would need more than
         # MAX_SUBDIVISIONS initial panels; the contour's work does not grow
-        # with M, down to alpha = 1e-3, and it agrees with the 1/M series
+        # with M, down to alpha = 1e-3, and it agrees with the 1/M series.
+        # At pi/2 the saddle's Gaussian is 1e-4 wide, and the mesh must
+        # resolve it: missed, it leaves F 7e-5 off
         from kelvinwake.expansions import paris_F
 
         pt = EvalPoint(x, rho, alpha)
