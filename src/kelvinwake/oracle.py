@@ -366,6 +366,13 @@ def _wake_integrand(x, k1, k2):
 _WAKE_PANEL_PHASE = 2.0 * math.pi
 
 
+def _wake_span(x, k1, k2, U):
+    """The rise of k1 cosh 2u + k2 sinh 2u + x cosh u over [0, U], in units
+    of _WAKE_PANEL_PHASE: the initial panels _wake_edges lays, unrounded."""
+    return (k1 * (math.cosh(2.0 * U) - 1.0) + k2 * math.sinh(2.0 * U)
+            + x * (math.cosh(U) - 1.0)) / _WAKE_PANEL_PHASE
+
+
 def _wake_edges(x, k1, k2, U):
     """Edges of the initial panels on [0, U]: each spans at most
     _WAKE_PANEL_PHASE of k1 cosh 2u + k2 sinh 2u + x cosh u, the envelope's
@@ -373,7 +380,7 @@ def _wake_edges(x, k1, k2, U):
     its Kronrod and Gauss sums agree by chance."""
     u = np.linspace(0.0, U, 257)
     total = k1 * np.cosh(2.0 * u) + k2 * np.sinh(2.0 * u) + x * np.cosh(u)
-    span = (total[-1] - total[0]) / _WAKE_PANEL_PHASE
+    span = _wake_span(x, k1, k2, U)
     # _gk21_adaptive refuses more than MAX_SUBDIVISIONS panels before it
     # evaluates any
     if span > MAX_SUBDIVISIONS:
@@ -554,7 +561,11 @@ def oracle_F(pt: EvalPoint, abs_tol: float = 1e-12) -> QuadResult:
     exp(-(k2 cosh 2W - x sinh W / sqrt 2)), g-'s modulus, is below
     e^-45 abs_tol.  The four or seven legs run as one stack on a shared
     t in [0, 1] (_contour), each to abs_tol over twice their number, and
-    truncation_point is W.
+    truncation_point is W.  The phases reach about 3 M at the saddle, and
+    their rounding there sets a floor under the two saddle legs' tolerance:
+    from M of about 1e5 up the estimate can exceed a tight abs_tol by it
+    (about 5e-12 at M = 1e6 and 5e-11 at M = 1e8, for abs_tol = 1e-12),
+    and the call returns the value with that estimate rather than raising.
 
     The error estimate adds QUADPACK's per-panel estimate, the integrand's
     rounding bound and the envelope path's tail bound.  Raises
@@ -566,19 +577,16 @@ def oracle_F(pt: EvalPoint, abs_tol: float = 1e-12) -> QuadResult:
     """
     check_abs_tol(abs_tol)
     x, rho, alpha = pt.x, pt.rho, pt.alpha_abs
-    cos_a = math.cos(alpha)
+    # past pi/2 by the rounding EvalPoint admits, cos(alpha) counts as 0
+    cos_a = max(math.cos(alpha), 0.0)
     k1 = 0.5 * rho * cos_a
     k2 = 0.5 * rho * math.sin(alpha)
-    # the envelope rule; where rho cos(alpha) underflows to 0 no U meets it
+    # the envelope rule; where rho cos(alpha) is 0, or underflows to it, no U meets it
     U = math.inf
-    if rho * cos_a:
+    if rho * cos_a > 0.0:
         U = 0.5 * math.acosh(max(2.0 * (math.log(1.0 / abs_tol) + 5.0) / (rho * cos_a), 2.0))
-    # the initial panels _wake_edges lays on [0, U], 2 pi of phase each
-    panels = math.inf
-    if U <= _U_MAX:
-        panels = (k1 * (math.cosh(2.0 * U) - 1.0) + k2 * math.sinh(2.0 * U)
-                  + x * (math.cosh(U) - 1.0)) / _WAKE_PANEL_PHASE
-    contour = _contour(x, k1, k2, abs_tol) if k2 > 0 and panels > _CONTOUR_PANELS else None
+    span = _wake_span(x, k1, k2, U) if U <= _U_MAX else math.inf
+    contour = _contour(x, k1, k2, abs_tol) if k2 > 0 and span > _CONTOUR_PANELS else None
     if contour:
         integrand, edges, tol, U = contour
         parts, errs, neval, problem = _integrate(integrand, edges, tol, 1e-13)

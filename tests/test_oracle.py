@@ -412,6 +412,17 @@ class TestOracleF:
         got = oracle_F(EvalPoint(2.0, 5e-4, 0.5 * math.pi))
         assert got.evaluations < 1000 and got.abs_error_estimate <= 1e-12
 
+    @pytest.mark.parametrize("x,rho", [(1.0, 0.02), (2.0, 5e-4), (0.5, 3.0)])
+    def test_alpha_rounded_past_half_pi(self, x, rho):
+        # EvalPoint admits |alpha| up to pi/2 + 4e-16, where cos(alpha) is
+        # -3.8e-16: taken as it is, the envelope rule cut the growing
+        # integrand at U = 0.66 and returned a wrong value with a negative
+        # estimate
+        at = oracle_F(EvalPoint(x, rho, 0.5 * math.pi))
+        past = oracle_F(EvalPoint(x, rho, 0.5 * math.pi + 4e-16))
+        assert 0.0 <= past.abs_error_estimate <= 1e-12
+        assert abs(past.value - at.value) <= past.abs_error_estimate + at.abs_error_estimate
+
 
 def _wake_integrand_ref(x, k1, k2):
     """_wake_integrand as the composed expressions its docstring names."""
