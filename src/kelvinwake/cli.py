@@ -15,7 +15,9 @@ benchmark's sweep), one loop per group:
 
   1. gather the group's distinct (x, rho, |alpha|), each point at its first
      alpha: F is even in alpha, so a row whose |alpha| equals, as a double,
-     that of an earlier row of its (x, rho) shares that row's point;
+     that of an earlier row of its (x, rho) shares that row's point.  A
+     range's points are exact under mirroring (_grid), so on a range with
+     start == -stop every +-alpha pair shares one point;
   2. make one _method_record per distinct point, by the route
      expansions.field_route gives it, all of them on one expansions.Ladders:
      paris_F and bessho_F run their convergent sums on ladders formed once
@@ -161,11 +163,22 @@ def _parse_range(spec, name):
 
 
 def _grid(a, b, cnt):
-    """The count points from start to stop, as a list."""
+    """The count points from start to stop, as a list, exact under mirroring.
+
+    With step = (stop - start)/(count - 1), the first half of the points is
+    start + i*step and the second half stop - (count-1-i)*step, so both
+    endpoints are exact; the middle point of an odd count is
+    start + (stop - start)/2.  A range with start == -stop therefore gives
+    points that are exact negatives of each other, g[i] == -g[-1-i], and
+    so do their multiples by pi: field evaluates each +-alpha pair once.
+    """
     if cnt == 1:
         return [a]
     step = (b - a) / (cnt - 1)
-    return [a + i * step for i in range(cnt)]
+    half = cnt // 2
+    middle = [a + 0.5 * (b - a)] if cnt % 2 else []
+    return ([a + i * step for i in range(half)] + middle
+            + [b - i * step for i in reversed(range(half))])
 
 
 def _thread_count(args):
@@ -337,7 +350,9 @@ def cmd_field(args) -> int:
                 for rho in rhos for alpha in alphas]
         pts = {}
         for x, rho, alpha in grid:
-            pts.setdefault((x, rho, abs(alpha)), EvalPoint(x, rho, alpha))
+            key = (x, rho, abs(alpha))
+            if key not in pts:
+                pts[key] = EvalPoint(x, rho, alpha)
         ladders = expansions.Ladders()
         records = {key: _method_record(pt, expansions.field_route(pt), TruncationPolicy(),
                                        1e-12, ladders)

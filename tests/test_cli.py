@@ -247,10 +247,9 @@ def test_field_smoke_and_method_switch(capsys):
 
 def test_field_matches_eval_pointwise(capsys):
     # M from 0.8 to 36: the x = 0.4 column is all bessho, x = 1.2 all paris
-    # and x = 0.8 has both, each over two rho values; the linspace alphas
-    # hold 0, +-pi/2 and +-alpha pairs whose |alpha| differ in the last bit,
-    # so the grid has rows that repeat their pair's result and rows that
-    # do not
+    # and x = 0.8 has both, each over two rho values; the alphas are 0 and
+    # five +-alpha pairs whose |alpha| are equal as doubles, so every -alpha
+    # row repeats the result of its +alpha row
     from kelvinwake.expansions import bessho_F, paris_F
 
     pt = EvalPoint(0.4, 0.005, 0.3 * math.pi)
@@ -262,7 +261,7 @@ def test_field_matches_eval_pointwise(capsys):
     rows = json.loads(out)["rows"]
     assert len(rows) == 66
     assert {r["method"] for r in rows} == {"bessho", "paris"}
-    assert 6 < len({abs(r["alpha"]) for r in rows}) < 11
+    assert len({abs(r["alpha"]) for r in rows}) == 6
     keys = ("value", "error_estimate", "n_used", "terms_used", "method", "status")
     for row in rows:
         _, out1, _ = run(capsys, "eval", "--x", repr(row["x"]),
@@ -271,6 +270,60 @@ def test_field_matches_eval_pointwise(capsys):
         ref = json.loads(out1)["rows"][0]
         assert {k: row[k] for k in keys} == {k: ref[k] for k in keys}, row
     assert (bessho_F(pt), paris_F(pt)) == alone
+
+
+def test_field_evaluates_each_alpha_pair_once(capsys, monkeypatch):
+    # one record per (x, rho, |alpha|): the 11 alphas of -0.5:0.5:11 (in
+    # units of pi) are 0 and five pairs, and each -alpha row prints its
+    # +alpha row's result
+    import kelvinwake.cli as cli
+
+    record, records = cli._method_record, []
+
+    def counting(*args, **kwargs):
+        records.append(args[0])
+        return record(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_method_record", counting)
+    code, out, _ = run(capsys, "field", "--x-range", "0.4:2.8:3",
+                       "--rho-range", "0.01:0.2:2",
+                       "--alpha-pi-range=-0.5:0.5:11", "--format", "json")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert len(records) == 3 * 2 * 6
+    assert {r["method"] for r in rows} == {"bessho", "paris"}
+    keys = ("value", "error_estimate", "n_used", "terms_used", "status")
+    for i in range(0, len(rows), 11):
+        column = rows[i:i + 11]
+        for row, mirror in zip(column, reversed(column)):
+            assert row["alpha"] == -mirror["alpha"]
+            assert {k: row[k] for k in keys} == {k: mirror[k] for k in keys}, row
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(a=st.floats(-10.0, 10.0), b=st.floats(-10.0, 10.0),
+       cnt=st.integers(1, 200), mirrored=st.booleans())
+def test_grid_is_exact_under_mirroring(a, b, cnt, mirrored):
+    # the first half is start + i*step bit for bit, the second half is
+    # counted back from stop, so a range with start == -stop gives exact
+    # negatives, in radians and in units of pi
+    import kelvinwake.cli as cli
+
+    if mirrored:
+        a = -b
+    g = cli._grid(a, b, cnt)
+    assert len(g) == cnt
+    assert g[0] == a
+    if cnt == 1:
+        return
+    assert g[-1] == b
+    step = (b - a) / (cnt - 1)
+    assert g[:cnt // 2] == [a + i * step for i in range(cnt // 2)]
+    assert g == sorted(g, reverse=a > b)
+    if mirrored:
+        for scale in (1.0, math.pi):
+            scaled = [v * scale for v in g]
+            assert scaled == [-v for v in reversed(scaled)]
 
 
 def test_field_determinism_across_threads(tmp_path, capsys):
