@@ -394,10 +394,8 @@ def cmd_bounds(args) -> int:
             print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
             failures += 1
         rows.append(rec)
-    grid = [(a, chi) for chi in [1.0 + 49.0 * i / 49.0 for i in range(50)]
-            for a in [chi * j / 49.0 for j in range(50)]]
     try:
-        rep = bounds.verify_inc_gamma_bound(grid)
+        rep = bounds.verify_inc_gamma_bound(bounds.INC_GAMMA_GRID)
         rows.append({"kind": "inc_gamma", "alpha_over_pi": "", "x": "",
                      "rho": "", "M": "", "n": "", "rn_bound": "",
                      "measured_rn": "", "tail_bound": "", "measured_tail": "",

@@ -10,7 +10,8 @@ scaled Struve functions
     Kscal_m(x)  = x^m (H_m(x) - Y_m(x)),
 
 the confluent hypergeometric series 1F1(a; b; z) and the upper incomplete
-gamma function Gamma(a, chi).
+gamma function Gamma(a, chi) of integer order, by its closed form (the
+grid check of Gamma(a, chi) at fractional a lives in bounds).
 
 The target regime is small arguments (x <= ~10, and in practice x <= 3 for
 the wake problem), where ascending series converge in a few dozen terms.
@@ -755,109 +756,40 @@ def kummer_1f1(a: float, b: float, z: float) -> SpecFunResult:
     return SpecFunResult(value, err, k + 1)
 
 
-def _upper_gamma_cf(a, chi):
-    """Continued fraction for Gamma(a, chi) * e^chi * chi^(-a); chi > a+1."""
-    tiny = 1e-300
-    b = chi + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 600):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            return h, i
-    raise AccuracyError("incomplete gamma continued fraction did not converge")
-
-
-def _lower_gamma_series(a, chi):
-    """Series for gamma(a, chi) * e^chi * chi^(-a) * a; chi <= a+1."""
-    term = 1.0
-    total = 1.0
-    ap = a
-    for i in range(1, 800):
-        ap += 1.0
-        term *= chi / ap
-        total += term
-        if abs(term) < abs(total) * 1e-17:
-            return total, i
-    raise AccuracyError("incomplete gamma series did not converge")
-
-
 def upper_inc_gamma(a: float, chi: float) -> SpecFunResult:
-    """Upper incomplete gamma function Gamma(a, chi) for a >= 0, chi > 0.
+    """Upper incomplete gamma function Gamma(a, chi) for integer a from 1
+    to 300 and 0 < chi <= 700, by the finite closed form.
 
-    Integer a uses the finite closed form; otherwise a continued fraction
-    (chi > a+1) or the lower-gamma series (chi <= a+1).  Raises
-    RangeOverflowError when the value exceeds the double range.
+    Any other a, fractional or 0, raises DomainError: the oracle's tail
+    cuts take Gamma(2k + 1, chi) only, and bounds checks Gamma(a, chi) at
+    fractional a by its own continued fraction.  Raises RangeOverflowError
+    when the value exceeds the double range.
     """
     a = _check_finite(a)
     chi = _check_finite(chi)
-    if a < 0 or chi <= 0:
-        raise DomainError("upper_inc_gamma requires a >= 0 and chi > 0")
+    if a < 1 or a != int(a) or chi <= 0:
+        raise DomainError(f"upper_inc_gamma requires an integer a >= 1 and chi > 0, "
+                          f"got a = {a!r}, chi = {chi!r}")
     if a > 300 or chi > 700:
         raise DomainError("upper_inc_gamma supports a <= 300, chi <= 700")
 
-    if a == 0.0:
-        if chi >= 1.0:
-            h, it = _upper_gamma_cf(a, chi)
-            value = math.exp(-chi) * h
-            return SpecFunResult(value, abs(value) * 4e-15, it)
-        # E1 by its alternating series
-        total = -dd.to_float(dd.EULER_GAMMA) - math.log(chi)
-        term = 1.0
-        for k in range(1, 60):
-            term *= -chi / k
-            total -= term / k
-            if abs(term) < 1e-18:
-                break
-        return SpecFunResult(total, abs(total) * 4e-15 + 1e-18, k)
-
-    if a == int(a) and a <= 300:
-        n = int(a)
-        # Gamma(n, chi) = (n-1)! e^-chi sum_{k<n} chi^k / k!; the sum times
-        # e^-chi is a Poisson tail in (0, 1], so only (n-1)! can overflow.
-        s = 1.0
-        term = 1.0
-        for k in range(1, n):
-            term *= chi / k
-            s += term
-        poisson = math.exp(-chi) * s if s != math.inf else math.inf
-        if not math.isfinite(poisson):
-            logv = math.lgamma(n) - chi + math.log(s) if math.isfinite(s) else math.inf
-            raise RangeOverflowError(f"Gamma({n}, {chi}) ~ exp({logv:.1f}) exceeds double range")
-        if n <= 170:
-            value = math.factorial(n - 1) * poisson
-        else:
-            logv = math.lgamma(n) + math.log(poisson)
-            if logv > 709.0:
-                raise RangeOverflowError(f"Gamma({n}, {chi}) exceeds double range")
-            value = math.exp(logv)
-        return SpecFunResult(value, abs(value) * 3e-15, n)
-
-    if chi > a + 1.0:
-        h, it = _upper_gamma_cf(a, chi)
-        logpre = a * math.log(chi) - chi
-        if logpre + math.log(abs(h)) > 709.0:
-            raise RangeOverflowError(f"Gamma({a}, {chi}) exceeds double range")
-        value = math.exp(logpre) * h
-        return SpecFunResult(value, abs(value) * 5e-15, it)
-
-    total, it = _lower_gamma_series(a, chi)
-    loggam = math.lgamma(a)
-    if loggam > 700.0:
-        raise RangeOverflowError(f"Gamma({a}, {chi}) exceeds double range")
-    gamma_a = math.gamma(a)
-    lower = math.exp(a * math.log(chi) - chi) * total / a
-    value = gamma_a - lower
-    err = (gamma_a + lower) * 4e-16 + abs(value) * 3e-15
-    return SpecFunResult(value, err, it)
+    n = int(a)
+    # Gamma(n, chi) = (n-1)! e^-chi sum_{k<n} chi^k / k!; the sum times
+    # e^-chi is a Poisson tail in (0, 1], so only (n-1)! can overflow.
+    s = 1.0
+    term = 1.0
+    for k in range(1, n):
+        term *= chi / k
+        s += term
+    poisson = math.exp(-chi) * s if s != math.inf else math.inf
+    if not math.isfinite(poisson):
+        logv = math.lgamma(n) - chi + math.log(s) if math.isfinite(s) else math.inf
+        raise RangeOverflowError(f"Gamma({n}, {chi}) ~ exp({logv:.1f}) exceeds double range")
+    if n <= 170:
+        value = math.factorial(n - 1) * poisson
+    else:
+        logv = math.lgamma(n) + math.log(poisson)
+        if logv > 709.0:
+            raise RangeOverflowError(f"Gamma({n}, {chi}) exceeds double range")
+        value = math.exp(logv)
+    return SpecFunResult(value, abs(value) * 3e-15, n)

@@ -1,8 +1,11 @@
 """Bound arithmetic and bound-vs-measurement certification."""
 
+import importlib.util
 import math
+import pathlib
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from kelvinwake import bounds, oracle, specfun
@@ -14,7 +17,7 @@ from kelvinwake.bounds import (
     verify_inc_gamma_bound,
     verify_remainder,
 )
-from kelvinwake.errors import AccuracyError, DomainError, OrderOverflowError
+from kelvinwake.errors import AccuracyError, BoundViolationError, DomainError, OrderOverflowError
 from kelvinwake.expansions import (
     CK_MAX,
     TruncationPolicy,
@@ -23,6 +26,8 @@ from kelvinwake.expansions import (
     ck_table,
 )
 from kelvinwake.oracle import EvalPoint
+
+_BENCH_INPUTS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
 
 
 class TestRemainderBound:
@@ -240,6 +245,100 @@ class TestIncGammaBound:
             verify_inc_gamma_bound([(0.0, 0.5)])    # chi < 1
         with pytest.raises(DomainError):
             verify_inc_gamma_bound([])
+
+    @pytest.mark.parametrize("bad", [
+        (math.nan, 2.0), (1.0, math.nan), (1.0, math.inf), (-math.inf, 2.0),
+        ("1", 2.0), (None, 2.0), (3.0, 2.0), (0.5, 0.9), (1.0, 701.0),
+        (-0.5, 2.0), (1.0,), (1.0, 2.0, 3.0), (2 ** 1100, 2.0), (10 ** 5000, 2.0)])
+    def test_bad_pair_named_before_any_work(self, bad, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("the continued fraction ran")
+        monkeypatch.setattr(bounds, "_legendre_cf", no_work)
+        with pytest.raises(DomainError, match="grid point"):
+            verify_inc_gamma_bound([(1.0, 1.0), bad, (2.0, 3.0)])
+
+    def test_empty_grid(self):
+        with pytest.raises(DomainError, match="nonempty"):
+            verify_inc_gamma_bound(iter(()))
+
+    def test_other_real_types_accepted(self):
+        rep = verify_inc_gamma_bound([(Fraction(1), 1), (np.float32(2.5), np.int64(4))])
+        assert rep.inc_gamma_margin == 0.5
+
+    def test_unconverged_pair_raises(self, monkeypatch):
+        # (0.49, 1) needs 103 iterations, (1, 1) one
+        monkeypatch.setattr(bounds, "_CF_ITER_MAX", 50)
+        verify_inc_gamma_bound([(1.0, 1.0)])
+        with pytest.raises(AccuracyError, match=r"50 iterations at \(a, chi\) = \(0.49, 1.0\)"):
+            verify_inc_gamma_bound([(1.0, 1.0), (0.49, 1.0), (2.0, 3.0)])
+
+    def test_violation_names_its_pair(self, monkeypatch):
+        monkeypatch.setattr(bounds, "_legendre_cf", lambda a, chi: np.where(a == 2.0, 2.5, 1.0))
+        with pytest.raises(BoundViolationError, match=r"\(2.0, 3.0\): ratio 1.25"):
+            verify_inc_gamma_bound([(1.0, 1.0), (2.0, 3.0)])
+
+    def test_grid_is_the_benchmarks(self):
+        spec = importlib.util.spec_from_file_location("bench_inputs", _BENCH_INPUTS)
+        inputs = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(inputs)
+        assert list(bounds.INC_GAMMA_GRID) == inputs.inc_gamma_grid()
+
+
+@pytest.fixture(scope="module")
+def mp_cf_values():
+    """e^chi chi^-a Gamma(a, chi) at every pair of INC_GAMMA_GRID, 30 digits."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        return [mp.gammainc(mp.mpf(a), mp.mpf(chi)) * mp.exp(chi) * mp.mpf(chi) ** -mp.mpf(a)
+                for a, chi in bounds.INC_GAMMA_GRID]
+
+
+def _scalar_cf(a, chi):
+    """The modified Lentz recurrence for e^chi chi^-a Gamma(a, chi), one pair
+    at a time: the reference _legendre_cf must equal bit for bit."""
+    tiny = 1e-300
+    b = chi + 1.0 - a
+    c = 1.0 / tiny
+    d = 1.0 / b
+    h = d
+    for i in range(1, 601):
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        if abs(d) < tiny:
+            d = tiny
+        c = b + an / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < 1e-16:
+            return h, i
+    raise AssertionError((a, chi))
+
+
+class TestLegendreCF:
+    def test_bit_equal_to_the_scalar_recurrence(self):
+        grid = np.array(bounds.INC_GAMMA_GRID)
+        h = bounds._legendre_cf(grid[:, 0], grid[:, 1])
+        ref = [_scalar_cf(a, chi) for a, chi in bounds.INC_GAMMA_GRID]
+        assert h.tolist() == [v for v, _ in ref]
+        iterations = [i for _, i in ref]
+        assert max(iterations) == 103
+        assert bounds.INC_GAMMA_GRID[iterations.index(103)] == (0.4897959183673469, 1.0)
+
+    def test_every_fifth_grid_pair_against_mpmath(self, mp_cf_values):
+        grid = np.array(bounds.INC_GAMMA_GRID[::5])
+        h = bounds._legendre_cf(grid[:, 0], grid[:, 1])
+        for (a, chi), got, want in zip(grid, h, mp_cf_values[::5]):
+            assert abs(got - want) <= 2e-14 * want, (a, chi)
+
+    def test_margin_against_mpmath(self, mp_cf_values):
+        want = max(mp_cf_values) / 2
+        rep = verify_inc_gamma_bound(bounds.INC_GAMMA_GRID)
+        assert abs(rep.inc_gamma_margin - want) <= 1e-14 * want
+        assert rep.inc_gamma_margin == 0.5    # at (1, 1), h = 1 exactly
 
 
 _PT = EvalPoint(0.8, 0.02, 0.0)      # M = 8

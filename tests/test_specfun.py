@@ -9,9 +9,12 @@ and K) and rounded to the nearest double.
 import math
 import random
 
+import numpy as np
 import pytest
 
+from kelvinwake import oracle
 from kelvinwake import specfun as sf
+from kelvinwake.bounds import _legendre_cf
 from kelvinwake.errors import DomainError, OrderOverflowError, RangeOverflowError
 
 # 40-digit references rounded to double
@@ -334,6 +337,30 @@ class TestKummer:
                 assert abs(mpmath.mpf(got.value) - want) <= got.abs_error_estimate, (a, b, z)
 
 
+def _gamma_by_cf(a, chi):
+    """Gamma(a, chi) from bounds' continued fraction for e^chi chi^-a
+    Gamma(a, chi), the one implementation for fractional a and a = 0."""
+    h = _legendre_cf(np.array([float(a)]), np.array([float(chi)]))[0]
+    return h * chi ** a * math.exp(-chi)
+
+
+#: oracle._CK_TAIL, Gamma(2k + 1, 154) for k = 0 .. 30, as first tabulated
+#: by the closed form of upper_inc_gamma
+CK_TAIL_HEX = (
+    "0x1.c580663b97826p-223", "0x1.4c83a8f56992cp-208", "0x1.e7b0ff149035ep-194",
+    "0x1.65b47a21f6d46p-179", "0x1.06693665b0859p-164", "0x1.8113d9ab6cd39p-150",
+    "0x1.1a9884c940cbcp-135", "0x1.9edaf5e99d21ap-121", "0x1.3091445325fffp-106",
+    "0x1.bf4a121c14f94p-92", "0x1.4883ad30c7855p-77", "0x1.e2a997b487f58p-63",
+    "0x1.62a62816f637fp-48", "0x1.04a5aca9a2a73p-33", "0x1.7f3646f2e3c59p-19",
+    "0x1.19c6091792cedp-4", "0x1.9e79ecce4fa44p+10", "0x1.30ea97aadb773p+25",
+    "0x1.c0c0af8c04370p+39", "0x1.4a4f79d5fbb24p+54", "0x1.e66580ef77a19p+68",
+    "0x1.6639860ec5f12p+83", "0x1.07e85804d0691p+98", "0x1.84f7d7a92a095p+112",
+    "0x1.1ebd2c78630f0p+127", "0x1.a6e5b606a2d56p+141", "0x1.37f6af809fde8p+156",
+    "0x1.cc6ce9d8c0807p+170", "0x1.53e58b2dca7f7p+185", "0x1.f6089e242ddbap+199",
+    "0x1.72e7e65b88082p+214",
+)
+
+
 class TestUpperIncGamma:
     @pytest.mark.parametrize("chi", [0.3, 1.0, 2.5, 10.0])
     def test_a1_closed_form(self, chi):
@@ -344,11 +371,13 @@ class TestUpperIncGamma:
         assert relerr(sf.upper_inc_gamma(3.0, 0.5).value,
                       3.25 * math.exp(-0.5)) <= 5e-15
 
+    # fractional a and a = 0 are bounds' continued fraction's: upper_inc_gamma
+    # refuses them
     def test_frozen_fractional(self):
-        assert relerr(sf.upper_inc_gamma(2.5, 4.0).value, GAMMA_25_AT_4) <= 1e-11
+        assert relerr(_gamma_by_cf(2.5, 4.0), GAMMA_25_AT_4) <= 1e-11
 
     def test_e1(self):
-        assert relerr(sf.upper_inc_gamma(0.0, 2.0).value, E1_AT_2) <= 1e-12
+        assert relerr(_gamma_by_cf(0.0, 2.0), E1_AT_2) <= 1e-12
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -358,16 +387,34 @@ class TestUpperIncGamma:
         with pytest.raises(DomainError):
             sf.upper_inc_gamma(301.0, 1.0)
 
+    @pytest.mark.parametrize("a", [2.5, 0.0])
+    def test_integer_order_only(self, a):
+        with pytest.raises(DomainError, match="integer a"):
+            sf.upper_inc_gamma(a, 4.0)
+
     def test_overflow_reported(self):
         with pytest.raises(RangeOverflowError):
             sf.upper_inc_gamma(250.0, 1.0)
+
+    def test_odd_orders_at_the_ck_cut(self):
+        # the orders and the argument of the oracle's C_k envelope tails
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            for k in range(31):
+                got = sf.upper_inc_gamma(2 * k + 1.0, 154.0)
+                want = mpmath.gammainc(2 * k + 1, 154)
+                assert abs(got.value - want) <= 3e-15 * want, k
+                assert abs(got.value - want) <= got.abs_error_estimate, k
+
+    def test_ck_tail_unchanged(self):
+        assert tuple(float(v).hex() for v in oracle._CK_TAIL) == CK_TAIL_HEX
 
     @pytest.mark.parametrize("a_frac", [0.0, 0.25, 0.5, 0.75, 1.0])
     @pytest.mark.parametrize("chi", [1.0, 2.0, 5.0, 20.0, 50.0])
     def test_bound_2_chi_a_exp(self, a_frac, chi):
         # Gamma(a, chi) <= 2 chi^a e^-chi for 0 <= a <= chi, chi >= 1
         a = a_frac * chi
-        v = sf.upper_inc_gamma(a, chi).value
+        v = _gamma_by_cf(a, chi)
         assert v <= 2.0 * chi ** a * math.exp(-chi)
 
 
