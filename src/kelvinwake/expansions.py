@@ -48,8 +48,8 @@ from . import ddouble as dd
 from .ddouble import _SPLITTER
 from .errors import AccuracyError, DomainError, RegimeError
 from .oracle import EvalPoint, _ck_values, oracle_Ck, oracle_F
-from .specfun import (ORDER_CAP, _check_finite, _check_int, _hscal_window, _k01_dd,
-                      _log_rounding, _series_dd, _y01_dd, struve_k_scaled)
+from .specfun import (ARG_MAX, ORDER_CAP, _check_finite, _check_int, _hscal_window,
+                      _k01_dd, _log_rounding, _series_dd, _y01_dd, struve_k_scaled)
 
 #: Largest supported asymptotic truncation (coefficient engines cap here).
 CK_MAX = 30
@@ -551,7 +551,15 @@ def bessho_F(pt: EvalPoint, *, ladders: Optional[Ladders] = None) -> MethodResul
     and concentrates the cancellation in the final sum, which is
     accumulated in double-double (_bessho_sum).  The products and the
     cos(m alpha) factors are read from ladders, a fresh Ladders by default.
+
+    The estimate adds to the sum's last term and rounding 2 e^{rho/2} times
+    the rounding of the double ln(rho/4) in the seeds K0, K1 (rho/2), which
+    moves K_m by up to that times I_m(rho/2); RegimeError for rho/2 past
+    specfun.ARG_MAX, where those seeds lose their digits.
     """
+    if 0.5 * pt.rho > ARG_MAX:
+        raise RegimeError(f"bessho_F needs rho/2 <= ARG_MAX = {ARG_MAX}, "
+                          f"got rho = {pt.rho!r}")
     if ladders is None:
         ladders = Ladders()
     total, peak, abs_sum, last, m, stop = _bessho_sum(
@@ -570,7 +578,8 @@ def bessho_F(pt: EvalPoint, *, ladders: Optional[Ladders] = None) -> MethodResul
             f"cancellation in the Bessel product series exceeds 1e12 "
             f"(peak {peak:.3g} against result {value:.3g})",
             value=value, terms_used=m)
-    est = 10.0 * last + 2.3e-16 * abs_sum
+    est = (10.0 * last + 2.3e-16 * abs_sum
+           + 2.0 * math.exp(0.5 * pt.rho) * _log_rounding(0.5 * pt.rho))
     return MethodResult(value, Method.BESSHO, terms_used=m + 1, n_used=0,
                         saddle_term=0.0, internal_error_estimate=est)
 
@@ -643,10 +652,10 @@ HSCAL_WINDOW = 16
 
 
 def _hscals(xc):
-    """Hscal_j(xc) as doubles for j = 0, 1, ..., 2 ORDER_CAP - 1,
+    """Hscal_j(xc) as doubles for j = 0, 1, ..., ORDER_CAP - 1,
     HSCAL_WINDOW orders at a time from _hscal_window."""
-    for j0 in range(0, 2 * ORDER_CAP, HSCAL_WINDOW):
-        yield from _hscal_window(xc, j0, min(j0 + HSCAL_WINDOW, 2 * ORDER_CAP) - 1)
+    for j0 in range(0, ORDER_CAP, HSCAL_WINDOW):
+        yield from _hscal_window(xc, j0, min(j0 + HSCAL_WINDOW, ORDER_CAP) - 1)
 
 
 def _struve_coefficients(xs, rho):
@@ -700,8 +709,13 @@ def _struve_series(pt, hscals):
 
 def _struve_value(pt, ladders):
     """(S1, orders summed) at pt, _struve_series's outcome on the Hscal
-    ladder of ladders at x c; AccuracyError where the sum was refused."""
-    value, terms, refused = _struve_series(pt, ladders.hscals(pt.x * pt.c))
+    ladder of ladders at x c; AccuracyError where the sum was refused, and
+    RegimeError for x c past specfun.ARG_MAX, where the ladder's seeds
+    lose the digits their sums need."""
+    xc = pt.x * pt.c
+    if xc > ARG_MAX:
+        raise RegimeError(f"the Struve sum needs x c <= ARG_MAX = {ARG_MAX}, got x c = {xc!r}")
+    value, terms, refused = _struve_series(pt, ladders.hscals(xc))
     if refused:
         raise AccuracyError(f"Struve sum not converged in {terms} orders",
                             value=value, terms_used=terms)

@@ -13,11 +13,15 @@ the confluent hypergeometric series 1F1(a; b; z) and the upper incomplete
 gamma function Gamma(a, chi) of integer order, by its closed form (the
 grid check of Gamma(a, chi) at fractional a lives in bounds).
 
-The target regime is small arguments (x <= ~10, and in practice x <= 3 for
-the wake problem), where ascending series converge in a few dozen terms.
-Series are accumulated in double-double arithmetic so that the returned
-doubles are correctly rounded to well below 1e-13 relative error even when
-intermediate terms grow above the result (mild cancellation at x ~ 10).
+The regime is small arguments, 0 <= x <= ARG_MAX, and orders up to
+ORDER_CAP: the wake expansions take J, Y and the scaled Struve H at x <= 3
+and K at rho/2 <= 0.5, where ascending series converge in a few dozen
+terms.  Series are accumulated in double-double arithmetic, so the mild
+cancellation of their terms there costs the returned doubles nothing
+their error estimates do not count.  Each public kernel raises
+RegimeError past ARG_MAX, where the series' cancellation outgrows the
+estimates (K's first, as its value falls like e^-x), and
+OrderOverflowError past ORDER_CAP.
 
 Every ascending series t_{k+1} = t_k q / ((k + a)(k + b)), the sign of an
 alternating one carried in q, runs through _series_dd: J, I, Hscal, the
@@ -41,11 +45,25 @@ from dataclasses import dataclass
 
 from . import ddouble as dd
 from .ddouble import _SPLITTER
-from .errors import AccuracyError, DomainError, OrderOverflowError, RangeOverflowError
+from .errors import (AccuracyError, DomainError, OrderOverflowError, RangeOverflowError,
+                     RegimeError)
 
-#: Cap on the order of J, I and Hscal; Y, K and Kscal take twice it.
-#: Exceeding a cap raises OrderOverflowError.
-ORDER_CAP = 200
+#: Cap on the order of every public kernel and of expansions' Hscal
+#: ladder; past it OrderOverflowError.  Below order 167 the Struve Gamma
+#: chain Gamma(3/2) Gamma(order + 3/2) stays inside the range that
+#: two_prod splits.
+ORDER_CAP = 160
+
+#: Largest argument of every public kernel; past it RegimeError.  It has
+#: margin over the box's x <= 3, and every kernel holds its estimate up to
+#: x = 8; at x = 10 the error of K_16 is 70 times its estimate.
+ARG_MAX = 4.0
+
+#: An absolute floor of the estimates of J, I and Hscal, whose values and
+#: terms can fall onto the subnormal grid, where 2.3e-16 of a value no
+#: longer covers its rounding: four units of that grid.  J_160(0.5),
+#: about 1e-381, rounds to 0.
+_SUBNORMAL_FLOOR = 2.0 ** -1072
 
 _TWO_OVER_PI = dd.div((2.0, 0.0), dd.PI)
 _SERIES_MAX = 800
@@ -110,6 +128,12 @@ def _check_finite(x, name="argument"):
         if math.isfinite(v):
             return v
     raise DomainError(f"{name} must be finite, got {x!r}")
+
+
+def _check_regime(x, kernel):
+    """Refuse x past ARG_MAX with RegimeError naming the kernel."""
+    if x > ARG_MAX:
+        raise RegimeError(f"{kernel} supports x <= ARG_MAX = {ARG_MAX}, got {x!r}")
 
 
 def _series_dd(t, q, a, b, rel):
@@ -197,31 +221,33 @@ def _ascending_series(n, x, sign):
 
 
 def bessel_j(order: int, x: float) -> SpecFunResult:
-    """Bessel function of the first kind J_order(x) for x >= 0.
+    """Bessel function of the first kind J_order(x) for 0 <= x <= ARG_MAX.
 
-    The series' terms add up in absolute value to I_order(x), which they
-    cancel down from; the estimate counts 2^-102 of it for the
-    double-double rounding (below 2^-110 of it at x up to 100), which
-    outgrows the value past x of about 40."""
+    The series' terms add up in absolute value to I_order(x), at most
+    e^4 < 55 at x <= ARG_MAX; the double-double sum's rounding of them
+    stays within the estimate, even at the doubles next to the zeros of
+    J_0 and J_1, the only zeros below ARG_MAX."""
     order = _check_order(order, ORDER_CAP)
     x = _check_finite(x)
     if x < 0:
         raise DomainError("bessel_j requires x >= 0")
+    _check_regime(x, "bessel_j")
     s, tail, terms = _ascending_series(order, x, -1)
     value = dd.to_float(s)
-    size = dd.to_float(_ascending_series(order, x, +1)[0])
-    return SpecFunResult(value, tail + 2.3e-16 * abs(value) + 2.0 ** -102 * size, terms)
+    return SpecFunResult(value, tail + 2.3e-16 * abs(value) + _SUBNORMAL_FLOOR, terms)
 
 
 def bessel_i(order: int, x: float) -> SpecFunResult:
-    """Modified Bessel function of the first kind I_order(x) for x >= 0."""
+    """Modified Bessel function of the first kind I_order(x) for
+    0 <= x <= ARG_MAX."""
     order = _check_order(order, ORDER_CAP)
     x = _check_finite(x)
     if x < 0:
         raise DomainError("bessel_i requires x >= 0")
+    _check_regime(x, "bessel_i")
     s, tail, terms = _ascending_series(order, x, +1)
     value = dd.to_float(s)
-    return SpecFunResult(value, tail + 2.3e-16 * abs(value), terms)
+    return SpecFunResult(value, tail + 2.3e-16 * abs(value) + _SUBNORMAL_FLOOR, terms)
 
 
 def _log_half_plus_gamma(x):
@@ -437,133 +463,72 @@ def _bessel_yk_dd(order, x, sign):
     return fc, terms + order
 
 
-def _series_spread(order, x, sign):
-    """A bound on the error the log series leaves in Y_order(x) (sign=-1)
-    or K_order(x) (sign=+1) besides the rounding of the double log.
-
-    The series' terms grow to about I_0(x) before they cancel to the
-    seeds Y0, Y1 or K0, K1 of the recurrence, so past x of about 40 that
-    error outgrows every other part of the estimate.  The terms' absolute
-    sums are the sign=+1 series: |lg| I0 + s0 for the first seed and
-    1/x + |lg| I1 + (x/4) s1 for the second, their sum S (times 2/pi for
-    Y).  Y's alternating sums lose at most 2^-102 S to double-double
-    rounding (below 2^-109 S at x up to 100); they stop at 1e-21 of
-    partial sums about the size of Y0, Y1, within the estimate's ulps of
-    the value.  K's positive sums stop at 1e-21 of partial sums up to S,
-    where their terms fall by more than 4 a step (at x up to 125), so
-    their tails add at most 1e-21 S / 3 to s0, s1, I0 and I1, and the
-    second seed takes s1 times x/4: 2e-21 (1 + x/4) S covers both.  An
-    error e in both seeds moves f_order by at most g_order, where
-    g_0 = g_1 = e and g_{m+1} = (2m/x) g_m + g_{m-1} majorizes both
-    recurrences.
-    """
-    i0, i1, lg, s0, s1, _ = _log_series(x, +1)
-    size = abs(lg[0]) * (i0[0] + i1[0]) + s0[0] + 1.0 / x + 0.25 * x * s1[0]
-    g0 = g1 = size * ((2.0 / math.pi) * 2.0 ** -102 if sign < 0 else 2e-21 * (1.0 + 0.25 * x))
-    for m in range(1, order):
-        g0, g1 = g1, (2.0 * m / x) * g1 + g0
-    spread = g1 if order else g0
-    if not math.isfinite(spread):
-        raise RangeOverflowError(f"the error estimate of {'Y' if sign < 0 else 'K'}_{order}"
-                                 f"({x}) exceeds double range")
-    return spread
-
-
 def bessel_y(order: int, x: float) -> SpecFunResult:
-    """Bessel function of the second kind Y_order(x) for x > 0.
+    """Bessel function of the second kind Y_order(x) for 0 < x <= ARG_MAX.
 
     The estimate adds to a few ulps of the value the rounding of the
-    double log (see _log_rounding) and the log series' own rounding (see
-    _series_spread), which grows as I_0(x) 2^-102 and outgrows the value
-    past x of about 40."""
-    order = _check_order(order, 2 * ORDER_CAP)
+    double log (see _log_rounding)."""
+    order = _check_order(order, ORDER_CAP)
     x = _check_finite(x)
     if x <= 0:
         raise DomainError("bessel_y requires x > 0 (logarithmic branch point at 0)")
+    _check_regime(x, "bessel_y")
     y, terms = _bessel_yk_dd(order, x, -1)
     value = dd.to_float(y)
     jn = dd.to_float(_ascending_series(order, x, -1)[0])
-    err = (abs(value) * (3e-16 + 1e-16 * order) + (2.0 / math.pi) * _log_rounding(x) * abs(jn)
-           + _series_spread(order, x, -1))
+    err = abs(value) * (3e-16 + 1e-16 * order) + (2.0 / math.pi) * _log_rounding(x) * abs(jn)
     return SpecFunResult(value, err, terms)
 
 
 def bessel_k(order: int, x: float) -> SpecFunResult:
-    """Modified Bessel function of the second kind K_order(x) for x > 0.
+    """Modified Bessel function of the second kind K_order(x) for
+    0 < x <= ARG_MAX.
 
     The estimate adds to a few ulps of the value the rounding of the
-    double log and the log series' truncation (see _series_spread); both
-    grow as I_0(x), while K falls as e^-x, so the value keeps no digit
-    past x of about 15."""
-    order = _check_order(order, 2 * ORDER_CAP)
+    double log, which grows as I_order(x) while K falls as e^-x: at
+    x = ARG_MAX it is about 1000 ulps of K_0."""
+    order = _check_order(order, ORDER_CAP)
     x = _check_finite(x)
     if x <= 0:
         raise DomainError("bessel_k requires x > 0")
+    _check_regime(x, "bessel_k")
     k, terms = _bessel_yk_dd(order, x, +1)
     value = dd.to_float(k)
     i_n = dd.to_float(_ascending_series(order, x, +1)[0])
-    err = (abs(value) * (3e-16 + 1e-16 * order) + _log_rounding(x) * i_n
-           + _series_spread(order, x, +1))
+    err = abs(value) * (3e-16 + 1e-16 * order) + _log_rounding(x) * i_n
     return SpecFunResult(value, err, terms)
 
 
-#: Largest double that two_prod splits without overflow ((2^27 + 1) a must
-#: stay finite); the Struve Gamma chain is rescaled before it passes this.
-_SPLIT_MAX = 2.0 ** 996
-
-
 def _struve_gammas(order_max):
-    """Gamma(3/2) Gamma(nu + 3/2) for nu = 0 .. order_max as pairs (g, e),
-    g a double-double and g 2^e the value, by one chain of products.  e is
-    0 up to order 166; past _SPLIT_MAX (order 167 on) g is scaled down by
-    2^512 at a time, since dd's products split it and Gamma(168.5)
-    already overflows."""
+    """Gamma(3/2) Gamma(nu + 3/2) for nu = 0 .. order_max as double-doubles,
+    by one chain of products."""
     g = dd.mul(dd.mul_d(dd.SQRT_PI, 0.5), dd.mul_d(dd.SQRT_PI, 0.5))  # Gamma(3/2)^2
-    e = 0
-    gammas = [(g, e)]
+    gammas = [g]
     for j in range(order_max):
         g = dd.mul_d(g, 1.5 + j)
-        if g[0] > _SPLIT_MAX:
-            g, e = (math.ldexp(g[0], -512), math.ldexp(g[1], -512)), e + 512
-        gammas.append((g, e))
+        gammas.append(g)
     return gammas
 
 
-#: _struve_gammas over every order the scalar kernel serves, 0 .. 2 ORDER_CAP.
-_STRUVE_GAMMAS = _struve_gammas(2 * ORDER_CAP)
+#: _struve_gammas over every order the kernels serve, 0 .. ORDER_CAP.
+_STRUVE_GAMMAS = _struve_gammas(ORDER_CAP)
 
 
 def _struve_h_series(order, x, shift=0):
-    """The scaled Struve series of order at x times 2^(e + shift), e the
-    exponent of _STRUVE_GAMMAS[order]: _series_dd's (dd_value, first
-    omitted term, terms).  Terms are strictly alternating and, in the
-    supported range, decrease monotonically after at most a few initial
-    terms, so the first omitted term bounds the truncation error."""
+    """The scaled Struve series of order at x, times 2^shift, in
+    double-double: _series_dd's (dd_value, first omitted term, terms).
+    Terms are strictly alternating and, in the supported range, decrease
+    monotonically after at most a few initial terms, so the first omitted
+    term bounds the truncation error."""
     h = 0.5 * x
-    # t0 = (x/2) / (Gamma(3/2) Gamma(order+3/2)) = 2^-e h / g
-    t0 = dd.div(dd.from_float(math.ldexp(h, shift)), _STRUVE_GAMMAS[order][0])
+    # t0 = (x/2) / (Gamma(3/2) Gamma(order+3/2))
+    t0 = dd.div(dd.from_float(math.ldexp(h, shift)), _STRUVE_GAMMAS[order])
     return _series_dd(t0, dd.two_prod(h, -h), 1.5, order + 1.5, 1e-17)
-
-
-def _struve_h_scaled_dd(order, x):
-    """Scaled Struve series in double-double.
-
-    Returns _series_dd's (dd_value, first omitted term, terms).  From
-    order 167 on the series runs on the terms times 2^e (_STRUVE_GAMMAS)
-    and is scaled back at the end, where it may round to the subnormal
-    grid or to 0: the omitted term then carries 2^-1074 for that rounding.
-    """
-    s, tail, terms = _struve_h_series(order, x)
-    e = _STRUVE_GAMMAS[order][1]
-    if e:
-        s = (math.ldexp(s[0], -e), math.ldexp(s[1], -e))
-        tail = math.ldexp(tail, -e) + 2.0 ** -1074
-    return s, tail, terms
 
 
 def _hscal_window(x, j0, j1):
     """[Hscal_j0(x), ..., Hscal_j1(x)] rounded to double, 0 <= j0 <= j1 <
-    2 ORDER_CAP.
+    ORDER_CAP.
 
     With h = x/2 and w = h^2, the Struve recurrence (DLMF 11.4.23) reads
 
@@ -574,15 +539,15 @@ def _hscal_window(x, j0, j1):
     Taken downwards it is stable: J_v's counterpart shrinks relative to
     Hscal as v falls, and Y_v's falls off.  The inhomogeneous term starts
     at (h/2) / _STRUVE_GAMMAS[j1] and gains a factor v + 1/2 a step down.
-    Everything runs times 2^k, k the exponent of _STRUVE_GAMMAS[j1 + 1]
-    less that of h, and is scaled back at the end, so that no seed is
-    subnormal where the values are not: past order 166, or at a tiny x.
+    Everything runs times 2^k, k the negated exponent of h, and is scaled
+    back at the end, so that at a tiny x no seed is subnormal where the
+    values are not.
 
     Each step is dd.add(dd.add(dd.mul_d(f, v), dd.mul(-w, upper)), inh)
     and dd.mul_d(inh, v + 1/2) written out, the same float operations in
     the same order, with -w split once before the loop and each Hscal
     split once, where mul_d(f, v) splits it and mul(-w, upper) reuses the
-    halves a step later.  v and v + 1/2 (v < 2 ORDER_CAP) have at most 10
+    halves a step later.  v and v + 1/2 (v < ORDER_CAP) have at most 9
     significant bits, so each is its own high half and is not split (see
     ddouble).
     """
@@ -591,14 +556,13 @@ def _hscal_window(x, j0, j1):
     c = _SPLITTER * wh
     whi = c - (c - wh)
     wlo = wh - whi
-    e_upper, e_f = _STRUVE_GAMMAS[j1 + 1][1], _STRUVE_GAMMAS[j1][1]
-    k = e_upper - math.frexp(h)[1]
-    uh, ul = _struve_h_series(j1 + 1, x, k - e_upper)[0]
+    k = -math.frexp(h)[1]
+    uh, ul = _struve_h_series(j1 + 1, x, k)[0]
     c = _SPLITTER * uh
     uhi = c - (c - uh)
     ulo = uh - uhi
-    fh, fl = _struve_h_series(j1, x, k - e_f)[0]
-    ih, il = dd.div(dd.from_float(math.ldexp(h, k - e_f - 1)), _STRUVE_GAMMAS[j1][0])
+    fh, fl = _struve_h_series(j1, x, k)[0]
+    ih, il = dd.div(dd.from_float(math.ldexp(h, k - 1)), _STRUVE_GAMMAS[j1])
     out = [math.ldexp(fh, -k) + math.ldexp(fl, -k)]
     for v in range(j1, j0, -1):
         b = float(v)
@@ -661,7 +625,8 @@ def _hscal_window(x, j0, j1):
 
 
 def struve_h_scaled(order: int, x: float) -> SpecFunResult:
-    """Scaled Struve function (x/2)^(-order) H_order(x) for x >= 0.
+    """Scaled Struve function (x/2)^(-order) H_order(x) for
+    0 <= x <= ARG_MAX.
 
     The series stops once the next term falls below 1e-17 of the partial
     sum; the first omitted term is reported as the truncation bound.
@@ -670,26 +635,29 @@ def struve_h_scaled(order: int, x: float) -> SpecFunResult:
     x = _check_finite(x)
     if x < 0:
         raise DomainError("struve_h_scaled requires x >= 0")
+    _check_regime(x, "struve_h_scaled")
     if x == 0.0:
         return SpecFunResult(0.0, 0.0, 1)
-    s, tail, terms = _struve_h_scaled_dd(order, x)
+    s, tail, terms = _struve_h_series(order, x)
     value = dd.to_float(s)
-    return SpecFunResult(value, tail + 2.3e-16 * abs(value), terms)
+    return SpecFunResult(value, tail + 2.3e-16 * abs(value) + _SUBNORMAL_FLOOR, terms)
 
 
 def struve_k_scaled(order: int, x: float) -> SpecFunResult:
-    """Kscal_m(x) = x^m (H_m(x) - Y_m(x)), the decaying Struve combination.
+    """Kscal_m(x) = x^m (H_m(x) - Y_m(x)), the decaying Struve combination,
+    for 0 < x <= ARG_MAX.
 
     Both parts are computed with ~32-digit working precision, and the error
     estimate carries their absolute uncertainties through the subtraction,
-    so any cancellation between them (mild for x <= 3, heavier as x grows)
-    surfaces directly as a larger relative estimate.
+    so any cancellation between them (mild for x <= ARG_MAX) surfaces
+    directly as a larger relative estimate.
     """
-    order = _check_order(order, 2 * ORDER_CAP)
+    order = _check_order(order, ORDER_CAP)
     x = _check_finite(x)
     if x <= 0:
         raise DomainError("struve_k_scaled requires x > 0")
-    hs, htail, hterms = _struve_h_scaled_dd(order, x)
+    _check_regime(x, "struve_k_scaled")
+    hs, htail, hterms = _struve_h_series(order, x)
     # H_m(x) = (x/2)^m * Hscal_m(x)
     pw = dd.ONE
     for _ in range(order):

@@ -97,6 +97,26 @@ class TestBessho:
         with pytest.raises(AccuracyError):
             bessho_F(EvalPoint(3.0, 0.0005, 0.0))
 
+    @pytest.mark.parametrize("x,rho", [(0.5, 40.0), (0.5, 100.0),
+                                       (1.0, math.nextafter(2.0 * specfun.ARG_MAX, math.inf))])
+    def test_refused_past_the_seeds_regime(self, x, rho):
+        # the K seeds come from the log series at rho/2: at rho = 40 the sum
+        # came out as -8.91e-9 with an estimate of 2.0e-24, against the
+        # oracle's 5.05e-10; at rho = 100 as 54244.6 against 3.0e-23
+        with pytest.raises(RegimeError, match="rho/2"):
+            bessho_F(EvalPoint(x, rho, 0.3))
+
+    @pytest.mark.parametrize("rho", [3.0, 6.0, 7.9])
+    def test_estimate_counts_the_rounding_of_the_log(self, rho):
+        # the double ln(rho/4) in the K seeds: without it the estimate was
+        # 1.19 times short at rho = 3, 2.61 at rho = 6 and 102 at rho = 8
+        for x in (0.1, 0.5, 1.0, 2.0, 3.0):
+            for alpha in (0.0, 0.7, 1.5):
+                pt = EvalPoint(x, rho, alpha)
+                got = bessho_F(pt)
+                err = abs(got.value - float(_mp_bessel_product(pt, 40)))
+                assert err <= got.internal_error_estimate, (x, alpha)
+
     def test_result_fields(self, pt_m8):
         r = bessho_F(pt_m8)
         assert r.method is Method.BESSHO
@@ -500,22 +520,18 @@ class TestHscalLadder:
                     assert abs(got - want) <= 2.3e-16 * abs(want), (xc, j)
 
     @pytest.mark.parametrize("x", [0.5, 1.0, 3.0])
-    def test_past_the_gamma_rescale(self, x):
-        # orders 160-200 run through the 2^512 rescale of the Gamma chain
-        # at order 167, and down into the subnormal range
-        ladder = list(itertools.islice(expansions._hscals(x), 201))
-        normal = 0
-        for j in range(160, 201):
-            want = dd.to_float(specfun._struve_h_scaled_dd(j, x)[0])
-            if abs(want) >= sys.float_info.min:
-                normal += 1
-                assert abs(ladder[j] - want) <= math.ulp(want), (x, j)
-            else:
-                assert abs(ladder[j] - want) <= 4 * 2.0 ** -1074, (x, j)
-        assert 0 < normal < 41
+    def test_top_window(self, x):
+        # the ladder holds ORDER_CAP orders; its top window, seeded at
+        # orders ORDER_CAP - 1 and ORDER_CAP, is within an ulp of the series
+        ladder = list(expansions._hscals(x))
+        assert len(ladder) == specfun.ORDER_CAP
+        for j in range(specfun.ORDER_CAP - expansions.HSCAL_WINDOW, specfun.ORDER_CAP):
+            want = dd.to_float(specfun._struve_h_series(j, x)[0])
+            assert want >= sys.float_info.min
+            assert abs(ladder[j] - want) <= math.ulp(want), (x, j)
 
     def test_a_sum_that_runs_out_of_the_ladder_is_refused(self):
-        assert len(list(expansions._hscals(1.0))) == 2 * specfun.ORDER_CAP
+        assert len(list(expansions._hscals(1.0))) == specfun.ORDER_CAP
         pt = EvalPoint(1.0, 0.02, 0.3)
         value, terms, refused = expansions._struve_series(
             pt, itertools.islice(expansions._hscals(pt.x * pt.c), 3))
@@ -548,6 +564,17 @@ class TestStruveSums:
         monkeypatch.setattr(expansions, "MAX_TERMS", 2)
         with pytest.raises(AccuracyError):
             struve_double_sum(pt_m125)
+
+    @pytest.mark.parametrize("x,alpha", [(40.0, 0.0), (60.0, 1.0),
+                                         (math.nextafter(specfun.ARG_MAX, math.inf), 0.0)])
+    def test_refused_past_the_kernels_regime(self, x, alpha):
+        # the Hscal ladder at x c past ARG_MAX: paris_F at (40, 1, 0) was
+        # 4.5e-11 from oracle_F with an estimate of 6.0e-16, and at
+        # (60, 1, 1.0) 2.3e-7 against 2.2e-16
+        pt = EvalPoint(x, 1.0, alpha)
+        for route in (struve_double_sum, paris_F, lambda p: curly_F_residual(p, 1)):
+            with pytest.raises(RegimeError, match="x c"):
+                route(pt)
 
     def test_refused_where_the_sum_leaves_double_range(self):
         # at rho = 150 the terms grow past the double range before they

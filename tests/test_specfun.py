@@ -8,6 +8,7 @@ and K) and rounded to the nearest double.
 
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ import pytest
 from kelvinwake import oracle
 from kelvinwake import specfun as sf
 from kelvinwake.bounds import _legendre_cf
-from kelvinwake.errors import DomainError, OrderOverflowError, RangeOverflowError
+from kelvinwake.errors import DomainError, OrderOverflowError, RangeOverflowError, RegimeError
 
 # 40-digit references rounded to double
 J4_AT_04 = 6.613510772909676e-05
@@ -52,13 +53,23 @@ class TestBesselJ:
         with pytest.raises(DomainError):
             sf.bessel_j(0, -1.0)
 
+    @pytest.mark.parametrize("order,zero", [(0, 2.404825557695773), (1, 3.8317059702075125)])
+    def test_estimate_holds_next_to_a_zero(self, order, zero):
+        # the values fall to about 1e-16 while the series' rounding stays
+        # near 2^-104 I_order(x)
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            for x in (math.nextafter(zero, 0.0), zero, math.nextafter(zero, 4.0)):
+                got = sf.bessel_j(order, x)
+                assert abs(got.value - mp.besselj(order, x)) <= got.abs_error_estimate, x
+
     def test_non_finite_rejected(self):
         with pytest.raises(DomainError):
             sf.bessel_j(0, math.inf)
 
     def test_order_cap(self):
         with pytest.raises(OrderOverflowError):
-            sf.bessel_j(201, 1.0)
+            sf.bessel_j(sf.ORDER_CAP + 1, 1.0)
 
     def test_numpy_integers_and_floats(self):
         # an integral order and a real argument of numpy type give the
@@ -75,7 +86,7 @@ class TestBesselJ:
             with pytest.raises(DomainError, match="order must be"):
                 sf.bessel_j(order, 1.0)
         with pytest.raises(OrderOverflowError):
-            sf.bessel_j(np.int64(201), 1.0)
+            sf.bessel_j(np.int64(sf.ORDER_CAP + 1), 1.0)
         for x in (np.float64(math.nan), np.float32(math.inf), "1", None):
             with pytest.raises(DomainError, match="argument must be finite"):
                 sf.bessel_j(2, x)
@@ -96,7 +107,7 @@ class TestBesselY:
 
     def test_overflow_is_reported(self):
         with pytest.raises(RangeOverflowError):
-            sf.bessel_y(400, 0.05)
+            sf.bessel_y(sf.ORDER_CAP, 0.05)
 
 
 class TestBesselIK:
@@ -112,7 +123,7 @@ class TestBesselIK:
             sf.bessel_k(0, 0.0)
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 7, 200])
+@pytest.mark.parametrize("n", [0, 1, 2, 7, sf.ORDER_CAP])
 def test_j_and_i_exact_at_zero(n):
     want = 1.0 if n == 0 else 0.0
     assert sf.bessel_j(n, 0.0).value == want
@@ -125,16 +136,16 @@ def test_j_and_i_exact_at_zero(n):
     ("bessel_y", 1, 2.197141326031017),
     # 1.3e-17 off, a relative 3.7e-16
     ("bessel_k", 0, 3.0),
-    # the series' terms reach I_0(x) before they cancel: J0(100) and Y0(100)
-    # come out as -8.8e8 and 8.8e8, K0(30) as 1.6e-6 against 2.1e-14
+    # past ARG_MAX the kernels refuse: there the series' terms reach I_0(x)
+    # before they cancel (J0(100) and Y0(100) came out as -8.8e8 and 8.8e8,
+    # K0(30) as 1.6e-6 against 2.1e-14), and the recurrence carried the
+    # seeds' error up (K_30(20) was a relative 7e-5 off)
     ("bessel_j", 0, 50.0),
     ("bessel_j", 0, 100.0),
     ("bessel_y", 0, 45.0),
     ("bessel_y", 0, 50.0),
     ("bessel_y", 0, 100.0),
     ("bessel_k", 0, 30.0),
-    # the recurrence carries the seeds' error up: K_30(20) is 1.2e-5 off,
-    # a relative 7e-5
     ("bessel_k", 30, 20.0),
     ("bessel_k", 60, 20.0),
     ("bessel_k", 30, 10.0),
@@ -143,14 +154,53 @@ def test_j_and_i_exact_at_zero(n):
 ])
 def test_estimate_counts_the_rounding_of_the_log(func, order, x):
     # ln(x/2) is a double in the log series: its rounding moves Y_n by
-    # 2/pi times it times J_n(x) and K_n by it times I_n(x); the series'
-    # own rounding and truncation scale with its absolute terms
+    # 2/pi times it times J_n(x) and K_n by it times I_n(x)
+    if x > sf.ARG_MAX:
+        with pytest.raises(RegimeError):
+            getattr(sf, func)(order, x)
+        return
     mp = pytest.importorskip("mpmath")
     got = getattr(sf, func)(order, x)
     with mp.workdps(40):
         want = {"bessel_j": mp.besselj, "bessel_y": mp.bessely,
                 "bessel_k": mp.besselk}[func](order, x)
         assert abs(got.value - want) <= got.abs_error_estimate
+
+
+def _mp_kernel(func, order, x):
+    """The kernel func of specfun at (order, x) in mpmath."""
+    mp = pytest.importorskip("mpmath")
+    x = mp.mpf(x)
+    if func.startswith("struve"):
+        h = mp.struveh(order, x)
+        return h / (x / 2) ** order if func == "struve_h_scaled" else x ** order * (
+            h - mp.bessely(order, x))
+    return {"bessel_j": mp.besselj, "bessel_i": mp.besseli, "bessel_y": mp.bessely,
+            "bessel_k": mp.besselk}[func](order, x)
+
+
+@pytest.mark.parametrize("func", ["bessel_j", "bessel_i", "bessel_y", "bessel_k",
+                                  "struve_h_scaled", "struve_k_scaled"])
+def test_within_the_estimate_up_to_arg_max(func):
+    # from the small orders the routes take to ORDER_CAP and up to ARG_MAX:
+    # within the estimate of 40-digit mpmath, RangeOverflowError where the
+    # value leaves the double range, and RegimeError one double past
+    # ARG_MAX.  J_160(0.5) and I_160(0.5), about 1e-381, round to 0
+    mp = pytest.importorskip("mpmath")
+    kernel = getattr(sf, func)
+    with mp.workdps(40):
+        for x in (0.5, 2.0, sf.ARG_MAX):
+            for order in (0, 1, 2, 5, 10, 21, 29, 40, 80, sf.ORDER_CAP):
+                want = _mp_kernel(func, order, x)
+                if abs(want) > sys.float_info.max:
+                    with pytest.raises(RangeOverflowError):
+                        kernel(order, x)
+                    continue
+                got = kernel(order, x)
+                assert abs(got.value - want) <= got.abs_error_estimate, (order, x)
+    for order in (0, sf.ORDER_CAP):
+        with pytest.raises(RegimeError, match="ARG_MAX"):
+            kernel(order, math.nextafter(sf.ARG_MAX, math.inf))
 
 
 @pytest.mark.parametrize("x", [0.1, 0.5, 1.0, 2.0])
@@ -220,30 +270,42 @@ class TestStruveScaled:
 
     @pytest.mark.parametrize("order", [167, 168, 169, 170, 171])
     def test_orders_past_the_gamma_overflow_against_mpmath(self, order):
-        # Gamma(3/2) Gamma(order + 3/2) passes the range two_prod splits
-        # from order 167 on; the value underflows gently into subnormals
+        # Gamma(3/2) Gamma(order + 3/2) passes 2^996, where two_prod's split
+        # of it overflows, from order 167 on: the chain stops at ORDER_CAP
+        # below that, and these orders are refused
         mp = pytest.importorskip("mpmath")
-        r = sf.struve_h_scaled(order, 1.0)
         with mp.workdps(40):
-            want = mp.struveh(order, 1) * mp.mpf(2) ** order
-            assert abs(r.value - want) <= r.abs_error_estimate
-            assert abs(r.value - want) <= 1e-15 * want + 2.0 ** -1074
+            assert mp.gamma(1.5) * mp.gamma(order + 1.5) > mp.mpf(2) ** 996
+            assert mp.gamma(1.5) * mp.gamma(166 + 1.5) < mp.mpf(2) ** 996
+        assert len(sf._STRUVE_GAMMAS) == sf.ORDER_CAP + 1 <= 167
+        with pytest.raises(OrderOverflowError):
+            sf.struve_h_scaled(order, 1.0)
 
     @pytest.mark.parametrize("x", [1e-3, 0.5, 1.0, 2.0, 3.0])
     def test_orders_150_to_166_against_mpmath(self, x):
         # sums near 1e-290 and below run to the same relative stop as any
-        # other: no absolute floor cuts their series short
+        # other: no absolute floor cuts their series short.  Past
+        # ORDER_CAP, below order 167 where the Gamma chain would leave the
+        # range two_prod splits, orders are refused
         mp = pytest.importorskip("mpmath")
         with mp.workdps(40):
-            for order in range(150, 167):
-                got = sf.struve_h_scaled(order, x).value
+            for order in range(150, sf.ORDER_CAP + 1):
+                got = sf.struve_h_scaled(order, x)
                 want = mp.struveh(order, x) / (mp.mpf(x) / 2) ** order
-                assert abs(got - want) <= 1e-15 * abs(want), order
+                assert abs(got.value - want) <= 1e-15 * abs(want), order
+                assert abs(got.value - want) <= got.abs_error_estimate, order
+        for order in range(sf.ORDER_CAP + 1, 167):
+            with pytest.raises(OrderOverflowError):
+                sf.struve_h_scaled(order, x)
 
     def test_order_cap_returns(self):
-        # Hscal_200(1) ~ 1e-376 rounds to 0
+        # Hscal_160(1), about 1e-287, is a normal double
+        mp = pytest.importorskip("mpmath")
         r = sf.struve_h_scaled(sf.ORDER_CAP, 1.0)
-        assert r.value == 0.0 and 0.0 < r.abs_error_estimate <= 1e-323
+        with mp.workdps(40):
+            want = mp.struveh(sf.ORDER_CAP, 1) * mp.mpf(2) ** sf.ORDER_CAP
+            assert r.value >= sys.float_info.min
+            assert abs(r.value - want) <= min(1e-15 * want, r.abs_error_estimate)
 
 
 class TestStruveKScaled:
@@ -275,11 +337,13 @@ class TestStruveKScaled:
         with pytest.raises(DomainError):
             sf.struve_k_scaled(0, 0.0)
 
-    @pytest.mark.parametrize("order,x", [(170, 1.0), (400, 1.0), (400, 3.0), (160, 3.0)])
+    @pytest.mark.parametrize("order,x", [(170, 1.0), (400, 1.0), (400, 3.0), (160, 3.0),
+                                         (160, 1.0), (155, 0.5), (155, 4.0)])
     def test_out_of_range_is_reported(self, order, x):
         # Kscal_m(x) >= about Gamma(m) 2^m / pi: past m ~ 150 it leaves the
-        # double range at every x, and says so
-        with pytest.raises(RangeOverflowError):
+        # double range at every x, and says so; past ORDER_CAP the order
+        # itself is refused
+        with pytest.raises(RangeOverflowError if order <= sf.ORDER_CAP else OrderOverflowError):
             sf.struve_k_scaled(order, x)
 
 
@@ -426,7 +490,12 @@ class TestUpperIncGamma:
     ("struve_h_scaled", 0, 3.0, 0.5743061488143983, 1e-13),
 ])
 def test_frozen_edge_of_range(func, order, x, want, tol):
-    # pins at the far edge of the accuracy contract (x up to 10)
+    # pins up to the edge of the box, x = 3, and past ARG_MAX, where the
+    # kernels refuse
+    if x > sf.ARG_MAX:
+        with pytest.raises(RegimeError):
+            getattr(sf, func)(order, x)
+        return
     got = getattr(sf, func)(order, x).value
     assert relerr(got, want) <= tol
 
