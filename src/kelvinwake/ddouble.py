@@ -10,24 +10,14 @@ same rounding as on floats (numpy's +, -, * and / are the IEEE ones).
 Python 3.10 has no math.fma, so products are split Dekker-style; the
 split overflows for |a| above about 2^996.
 
-add, add_d, mul, mul_d and div_d are the hot operations of the series
-kernels, so each runs in one Python frame, with two_sum, quick_two_sum and
-two_prod written out inline: the same float operations in the same order
-as the composed forms, so the results are the same bit for bit, on floats
-and on arrays alike.  The hot loops of specfun and expansions (the
-ascending series, the log series of Y0, Y1, K0, K1, the Hscal, J_2m, K_m
-and cos(m alpha) ladders and the Bessel product sum) write their steps out
-under the same rule, one frame a loop: each step performs the float
-operations of the calls it replaces, in the same order, with the (hi, lo)
-state in local floats and an operand that does not change in the loop
-split once before it (splitting a double always gives the same halves).
-Work that cannot change a bit is left out.  An integer operand below
-2^26 (or any double of at most 26 significant bits, such as v + 1/2) is
-not split: it is its own high half, with a zero low half, and the two
-products by that zero would only add a signed zero to a sum that is
-never -0.  A value that does not depend on the loop's argument, such as
-the harmonic numbers of specfun's log series, is read from a module
-table built by the same calls at import.
+add, add_d, mul, mul_d and div_d run in one Python frame each, with
+two_sum, quick_two_sum and two_prod written out inline: the same float
+operations in the same order as the composed forms, so the results are
+the same bit for bit, on floats and on arrays alike.  The series and
+ladders of specfun and expansions run in 34-digit decimal
+(specfun._CTX) instead; what runs here is the formulas composed around
+them: the first terms of the J, I and Hscal series, Y and K of higher
+order, Kscal, 1F1 and the C_k recurrence.
 """
 
 from __future__ import annotations

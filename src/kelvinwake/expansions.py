@@ -6,12 +6,13 @@ Three methods are provided, all sharing the EvalPoint geometry:
                K0(rho/2) J0(x) + 2 sum_m (-1)^m cos(m alpha) K_m(rho/2) J_2m(x).
                Convergent everywhere, but for large M = x^2/(4 rho) the terms
                first grow to ~e^M/M before decaying, so the sum is evaluated
-               with scaled recurrences in double-double arithmetic and aborts
-               honestly when cancellation would exceed 1e12.  Every factor
-               is carried to about 1e-30: K_m by its upward recurrence, J_2m
-               by the downward one from two series seeds a window of
-               BESSHO_WINDOW orders (_jhat_window), cos(m alpha) by a
-               Chebyshev ladder on a Taylor-series cos alpha (_cos_ladder).
+               with scaled recurrences in 34-digit decimal (specfun._CTX)
+               and aborts honestly when cancellation would exceed 1e12.
+               Every factor is carried to about 1e-30: K_m by its upward
+               recurrence, J_2m by the downward one from two series seeds a
+               window of BESSHO_WINDOW orders (_jhat_window), cos(m alpha)
+               by a Chebyshev ladder on a Taylor-series cos alpha
+               (_cos_ladder).
 
 * ursell_F  -- the truncated I_m Y_2m counterpart plus the closed-form
                saddle estimate; accurate to O(e^-M).
@@ -21,7 +22,7 @@ Three methods are provided, all sharing the EvalPoint geometry:
                an exponentially small saddle-point term.  The sum reads
                Hscal_j(x c) from one ladder (_hscals): HSCAL_WINDOW orders
                at a time by the downward Struve recurrence from two series
-               seeds (specfun._hscal_window).
+               seeds, in decimal (specfun._hscal_window).
 
 The C_k coefficient tables (one read of the quadrature oracle's cached
 table at every alpha; the exact alpha = 0 recurrence is kept as a
@@ -40,16 +41,18 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import sys
 import warnings
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from typing import Optional
 
 from . import ddouble as dd
-from .ddouble import _SPLITTER
 from .errors import AccuracyError, DomainError, RegimeError
 from .oracle import EvalPoint, _ck_values, oracle_Ck, oracle_F
-from .specfun import (ARG_MAX, ORDER_CAP, _check_finite, _check_int, _hscal_window,
-                      _k01_dd, _log_rounding, _series_dd, _y01_dd, struve_k_scaled)
+from .specfun import (_CTX, ARG_MAX, ORDER_CAP, _check_finite, _check_int, _from_dd,
+                      _hscal_window, _k01_dd, _log_rounding, _series, _series_dd, _y01_dd,
+                      struve_k_scaled)
 
 #: Largest supported asymptotic truncation (coefficient engines cap here).
 CK_MAX = 30
@@ -204,18 +207,24 @@ class Ladders:
 BESSHO_WINDOW = 24
 
 #: Relative stopping threshold of the series behind the Bessel product
-#: factors (jhat_0, the seeds of _jhat_window, cos alpha): below the
-#: double-double resolution, so each is exact to the working precision.
-_DD_REL = 1e-33
+#: factors (jhat_0, the seeds of _jhat_window, cos alpha): at the
+#: resolution of specfun._CTX, so each is exact to the working precision.
+_FACTOR_REL = Decimal(1e-33)
+
+#: The largest double: a kappa_m past it ends the Bessel products.
+_DOUBLE_MAX = Decimal(sys.float_info.max)
+
+_SUM_REL = Decimal(SERIES_REL_TOL)
+_SMALL_BOUND = 2.0 * SERIES_REL_TOL
 
 
 def _jhat0(minus_w):
-    """jhat_0 = J_0(x) as a double-double, minus_w = -(x/2)^2."""
-    return _series_dd(dd.ONE, minus_w, 1.0, 1.0, _DD_REL)[0]
+    """jhat_0 = J_0(x) as a Decimal, minus_w = -(x/2)^2 a Decimal."""
+    return _series(Decimal(1), minus_w, 1.0, 1.0, _FACTOR_REL)[0]
 
 
 def _jhat_window(minus_w, m0, m1):
-    """[jhat_m0, ..., jhat_m1] (1 <= m0 <= m1) as double-doubles, where
+    """[jhat_m0, ..., jhat_m1] (1 <= m0 <= m1) as Decimals, where
     jhat_m = J_2m(x) (2m)! (x/2)^{-2m} and minus_w = -w = -(x/2)^2.
 
     With f_n = J_n(x) n! (x/2)^{-n} = sum_i (-w)^i / (i! (n+1)_i), so that
@@ -224,322 +233,139 @@ def _jhat_window(minus_w, m0, m1):
         f_{n-1} = f_n - w f_{n+1} / (n (n+1)).
 
     f_{2 m1 + 1} and f_{2 m1} are summed as ascending series, and the
-    orders below follow from them by the recurrence.  Taken downwards it
-    is stable (Miller's method): f tends to 1 as n grows, while the second
-    solution, Y_n's counterpart, falls off as n falls.
-
-    Each step is dd.add(f, dd.div_d(dd.mul(-w, upper), n (n + 1)))
-    written out, the same float operations in the same order, with -w
-    split once before the loop.  n (n + 1) is an integer below 2^26
-    (n <= 2 MAX_TERMS), its own high half, and is not split (see ddouble).
+    orders below follow from them by the recurrence, all in specfun._CTX.
+    Taken downwards it is stable (Miller's method): f tends to 1 as n
+    grows, while the second solution, Y_n's counterpart, falls off as n
+    falls.
     """
-    wh, wl = minus_w
-    c = _SPLITTER * wh
-    whi = c - (c - wh)
-    wlo = wh - whi
-    uh, ul = _series_dd(dd.ONE, minus_w, 1.0, 2.0 * m1 + 2.0, _DD_REL)[0]
-    fh, fl = _series_dd(dd.ONE, minus_w, 1.0, 2.0 * m1 + 1.0, _DD_REL)[0]
-    out = [(fh, fl)]
-    for n in range(2 * m1, 2 * m0, -1):
-        d = float(n * (n + 1))
-        # mul(-w, upper): two_prod(-w0, upper0) and quick_two_sum
-        p = wh * uh
-        c = _SPLITTER * uh
-        bhi = c - (c - uh)
-        blo = uh - bhi
-        e = ((whi * bhi - p) + whi * blo + wlo * bhi) + wlo * blo
-        e = e + (wh * ul + wl * uh)
-        ah = p + e
-        al = e - (ah - p)
-        uh, ul = fh, fl
-        # div_d(a, d): the quotient, two_prod(q1, d), two_sum(a0, -p), one
-        # refinement step and quick_two_sum
-        q1 = ah / d
-        p = q1 * d
-        c = _SPLITTER * q1
-        ahi = c - (c - q1)
-        alo = q1 - ahi
-        e = (ahi * d - p) + alo * d
-        mp = -p
-        s = ah + mp
-        bb = s - ah
-        g = (ah - (s - bb)) + (mp - bb)
-        g = g + (al - e)
-        q2 = (s + g) / d
-        ah = q1 + q2
-        al = q2 - (ah - q1)
-        # f = add(f, a): two two_sums and two quick_two_sums
-        s = fh + ah
-        bb = s - fh
-        e = (fh - (s - bb)) + (ah - bb)
-        t = fl + al
-        bb = t - fl
-        g = (fl - (t - bb)) + (al - bb)
-        e = e + t
-        fh = s + e
-        e = e - (fh - s)
-        e = e + g
-        s = fh + e
-        fl = e - (s - fh)
-        fh = s
-        if n % 2:
-            out.append((fh, fl))
+    upper = _series(Decimal(1), minus_w, 1.0, 2.0 * m1 + 2.0, _FACTOR_REL)[0]
+    f = _series(Decimal(1), minus_w, 1.0, 2.0 * m1 + 1.0, _FACTOR_REL)[0]
+    out = [f]
+    with localcontext(_CTX):
+        for n in range(2 * m1, 2 * m0, -1):
+            upper, f = f, f + minus_w * upper / (n * (n + 1))
+            if n % 2:
+                out.append(f)
     out.reverse()
     return out
 
 
 def _cos_ladder(alpha):
-    """c_m = 2 (-1)^m cos(m alpha) for m = 1, 2, ... as double-doubles,
-    without end.
+    """c_m = 2 (-1)^m cos(m alpha) for m = 1, 2, ... as Decimals, without
+    end.
 
-    cos alpha is summed from its Taylor series (alpha/2 is exact, so
-    two_prod gives -(alpha/2)^2 exactly), and c_{m+1} = -2 cos(alpha) c_m
-    - c_{m-1} from c_0 = 2.  A double cos(m alpha), whose 1e-16 relative
-    error the cancelling product series multiplies by up to 1e12, is
-    avoided this way.
-
-    Each step is dd.sub(dd.mul(step, c_m), c_{m-1}) written out, the same
-    float operations in the same order, with step = -2 cos alpha split
-    once before the loop.
+    cos alpha is summed from its Taylor series, and c_{m+1} = -2 cos(alpha)
+    c_m - c_{m-1} from c_0 = 2, in specfun._CTX, BESSHO_WINDOW values at a
+    time.  A double cos(m alpha), whose 1e-16 relative error the cancelling
+    product series multiplies by up to 1e12, is avoided this way.
     """
-    cos_a = _series_dd(dd.ONE, dd.two_prod(0.5 * alpha, -0.5 * alpha), 0.5, 1.0, _DD_REL)[0]
-    sh, sl = -2.0 * cos_a[0], -2.0 * cos_a[1]
-    c = _SPLITTER * sh
-    shi = c - (c - sh)
-    slo = sh - shi
-    ph, pl = 2.0, 0.0
-    ch, cl = sh, sl
+    h = Decimal(0.5 * alpha)
+    step = _CTX.multiply(-2, _series(Decimal(1), _CTX.minus(_CTX.multiply(h, h)), 0.5, 1.0,
+                                     _FACTOR_REL)[0])
+    prev, cur = Decimal(2), step
     while True:
-        yield ch, cl
-        # mul(step, c_m): two_prod(step0, c_m0) and quick_two_sum
-        p = sh * ch
-        c = _SPLITTER * ch
-        bhi = c - (c - ch)
-        blo = ch - bhi
-        e = ((shi * bhi - p) + shi * blo + slo * bhi) + slo * blo
-        e = e + (sh * cl + sl * ch)
-        ah = p + e
-        al = e - (ah - p)
-        # sub(a, c_{m-1}) = add(a, -c_{m-1}): two two_sums and two
-        # quick_two_sums
-        bh, bl = -ph, -pl
-        ph, pl = ch, cl
-        s = ah + bh
-        bb = s - ah
-        e = (ah - (s - bb)) + (bh - bb)
-        t = al + bl
-        bb = t - al
-        f = (al - (t - bb)) + (bl - bb)
-        e = e + t
-        ch = s + e
-        e = e - (ch - s)
-        e = e + f
-        s = ch + e
-        cl = e - (s - ch)
-        ch = s
+        with localcontext(_CTX):
+            window = []
+            for _ in range(BESSHO_WINDOW):
+                window.append(cur)
+                prev, cur = cur, step * cur - prev
+        yield from window
 
 
 def _jhats(x):
-    """jhat_m = J_2m(x) (2m)! (x/2)^{-2m} as double-doubles for m = 0, 1,
-    ..., MAX_TERMS: jhat_0 from _jhat0, the others BESSHO_WINDOW indices m
-    at a time from _jhat_window."""
-    minus_w = dd.neg(dd.two_prod(0.5 * x, 0.5 * x))
+    """jhat_m = J_2m(x) (2m)! (x/2)^{-2m} as Decimals for m = 0, 1, ...,
+    MAX_TERMS: jhat_0 from _jhat0, the others BESSHO_WINDOW indices m at a
+    time from _jhat_window."""
+    h = Decimal(0.5 * x)
+    minus_w = _CTX.minus(_CTX.multiply(h, h))
     yield _jhat0(minus_w)
     for m0 in range(1, MAX_TERMS + 1, BESSHO_WINDOW):
         yield from _jhat_window(minus_w, m0, min(m0 + BESSHO_WINDOW - 1, MAX_TERMS))
 
 
 def _bessel_products(x, rho, jhats):
-    """kappa_m(rho/2) jhat_m(x) as double-doubles for m = 0, 1, ..., MAX_TERMS,
+    """kappa_m(rho/2) jhat_m(x) as Decimals for m = 0, 1, ..., MAX_TERMS,
     where kappa_m = K_m(rho/2) (x/2)^{2m} / (2m)! is advanced by the K
-    recurrence and jhat_m is read from jhats, the _jhats of x; None in
-    place of the first product whose kappa_m overflows, which ends the
-    ladder.  None of it depends on alpha.
+    recurrence
 
-    Each step of the K recurrence,
+        kappa_m = (kappa_{m-1} 4 (m - 1) M + kappa_{m-2} w^2 / ((2m - 2)(2m - 3)))
+                  / (2m (2m - 1)),
 
-        kappa_m = kappa_{m-1} div_d(mul_d(M, 4 (m - 1)), 2m (2m - 1))
-                  + kappa_{m-2} div_d((x/2)^4, 2m (2m - 1) (2m - 2) (2m - 3)),
-
-    and each product dd.mul(kappa_m, jhat_m) is written out, the same float
-    operations in the same order as the dd calls, with M = x^2/(4 rho)
-    split once before the loop and each kappa_m split once, for its
-    product, its halves reused by the two steps that read it.  4 (m - 1)
-    and 2m (2m - 1) are integers below 2^26 (m <= MAX_TERMS), their own
-    high halves, and are not split (see ddouble); the quartic divisor
-    passes 2^26 at m = 47 and is split.
+    w = (x/2)^2 and M = x^2/(4 rho), and jhat_m is read from jhats, the
+    _jhats of x.  None in place of the first product whose kappa_m passes
+    the double range, which ends the ladder.  None of it depends on alpha.
+    The products are formed in specfun._CTX a window of the J_2m ladder at
+    a time (m = 0 joins the first), from the seeds K0, K1 of
+    specfun._k01_dd.
     """
-    w = dd.two_prod(0.5 * x, 0.5 * x)
-    wwh, wwl = dd.mul(w, w)
-    mh, ml = dd.div_d(dd.two_prod(x, x), 4.0 * rho)
-    c = _SPLITTER * mh
-    mhi = c - (c - mh)
-    mlo = mh - mhi
     k0, k1, _ = _k01_dd(0.5 * rho)
-    yield dd.mul(k0, next(jhats))
-    kph, kpl = k0                                  # kappa_{m-2}
-    c = _SPLITTER * kph
-    kphi = c - (c - kph)
-    kplo = kph - kphi
-    kch, kcl = dd.div_d(dd.mul(k1, w), 2.0)        # kappa_{m-1}, then kappa_m
-    for m, (jh, jl) in enumerate(jhats, 1):
-        if m > 1:
-            # a = div_d(mul_d(M, 4 (m - 1)), 2m (2m - 1)): two_prod(M0, g)
-            # and quick_two_sum, then the quotient, two_prod(q1, d),
-            # two_sum(a0, -p), one refinement step and quick_two_sum
-            g = 4.0 * (m - 1)
-            p = mh * g
-            e = (mhi * g - p) + mlo * g
-            e = e + ml * g
-            ah = p + e
-            al = e - (ah - p)
-            d = float((2 * m) * (2 * m - 1))
-            q1 = ah / d
-            p = q1 * d
-            c = _SPLITTER * q1
-            ahi = c - (c - q1)
-            alo = q1 - ahi
-            e = (ahi * d - p) + alo * d
-            mp = -p
-            s = ah + mp
-            bb = s - ah
-            f = (ah - (s - bb)) + (mp - bb)
-            f = f + (al - e)
-            q2 = (s + f) / d
-            ah = q1 + q2
-            al = q2 - (ah - q1)
-            # b = div_d(ww, 2m (2m - 1) (2m - 2) (2m - 3)), as above
-            d = float((2 * m) * (2 * m - 1) * (2 * m - 2) * (2 * m - 3))
-            q1 = wwh / d
-            p = q1 * d
-            c = _SPLITTER * q1
-            ahi = c - (c - q1)
-            alo = q1 - ahi
-            c = _SPLITTER * d
-            bhi = c - (c - d)
-            blo = d - bhi
-            e = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
-            mp = -p
-            s = wwh + mp
-            bb = s - wwh
-            f = (wwh - (s - bb)) + (mp - bb)
-            f = f + (wwl - e)
-            q2 = (s + f) / d
-            bh = q1 + q2
-            bl = q2 - (bh - q1)
-            # mul(kappa_{m-1}, a): two_prod(kappa_{m-1}0, a0) and quick_two_sum
-            p = kch * ah
-            c = _SPLITTER * ah
-            bhi = c - (c - ah)
-            blo = ah - bhi
-            e = ((kchi * bhi - p) + kchi * blo + kclo * bhi) + kclo * blo
-            e = e + (kch * al + kcl * ah)
-            ah = p + e
-            al = e - (ah - p)
-            # mul(kappa_{m-2}, b), as above
-            p = kph * bh
-            c = _SPLITTER * bh
-            bhi = c - (c - bh)
-            blo = bh - bhi
-            e = ((kphi * bhi - p) + kphi * blo + kplo * bhi) + kplo * blo
-            e = e + (kph * bl + kpl * bh)
-            bh = p + e
-            bl = e - (bh - p)
-            kph, kpl, kphi, kplo = kch, kcl, kchi, kclo
-            # kappa_m = add(mul(...), mul(...)): two two_sums and two
-            # quick_two_sums
-            s = ah + bh
-            bb = s - ah
-            e = (ah - (s - bb)) + (bh - bb)
-            t = al + bl
-            bb = t - al
-            f = (al - (t - bb)) + (bl - bb)
-            e = e + t
-            kch = s + e
-            e = e - (kch - s)
-            e = e + f
-            s = kch + e
-            kcl = e - (s - kch)
-            kch = s
-        if not math.isfinite(kch):
-            yield None
+    h, rho = Decimal(0.5 * x), Decimal(rho)
+    for m0 in range(1, MAX_TERMS + 1, BESSHO_WINDOW):
+        with localcontext(_CTX):
+            window = []
+            if m0 == 1:
+                w = h * h
+                ww, m4 = w * w, 4 * w / rho
+                kprev, kap = _from_dd(k0), _from_dd(k1) * w / 2     # kappa_0, kappa_1
+                window.append(kprev * next(jhats))
+            for m, jhat in zip(range(m0, m0 + BESSHO_WINDOW), jhats):
+                if m > 1:
+                    kprev, kap = kap, ((kap * m4 * (m - 1)
+                                        + kprev * ww / ((2 * m - 2) * (2 * m - 3)))
+                                       / (2 * m * (2 * m - 1)))
+                if kap > _DOUBLE_MAX:
+                    window.append(None)
+                    break
+                window.append(kap * jhat)
+        yield from window
+        if window[-1] is None:
             return
-        # mul(kappa_m, jhat_m): two_prod(kappa_m0, jhat_m0) and quick_two_sum
-        p = kch * jh
-        c = _SPLITTER * kch
-        kchi = c - (c - kch)
-        kclo = kch - kchi
-        c = _SPLITTER * jh
-        bhi = c - (c - jh)
-        blo = jh - bhi
-        e = ((kchi * bhi - p) + kchi * blo + kclo * bhi) + kclo * blo
-        e = e + (kch * jl + kcl * jh)
-        ah = p + e
-        yield ah, e - (ah - p)
 
 
 def _bessho_sum(ladder, products):
-    """The Bessel product series, summed in double-double from the products
+    """The Bessel product series, summed in specfun._CTX from the products
     of _bessel_products, each times its factor from ladder, the _cos_ladder
     of the point's |alpha|, until its stopping rule.
 
-    Returns (total, peak, abs_sum, last, m, stop): peak is the largest
-    |partial sum|, abs_sum the sum of |terms|, last the last |term|, m the
+    Returns (total, peak, abs_sum, last, m, stop): total is the Decimal
+    sum, peak the largest |partial sum|, abs_sum the sum of |terms| (each
+    rounded to double, summed in doubles), last the last |term|, m the
     index of the last product read, and stop None, "overflow" (product m
-    overflowed and was not summed) or "max_terms".  The sum stops after
+    is None and was not summed) or "max_terms".  The sum stops after
     three consecutive terms below SERIES_REL_TOL relative (single small
-    terms are routinely accidental: cos(m alpha) has zeros).
-
-    Each step is dd.add(total, dd.mul(prod, coef)) written out, the same
-    float operations in the same order, the total carried as two floats.
+    terms are routinely accidental: cos(m alpha) has zeros).  Only a term
+    at or below 2 SERIES_REL_TOL abs_sum can pass that test, as abs_sum
+    bounds |total| within 1e-13, so only such a term is tested in decimal.
     """
-    th, tl = next(products)
-    peak = abs_sum = last = abs(th)
-    small = 0
-    m = 0
-    for prod, (ch, cl) in zip(products, ladder):
-        m += 1
-        if prod is None:
-            return (th, tl), peak, abs_sum, last, m, "overflow"
-        # term = mul(prod, coef): two_prod(prod0, coef0) and quick_two_sum
-        xh, xl = prod
-        p = xh * ch
-        c = _SPLITTER * xh
-        ahi = c - (c - xh)
-        alo = xh - ahi
-        c = _SPLITTER * ch
-        bhi = c - (c - ch)
-        blo = ch - bhi
-        e = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
-        e = e + (xh * cl + xl * ch)
-        xh = p + e
-        xl = e - (xh - p)
-        # total = add(total, term): two two_sums and two quick_two_sums
-        s = th + xh
-        bb = s - th
-        e = (th - (s - bb)) + (xh - bb)
-        t = tl + xl
-        bb = t - tl
-        f = (tl - (t - bb)) + (xl - bb)
-        e = e + t
-        th = s + e
-        e = e - (th - s)
-        e = e + f
-        s = th + e
-        tl = e - (s - th)
-        th = s
-        a = abs(th)
-        if a > peak:
-            peak = a
-        last = abs(xh)
-        abs_sum += last
-        if last <= SERIES_REL_TOL * a:
-            small += 1
-            if small >= 3:
-                return (th, tl), peak, abs_sum, last, m, None
-        else:
-            small = 0
-    return (th, tl), peak, abs_sum, last, m, "max_terms"
+    with localcontext(_CTX):
+        total = next(products)
+        top = bottom = total
+        abs_sum = last = abs(float(total))
+        small = 0
+        m = 0
+        stop = "max_terms"
+        for prod, coef in zip(products, ladder):
+            m += 1
+            if prod is None:
+                stop = "overflow"
+                break
+            term = prod * coef
+            total += term
+            if total > top:
+                top = total
+            elif total < bottom:
+                bottom = total
+            last = abs(float(term))
+            abs_sum += last
+            if last <= _SMALL_BOUND * abs_sum and abs(term) <= _SUM_REL * abs(total):
+                small += 1
+                if small >= 3:
+                    stop = None
+                    break
+            else:
+                small = 0
+        peak = max(abs(top), abs(bottom))
+    return total, float(peak), abs_sum, last, m, stop
 
 
 def bessho_F(pt: EvalPoint, *, ladders: Optional[Ladders] = None) -> MethodResult:
@@ -549,7 +375,7 @@ def bessho_F(pt: EvalPoint, *, ladders: Optional[Ladders] = None) -> MethodResul
     kappa_m = K_m (x/2)^{2m} / (2m)!  and  jhat_m = J_2m (2m)! (x/2)^{-2m}
     (_bessel_products).  This keeps every intermediate in range for any M
     and concentrates the cancellation in the final sum, which is
-    accumulated in double-double (_bessho_sum).  The products and the
+    accumulated in 34-digit decimal (_bessho_sum).  The products and the
     cos(m alpha) factors are read from ladders, a fresh Ladders by default.
 
     The estimate adds to the sum's last term and rounding 2 e^{rho/2} times
@@ -564,15 +390,15 @@ def bessho_F(pt: EvalPoint, *, ladders: Optional[Ladders] = None) -> MethodResul
         ladders = Ladders()
     total, peak, abs_sum, last, m, stop = _bessho_sum(
         ladders.cos_ladder(pt.alpha_abs), ladders.bessel_products(pt.x, pt.rho))
+    value = float(total)
     if stop == "overflow":
         raise AccuracyError("Bessel product terms overflow double range",
-                            value=dd.to_float(total), terms_used=m)
+                            value=value, terms_used=m)
     if stop == "max_terms":
         raise AccuracyError(
             f"Bessel product series not converged in {m} terms "
             f"(M = {pt.M:.3g}; convergence needs ~2.7 M terms)",
-            value=dd.to_float(total), error_estimate=last, terms_used=m)
-    value = dd.to_float(total)
+            value=value, error_estimate=last, terms_used=m)
     if peak > 1e12 * max(abs(value), 5e-324):
         raise AccuracyError(
             f"cancellation in the Bessel product series exceeds 1e12 "
@@ -601,9 +427,13 @@ def ursell_F(pt: EvalPoint) -> MethodResult:
     O(1/M) defect, the rounding of the sum, a few ulps of its terms, and
     2 e^{rho/2} times the rounding of the double ln(x/2) in Y0 and Y1,
     which moves the sum by (2/pi) times it times sum_m I_m J_2m.
+    RegimeError for x past specfun.ARG_MAX, where the log series of the
+    seeds Y0, Y1 cancels beyond that estimate.
     """
     if pt.M <= 1.0:
         raise DomainError(f"ursell_F needs M > 1, got M = {pt.M:.3g}")
+    if pt.x > ARG_MAX:
+        raise RegimeError(f"ursell_F needs x <= ARG_MAX = {ARG_MAX}, got x = {pt.x!r}")
     x, rho, alpha = pt.x, pt.rho, pt.alpha_abs
 
     # Y_n (x/2)^n / n! for n = 2m and 2m + 1 by the Y recurrence, two orders a step
@@ -653,9 +483,10 @@ HSCAL_WINDOW = 16
 
 def _hscals(xc):
     """Hscal_j(xc) as doubles for j = 0, 1, ..., ORDER_CAP - 1,
-    HSCAL_WINDOW orders at a time from _hscal_window."""
+    HSCAL_WINDOW orders at a time from _hscal_window, each rounded as it is
+    read."""
     for j0 in range(0, ORDER_CAP, HSCAL_WINDOW):
-        yield from _hscal_window(xc, j0, min(j0 + HSCAL_WINDOW, ORDER_CAP) - 1)
+        yield from map(float, _hscal_window(xc, j0, min(j0 + HSCAL_WINDOW, ORDER_CAP) - 1))
 
 
 def _struve_coefficients(xs, rho):
@@ -815,16 +646,6 @@ def _asymptotic_terms(pt: EvalPoint, ck: CoefficientTable):
     return out
 
 
-def _last_asymptotic_term(pt: EvalPoint, ck: CoefficientTable) -> float:
-    """The last of _asymptotic_terms(pt, ck), by the same float operations,
-    without forming the others."""
-    fac = 1.0
-    four_m = 4.0 * pt.M
-    for k in range(1, len(ck.values)):
-        fac /= four_m * k
-    return fac * ck.values[-1]
-
-
 def asymptotic_sum(pt: EvalPoint, ck: CoefficientTable) -> float:
     """sum_{k<n} M^-k / (2^2k k!) C_k for the coefficients in ck.
 
@@ -896,7 +717,7 @@ def _large_parts(pt: EvalPoint, n: int, ladders: Ladders):
     asym = asymptotic_sum(pt, ck)
     return (math.pi * math.exp(-0.5 * pt.rho) * s1,
             math.pi * math.exp(0.5 * pt.rho) * asym,
-            s1, asym, terms, _last_asymptotic_term(pt, ck))
+            s1, asym, terms, _asymptotic_terms(pt, ck)[-1])
 
 
 def paris_F(pt: EvalPoint, policy: TruncationPolicy = DEFAULT_POLICY, *,

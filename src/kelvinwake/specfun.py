@@ -16,7 +16,7 @@ grid check of Gamma(a, chi) at fractional a lives in bounds).
 The regime is small arguments, 0 <= x <= ARG_MAX, and orders up to
 ORDER_CAP: the wake expansions take J, Y and the scaled Struve H at x <= 3
 and K at rho/2 <= 0.5, where ascending series converge in a few dozen
-terms.  Series are accumulated in double-double arithmetic, so the mild
+terms.  Series are summed in 34-digit decimal (_CTX), so the mild
 cancellation of their terms there costs the returned doubles nothing
 their error estimates do not count.  Each public kernel raises
 RegimeError past ARG_MAX, where the series' cancellation outgrows the
@@ -24,27 +24,30 @@ estimates (K's first, as its value falls like e^-x), and
 OrderOverflowError past ORDER_CAP.
 
 Every ascending series t_{k+1} = t_k q / ((k + a)(k + b)), the sign of an
-alternating one carried in q, runs through _series_dd: J, I, Hscal, the
-expansions' I_m factors and the seeds of their J_2m factors.  Y and K
-above order 1 share one upward recurrence, _bessel_yk_dd; a run of
-consecutive Hscal orders at one argument comes from the downward Struve
-recurrence, _hscal_window.  _series_dd, _log_series and _hscal_window
-write their double-double steps out, as ddouble's own operations do.
-The harmonic numbers of _log_series come from _HARMONIC, a module
-constant like _STRUVE_GAMMAS: it does not depend on x, so it is no cache
-of results.
+alternating one carried in q, runs through _series: J, I, Hscal, the
+expansions' I_m factors and the seeds of their J_2m factors.  The log
+series of Y0, Y1, K0, K1 is _log_series, with the harmonic numbers of
+_HARMONIC, a module constant like _STRUVE_GAMMAS: it does not depend on
+x, so it is no cache of results.  A run of consecutive Hscal orders at
+one argument comes from the downward Struve recurrence, _hscal_window.
+Each function that computes in decimal enters _CTX itself, whatever the
+caller's decimal context.  The formulas composed of them stay in
+double-double (ddouble): Y and K above order 1 by one upward recurrence,
+_bessel_yk_dd, on the seeds _y01_dd and _k01_dd, Kscal, 1F1 and the
+prelude of J and I; _from_dd and _to_dd convert at that boundary.
 
 All functions are pure and safe for concurrent use.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 import numbers
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 
 from . import ddouble as dd
-from .ddouble import _SPLITTER
 from .errors import (AccuracyError, DomainError, OrderOverflowError, RangeOverflowError,
                      RegimeError)
 
@@ -64,6 +67,12 @@ ARG_MAX = 4.0
 #: longer covers its rounding: four units of that grid.  J_160(0.5),
 #: about 1e-381, rounds to 0.
 _SUBNORMAL_FLOOR = 2.0 ** -1072
+
+#: The working precision of the series and ladders: 34 digits, about
+#: 1e-34 relative a step, a little finer than double-double.  Code enters
+#: a copy (localcontext) or calls its methods; its sticky status flags
+#: are never read.
+_CTX = decimal.Context(prec=34, rounding=decimal.ROUND_HALF_EVEN)
 
 _TWO_OVER_PI = dd.div((2.0, 0.0), dd.PI)
 _SERIES_MAX = 800
@@ -136,79 +145,53 @@ def _check_regime(x, kernel):
         raise RegimeError(f"{kernel} supports x <= ARG_MAX = {ARG_MAX}, got {x!r}")
 
 
-def _series_dd(t, q, a, b, rel):
-    """sum_k t_k in double-double, from t_0 = t by
+def _from_dd(x):
+    """The double-double x = (hi, lo) as a Decimal of _CTX."""
+    return _CTX.add(Decimal(x[0]), Decimal(x[1]))
+
+
+def _to_dd(s):
+    """The Decimal s as a double-double (hi, lo): hi is s rounded to double."""
+    hi = float(s)
+    return hi, float(_CTX.subtract(s, Decimal(hi)))
+
+
+def _series(t, q, a, b, rel):
+    """sum_k t_k in _CTX, from the Decimal t_0 = t by
 
         t_{k+1} = t_k q / ((k + a)(k + b)),
 
-    q carrying the sign of an alternating series.  The sum stops at the
-    first term at or below rel of the partial sum, however small the sum
-    (a zero term, as at x = 0, stops it).  Returns
-    (sum, first omitted term magnitude, terms used); AccuracyError after
-    _SERIES_MAX terms.
-
-    Each step is dd.div_d(dd.mul(t, q), (k + a)(k + b)) and dd.add(s, t)
-    written out, the same float operations in the same order, with q split
-    once before the loop.
+    q a Decimal carrying the sign of an alternating series, a and b
+    multiples of 1/2, so that each step divides by the integer
+    (2k + 2a)(2k + 2b).  The sum stops at the first term at or below the
+    Decimal rel of the partial sum, however small the sum (a zero term, as
+    at x = 0, stops it).  Returns (sum, first omitted term magnitude, terms
+    used), all but the count Decimals; AccuracyError after _SERIES_MAX
+    terms.
     """
-    th, tl = t
-    sh, sl = th, tl
-    qh, ql = q
-    c = _SPLITTER * qh
-    qhi = c - (c - qh)
-    qlo = qh - qhi
-    for k in range(_SERIES_MAX):
-        d = (k + a) * (k + b)
-        # t = mul(t, q): two_prod(t0, q0) and quick_two_sum
-        p = th * qh
-        c = _SPLITTER * th
-        ahi = c - (c - th)
-        alo = th - ahi
-        e = ((ahi * qhi - p) + ahi * qlo + alo * qhi) + alo * qlo
-        e = e + (th * ql + tl * qh)
-        th = p + e
-        tl = e - (th - p)
-        # t = div_d(t, d): the quotient, two_prod(q1, d), two_sum(t0, -p),
-        # one refinement step and quick_two_sum
-        q1 = th / d
-        p = q1 * d
-        c = _SPLITTER * q1
-        ahi = c - (c - q1)
-        alo = q1 - ahi
-        c = _SPLITTER * d
-        bhi = c - (c - d)
-        blo = d - bhi
-        e = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
-        mp = -p
-        r = th + mp
-        bb = r - th
-        f = (th - (r - bb)) + (mp - bb)
-        f = f + (tl - e)
-        q2 = (r + f) / d
-        th = q1 + q2
-        tl = q2 - (th - q1)
-        if abs(th) <= rel * abs(sh):
-            return (sh, sl), abs(th), k + 2
-        # s = add(s, t): two_sum(s0, t0), two_sum(s1, t1) and two
-        # quick_two_sums
-        r = sh + th
-        bb = r - sh
-        e = (sh - (r - bb)) + (th - bb)
-        u = sl + tl
-        bb = u - sl
-        f = (sl - (u - bb)) + (tl - bb)
-        e = e + u
-        sh = r + e
-        e = e - (sh - r)
-        e = e + f
-        r = sh + e
-        sl = e - (r - sh)
-        sh = r
-    raise AccuracyError("ascending series did not converge", value=sh + sl)
+    a2, b2 = int(2 * a), int(2 * b)
+    with localcontext(_CTX):
+        q4 = 4 * q
+        s = t
+        for k2 in range(0, 2 * _SERIES_MAX, 2):
+            t = t * q4 / ((k2 + a2) * (k2 + b2))
+            if abs(t) <= rel * abs(s):
+                return s, abs(t), k2 // 2 + 2
+            s += t
+        raise AccuracyError("ascending series did not converge", value=float(s))
+
+
+def _series_dd(t, q, a, b, rel):
+    """_series from the double-doubles t and q and the double rel: the sum
+    as a double-double, the first omitted term as a double and the terms
+    used."""
+    s, tail, terms = _series(_from_dd(t), _from_dd(q), a, b, Decimal(rel))
+    return _to_dd(s), float(tail), terms
 
 
 def _ascending_series(n, x, sign):
-    """sum_k sign^k (x/2)^(n+2k) / (k! (n+k)!) in double-double.
+    """sum_k sign^k (x/2)^(n+2k) / (k! (n+k)!): its first term in
+    double-double, the sum by _series_dd.
 
     sign=-1 gives J_n, sign=+1 gives I_n.  Returns _series_dd's (dd_value,
     first omitted term magnitude, terms used).
@@ -224,7 +207,7 @@ def bessel_j(order: int, x: float) -> SpecFunResult:
     """Bessel function of the first kind J_order(x) for 0 <= x <= ARG_MAX.
 
     The series' terms add up in absolute value to I_order(x), at most
-    e^4 < 55 at x <= ARG_MAX; the double-double sum's rounding of them
+    e^4 < 55 at x <= ARG_MAX; the decimal sum's rounding of them
     stays within the estimate, even at the doubles next to the zeros of
     J_0 and J_1, the only zeros below ARG_MAX."""
     order = _check_order(order, ORDER_CAP)
@@ -265,23 +248,15 @@ def _log_rounding(x):
 
 
 def _harmonic_table(n):
-    """Rows (H_k, H_k + H_{k+1}) for k = 0 .. n - 1, each double-double
-    (hi, lo) followed by the split halves of its hi, by the dd calls
-
-        h = add(h, div_d(ONE, k)),  hsum = add(mul_d(h, 2), div_d(ONE, k + 1)).
-    """
-    def with_halves(a):
-        c = _SPLITTER * a[0]
-        hi = c - (c - a[0])
-        return a[0], a[1], hi, a[0] - hi
-
-    h = dd.ZERO
+    """Rows (H_k, H_k + H_{k+1}) for k = 0 .. n - 1, each the harmonic
+    numbers' sum to 50 digits rounded to the 34 of _CTX."""
+    wide = decimal.Context(prec=50)
+    h = Decimal(0)
     rows = []
     for k in range(n):
         if k:
-            h = dd.add(h, dd.div_d(dd.ONE, float(k)))
-        hsum = dd.add(dd.mul_d(h, 2.0), dd.div_d(dd.ONE, float(k + 1)))
-        rows.append(with_halves(h) + with_halves(hsum))
+            h = wide.add(h, wide.divide(1, k))
+        rows.append((_CTX.plus(h), _CTX.plus(wide.add(wide.add(h, h), wide.divide(1, k + 1)))))
     return rows
 
 
@@ -289,144 +264,62 @@ def _harmonic_table(n):
 #: does not depend on x: a constant of the series, not a cache of results.
 _HARMONIC = _harmonic_table(_SERIES_MAX)
 
+#: The relative stop of the log series and of its J0, J1, I0, I1.
+_LOG_REL = Decimal(1e-21)
+_LOG_FLOOR = Decimal(1e-30)
+
 
 def _log_series(x, sign):
     """The ascending series shared by (Y0, Y1) and (K0, K1), DLMF 10.8.1
-    and 10.31.2 layout, in double-double.  With q = (x/2)^2 and H_k the
-    harmonic numbers,
+    and 10.31.2 layout, summed in _CTX.  With q = (x/2)^2 and H_k the
+    harmonic numbers (from _HARMONIC),
 
         s0 = sum_{k>=1} sign^(k+1) H_k q^k / (k!)^2
         s1 = sum_{k>=0} sign^k (H_k + H_{k+1}) q^k / (k!(k+1)!).
 
-    Returns (f0, f1, ln(x/2) + gamma, s0, s1, terms used), where f0, f1 are
-    J0, J1 for sign=-1 and I0, I1 for sign=+1.
-
-    Each step is the dd calls
-
-        t = div_d(mul(t, q), k^2),  u = div_d(mul(u, q), k (k + 1)),
-        s0 = add(s0, +-mul(t, h)),  s1 = add(s1, +-mul(u, hsum))
-
-    written out, the same float operations in the same order, with q split
-    once before the loop and each of t and u split once.  h = H_k and
-    hsum = H_k + H_{k+1} do not depend on x and are read from _HARMONIC,
-    with the split halves of their high parts.  The divisors k^2 and
-    k (k + 1) are integers below 2^26, their own high halves, and are not
-    split (see ddouble).
+    Returns (f0, f1, ln(x/2) + gamma, s0, s1, terms used), all but the
+    count as double-doubles, where f0, f1 are J0, J1 for sign=-1 and I0, I1
+    for sign=+1.  Their series share the terms t_k = (sign q)^k / (k!)^2
+    and (x/2) u_k, u_k = (sign q)^k / (k!(k+1)!), with s0 and s1, and each
+    of the three sums stops by its own rule, as _series would stop f0 and
+    f1; the loop runs until all three have.
     """
-    qh, ql = dd.two_prod(0.5 * x, 0.5 * x)
-    c = _SPLITTER * qh
-    qhi = c - (c - qh)
-    qlo = qh - qhi
-    f0, _, t0 = _ascending_series(0, x, sign)
-    f1, _, t1 = _ascending_series(1, x, sign)
     lg = _log_half_plus_gamma(x)
-
-    s0h, s0l = dd.ZERO
-    s1h, s1l = dd.ONE     # the k = 0 term of s1 is 1
-    th, tl = uh, ul = dd.ONE
-    thi, tlo = uhi, ulo = dd.ONE      # 1 splits to itself
-    k = 1
-    while k < _SERIES_MAX:
-        # t = div_d(mul(t, q), k^2): two_prod(t0, q0) and quick_two_sum, then
-        # the quotient, two_prod(q1, d), two_sum(t0, -p), one refinement
-        # step and quick_two_sum
-        p = th * qh
-        e = ((thi * qhi - p) + thi * qlo + tlo * qhi) + tlo * qlo
-        e = e + (th * ql + tl * qh)
-        th = p + e
-        tl = e - (th - p)
-        d = float(k * k)
-        q1 = th / d
-        p = q1 * d
-        c = _SPLITTER * q1
-        ahi = c - (c - q1)
-        alo = q1 - ahi
-        e = (ahi * d - p) + alo * d
-        mp = -p
-        r = th + mp
-        bb = r - th
-        f = (th - (r - bb)) + (mp - bb)
-        f = f + (tl - e)
-        q2 = (r + f) / d
-        th = q1 + q2
-        tl = q2 - (th - q1)
-        # u = div_d(mul(u, q), k (k + 1)), as t
-        p = uh * qh
-        e = ((uhi * qhi - p) + uhi * qlo + ulo * qhi) + ulo * qlo
-        e = e + (uh * ql + ul * qh)
-        uh = p + e
-        ul = e - (uh - p)
-        d = float(k * (k + 1))
-        q1 = uh / d
-        p = q1 * d
-        c = _SPLITTER * q1
-        ahi = c - (c - q1)
-        alo = q1 - ahi
-        e = (ahi * d - p) + alo * d
-        mp = -p
-        r = uh + mp
-        bb = r - uh
-        f = (uh - (r - bb)) + (mp - bb)
-        f = f + (ul - e)
-        q2 = (r + f) / d
-        uh = q1 + q2
-        ul = q2 - (uh - q1)
-        # h = H_k and hsum = H_k + H_{k+1}, each with its high part's halves
-        hh, hl, hhi, hlo, gh, gl, ghi, glo = _HARMONIC[k]
-        # term0 = mul(t, h): two_prod(t0, h0) and quick_two_sum
-        p = th * hh
-        c = _SPLITTER * th
-        thi = c - (c - th)
-        tlo = th - thi
-        e = ((thi * hhi - p) + thi * hlo + tlo * hhi) + tlo * hlo
-        e = e + (th * hl + tl * hh)
-        ah = p + e
-        al = e - (ah - p)
-        # term1 = mul(u, hsum), as term0
-        p = uh * gh
-        c = _SPLITTER * uh
-        uhi = c - (c - uh)
-        ulo = uh - uhi
-        e = ((uhi * ghi - p) + uhi * glo + ulo * ghi) + ulo * glo
-        e = e + (uh * gl + ul * gh)
-        bh = p + e
-        bl = e - (bh - p)
-        if sign < 0:
-            if k % 2 == 0:
-                ah, al = -ah, -al
-            else:
-                bh, bl = -bh, -bl
-        # s0 = add(s0, term0) and s1 = add(s1, term1), as h
-        r = s0h + ah
-        bb = r - s0h
-        e = (s0h - (r - bb)) + (ah - bb)
-        v = s0l + al
-        bb = v - s0l
-        f = (s0l - (v - bb)) + (al - bb)
-        e = e + v
-        s0h = r + e
-        e = e - (s0h - r)
-        e = e + f
-        r = s0h + e
-        s0l = e - (r - s0h)
-        s0h = r
-        r = s1h + bh
-        bb = r - s1h
-        e = (s1h - (r - bb)) + (bh - bb)
-        v = s1l + bl
-        bb = v - s1l
-        f = (s1l - (v - bb)) + (bl - bb)
-        e = e + v
-        s1h = r + e
-        e = e - (s1h - r)
-        e = e + f
-        r = s1h + e
-        s1l = e - (r - s1h)
-        s1h = r
-        if abs(ah) + abs(bh) <= 1e-21 * (abs(s0h) + abs(s1h) + 1e-30):
-            break
-        k += 1
-    return f0, f1, lg, (s0h, s0l), (s1h, s1l), t0 + t1 + k
+    with localcontext(_CTX):
+        h = Decimal(0.5 * x)
+        q = sign * (h * h)
+        f0 = f1 = t = u = s1 = Decimal(1)   # the k = 0 terms of f0, f1 / h and s1
+        s0 = Decimal(0)
+        t0 = t1 = n = 0                     # the terms of f0, f1 and the log sums
+        for k in range(1, _SERIES_MAX):
+            t = t * q / (k * k)
+            u = u * q / (k * (k + 1))
+            if not t0:
+                if abs(t) <= _LOG_REL * abs(f0):
+                    t0 = k + 1
+                else:
+                    f0 += t
+            if not t1:
+                if abs(u) <= _LOG_REL * abs(f1):
+                    t1 = k + 1
+                else:
+                    f1 += u
+            if not n:
+                hk, hsum = _HARMONIC[k]
+                a, b = t * hk, u * hsum
+                s0 += a
+                s1 += b
+                if abs(a) + abs(b) <= _LOG_REL * (abs(s0) + abs(s1) + _LOG_FLOOR):
+                    n = k
+            if t0 and t1 and n:
+                break
+        else:
+            if not (t0 and t1):
+                raise AccuracyError("ascending series did not converge",
+                                    value=float(f0 if not t0 else h * f1))
+            n = n or _SERIES_MAX
+        return (_to_dd(f0), _to_dd(h * f1), lg, _to_dd(sign * s0), _to_dd(s1),
+                t0 + t1 + n)
 
 
 def _y01_dd(x):
@@ -514,20 +407,24 @@ def _struve_gammas(order_max):
 _STRUVE_GAMMAS = _struve_gammas(ORDER_CAP)
 
 
-def _struve_h_series(order, x, shift=0):
-    """The scaled Struve series of order at x, times 2^shift, in
-    double-double: _series_dd's (dd_value, first omitted term, terms).
-    Terms are strictly alternating and, in the supported range, decrease
+def _struve_h_series(order, x):
+    """The scaled Struve series of order at x, its first term in
+    double-double: _series_dd's (dd_value, first omitted term, terms).  Terms are
+    strictly alternating and, in the supported range, decrease
     monotonically after at most a few initial terms, so the first omitted
     term bounds the truncation error."""
     h = 0.5 * x
     # t0 = (x/2) / (Gamma(3/2) Gamma(order+3/2))
-    t0 = dd.div(dd.from_float(math.ldexp(h, shift)), _STRUVE_GAMMAS[order])
+    t0 = dd.div(dd.from_float(h), _STRUVE_GAMMAS[order])
     return _series_dd(t0, dd.two_prod(h, -h), 1.5, order + 1.5, 1e-17)
 
 
+#: The relative stop of the scaled Struve series.
+_HSCAL_REL = Decimal(1e-17)
+
+
 def _hscal_window(x, j0, j1):
-    """[Hscal_j0(x), ..., Hscal_j1(x)] rounded to double, 0 <= j0 <= j1 <
+    """[Hscal_j0(x), ..., Hscal_j1(x)] as Decimals, 0 <= j0 <= j1 <
     ORDER_CAP.
 
     With h = x/2 and w = h^2, the Struve recurrence (DLMF 11.4.23) reads
@@ -535,91 +432,23 @@ def _hscal_window(x, j0, j1):
         Hscal_{v-1} = v Hscal_v - w Hscal_{v+1} + h / (sqrt(pi) Gamma(v + 3/2)).
 
     Hscal_{j1+1} and Hscal_j1 are summed as ascending series, and the
-    orders below follow from them by the recurrence in double-double.
-    Taken downwards it is stable: J_v's counterpart shrinks relative to
-    Hscal as v falls, and Y_v's falls off.  The inhomogeneous term starts
-    at (h/2) / _STRUVE_GAMMAS[j1] and gains a factor v + 1/2 a step down.
-    Everything runs times 2^k, k the negated exponent of h, and is scaled
-    back at the end, so that at a tiny x no seed is subnormal where the
-    values are not.
-
-    Each step is dd.add(dd.add(dd.mul_d(f, v), dd.mul(-w, upper)), inh)
-    and dd.mul_d(inh, v + 1/2) written out, the same float operations in
-    the same order, with -w split once before the loop and each Hscal
-    split once, where mul_d(f, v) splits it and mul(-w, upper) reuses the
-    halves a step later.  v and v + 1/2 (v < ORDER_CAP) have at most 9
-    significant bits, so each is its own high half and is not split (see
-    ddouble).
+    orders below follow from them by the recurrence, all in _CTX.  Taken
+    downwards it is stable: J_v's counterpart shrinks relative to Hscal as
+    v falls, and Y_v's falls off.  The inhomogeneous term starts at
+    (h/2) / _STRUVE_GAMMAS[j1] and gains a factor v + 1/2 a step down.
     """
-    h = 0.5 * x
-    wh, wl = dd.two_prod(h, -h)
-    c = _SPLITTER * wh
-    whi = c - (c - wh)
-    wlo = wh - whi
-    k = -math.frexp(h)[1]
-    uh, ul = _struve_h_series(j1 + 1, x, k)[0]
-    c = _SPLITTER * uh
-    uhi = c - (c - uh)
-    ulo = uh - uhi
-    fh, fl = _struve_h_series(j1, x, k)[0]
-    ih, il = dd.div(dd.from_float(math.ldexp(h, k - 1)), _STRUVE_GAMMAS[j1])
-    out = [math.ldexp(fh, -k) + math.ldexp(fl, -k)]
-    for v in range(j1, j0, -1):
-        b = float(v)
-        # mul_d(f, v): two_prod(f0, v) and quick_two_sum
-        p = fh * b
-        c = _SPLITTER * fh
-        fhi = c - (c - fh)
-        flo = fh - fhi
-        e = (fhi * b - p) + flo * b
-        e = e + fl * b
-        ah = p + e
-        al = e - (ah - p)
-        # mul(-w, upper): two_prod(-w0, upper0) and quick_two_sum
-        p = wh * uh
-        e = ((whi * uhi - p) + whi * ulo + wlo * uhi) + wlo * ulo
-        e = e + (wh * ul + wl * uh)
-        bh = p + e
-        bl = e - (bh - p)
-        uh, ul, uhi, ulo = fh, fl, fhi, flo
-        # add(add(a, b), inh): two two_sums and two quick_two_sums each
-        s = ah + bh
-        bb = s - ah
-        e = (ah - (s - bb)) + (bh - bb)
-        t = al + bl
-        bb = t - al
-        f = (al - (t - bb)) + (bl - bb)
-        e = e + t
-        ah = s + e
-        e = e - (ah - s)
-        e = e + f
-        s = ah + e
-        al = e - (s - ah)
-        ah = s
-        s = ah + ih
-        bb = s - ah
-        e = (ah - (s - bb)) + (ih - bb)
-        t = al + il
-        bb = t - al
-        f = (al - (t - bb)) + (il - bb)
-        e = e + t
-        fh = s + e
-        e = e - (fh - s)
-        e = e + f
-        s = fh + e
-        fl = e - (s - fh)
-        fh = s
-        # inh = mul_d(inh, v + 1/2): two_prod(inh0, v + 1/2) and quick_two_sum
-        b = v + 0.5
-        p = ih * b
-        c = _SPLITTER * ih
-        ahi = c - (c - ih)
-        alo = ih - ahi
-        e = (ahi * b - p) + alo * b
-        e = e + il * b
-        ih = p + e
-        il = e - (ih - p)
-        out.append(math.ldexp(fh, -k) + math.ldexp(fl, -k))
+    with localcontext(_CTX):
+        h = Decimal(0.5 * x)
+        minus_w = -(h * h)
+        t0 = h / _from_dd(_STRUVE_GAMMAS[j1])       # the first term of Hscal_j1
+        upper = _series(2 * t0 / (2 * j1 + 3), minus_w, 1.5, j1 + 2.5, _HSCAL_REL)[0]
+        f = _series(t0, minus_w, 1.5, j1 + 1.5, _HSCAL_REL)[0]
+        inh = t0 / 2
+        out = [f]
+        for v in range(j1, j0, -1):
+            upper, f = f, f * v + minus_w * upper + inh
+            inh = inh * (2 * v + 1) / 2
+            out.append(f)
     out.reverse()
     return out
 

@@ -8,6 +8,7 @@ import random
 import sys
 import time
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -220,14 +221,15 @@ def _mp_bessel_product(pt, dps):
 
 
 class TestBesshoFactors:
-    """The double-double factors of the Bessel product series against
-    mpmath, and the sum where it cancels most."""
+    """The decimal factors of the Bessel product series against mpmath,
+    and the sum where it cancels most."""
 
     @pytest.mark.parametrize("x", [1e-3, 0.5, 2.404825557695773, 3.0])
     def test_jhat_against_mpmath(self, x):
         # 2.404825557695773 is a zero of J_0; jhat_0 keeps its own series
         mp = pytest.importorskip("mpmath")
-        minus_w = dd.neg(dd.two_prod(0.5 * x, 0.5 * x))
+        h = Decimal(0.5 * x)
+        minus_w = specfun._CTX.minus(specfun._CTX.multiply(h, h))
         window = expansions.BESSHO_WINDOW
         windows = [expansions._jhat_window(minus_w, m0, m0 + window - 1)
                    for m0 in range(1, 101, window)]
@@ -235,12 +237,12 @@ class TestBesshoFactors:
         with mp.workdps(50):
             w = (mp.mpf(x) / 2) ** 2
             j0 = expansions._jhat0(minus_w)
-            assert abs(mp.mpf(j0[0]) + j0[1] - mp.besselj(0, x)) <= 1e-30
+            assert abs(mp.mpf(str(j0)) - mp.besselj(0, x)) <= 1e-30
             for got in (sum(windows, [])[:100], one_window):
                 assert len(got) == 100
-                for m, (hi, lo) in enumerate(got, 1):
+                for m, jhat in enumerate(got, 1):
                     want = mp.hyp0f1(2 * m + 1, -w)
-                    assert abs(mp.mpf(hi) + lo - want) <= 1e-25 * want, m
+                    assert abs(mp.mpf(str(jhat)) - want) <= 1e-25 * want, m
 
     @pytest.mark.parametrize("alpha", [0.0, 1e-8, 0.3 * math.pi, 0.5 * math.pi])
     def test_cos_ladder_against_mpmath(self, alpha):
@@ -248,9 +250,8 @@ class TestBesshoFactors:
         ladder = expansions._cos_ladder(alpha)
         with mp.workdps(50):
             for m in range(1, expansions.MAX_TERMS + 1):
-                hi, lo = next(ladder)
                 want = mp.cos(m * mp.mpf(alpha))
-                assert abs((-1) ** m * (mp.mpf(hi) + lo) / 2 - want) <= 1e-27, m
+                assert abs((-1) ** m * mp.mpf(str(next(ladder))) / 2 - want) <= 1e-27, m
 
     @pytest.mark.parametrize("x,M,alpha", [
         (0.44, 24.0, 0.25 * math.pi),                # 3.3e-6 off, estimate 1.4e-6
@@ -449,6 +450,15 @@ class TestUrsell:
         with pytest.raises(DomainError):
             ursell_F(EvalPoint(0.1, 0.005, 0.0))
 
+    @pytest.mark.parametrize("x,rho", [(60.0, 2.0), (40.0, 1.0),
+                                       (math.nextafter(specfun.ARG_MAX, math.inf), 1.0)])
+    def test_refused_past_the_seeds_regime(self, x, rho):
+        # the Y0, Y1 seeds come from the log series at x: at (60, 2, 0) the
+        # value was 7.6e-9 from oracle_F with an estimate of 4.4e-15
+        with pytest.raises(RegimeError, match="ursell_F needs x <= ARG_MAX"):
+            ursell_F(EvalPoint(x, rho, 0.0))
+        assert ursell_F(EvalPoint(specfun.ARG_MAX, rho, 0.0)).terms_used > 0
+
     def test_work_is_bounded_at_huge_M(self):
         # M = 1e9: the terms fall below 1e-16 of the sum after a few
         # steps, long before m = floor(M)
@@ -510,8 +520,8 @@ class TestHscalLadder:
 
     @pytest.mark.parametrize("xc", [1e-300, 0.3, 1.7, 3.0])
     def test_against_mpmath(self, xc):
-        # at x c = 1e-300 the values from order 12 on are subnormal, and
-        # every seed would be without the rescaling of h
+        # at x c = 1e-300 the values from order 12 on are subnormal as
+        # doubles; the decimal seeds and recurrence keep their digits
         mp = pytest.importorskip("mpmath")
         with mp.workdps(40):
             for j, got in zip(range(60), expansions._hscals(xc)):

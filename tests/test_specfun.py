@@ -6,9 +6,12 @@ The frozen constants were produced by an independent 40-digit evaluation
 and K) and rounded to the nearest double.
 """
 
+import decimal
 import math
 import random
 import sys
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -540,51 +543,23 @@ class TestSeriesDD:
         assert abs(exc.value.value - math.fsum(terms)) <= 1e-12 * math.fsum(terms)
 
 
-def _halves(a):
-    """Dekker's split of a double into (high, low) halves, as ddouble does."""
-    c = sf._SPLITTER * a
-    hi = c - (c - a)
-    return hi, a - hi
-
-
 class TestLoopConstants:
-    def test_harmonic_table_is_the_composed_build(self):
-        # _HARMONIC holds what the dd calls of the log series' steps give,
-        # bit for bit, with the split halves of both high parts
-        from kelvinwake import ddouble as dd
-
-        mp = pytest.importorskip("mpmath")
+    def test_harmonic_table_is_exact_to_34_digits(self):
+        # each row is (H_k, H_k + H_{k+1}), the exact harmonic numbers
+        # rounded once to the 34 digits of specfun._CTX
         assert len(sf._HARMONIC) == sf._SERIES_MAX
-        h = dd.ZERO
-        with mp.workdps(40):
-            for k, row in enumerate(sf._HARMONIC):
-                if k:
-                    h = dd.add(h, dd.div_d(dd.ONE, float(k)))
-                hsum = dd.add(dd.mul_d(h, 2.0), dd.div_d(dd.ONE, float(k + 1)))
-                want = (*h, *_halves(h[0]), *hsum, *_halves(hsum[0]))
-                assert [v.hex() for v in row] == [v.hex() for v in want], k
-                for (hi, lo), exact in ((h, mp.harmonic(k)),
-                                        (hsum, mp.harmonic(k) + mp.harmonic(k + 1))):
-                    assert abs(mp.mpf(hi) + mp.mpf(lo) - exact) <= 1e-30 * exact, k
+        h = Fraction(0)
+        for k, row in enumerate(sf._HARMONIC):
+            if k:
+                h += Fraction(1, k)
+            for got, exact in zip(row, (h, 2 * h + Fraction(1, k + 1))):
+                want = sf._CTX.divide(Decimal(exact.numerator), Decimal(exact.denominator))
+                assert got == want, k
 
-    def test_unsplit_operands_stay_below_2_26(self):
-        # the written-out loops leave an integer operand below 2^26 (and
-        # v + 1/2) unsplit, as Dekker's split gives it back with a zero low
-        # half; this holds up to each loop's cap, and fails if a cap is
-        # raised past it
-        from kelvinwake.expansions import MAX_TERMS
 
-        n, k, v, m = 2 * MAX_TERMS, sf._SERIES_MAX, 2 * sf.ORDER_CAP, MAX_TERMS
-        for operand in (n * (n + 1), k * k, k * (k + 1), v + 0.5,
-                        4 * (m - 1), 2 * m * (2 * m - 1)):
-            assert operand < 2 ** 26
-        reachable = ([float(n * (n + 1)) for n in range(1, 2 * MAX_TERMS + 1)]
-                     + [float(d) for k in range(1, sf._SERIES_MAX) for d in (k * k, k * (k + 1))]
-                     + [b for v in range(1, 2 * sf.ORDER_CAP) for b in (float(v), v + 0.5)]
-                     + [float(d) for m in range(2, MAX_TERMS + 1)
-                        for d in (4 * (m - 1), 2 * m * (2 * m - 1))])
-        assert all(_halves(b) == (b, 0.0) for b in reachable)
-        # the quartic divisor of the K recurrence passes 2^26 at m = 47 and
-        # stays split: from m = 78 on its low half is not zero
-        assert any(_halves(float(2 * m * (2 * m - 1) * (2 * m - 2) * (2 * m - 3)))[1]
-                   for m in range(2, MAX_TERMS + 1))
+def test_the_c_decimal_module_is_present():
+    # the series and ladders run in decimal; the pure-Python fallback,
+    # _pydecimal, sums a 22-term series about 35 times slower
+    import _decimal
+
+    assert decimal.Decimal is _decimal.Decimal
