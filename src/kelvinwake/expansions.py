@@ -7,7 +7,8 @@ Three methods are provided, all sharing the EvalPoint geometry:
                Convergent everywhere, but for large M = x^2/(4 rho) the terms
                first grow to ~e^M/M before decaying, so the sum is evaluated
                with scaled recurrences in 34-digit decimal (specfun._CTX)
-               and aborts honestly when cancellation would exceed 1e12.
+               and refuses, judged in that decimal, where its cancellation
+               exceeds 1e12 and else where it has not converged.
                Every factor is carried to about 1e-30: K_m by its upward
                recurrence, J_2m by the downward one from two series seeds a
                window of BESSHO_WINDOW orders (_jhat_window), cos(m alpha)
@@ -50,9 +51,9 @@ from typing import Optional
 from . import ddouble as dd
 from .errors import AccuracyError, DomainError, RegimeError
 from .oracle import EvalPoint, _ck_values, oracle_Ck, oracle_F
-from .specfun import (_CTX, ARG_MAX, ORDER_CAP, _check_finite, _check_int, _from_dd,
-                      _hscal_window, _k01_dd, _log_rounding, _series, _series_dd, _y01_dd,
-                      struve_k_scaled)
+from .specfun import (_CTX, ARG_MAX, ARG_MIN, ORDER_CAP, _check_finite, _check_int,
+                      _from_dd, _hscal_window, _k01_dd, _log_rounding, _series, _series_dd,
+                      _y01_dd, struve_k_scaled)
 
 #: Largest supported asymptotic truncation (coefficient engines cap here).
 CK_MAX = 30
@@ -215,7 +216,7 @@ _FACTOR_REL = Decimal(1e-33)
 _DOUBLE_MAX = Decimal(sys.float_info.max)
 
 _SUM_REL = Decimal(SERIES_REL_TOL)
-_SMALL_BOUND = 2.0 * SERIES_REL_TOL
+_CANCELLATION = Decimal(10 ** 12)       # the peak / |sum| past which bessho_F refuses
 
 
 def _jhat0(minus_w):
@@ -327,45 +328,36 @@ def _bessho_sum(ladder, products):
     of _bessel_products, each times its factor from ladder, the _cos_ladder
     of the point's |alpha|, until its stopping rule.
 
-    Returns (total, peak, abs_sum, last, m, stop): total is the Decimal
-    sum, peak the largest |partial sum|, abs_sum the sum of |terms| (each
-    rounded to double, summed in doubles), last the last |term|, m the
-    index of the last product read, and stop None, "overflow" (product m
-    is None and was not summed) or "max_terms".  The sum stops after
-    three consecutive terms below SERIES_REL_TOL relative (single small
-    terms are routinely accidental: cos(m alpha) has zeros).  Only a term
-    at or below 2 SERIES_REL_TOL abs_sum can pass that test, as abs_sum
-    bounds |total| within 1e-13, so only such a term is tested in decimal.
+    Returns (total, peak, abs_sum, last, m, converged): the sum, the
+    largest |partial sum|, the sum of |terms| and the last |term|, as
+    Decimals, the index m of the last product read, and whether three
+    consecutive terms came to at most SERIES_REL_TOL of |total| (one small
+    term can be accidental: cos(m alpha) has zeros) before the products ran
+    out, after MAX_TERMS or at a None (kappa_m past the double range).
     """
     with localcontext(_CTX):
         total = next(products)
-        top = bottom = total
-        abs_sum = last = abs(float(total))
+        peak = abs_sum = last = abs(total)
         small = 0
         m = 0
-        stop = "max_terms"
         for prod, coef in zip(products, ladder):
             m += 1
             if prod is None:
-                stop = "overflow"
                 break
             term = prod * coef
             total += term
-            if total > top:
-                top = total
-            elif total < bottom:
-                bottom = total
-            last = abs(float(term))
+            size = abs(total)
+            if size > peak:
+                peak = size
+            last = abs(term)
             abs_sum += last
-            if last <= _SMALL_BOUND * abs_sum and abs(term) <= _SUM_REL * abs(total):
+            if last <= _SUM_REL * size:
                 small += 1
                 if small >= 3:
-                    stop = None
-                    break
+                    return total, peak, abs_sum, last, m, True
             else:
                 small = 0
-        peak = max(abs(top), abs(bottom))
-    return total, float(peak), abs_sum, last, m, stop
+    return total, peak, abs_sum, last, m, False
 
 
 def bessho_F(pt: EvalPoint, *, ladders: Optional[Ladders] = None) -> MethodResult:
@@ -378,33 +370,32 @@ def bessho_F(pt: EvalPoint, *, ladders: Optional[Ladders] = None) -> MethodResul
     accumulated in 34-digit decimal (_bessho_sum).  The products and the
     cos(m alpha) factors are read from ladders, a fresh Ladders by default.
 
-    The estimate adds to the sum's last term and rounding 2 e^{rho/2} times
-    the rounding of the double ln(rho/4) in the seeds K0, K1 (rho/2), which
-    moves K_m by up to that times I_m(rho/2); RegimeError for rho/2 past
-    specfun.ARG_MAX, where those seeds lose their digits.
+    AccuracyError, judged in decimal, first where the peak partial sum
+    exceeds 1e12 |sum|, then where the sum did not converge.  The estimate
+    adds to the sum's last term and rounding 2 e^{rho/2} times the rounding
+    of the double ln(rho/4) in the seeds K0, K1 (rho/2), which moves K_m by
+    up to that times I_m(rho/2); RegimeError for rho/2 outside
+    [specfun.ARG_MIN, specfun.ARG_MAX], where those seeds lose their digits.
     """
-    if 0.5 * pt.rho > ARG_MAX:
-        raise RegimeError(f"bessho_F needs rho/2 <= ARG_MAX = {ARG_MAX}, "
-                          f"got rho = {pt.rho!r}")
+    if not ARG_MIN <= 0.5 * pt.rho <= ARG_MAX:
+        raise RegimeError(f"bessho_F needs ARG_MIN = {ARG_MIN!r} <= rho/2 <= "
+                          f"ARG_MAX = {ARG_MAX}, got rho = {pt.rho!r}")
     if ladders is None:
         ladders = Ladders()
-    total, peak, abs_sum, last, m, stop = _bessho_sum(
+    total, peak, abs_sum, last, m, converged = _bessho_sum(
         ladders.cos_ladder(pt.alpha_abs), ladders.bessel_products(pt.x, pt.rho))
-    value = float(total)
-    if stop == "overflow":
-        raise AccuracyError("Bessel product terms overflow double range",
-                            value=value, terms_used=m)
-    if stop == "max_terms":
+    value, last = float(total), float(last)
+    if peak > _CTX.multiply(_CANCELLATION, total.copy_abs()):
+        raise AccuracyError(
+            f"cancellation in the Bessel product series exceeds 1e12 "
+            f"(peak {float(peak):.3g} against result {value:.3g})",
+            value=value, terms_used=m)
+    if not converged:
         raise AccuracyError(
             f"Bessel product series not converged in {m} terms "
             f"(M = {pt.M:.3g}; convergence needs ~2.7 M terms)",
             value=value, error_estimate=last, terms_used=m)
-    if peak > 1e12 * max(abs(value), 5e-324):
-        raise AccuracyError(
-            f"cancellation in the Bessel product series exceeds 1e12 "
-            f"(peak {peak:.3g} against result {value:.3g})",
-            value=value, terms_used=m)
-    est = (10.0 * last + 2.3e-16 * abs_sum
+    est = (10.0 * last + 2.3e-16 * float(abs_sum)
            + 2.0 * math.exp(0.5 * pt.rho) * _log_rounding(0.5 * pt.rho))
     return MethodResult(value, Method.BESSHO, terms_used=m + 1, n_used=0,
                         saddle_term=0.0, internal_error_estimate=est)
@@ -432,8 +423,9 @@ def ursell_F(pt: EvalPoint) -> MethodResult:
     """
     if pt.M <= 1.0:
         raise DomainError(f"ursell_F needs M > 1, got M = {pt.M:.3g}")
-    if pt.x > ARG_MAX:
-        raise RegimeError(f"ursell_F needs x <= ARG_MAX = {ARG_MAX}, got x = {pt.x!r}")
+    if pt.x > ARG_MAX or pt.M == math.inf:
+        raise RegimeError(f"ursell_F needs x <= ARG_MAX = {ARG_MAX} and M = x^2/(4 rho) in "
+                          f"the double range, got x = {pt.x!r}, M = {pt.M!r}")
     x, rho, alpha = pt.x, pt.rho, pt.alpha_abs
 
     # Y_n (x/2)^n / n! for n = 2m and 2m + 1 by the Y recurrence, two orders a step
@@ -628,7 +620,8 @@ def ck_table(n: int, x: float, alpha: float) -> CoefficientTable:
     which is computed whole on its first use, so the values do not depend
     on n: oracle_Ck(0, x, alpha) validates (x, alpha) and builds the table,
     and the row comes from it at once.  Raises oracle_Ck(k)'s AccuracyError
-    for the first k < n whose quadrature stalled.
+    for the first k < n whose quadrature stalled, or for a table that is
+    not finite.
     """
     n = _check_int(n, 1, CK_MAX, _CK_N_MESSAGE)
     oracle_Ck(0, x, alpha)
@@ -735,6 +728,8 @@ def paris_F(pt: EvalPoint, policy: TruncationPolicy = DEFAULT_POLICY, *,
     if pt.M < 4.0:
         warnings.warn(f"paris_F called at M = {pt.M:.3g} < 4; accuracy degrades "
                       "as M shrinks", RuntimeWarning, stacklevel=2)
+    if pt.M == math.inf:
+        raise RegimeError("paris_F needs M = x^2/(4 rho) in the double range, got inf")
     n = policy.resolve_n(pt)
     if ladders is None:
         ladders = Ladders()

@@ -851,9 +851,14 @@ def _ck_table(x: float, alpha: float) -> _CkRow:
     # 1/sqrt(1 + (w/(x c))^2) turns over
     near = _doubling_edges(x * c, 4.0)
     abs_tol = 1e-15 * min(1.0, x) * _CK_ENVELOPE
-    moments, errors, noise, tol, nodes, complete = _gk21_adaptive(
-        _ck_rule(x, c, s), np.concatenate([near[:-1], _CK_FAR_EDGES[:-1]]),
-        np.concatenate([near[1:], _CK_FAR_EDGES[1:]]), abs_tol, CK_REL_TOL, MAX_CK_PANELS)
+    # below x c of about 1e-152, (w/(x c))^2 overflows at the far nodes and
+    # the moments come out NaN, which no tolerance test catches: such a
+    # table is refused below, so numpy's warnings about it are silenced
+    with np.errstate(over="ignore", invalid="ignore"):
+        moments, errors, noise, tol, nodes, complete = _gk21_adaptive(
+            _ck_rule(x, c, s), np.concatenate([near[:-1], _CK_FAR_EDGES[:-1]]),
+            np.concatenate([near[1:], _CK_FAR_EDGES[1:]]), abs_tol, CK_REL_TOL,
+            MAX_CK_PANELS)
     if not complete:
         raise AccuracyError(f"C_k quadrature at (x, c) = ({x}, {c}) needs more than "
                             f"{MAX_CK_PANELS} panels")
@@ -863,8 +868,11 @@ def _ck_table(x: float, alpha: float) -> _CkRow:
     # as in _integrate: where rounding stops refinement, up to 20 times the
     # tolerance is accepted
     stalled = tuple(np.flatnonzero(errors > 20.0 * tol).tolist())
-    return _CkRow(tuple((scale * moments).tolist()),
-                  tuple((scale * (errors + noise + _CK_TAIL)).tolist()),
+    values, estimates = scale * moments, scale * (errors + noise + _CK_TAIL)
+    if not (np.isfinite(values).all() and np.isfinite(estimates).all()):
+        raise AccuracyError(f"C_k quadrature at (x, c) = ({x}, {c}) is not finite: "
+                            "its integrand leaves the double range")
+    return _CkRow(tuple(values.tolist()), tuple(estimates.tolist()),
                   stalled, nodes, _CK_CUT / (x * c))
 
 
@@ -898,7 +906,9 @@ def oracle_Ck(k: int, x: float, alpha: float) -> QuadResult:
     tolerance and error estimate: QUADPACK's, the rounding bound of the
     integrand (see _ck_rule) and the envelope tail beyond the cut.  Raises
     AccuracyError, carrying the value and its estimate, for a k whose
-    quadrature stalled above 20 times its tolerance.
+    quadrature stalled above 20 times its tolerance, and for every k where
+    the table is not finite (x c below about 1e-152, where the integrand's
+    (w/(x c))^2 overflows).
     QuadResult.evaluations counts the integrand evaluations of the whole
     table (every node of every panel the mesh held); it is the same for
     every k.  cache_info() and cache_clear() act on the table cache.

@@ -20,8 +20,9 @@ terms.  Series are summed in 34-digit decimal (_CTX), so the mild
 cancellation of their terms there costs the returned doubles nothing
 their error estimates do not count.  Each public kernel raises
 RegimeError past ARG_MAX, where the series' cancellation outgrows the
-estimates (K's first, as its value falls like e^-x), and
-OrderOverflowError past ORDER_CAP.
+estimates (K's first, as its value falls like e^-x), Y, K and Kscal also
+below ARG_MIN, where the 1/x of their seeds leaves the double-double
+range, and OrderOverflowError past ORDER_CAP.
 
 Every ascending series t_{k+1} = t_k q / ((k + a)(k + b)), the sign of an
 alternating one carried in q, runs through _series: J, I, Hscal, the
@@ -61,6 +62,12 @@ ORDER_CAP = 160
 #: margin over the box's x <= 3, and every kernel holds its estimate up to
 #: x = 8; at x = 10 the error of K_16 is 70 times its estimate.
 ARG_MAX = 4.0
+
+#: Smallest argument of Y, K and Kscal, and of bessho_F's K seeds at rho/2;
+#: below it RegimeError.  The 1/x of the seeds Y1, K1 passes through a
+#: double-double division whose split overflows once 1/x passes about
+#: 1.34e300: the seeds are finite at 2^-996 and NaN at 2^-997.
+ARG_MIN = 2.0 ** -996
 
 #: An absolute floor of the estimates of J, I and Hscal, whose values and
 #: terms can fall onto the subnormal grid, where 2.3e-16 of a value no
@@ -139,10 +146,13 @@ def _check_finite(x, name="argument"):
     raise DomainError(f"{name} must be finite, got {x!r}")
 
 
-def _check_regime(x, kernel):
-    """Refuse x past ARG_MAX with RegimeError naming the kernel."""
+def _check_regime(x, kernel, lo=0.0):
+    """Refuse x past ARG_MAX, or below lo (ARG_MIN for the kernels whose
+    seeds hold 1/x), with RegimeError naming the kernel."""
     if x > ARG_MAX:
         raise RegimeError(f"{kernel} supports x <= ARG_MAX = {ARG_MAX}, got {x!r}")
+    if x < lo:
+        raise RegimeError(f"{kernel} supports x >= ARG_MIN = {ARG_MIN!r}, got {x!r}")
 
 
 def _from_dd(x):
@@ -357,7 +367,8 @@ def _bessel_yk_dd(order, x, sign):
 
 
 def bessel_y(order: int, x: float) -> SpecFunResult:
-    """Bessel function of the second kind Y_order(x) for 0 < x <= ARG_MAX.
+    """Bessel function of the second kind Y_order(x) for
+    ARG_MIN <= x <= ARG_MAX.
 
     The estimate adds to a few ulps of the value the rounding of the
     double log (see _log_rounding)."""
@@ -365,7 +376,7 @@ def bessel_y(order: int, x: float) -> SpecFunResult:
     x = _check_finite(x)
     if x <= 0:
         raise DomainError("bessel_y requires x > 0 (logarithmic branch point at 0)")
-    _check_regime(x, "bessel_y")
+    _check_regime(x, "bessel_y", ARG_MIN)
     y, terms = _bessel_yk_dd(order, x, -1)
     value = dd.to_float(y)
     jn = dd.to_float(_ascending_series(order, x, -1)[0])
@@ -375,7 +386,7 @@ def bessel_y(order: int, x: float) -> SpecFunResult:
 
 def bessel_k(order: int, x: float) -> SpecFunResult:
     """Modified Bessel function of the second kind K_order(x) for
-    0 < x <= ARG_MAX.
+    ARG_MIN <= x <= ARG_MAX.
 
     The estimate adds to a few ulps of the value the rounding of the
     double log, which grows as I_order(x) while K falls as e^-x: at
@@ -384,7 +395,7 @@ def bessel_k(order: int, x: float) -> SpecFunResult:
     x = _check_finite(x)
     if x <= 0:
         raise DomainError("bessel_k requires x > 0")
-    _check_regime(x, "bessel_k")
+    _check_regime(x, "bessel_k", ARG_MIN)
     k, terms = _bessel_yk_dd(order, x, +1)
     value = dd.to_float(k)
     i_n = dd.to_float(_ascending_series(order, x, +1)[0])
@@ -474,7 +485,7 @@ def struve_h_scaled(order: int, x: float) -> SpecFunResult:
 
 def struve_k_scaled(order: int, x: float) -> SpecFunResult:
     """Kscal_m(x) = x^m (H_m(x) - Y_m(x)), the decaying Struve combination,
-    for 0 < x <= ARG_MAX.
+    for ARG_MIN <= x <= ARG_MAX.
 
     Both parts are computed with ~32-digit working precision, and the error
     estimate carries their absolute uncertainties through the subtraction,
@@ -485,7 +496,7 @@ def struve_k_scaled(order: int, x: float) -> SpecFunResult:
     x = _check_finite(x)
     if x <= 0:
         raise DomainError("struve_k_scaled requires x > 0")
-    _check_regime(x, "struve_k_scaled")
+    _check_regime(x, "struve_k_scaled", ARG_MIN)
     hs, htail, hterms = _struve_h_series(order, x)
     # H_m(x) = (x/2)^m * Hscal_m(x)
     pw = dd.ONE

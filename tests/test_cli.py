@@ -3,14 +3,18 @@ byte-level determinism."""
 
 import contextlib
 import io
+import itertools
 import json
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kelvinwake import cli, expansions
 from kelvinwake.cli import EXIT_TOLERANCE, MAX_GRID_POINTS, main
+from kelvinwake.errors import KelvinWakeError
 from kelvinwake.oracle import EvalPoint, oracle_F
 
 
@@ -98,6 +102,33 @@ def test_compare_at_huge_M_ends(capsys):
     assert [line.split(":")[0] for line in err.splitlines()] == ["bessho", "oracle"]
     # the oracle's initial panels exceed its budget: it has no value to show
     assert rows["oracle"]["value"] is None and rows["oracle"]["error_estimate"] is None
+
+
+def test_the_box_corners_refuse_or_return_finite_values():
+    # the smallest x and rho the box admits: every route either returns a
+    # finite value and estimate or reports a refusal.  Before ARG_MIN,
+    # the finite-M checks and the C_k table's finiteness check, 96 records
+    # here raised a decimal.InvalidOperation, ValueError or OverflowError
+    # and 3 came out "ok" with a NaN value
+    xs = (5e-324, 1e-300, 1e-160, 1e-20, 1.0, 3.0)
+    rhos = (5e-324, 1e-310, 1e-300, 1.4e-300, 1e-200, 1e-20, 1.0)
+    statuses = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for x, rho, alpha in itertools.product(xs, rhos, (0.0, 0.3, 0.5 * math.pi)):
+            pt = EvalPoint(x, rho, alpha)
+            for method in ("bessho", "ursell", "paris", "oracle"):
+                rec = cli._method_record(pt, method, expansions.TruncationPolicy(), 1e-12)
+                if rec["status"] == "ok":
+                    assert math.isfinite(rec["value"]), rec
+                    assert math.isfinite(rec["error_estimate"]), rec
+                statuses.add(rec["status"].split(":")[0])
+    assert statuses == {"ok", "accuracy-not-reached", "DomainError", "RegimeError",
+                        "RangeOverflowError"}
+    for x in xs[:3]:
+        for alpha in (0.0, 0.3, 0.5 * math.pi):
+            with pytest.raises(KelvinWakeError):
+                expansions.ck_table(3, x, alpha)
 
 
 def test_alpha_validation_exits_2(capsys):

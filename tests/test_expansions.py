@@ -2,6 +2,7 @@
 the coefficient engines against each other, and the assembled methods
 against their stored components."""
 
+import decimal
 import itertools
 import math
 import random
@@ -99,11 +100,15 @@ class TestBessho:
             bessho_F(EvalPoint(3.0, 0.0005, 0.0))
 
     @pytest.mark.parametrize("x,rho", [(0.5, 40.0), (0.5, 100.0),
-                                       (1.0, math.nextafter(2.0 * specfun.ARG_MAX, math.inf))])
+                                       (1.0, math.nextafter(2.0 * specfun.ARG_MAX, math.inf)),
+                                       (1.0, 1e-300), (1.0, 5e-324),
+                                       (1.0, math.nextafter(2.0 * specfun.ARG_MIN, 0.0))])
     def test_refused_past_the_seeds_regime(self, x, rho):
         # the K seeds come from the log series at rho/2: at rho = 40 the sum
         # came out as -8.91e-9 with an estimate of 2.0e-24, against the
-        # oracle's 5.05e-10; at rho = 100 as 54244.6 against 3.0e-23
+        # oracle's 5.05e-10; at rho = 100 as 54244.6 against 3.0e-23.  Below
+        # ARG_MIN the seed K1 was NaN (a decimal.InvalidOperation at
+        # rho = 1e-300) and ln(rho/4) at rho = 5e-324 a ValueError
         with pytest.raises(RegimeError, match="rho/2"):
             bessho_F(EvalPoint(x, rho, 0.3))
 
@@ -117,6 +122,38 @@ class TestBessho:
                 got = bessho_F(pt)
                 err = abs(got.value - float(_mp_bessel_product(pt, 40)))
                 assert err <= got.internal_error_estimate, (x, alpha)
+
+    def test_refusal_kind_does_not_follow_the_precision(self, monkeypatch):
+        # past M of about 31 the sum refuses, and the kind of refusal
+        # follows the peak and the end of the products, not a total that is
+        # rounding noise: at 44 digits it is the one of 34.  The first four
+        # points are pool points (M = 230-233) whose kind changed with the
+        # precision while the stop test ran before the cancellation test
+        pts = [EvalPoint(1.9963828581772074, 0.00429942296281558, 1.3307741936765585),
+               EvalPoint(1.9963828581772074, 0.00429942296281558, -0.5911369171379256),
+               EvalPoint(2.5384599483585006, 0.006916724342018075, 1.5534218697483309),
+               EvalPoint(1.6605570233668279, 0.0029968840940550567, 0.6868338955039742)]
+        rng = random.Random(3601)
+        for _ in range(40):
+            x = rng.uniform(0.25, 3.0)
+            M = math.exp(rng.uniform(math.log(25.0), math.log(5000.0)))
+            pts.append(EvalPoint(x, x * x / (4.0 * M), rng.uniform(-0.5, 0.5) * math.pi))
+
+        def kinds():
+            out = []
+            for pt in pts:
+                o = _outcome(bessho_F, pt)
+                out.append(o[0] if o[0] == "ok" else
+                           "cancellation" if "cancellation" in o[-1] else
+                           "not converged" if "not converged" in o[-1] else o[-1])
+            return out
+
+        want = kinds()
+        assert set(want) == {"ok", "cancellation", "not converged"}
+        wide = decimal.Context(prec=44, rounding=decimal.ROUND_HALF_EVEN)
+        monkeypatch.setattr(specfun, "_CTX", wide)
+        monkeypatch.setattr(expansions, "_CTX", wide)
+        assert kinds() == want
 
     def test_result_fields(self, pt_m8):
         r = bessho_F(pt_m8)
@@ -297,7 +334,7 @@ class TestKernelMemo:
         (0.3, 0.9),                    # M = 0.025
         (1.25, 0.012328467394420659),  # M = 31.7: the cancellation refusal
         (1.0, 0.0078),                 # M = 32
-        (3.0, 0.0005),                 # M = 4500: the terms overflow
+        (3.0, 0.0005),                 # M = 4500: kappa_m leaves the double range
     ])
     def test_shared_bessho_ladder_equals_fresh_calls(self, x, rho):
         pts = [EvalPoint(x, rho, a) for a in self.ALPHAS]
@@ -333,13 +370,15 @@ class TestKernelMemo:
         outcomes = [_outcome(bessho_F, pt, ladders=ladders) for pt in pts]
         assert outcomes == [_outcome(bessho_F, pt) for pt in pts]
         assert any("cancellation" in o[-1] for o in outcomes[:8])
-        assert all("overflow" in o[-1] for o in outcomes[8:])
+        # M = 4500: the products end where kappa_m leaves the double range
+        assert all("not converged" in o[-1] for o in outcomes[8:])
 
     def test_bessho_parts_formed_once_per_distinct_value(self, monkeypatch):
         # one jhat ladder per distinct x, one product ladder per distinct
         # (x, rho) and one cos ladder per distinct |alpha| serve a whole
         # group: +-alpha interleaved, several pairs, a cancellation refusal
-        # (x = 1, M = 32) and an overflow (x = 3, M = 4500).  The ladders
+        # (x = 1, M = 32) and products that end where kappa_m leaves the
+        # double range (x = 3, M = 4500), not converged.  The ladders
         # are formed as the points read them, so they are counted after
         calls = _count_calls(monkeypatch, ["_jhats", "_bessel_products", "_cos_ladder"])
         pairs = [(0.4, 0.01), (1.0, 0.0078), (0.3, 0.9), (3.0, 0.0005), (0.4, 0.05)]
@@ -352,7 +391,7 @@ class TestKernelMemo:
         assert outcomes == [_outcome(bessho_F, pt) for pt in pts]
         refusals = [o[-1] for o in outcomes if o[0] == "raised"]
         assert any("cancellation" in r for r in refusals)
-        assert any("overflow" in r for r in refusals)
+        assert any("not converged" in r for r in refusals)
         assert len(refusals) < len(outcomes)
 
     def test_max_terms_with_a_shared_ladder(self, monkeypatch):
@@ -817,6 +856,18 @@ class TestParis:
         a = paris_F(EvalPoint(1.0, 0.02, 0.3), TruncationPolicy(n=8))
         b = paris_F(EvalPoint(1.0, 0.02, -0.3), TruncationPolicy(n=8))
         assert a.value == b.value
+
+    @pytest.mark.parametrize("route,n", [("paris_F", None), ("paris_F", 5), ("ursell_F", None)])
+    @pytest.mark.parametrize("x,rho", [(1.0, 5e-324), (3.0, 1e-308), (0.1, 1e-312)])
+    def test_refused_where_m_is_past_the_double_range(self, route, n, x, rho):
+        # M = x^2/(4 rho) = inf: the AUTO truncation floored it (an
+        # OverflowError), an explicit n took sin(inf) in saddle_term (a
+        # ValueError), and ursell_F's loop bound floored it
+        pt = EvalPoint(x, rho, 0.3)
+        assert pt.M == math.inf
+        args = (TruncationPolicy(n=n),) if n else ()
+        with pytest.raises(RegimeError, match="double range"):
+            getattr(expansions, route)(pt, *args)
 
     def test_low_m_warns(self):
         with pytest.warns(RuntimeWarning):

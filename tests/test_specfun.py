@@ -206,6 +206,25 @@ def test_within_the_estimate_up_to_arg_max(func):
             kernel(order, math.nextafter(sf.ARG_MAX, math.inf))
 
 
+@pytest.mark.parametrize("func", ["bessel_y", "bessel_k", "struve_k_scaled"])
+def test_refused_below_arg_min(func):
+    # the seeds Y1, K1 hold 1/x, formed by a double-double division whose
+    # split overflows once 1/x passes about 1.34e300: Y_1(1e-305) and
+    # K_1(1e-305) came out NaN, and Kscal_1(7.5e-301), about 2/pi, raised
+    # RangeOverflowError.  At ARG_MIN orders 0 and 1 are within their
+    # estimates of 40-digit mpmath
+    mp = pytest.importorskip("mpmath")
+    kernel = getattr(sf, func)
+    for x in (1e-305, 7.5e-301, math.nextafter(sf.ARG_MIN, 0.0)):
+        with pytest.raises(RegimeError, match="ARG_MIN"):
+            kernel(1, x)
+    with mp.workdps(40):
+        for order in (0, 1):
+            got = kernel(order, sf.ARG_MIN)
+            want = _mp_kernel(func, order, sf.ARG_MIN)
+            assert abs(got.value - want) <= got.abs_error_estimate, order
+
+
 @pytest.mark.parametrize("x", [0.1, 0.5, 1.0, 2.0])
 @pytest.mark.parametrize("n", range(0, 21))
 def test_wronskian_jy(n, x):
