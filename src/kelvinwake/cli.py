@@ -9,22 +9,23 @@ Subcommands:
   field   -- evaluate F over an (x, rho, alpha) grid with method auto-selection
   bounds  -- evaluate and verify the remainder/tail/gamma bounds
 
-field evaluates its grid in groups of x columns of at most
-FIELD_GROUP_POINTS (rho, |alpha|) points in all (a whole call on the
-benchmark's sweep), one loop per group:
+field evaluates its grid one x column at a time:
 
-  1. gather the group's distinct (x, rho, |alpha|), each point at its first
+  1. gather the column's distinct (rho, |alpha|), each point at its first
      alpha: F is even in alpha, so a row whose |alpha| equals, as a double,
-     that of an earlier row of its (x, rho) shares that row's point.  A
-     range's points are exact under mirroring (_grid), so on a range with
+     that of an earlier row of its rho shares that row's point.  A range's
+     points are exact under mirroring (_grid), so on a range with
      start == -stop every +-alpha pair shares one point;
   2. make one _method_record per distinct point, by the route
-     expansions.field_route gives it, all of them on one expansions.Ladders:
-     paris_F and bessho_F run their convergent sums on ladders formed once
-     for the group, one Hscal ladder per x c, one J_2m(x) ladder per x, one
-     Bessel product ladder per (x, rho) and one cos(m alpha) ladder per
-     |alpha|;
-  3. build every grid row from those records, each with its own alpha.
+     expansions.field_route gives it, all of them on
+     expansions.FIELD_LADDERS, the one Ladders of the process: paris_F and
+     bessho_F run their convergent sums on ladders formed once, one Hscal
+     ladder per x c, one J_2m(x) ladder per x, one Bessel product ladder
+     per (x, rho) and one cos(m alpha) ladder per |alpha|, which later
+     columns and later calls read again.  It holds at most
+     expansions.MAX_LADDERS ladders, dropping the least recently read, and
+     oracle_Ck.cache_clear() empties it with the C_k tables;
+  3. build the column's rows from those records, each with its own alpha.
 
 Every reader of a ladder starts at its first value, so every row, its
 estimate, terms and any refusal included, equals `eval --method <its
@@ -65,11 +66,6 @@ MAX_THREADS = 64
 
 #: Most points a start:stop:count range, or a whole field grid, may have.
 MAX_GRID_POINTS = 10 ** 6
-
-#: Most (rho, |alpha|) points of the x columns `field` evaluates as one
-#: group: it bounds the group's records and ladders on any grid, while
-#: every column of a group shares one cos(m alpha) ladder per |alpha|.
-FIELD_GROUP_POINTS = 4096
 
 _BOX = "0 < x <= 3, 0 < rho <= 1, |alpha| <= pi/2"
 
@@ -343,22 +339,18 @@ def cmd_field(args) -> int:
             for alpha in (alphas[0], alphas[-1]):
                 _check_box(x, rho, alpha)
     threads = _thread_count(args)
-    per_group = max(1, FIELD_GROUP_POINTS // (len(rhos) * len({abs(a) for a in alphas})))
+    column = [(rho, alpha) for rho in rhos for alpha in alphas]
     rows = []
-    for i in range(0, len(xs), per_group):
-        grid = [(x, rho, alpha) for x in xs[i:i + per_group]
-                for rho in rhos for alpha in alphas]
+    for x in xs:
         pts = {}
-        for x, rho, alpha in grid:
-            key = (x, rho, abs(alpha))
-            if key not in pts:
-                pts[key] = EvalPoint(x, rho, alpha)
-        ladders = expansions.Ladders()
+        for rho, alpha in column:
+            if (rho, abs(alpha)) not in pts:
+                pts[rho, abs(alpha)] = EvalPoint(x, rho, alpha)
         records = {key: _method_record(pt, expansions.field_route(pt), TruncationPolicy(),
-                                       1e-12, ladders)
+                                       1e-12, expansions.FIELD_LADDERS)
                    for key, pt in pts.items()}
-        for x, rho, alpha in grid:
-            rec = records[x, rho, abs(alpha)]
+        for rho, alpha in column:
+            rec = records[rho, abs(alpha)]
             rows.append({h: alpha if h == "alpha" else rec[h] for h in _FIELD_HEADER})
     meta = {"command": "field", "x_range": args.x_range,
             "rho_range": args.rho_range,

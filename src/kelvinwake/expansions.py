@@ -32,9 +32,11 @@ reference) and the residual that the error table reports live here too.
 field_route is the rule that picks a point's route in `field`.  The
 ladders that do not depend on the point (Hscal_j per x c; J_2m per x, the
 Bessel products per (x, rho) and cos(m alpha) per |alpha|) are read from a
-Ladders cache, formed on their first read: paris_F and bessho_F take one
-made for a group of points as `ladders`, and a single call makes its own.
-Either way the sums run in paris_F and bessho_F on the same values.
+Ladders cache, formed on their first read and bounded to MAX_LADDERS of
+them: paris_F and bessho_F take one as `ladders`, and a single call makes
+its own.  Every `field` call of a process reads the one FIELD_LADDERS,
+which oracle_Ck.cache_clear() empties with the C_k tables.  Either way the
+sums run in paris_F and bessho_F on the same values.
 """
 
 from __future__ import annotations
@@ -44,13 +46,14 @@ import itertools
 import math
 import sys
 import warnings
+from collections import OrderedDict
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from typing import Optional
 
 from . import ddouble as dd
 from .errors import AccuracyError, DomainError, RegimeError
-from .oracle import EvalPoint, _ck_values, oracle_Ck, oracle_F
+from .oracle import _CACHE_RESETS, EvalPoint, _ck_values, oracle_Ck, oracle_F
 from .specfun import (_CTX, ARG_MAX, ARG_MIN, ORDER_CAP, _check_finite, _check_int,
                       _from_dd, _hscal_window, _k01_dd, _log_rounding, _series, _series_dd,
                       _y01_dd, struve_k_scaled)
@@ -162,40 +165,58 @@ def field_route(pt: EvalPoint) -> str:
     return "paris" if pt.M >= 6.0 else "bessho"
 
 
+#: Most ladders a Ladders holds: past it, the least recently read one is
+#: dropped, and formed again if it is read again.  The benchmark's field
+#: sweep reads 146 in all.
+MAX_LADDERS = 4096
+
+
 class Ladders:
     """The ladders of the two convergent sums that do not depend on the
-    point, for a group of points: Hscal_j per x c (_hscals), J_2m per x
-    (_jhats), the Bessel products per (x, rho) (_bessel_products) and
-    cos(m alpha) per |alpha| (_cos_ladder).
+    point: Hscal_j per x c (_hscals), J_2m per x (_jhats), the Bessel
+    products per (x, rho) (_bessel_products) and cos(m alpha) per |alpha|
+    (_cos_ladder), at most MAX_LADDERS of them, the least recently read
+    dropped first.
 
     Each ladder is formed on its first read.  Every read returns a copy of
     its itertools.tee origin, which no reader advances, so each reader
-    starts at the ladder's first value and reads what a fresh ladder gives.
+    starts at the ladder's first value and reads what a fresh ladder gives,
+    whether or not its ladder was dropped and formed again in between.
     """
 
     def __init__(self):
-        self._origins = {}
+        self._origins = OrderedDict()
 
-    def _read(self, make, *args):
-        key = (make, *args)
-        origin = self._origins.get(key)
+    def _read(self, key, make):
+        origins = self._origins
+        origin = origins.get(key)
         if origin is None:
-            origin = self._origins[key] = itertools.tee(make(*args), 1)[0]
+            origin = origins[key] = itertools.tee(make(), 1)[0]
+            while len(origins) > MAX_LADDERS:
+                origins.popitem(last=False)
+        else:
+            origins.move_to_end(key)
         return origin.__copy__()
 
     def hscals(self, xc):
-        return self._read(_hscals, xc)
+        return self._read(("hscals", xc), lambda: _hscals(xc))
 
     def cos_ladder(self, alpha):
-        return self._read(_cos_ladder, alpha)
+        return self._read(("cos", alpha), lambda: _cos_ladder(alpha))
 
     def bessel_products(self, x, rho):
         """The products of (x, rho), on the J_2m ladder of x."""
-        origin = self._origins.get((x, rho))
-        if origin is None:
-            products = _bessel_products(x, rho, self._read(_jhats, x))
-            origin = self._origins[x, rho] = itertools.tee(products, 1)[0]
-        return origin.__copy__()
+        return self._read(("products", x, rho), lambda: _bessel_products(
+            x, rho, self._read(("jhats", x), lambda: _jhats(x))))
+
+    def clear(self):
+        self._origins.clear()
+
+
+#: The Ladders every `field` call reads, so the ladders of one call serve
+#: the next.  oracle_Ck.cache_clear() empties it with the C_k tables.
+FIELD_LADDERS = Ladders()
+_CACHE_RESETS.append(FIELD_LADDERS.clear)
 
 
 # ---------------------------------------------------------------------------
@@ -415,9 +436,10 @@ def ursell_F(pt: EvalPoint) -> MethodResult:
     Y_2m) whose term without its cos(m alpha) is below SERIES_REL_TOL of
     the partial sum: at M = 1e6 after 4 terms.  Y_2m and I_m are formed
     only that far.  The estimate adds to those two the saddle estimate's
-    O(1/M) defect, the rounding of the sum, a few ulps of its terms, and
+    O(1/M) defect, the rounding of the sum, a few ulps of its terms,
     2 e^{rho/2} times the rounding of the double ln(x/2) in Y0 and Y1,
-    which moves the sum by (2/pi) times it times sum_m I_m J_2m.
+    which moves the sum by (2/pi) times it times sum_m I_m J_2m, and the
+    rounding of the saddle phase (_phase_rounding).
     RegimeError for x past specfun.ARG_MAX, where the log series of the
     seeds Y0, Y1 cancels beyond that estimate.
     """
@@ -458,7 +480,7 @@ def ursell_F(pt: EvalPoint) -> MethodResult:
     value = -math.pi * series + sad
     est = (math.exp(-pt.M) + math.pi * abs(terms[-1]) + 2.0 * amp / pt.M
            + 4.0 * 2.0 ** -52 * (math.pi * math.fsum(map(abs, terms)) + abs(sad))
-           + 2.0 * math.exp(0.5 * rho) * _log_rounding(x))
+           + 2.0 * math.exp(0.5 * rho) * _log_rounding(x) + _phase_rounding(pt, amp))
     return MethodResult(value, Method.URSELL, terms_used=len(terms), n_used=len(terms) - 1,
                         saddle_term=sad, internal_error_estimate=est)
 
@@ -681,6 +703,21 @@ def saddle_term(pt: EvalPoint) -> float:
     return _saddle_amplitude(pt) * math.sin((pt.M + 0.5 * pt.rho) * math.sin(a) + 0.5 * a)
 
 
+#: Roundings of the double saddle phase (M + rho/2) sin alpha + alpha/2:
+#: two in M = x^2/(4 rho), one each in M + rho/2, sin alpha, the product
+#: and the last sum.
+_PHASE_ROUNDINGS = 6
+
+
+def _phase_rounding(pt: EvalPoint, amp: float) -> float:
+    """Bound on what the rounding of the double saddle phase moves the
+    oscillatory saddle term amp sin(phase) by.  Every intermediate of the
+    phase is at most M + rho/2 + 1 in size and rounds by at most 2^-52 of
+    that, and sin is 1-Lipschitz, so amp _PHASE_ROUNDINGS 2^-52
+    (M + rho/2 + 1)."""
+    return amp * _PHASE_ROUNDINGS * 2.0 ** -52 * (pt.M + 0.5 * pt.rho + 1.0)
+
+
 def _saddle_defect(pt: EvalPoint, sad: float) -> float:
     """Bound on the error of saddle_term's value sad as F's saddle part.
 
@@ -723,7 +760,10 @@ def paris_F(pt: EvalPoint, policy: TruncationPolicy = DEFAULT_POLICY, *,
     counts its orders.  The stored components
     reproduce the value exactly in double arithmetic.  Soft regime: M >= 4
     (a warning is issued below).  S1 reads its Hscal ladder from ladders,
-    a fresh Ladders by default.
+    a fresh Ladders by default.  The estimate adds the last asymptotic
+    term, the saddle defect (_saddle_defect), a few ulps of the parts and,
+    where saddle_term takes its oscillatory form, the rounding of its phase
+    (_phase_rounding).
     """
     if pt.M < 4.0:
         warnings.warn(f"paris_F called at M = {pt.M:.3g} < 4; accuracy degrades "
@@ -741,6 +781,8 @@ def paris_F(pt: EvalPoint, policy: TruncationPolicy = DEFAULT_POLICY, *,
     est = (math.pi * math.exp(0.5 * pt.rho) * abs(last)
            + _saddle_defect(pt, sad) + 1e-15 * abs(value)
            + 4.0 * 2.0 ** -52 * (abs(struve_part) + abs(asym_part) + abs(sad)))
+    if pt.alpha_abs >= SADDLE_ALPHA_SWITCH:
+        est += _phase_rounding(pt, _saddle_amplitude(pt))
     return MethodResult(value, Method.PARIS, terms_used=terms, n_used=n,
                         saddle_term=sad, internal_error_estimate=est,
                         components=Components(s1, asym, sad))

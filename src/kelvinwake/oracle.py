@@ -46,7 +46,8 @@ log2(4 / (x c)) + 1 of them.  The constant is no result cache: it does
 not depend on x or alpha.
 The table is cached under (x, alpha) as one record of floats; oracle_Ck
 builds the QuadResult of a single coefficient from it, _ck_values reads a
-whole row C_0 .. C_{n-1} at once, and oracle_Ck.cache_clear() empties it.
+whole row C_0 .. C_{n-1} at once, and oracle_Ck.cache_clear() empties it,
+with every other cache of the package (_CACHE_RESETS).
 """
 
 from __future__ import annotations
@@ -911,7 +912,9 @@ def oracle_Ck(k: int, x: float, alpha: float) -> QuadResult:
     (w/(x c))^2 overflows).
     QuadResult.evaluations counts the integrand evaluations of the whole
     table (every node of every panel the mesh held); it is the same for
-    every k.  cache_info() and cache_clear() act on the table cache.
+    every k.  cache_info() reports on the table cache; cache_clear() is
+    the package's one reset: it empties the table cache and the ladders
+    that `field` calls share (expansions.FIELD_LADDERS).
     """
     k = _check_int(k, 0, CK_INDEX_MAX, _CK_K_MESSAGE)
     alpha = _check_finite(alpha, "alpha")
@@ -926,8 +929,22 @@ def oracle_Ck(k: int, x: float, alpha: float) -> QuadResult:
     return QuadResult(row.values[k], row.estimates[k], row.evaluations, row.cut)
 
 
+#: The clear() of every other cache of the package, which oracle_Ck's
+#: cache_clear() empties with the table cache; expansions adds its field
+#: ladders, so this module imports nothing from it.
+_CACHE_RESETS = []
+
+
+def _cache_clear():
+    """Empty the C_k table cache and every cache in _CACHE_RESETS: the
+    process then holds what a fresh one holds."""
+    _ck_table.cache_clear()
+    for clear in _CACHE_RESETS:
+        clear()
+
+
 oracle_Ck.cache_info = _ck_table.cache_info
-oracle_Ck.cache_clear = _ck_table.cache_clear
+oracle_Ck.cache_clear = _cache_clear
 
 
 # ---------------------------------------------------------------------------

@@ -394,62 +394,64 @@ def test_field_thread_count_is_capped(capsys):
     assert out == run(capsys, *args)[1]
 
 
-@pytest.mark.parametrize("chunk,groups", [(4096, [[0.4, 1.6, 2.8]]),
-                                          (12, [[0.4, 1.6], [2.8]]),
-                                          (5, [[0.4], [1.6], [2.8]])])
-def test_field_groups_of_columns(capsys, monkeypatch, chunk, groups):
-    # one Ladders per group of columns of at most FIELD_GROUP_POINTS
-    # (rho, |alpha|) points, read by exactly that group's points of each
-    # route, so the ladders grow with a group, not with the grid
+def test_field_calls_share_one_ladder_memo(capsys, monkeypatch):
+    # every field call reads expansions.FIELD_LADDERS: over two identical
+    # calls in one process each ladder is formed once, by the first, and
+    # the second prints the first's bytes; oracle_Ck.cache_clear() empties
+    # the memo with the C_k tables, so the ladders are formed again
     import kelvinwake.cli as cli
+    from kelvinwake.oracle import oracle_Ck
 
-    made, calls = [], []
+    made = []
 
-    class Recording(cli.expansions.Ladders):
-        def __init__(self):
-            super().__init__()
-            made.append(self)
+    def counted(name):
+        make = getattr(cli.expansions, name)
 
-    def recording(name, route):
-        f = getattr(cli.expansions, name)
-
-        def wrapper(pt, *args, ladders, **kwargs):
-            calls.append((ladders, route, pt.x))
-            return f(pt, *args, ladders=ladders, **kwargs)
+        def wrapper(*args):
+            made.append((name, *args[:2]))
+            return make(*args)
         return wrapper
 
-    monkeypatch.setattr(cli.expansions, "Ladders", Recording)
-    for name, route in (("paris_F", "paris"), ("bessho_F", "bessho")):
-        monkeypatch.setattr(cli.expansions, name, recording(name, route))
-    monkeypatch.setattr(cli, "FIELD_GROUP_POINTS", chunk)
-    code, out, _ = run(capsys, "field", "--x-range", "0.4:2.8:3",
-                       "--rho-range", "0.001:0.05:2",
-                       "--alpha-pi-range=-0.5:0.5:5", "--format", "json",
-                       "--threads", "2")
-    assert code == 0
-    rows = json.loads(out)["rows"]
-    assert len(made) == len(groups)
-    got = [sorted({(route, x) for owner, route, x in calls if owner is ladders})
-           for ladders in made]
-    want = [sorted({(r["method"], r["x"]) for r in rows if r["x"] in group})
-            for group in groups]
-    assert got == want
-    assert all(any(route == "paris" for route, _ in g) for g in got)
+    oracle_Ck.cache_clear()
+    for name in ("_hscals", "_jhats", "_bessel_products", "_cos_ladder"):
+        monkeypatch.setattr(cli.expansions, name, counted(name))
+    args = ("field", "--x-range", "0.4:2.8:3", "--rho-range", "0.001:0.05:2",
+            "--alpha-pi-range=-0.5:0.5:5", "--format", "csv")
+    try:
+        code, first, _ = run(capsys, *args)
+        formed = list(made)
+        assert code == 0
+        assert {name for name, *_ in formed} == {"_hscals", "_jhats", "_bessel_products",
+                                                 "_cos_ladder"}
+        assert len(set(formed)) == len(formed)
+        assert run(capsys, *args)[1] == first
+        assert made == formed
+        oracle_Ck.cache_clear()
+        assert len(cli.expansions.FIELD_LADDERS._origins) == 0
+        assert run(capsys, *args)[1] == first
+        assert sorted(made[len(formed):]) == sorted(formed)
+    finally:
+        oracle_Ck.cache_clear()
 
 
 @pytest.mark.parametrize("chunk,threads", [(4096, "1"), (12, "2"), (5, "2")])
 def test_field_group_passes_equal_fresh_calls(capsys, monkeypatch, chunk, threads):
     # all-bessho (x = 0.4), mixed (x = 1.6) and all-paris (x = 2.8)
-    # columns, in one group or several, on one thread or two: every row
-    # has the fields of a fresh scalar evaluation, bit for bit
+    # columns, on a ladder memo of chunk ladders (5 and 12 drop ladders
+    # the grid reads again), on one thread or two: every row has the
+    # fields of a fresh scalar evaluation, bit for bit
     import kelvinwake.cli as cli
+    from kelvinwake.oracle import oracle_Ck
 
-    monkeypatch.setattr(cli, "FIELD_GROUP_POINTS", chunk)
+    oracle_Ck.cache_clear()
+    monkeypatch.setattr(cli.expansions, "MAX_LADDERS", chunk)
     code, out, _ = run(capsys, "field", "--x-range", "0.4:2.8:3",
                        "--rho-range", "0.01:0.2:2",
                        "--alpha-pi-range=-0.5:0.5:5", "--format", "csv",
                        "--threads", threads)
     assert code == 0
+    # the grid forms 14 ladders
+    assert len(cli.expansions.FIELD_LADDERS._origins) == min(chunk, 14)
     lines = out.strip().split("\n")
     assert len(lines) == 1 + 3 * 2 * 5
     methods = {}
@@ -472,19 +474,23 @@ _RANGE = st.tuples(st.floats(0.05, 3.0), st.floats(0.05, 3.0), st.integers(1, 3)
        chunk=st.integers(1, 12))
 def test_field_rows_equal_fresh_records(xs, rhos, alpha_pi, alpha_count, chunk):
     # small grids whose alphas run from -a to a, so they hold +-alpha pairs,
-    # taken in one group or several: every row is a fresh _method_record at
-    # its point by field_route's method, bit for bit, in grid order
+    # on a ladder memo of chunk ladders, which about half of them fill: every
+    # row is a fresh _method_record at its point by field_route's method,
+    # bit for bit, in grid order
     import kelvinwake.cli as cli
     from kelvinwake.expansions import field_route
+    from kelvinwake.oracle import oracle_Ck
 
+    oracle_Ck.cache_clear()
     x_range = f"{xs[0]!r}:{xs[1]!r}:{xs[2]}"
     rho_range = f"{10 ** rhos[0]!r}:{10 ** rhos[1]!r}:{rhos[2]}"
     alpha_range = f"{-alpha_pi!r}:{alpha_pi!r}:{alpha_count}"
     out = io.StringIO()
     with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
-        mp.setattr(cli, "FIELD_GROUP_POINTS", chunk)
+        mp.setattr(cli.expansions, "MAX_LADDERS", chunk)
         code = main(["field", "--x-range", x_range, "--rho-range", rho_range,
                      f"--alpha-pi-range={alpha_range}", "--format", "csv"])
+        assert len(cli.expansions.FIELD_LADDERS._origins) <= chunk
     lines = out.getvalue().strip().split("\n")
     grid = [(x, rho, a * math.pi)
             for x in cli._grid(*cli._parse_range(x_range, "x"))
@@ -519,7 +525,7 @@ def test_grid_size_is_capped(capsys, monkeypatch, argv):
 
     for attr in ("_grid", "_method_record"):
         monkeypatch.setattr(cli, attr, no_work)
-    for attr in ("Ladders", "ck_table"):
+    for attr in ("_hscals", "_jhats", "_bessel_products", "_cos_ladder", "ck_table"):
         monkeypatch.setattr(cli.expansions, attr, no_work)
     code, _, err = run(capsys, *argv)
     assert code == 2

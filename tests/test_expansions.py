@@ -841,6 +841,26 @@ class TestSaddleTerm:
         with pytest.raises(DomainError):
             saddle_term(EvalPoint(0.1, 0.005, 0.0))
 
+    @pytest.mark.parametrize("M,err", [(1e9, 1.06e-12), (1e13, 1.08e-10), (1e15, 4.6e-9)])
+    def test_estimates_cover_the_phase_rounding(self, M, err):
+        # the double phase (M + rho/2) sin alpha + alpha/2 rounds by a few
+        # units of 2^-52 M, which the sine passes on times its amplitude;
+        # here against the same formula in 50-digit mpmath on the same
+        # double x, rho and alpha.  Both estimates once left it out
+        # (paris_F's were 1.1e-13, 2.2e-15 and 2.2e-15)
+        mp = pytest.importorskip("mpmath")
+        pt = EvalPoint(3.0, 9.0 / (4.0 * M), 0.5 * math.pi)
+        with mp.workdps(50):
+            x, rho, a = mp.mpf(pt.x), mp.mpf(pt.rho), mp.mpf(pt.alpha)
+            m = x * x / (4 * rho)
+            want = (mp.sqrt(mp.pi / m) * mp.exp(-(m - rho / 2) * mp.cos(a))
+                    * mp.sin((m + rho / 2) * mp.sin(a) + a / 2))
+        sad = saddle_term(pt)
+        assert abs(sad - float(want)) == pytest.approx(err, rel=0.05)
+        for r in (paris_F(pt), ursell_F(pt)):
+            assert r.saddle_term == sad
+            assert abs(sad - float(want)) <= r.internal_error_estimate
+
 
 class TestParis:
     def test_components_reproduce_value_exactly(self, pt_m125):
