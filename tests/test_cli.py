@@ -434,6 +434,59 @@ def test_field_calls_share_one_ladder_memo(capsys, monkeypatch):
         oracle_Ck.cache_clear()
 
 
+@pytest.mark.parametrize("chunk,groups", [(4096, [0.4, 1.6, 2.8]),
+                                          (12, [0.4, 1.6, 2.8]),
+                                          (5, [1.6, 2.8])])
+def test_field_groups_of_columns(capsys, monkeypatch, chunk, groups):
+    # field evaluates its grid one x column at a time, every point of each
+    # route on the one FIELD_LADDERS, whose bound is chunk ladders: the memo
+    # ends holding at most chunk of them, the most recently read, so the
+    # ladders it keeps are those of the trailing columns, groups
+    import kelvinwake.cli as cli
+    from kelvinwake.oracle import oracle_Ck
+
+    memo = cli.expansions.FIELD_LADDERS
+    calls, column, formed_by = [], [None], {}
+
+    def recording(name, route):
+        f = getattr(cli.expansions, name)
+
+        def wrapper(pt, *args, ladders, **kwargs):
+            calls.append((ladders is memo, route, pt.x))
+            column[0] = pt.x
+            return f(pt, *args, ladders=ladders, **kwargs)
+        return wrapper
+
+    read = memo._read
+
+    def recording_read(key, make):
+        formed_by.setdefault(key, column[0])
+        return read(key, make)
+
+    oracle_Ck.cache_clear()
+    monkeypatch.setattr(cli.expansions, "MAX_LADDERS", chunk)
+    monkeypatch.setattr(memo, "_read", recording_read)
+    for name, route in (("paris_F", "paris"), ("bessho_F", "bessho")):
+        monkeypatch.setattr(cli.expansions, name, recording(name, route))
+    try:
+        code, out, _ = run(capsys, "field", "--x-range", "0.4:2.8:3",
+                           "--rho-range", "0.001:0.05:2",
+                           "--alpha-pi-range=-0.5:0.5:5", "--format", "json",
+                           "--threads", "2")
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert all(shared for shared, _, _ in calls)
+        xs = [x for _, _, x in calls]
+        assert xs == sorted(xs)
+        assert sorted({(route, x) for _, route, x in calls}) == \
+            sorted({(r["method"], r["x"]) for r in rows})
+        # the grid forms 14 ladders
+        assert len(memo._origins) == min(chunk, 14)
+        assert sorted({formed_by[key] for key in memo._origins}) == groups
+    finally:
+        oracle_Ck.cache_clear()
+
+
 @pytest.mark.parametrize("chunk,threads", [(4096, "1"), (12, "2"), (5, "2")])
 def test_field_group_passes_equal_fresh_calls(capsys, monkeypatch, chunk, threads):
     # all-bessho (x = 0.4), mixed (x = 1.6) and all-paris (x = 2.8)
